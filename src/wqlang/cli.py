@@ -8,8 +8,11 @@ residual constructions, and ``learn`` to run the active learner against a
 target automaton file.
 
 Exit codes: 0 success, 1 a requested --fail-on-miss inclusion does not
-hold, 2 usage error, 3 malformed input file. ``TOOL_ITER_CAP`` overrides
-the fixpoint iteration caps.
+hold, 2 usage error (including a search pattern that matches the empty
+string, or ``--engine dfa`` on a pattern with no DFA fast path), 3
+malformed input file or a computation stopped by its cap (fixpoint
+iterations, learner queries, decompressed size). ``TOOL_ITER_CAP``
+overrides the fixpoint iteration caps.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .formats import (
     parse_nfa,
     parse_ocn,
 )
-from .learn import nl_learn
+from .fixpoint import KleeneDivergence
+from .learn import LearnerDiverged, nl_learn
 from .slpsearch.counting import NEWLINE, SearchEngine
 from .slpsearch.regex import compile_regex, homogeneous_dfa, homogeneous_kind, parse_regex
-from .slpsearch.slp import decompress, repair_compress
+from .slpsearch.slp import DecompressionCap, decompress, repair_compress
 
 USAGE_ERROR = 2
 INPUT_ERROR = 3
@@ -146,13 +150,13 @@ def _cmd_include_ocn(args) -> int:
 
 def _pattern_automaton(pattern: str, engine: str) -> Nfa:
     ast = parse_regex(pattern)
-    if engine in ("auto", "dfa"):
-        kind = homogeneous_kind(ast)
-        if kind is not None:
-            return homogeneous_dfa(ast, kind)
-        if engine == "dfa":
-            raise SystemExit("pattern is not homogeneous; no DFA fast path")
-    return compile_regex(ast)
+    kind = None if engine == "nfa" else homogeneous_kind(ast)
+    if kind is not None:
+        return homogeneous_dfa(ast, kind)
+    nfa = compile_regex(ast)  # rejects empty matches on every engine
+    if engine == "dfa":
+        raise ValueError("pattern is not homogeneous; no DFA fast path")
+    return nfa
 
 
 def _cmd_search(args) -> int:
@@ -336,10 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (
+        FormatError,
+        FileNotFoundError,
+        KleeneDivergence,
+        LearnerDiverged,
+        DecompressionCap,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except ValueError as exc:

@@ -1,10 +1,22 @@
 """Quasiorder-parameterized inclusion decision procedures.
 
-Word-based Kleene algorithms over antichains of words (parameterized by a
-language-consistent well-quasiorder), state-based antichain algorithms in
-forward and backward flavors, the grammar variants, a greatest-fixpoint
-procedure working on regular iterates, and inclusion of a regular language
-in the traces of a one-counter net.
+Two cores do all the word-based work: ``word_fixpoint`` for automata and
+``cfg_word_fixpoint`` for CNF grammars, each the least fixpoint of the
+antichain equations under a quasiorder handle. Every check instantiates
+one of them:
+
+- ``fa_inc_word`` runs ``word_fixpoint`` under any directed handle
+  (Nerode, state-set, simulation) and tests representative words;
+- ``fa_inc_antichain`` runs ``word_fixpoint`` under the left state-set
+  order (forward) or its complemented dual (backward) and tests keys;
+- ``cfg_inc_word`` runs ``cfg_word_fixpoint`` under any two-sided handle
+  (Myhill, state-pair) and tests representative words;
+- ``cfg_inc_antichain`` runs ``cfg_word_fixpoint`` under the state-pair
+  order and tests keys;
+- ``nfa_in_ocn`` is ``fa_inc_word`` under the one-counter macro order.
+
+``fa_inc_gfp`` is the odd one out: a greatest fixpoint over regular
+iterates, purely boolean.
 """
 
 from __future__ import annotations
@@ -42,9 +54,9 @@ class QuasiorderHandle:
     """A decidable quasiorder on words packaged for the fixpoint engines.
 
     ``key_of`` maps a word to its finite key and ``leq`` compares keys.
-    ``extend`` produces the key of the one-symbol extension on the working
-    side: prepended for left handles, appended for right ones. Two-sided
-    handles additionally compose keys of concatenations.
+    Directed handles supply ``extend``, the key of the one-symbol extension
+    on the working side: prepended for left handles, appended for right
+    ones. Two-sided handles supply ``compose``, the key of a concatenation.
     """
 
     direction: str  # 'left' | 'right' | 'two-sided'
@@ -53,43 +65,24 @@ class QuasiorderHandle:
     extend: Callable[[Any, int], Any] | None = None
     compose: Callable[[Any, Any], Any] | None = None
 
-    def key_extend(self, key: Any, sym: int, word: bytes) -> Any:
-        if self.extend is not None:
-            return self.extend(key, sym)
-        return self.key_of(word)
-
 
 # -- handle factories -------------------------------------------------------
 
 
 def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """Residual-inclusion quasiorder of L(n2), decided through the minimal
-    DFA of the language (left side works on the reversed language). The key
-    None stands for the empty residual of words the DFA cannot read."""
+    DFA of the language (left side works on the reversed language)."""
     if direction == "left":
         m = n2.reverse().determinize().minimize()
     elif direction == "right":
         m = n2.determinize().minimize()
     else:
         raise ValueError(f"bad direction {direction!r}")
-    incl = qo.residual_inclusion_matrix(m)
-    dead = qo.empty_states_mask(m)
-
-    def key_of(word: bytes) -> int | None:
-        return m.run_state(word[::-1] if direction == "left" else word)
-
-    def leq(a: int | None, b: int | None) -> bool:
-        if a is None:
-            return True
-        if b is None:
-            return bool(dead >> a & 1)
-        return bool(incl[a] >> b & 1)
-
     return QuasiorderHandle(
         direction=direction,
-        key_of=key_of,
-        leq=leq,
-        extend=lambda key, sym: None if key is None else m.dnext(key, sym),
+        key_of=lambda w: qo.residual_state(m, w[::-1] if direction == "left" else w),
+        leq=qo.residual_order(m),
+        extend=lambda key, sym: qo.residual_next(m, key, sym),
     )
 
 
@@ -130,24 +123,10 @@ def myhill_handle(n: Nfa) -> QuasiorderHandle:
     """Two-sided context quasiorder of L(n), realized as the word's action
     on the minimal DFA with pointwise residual inclusion."""
     m = n.determinize().minimize()
-    incl = qo.residual_inclusion_matrix(m)
-    dead = qo.empty_states_mask(m)
-
-    def leq(a, b):
-        for x, y in zip(a, b):
-            if x == qo.DEAD:
-                continue
-            if y == qo.DEAD:
-                if not dead >> x & 1:
-                    return False
-            elif not incl[x] >> y & 1:
-                return False
-        return True
-
     return QuasiorderHandle(
         direction="two-sided",
         key_of=lambda w: qo.myhill_key(m, w),
-        leq=leq,
+        leq=qo.myhill_order(m),
         compose=qo.myhill_compose,
     )
 
@@ -206,6 +185,8 @@ def word_fixpoint(
             for q2 in bits(targets):
                 moves[q].append((sym, q2))
 
+    extend = handle.extend
+
     def step(vec: list[Antichain]) -> list[Antichain]:
         out = []
         for q in range(n1.state_count):
@@ -216,7 +197,7 @@ def word_fixpoint(
                 s = bytes([sym])
                 for key, word in vec[q2]:
                     word2 = s + word if left else word + s
-                    ac.insert(handle.key_extend(key, sym, word2), word2)
+                    ac.insert(extend(key, sym), word2)
             out.append(ac)
         return out
 
@@ -233,8 +214,8 @@ def fa_inc_word(
 ) -> Verdict:
     """Word-based inclusion check: L(n1) <= L2, where ``membership`` decides
     L2 and ``handle`` is an L2-consistent well-quasiorder matching its
-    direction. The first surviving word that fails membership is the
-    witness."""
+    direction. ``word_fixpoint`` under that handle; the first surviving word
+    that fails membership is the witness."""
     vec, _ = word_fixpoint(n1, handle, max_iter)
     check_mask = n1.initial_mask if handle.direction == "left" else n1.final_mask
     for q in range(n1.state_count):
@@ -252,55 +233,38 @@ def fa_inc_word(
 def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """Antichain inclusion check of L(n1) in L(n2).
+    """Antichain inclusion check of L(n1) in L(n2): ``word_fixpoint`` under
+    a state-set order of n2, with a key-level acceptance test.
 
-    forward: antichains of pre-sets of n2's finals, seeded at n1's final
-    states, accepted iff every surviving set meets n2's initials.
-    backward: antichains of complemented pre-sets under the dual order,
+    forward: pre-sets of n2's finals under inclusion (``state_handle``);
+    accepted iff every surviving set meets n2's initials.
+    backward: complemented pre-sets under the dual (superset) order;
     accepted iff no surviving set contains all of n2's initials.
+    The witness is the shortest, then lexicographically least, failing word.
     """
-    full2 = (1 << n2.state_count) - 1
     i2 = n2.initial_mask
     if variant == "forward":
-        leq = lambda a, b: a & b == a
-        base_key = n2.final_mask
-        prestep = lambda key, sym: n2.step(key, sym, False)
+        handle = state_handle(n2, "left")
         fails = lambda key: not (key & i2)
     elif variant == "backward":
-        leq = lambda a, b: a | b == a  # dual order: supersets are smaller
-        base_key = full2 & ~n2.final_mask
-        prestep = lambda key, sym: full2 & ~n2.step(full2 & ~key, sym, False)
+        full2 = (1 << n2.state_count) - 1
+        handle = QuasiorderHandle(
+            direction="left",
+            key_of=lambda w: full2 & ~n2.run(w, False),
+            leq=lambda a, b: a | b == a,
+            extend=lambda key, sym: full2 & ~n2.step(full2 & ~key, sym, False),
+        )
         fails = lambda key: key & i2 == i2
     else:
         raise ValueError(f"bad variant {variant!r}")
+    vec, _ = word_fixpoint(n1, handle, max_iter)
+    return _key_verdict((e for q in bits(n1.initial_mask) for e in vec[q]), fails)
 
-    syms = sorted(n1.alphabet)
-    moves: list[list[tuple[int, int]]] = [[] for _ in range(n1.state_count)]
-    for q in range(n1.state_count):
-        for sym in syms:
-            for q2 in bits(n1.step(1 << q, sym, True)):
-                moves[q].append((sym, q2))
 
-    def step(vec: list[Antichain]) -> list[Antichain]:
-        out = []
-        for q in range(n1.state_count):
-            ac = Antichain(leq)
-            if n1.final_mask >> q & 1:
-                ac.insert(base_key, b"")
-            for sym, q2 in moves[q]:
-                s = bytes([sym])
-                for key, word in vec[q2]:
-                    ac.insert(prestep(key, sym), s + word)
-            out.append(ac)
-        return out
-
-    bottom = [Antichain(leq) for _ in range(n1.state_count)]
-    vec = kleene(step, bottom, _vec_abs_eq, max_iter).value
-    failing: list[bytes] = []
-    for q in bits(n1.initial_mask):
-        for key, word in vec[q]:
-            if fails(key):
-                failing.append(word)
+def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
+    """Included iff no (key, word) entry fails; otherwise the shortest, then
+    lexicographically least, failing word is the witness."""
+    failing = [word for key, word in entries if fails(key)]
     if not failing:
         return Verdict(True)
     return Verdict(False, min(failing, key=lambda w: (len(w), w)))
@@ -398,7 +362,8 @@ def cfg_word_fixpoint(
     g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
 ):
     """Least fixpoint of the word-antichain equations of a CNF grammar under
-    a two-sided quasiorder; one antichain per variable."""
+    a two-sided quasiorder; one antichain per variable. Keys of
+    concatenations come from the handle's ``compose``."""
     if handle.direction != "two-sided":
         raise ValueError("grammar fixpoints need a two-sided quasiorder")
     base, rules = _grammar_parts(g)
@@ -413,11 +378,7 @@ def cfg_word_fixpoint(
             for y, z in rules[v]:
                 for k1, w1 in vec[y]:
                     for k2, w2 in vec[z]:
-                        if handle.compose is not None:
-                            key = handle.compose(k1, k2)
-                        else:
-                            key = handle.key_of(w1 + w2)
-                        ac.insert(key, w1 + w2)
+                        ac.insert(handle.compose(k1, k2), w1 + w2)
             out.append(ac)
         return out
 
@@ -433,7 +394,8 @@ def cfg_inc_word(
     max_iter: int = DEFAULT_ITER_CAP,
 ) -> Verdict:
     """Word-based inclusion check L(g) <= L2 for a CNF grammar and a
-    two-sided L2-consistent well-quasiorder."""
+    two-sided L2-consistent well-quasiorder: ``cfg_word_fixpoint`` under
+    that handle, then membership of the axiom's surviving words."""
     vec, _ = cfg_word_fixpoint(g, handle, max_iter)
     for _, word in vec[0]:
         if not membership(word):
@@ -444,41 +406,16 @@ def cfg_inc_word(
 def cfg_inc_antichain(
     g: CnfGrammar, n: Nfa, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """State-based antichain inclusion check of L(g) in L(n): antichains of
-    state-pair relations composed along the grammar rules. Accepts iff every
-    surviving relation of the axiom connects an initial to a final state."""
-    base, rules = _grammar_parts(g)
-    base_keyed = [[(qo.ctx_key(n, w), w) for w in words] for words in base]
+    """State-based antichain inclusion check of L(g) in L(n):
+    ``cfg_word_fixpoint`` under the state-pair order (``ctx_handle``).
+    Accepts iff every surviving relation of the axiom connects an initial to
+    a final state; the witness is the shortest, then least, failing word."""
 
-    def step(vec: list[Antichain]) -> list[Antichain]:
-        out = []
-        for v in range(g.variable_count):
-            ac = Antichain(qo.ctx_leq)
-            for key, word in base_keyed[v]:
-                ac.insert(key, word)
-            for y, z in rules[v]:
-                for k1, w1 in vec[y]:
-                    for k2, w2 in vec[z]:
-                        ac.insert(qo.ctx_compose(k1, k2), w1 + w2)
-            out.append(ac)
-        return out
+    def fails(rel: tuple[int, ...]) -> bool:
+        return not any(rel[p] & n.final_mask for p in bits(n.initial_mask))
 
-    bottom = [Antichain(qo.ctx_leq) for _ in range(g.variable_count)]
-    vec = kleene(step, bottom, _vec_abs_eq, max_iter).value
-    failing = []
-    for key, word in vec[0]:
-        if not _ctx_hits(key, n):
-            failing.append(word)
-    if not failing:
-        return Verdict(True)
-    return Verdict(False, min(failing, key=lambda w: (len(w), w)))
-
-
-def _ctx_hits(rel: tuple[int, ...], n: Nfa) -> bool:
-    for p in bits(n.initial_mask):
-        if rel[p] & n.final_mask:
-            return True
-    return False
+    vec, _ = cfg_word_fixpoint(g, ctx_handle(n), max_iter)
+    return _key_verdict(vec[0], fails)
 
 
 # -- one-counter nets ---------------------------------------------------------
@@ -486,7 +423,8 @@ def _ctx_hits(rel: tuple[int, ...], n: Nfa) -> bool:
 
 def nfa_in_ocn(n: Nfa, o: Ocn, start: tuple[int, int]) -> Verdict:
     """Inclusion of L(n) in the trace set of the one-counter net from the
-    given start configuration, via the macro-state quasiorder."""
+    given start configuration: ``fa_inc_word`` under the macro-state
+    quasiorder (``ocn_handle``)."""
     handle = ocn_handle(o, start)
 
     def membership(word: bytes) -> bool:

@@ -3,14 +3,16 @@
 The learner maintains a prefix-closed set P and a suffix-closed set S of
 words and approximates the residual-inclusion quasiorder of the target
 language by comparing residuals restricted to S. When the approximation is
-closed and consistent over P it builds the prime-principal automaton and
-asks the equivalence oracle; counterexample suffixes refine S.
+closed and consistent over P it builds the prime-principal automaton (the
+``residual.build_H`` core, under the restricted order) and asks the
+equivalence oracle; counterexample suffixes refine S.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from . import residual
 from .automata import Nfa
 
 __all__ = ["ObservationState", "nl_learn", "LearnerDiverged"]
@@ -102,7 +104,9 @@ class ObservationState:
     # -- hypothesis ----------------------------------------------------------
 
     def build_automaton(self) -> Nfa:
-        """Prime-principal automaton over the current P and S."""
+        """Prime-principal automaton over the current P and S: ``build_H``
+        with one representative word per distinct prime row as keys, row
+        containment as the order and appending a letter as the extension."""
         reps: list[bytes] = []
         seen_rows = set()
         for p in self.prefixes:
@@ -110,16 +114,14 @@ class ObservationState:
             if r not in seen_rows and self.is_prime(p):
                 seen_rows.add(r)
                 reps.append(p)
-        initial = [i for i, p in enumerate(reps) if self.row_leq(p, b"")]
-        final = [i for i, p in enumerate(reps) if self.member(p)]
-        triples = []
-        for i, u in enumerate(reps):
-            for a in self.alphabet:
-                ua = u + bytes([a])
-                for j, v in enumerate(reps):
-                    if self.row_leq(v, ua):
-                        triples.append((i, a, j))
-        return Nfa(len(reps), triples, initial, final)
+        return residual.build_H(
+            reps,
+            self.row_leq,
+            lambda u, a: u + bytes([a]),
+            b"",
+            self.member,
+            self.alphabet,
+        )
 
 
 def nl_learn(

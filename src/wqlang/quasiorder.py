@@ -19,9 +19,13 @@ __all__ = [
     "max_simulation",
     "sim_leq",
     "residual_inclusion_matrix",
+    "residual_state",
+    "residual_next",
+    "residual_order",
     "nerode_leq",
     "myhill_key",
     "myhill_compose",
+    "myhill_order",
     "myhill_leq",
     "ctx_key",
     "ctx_identity",
@@ -141,69 +145,80 @@ def empty_states_mask(d: Dfa) -> int:
     return ((1 << d.state_count) - 1) & ~alive
 
 
+# -- residual orders through the minimal DFA (Nerode and Myhill) ----------
+
+
+DEAD = -1  # the state of words the DFA cannot read: the empty residual
+
+
+def residual_state(min_dfa: Dfa, word: bytes, start: int | None = None) -> int:
+    """The minimal-DFA state reached by the word, or DEAD when it falls off."""
+    q = min_dfa.run_state(word, start)
+    return DEAD if q is None else q
+
+
+def residual_next(min_dfa: Dfa, p: int, sym: int) -> int:
+    """One-symbol successor of a state, DEAD staying DEAD."""
+    q = None if p == DEAD else min_dfa.dnext(p, sym)
+    return DEAD if q is None else q
+
+
+def residual_order(min_dfa: Dfa):
+    """Residual-language inclusion between states of the minimal DFA, with
+    DEAD below everything and above exactly the empty-language states."""
+    incl = residual_inclusion_matrix(min_dfa)
+    dead = empty_states_mask(min_dfa)
+
+    def leq(p: int, q: int) -> bool:
+        if p == DEAD:
+            return True
+        if q == DEAD:
+            return bool(dead >> p & 1)
+        return bool(incl[p] >> q & 1)
+
+    return leq
+
+
 def nerode_leq(min_dfa: Dfa, u: bytes, v: bytes, direction: str = "right") -> bool:
     """Residual-language comparison through the minimal DFA.
 
     Right: u^{-1}L <= v^{-1}L on the minimal DFA of L. Left: the caller
     passes the minimal DFA of the reversed language and the comparison runs
-    on reversed words, using the quotient/reversal duality. Falling off the
-    automaton (a symbol it never reads) means the empty residual.
+    on reversed words, using the quotient/reversal duality.
     """
-    incl = residual_inclusion_matrix(min_dfa)
-    dead = empty_states_mask(min_dfa)
     if direction == "left":
         u, v = u[::-1], v[::-1]
     elif direction != "right":
         raise ValueError(f"bad direction {direction!r}")
-    p = min_dfa.run_state(u)
-    q = min_dfa.run_state(v)
-    if p is None:
-        return True
-    if q is None:
-        return bool(dead >> p & 1)
-    return bool(incl[p] >> q & 1)
-
-
-# -- Myhill (context) quasiorder through the minimal DFA ------------------
-
-
-DEAD = -1  # action target for words the DFA cannot read: the empty residual
+    leq = residual_order(min_dfa)
+    return leq(residual_state(min_dfa, u), residual_state(min_dfa, v))
 
 
 def myhill_key(min_dfa: Dfa, word: bytes) -> tuple[int, ...]:
     """The word's action on the minimal DFA: state p maps to the state
     reached from p by the word, or DEAD when the DFA falls off."""
-    out = []
-    for p in range(min_dfa.state_count):
-        q = min_dfa.run_state(word, p)
-        out.append(DEAD if q is None else q)
-    return tuple(out)
+    return tuple(residual_state(min_dfa, word, p) for p in range(min_dfa.state_count))
 
 
 def myhill_compose(k1: tuple[int, ...], k2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(DEAD if p == DEAD else k2[p] for p in k1)
 
 
-def myhill_leq(min_dfa: Dfa, u, v, incl: tuple[int, ...] | None = None) -> bool:
+def myhill_order(min_dfa: Dfa):
+    """Context inclusion on actions: the residual order, pointwise."""
+    leq = residual_order(min_dfa)
+    return lambda a, b: all(map(leq, a, b))
+
+
+def myhill_leq(min_dfa: Dfa, u, v) -> bool:
     """Context inclusion: for every state p, the residual after reading u
     from p is included in the residual after reading v from p.
 
     ``u``/``v`` may be words or precomputed keys.
     """
-    if incl is None:
-        incl = residual_inclusion_matrix(min_dfa)
-    dead = empty_states_mask(min_dfa)
     ku = myhill_key(min_dfa, u) if isinstance(u, bytes) else u
     kv = myhill_key(min_dfa, v) if isinstance(v, bytes) else v
-    for a, b in zip(ku, kv):
-        if a == DEAD:
-            continue
-        if b == DEAD:
-            if not dead >> a & 1:
-                return False
-        elif not incl[a] >> b & 1:
-            return False
-    return True
+    return myhill_order(min_dfa)(ku, kv)
 
 
 # -- state-pair contexts (relations q -word-> q') --------------------------

@@ -1,16 +1,27 @@
 """Residual-automata constructions driven by quasiorders.
 
-Principal enumeration, composite-principal detection, the generic
-prime-principal automaton builder, the residualization and canonical-RFA
-constructions, the double-reversal route to the canonical RFA, and the
-closedness condition characterizing when plain residualization is already
-canonical.
+One core builds every residual automaton: ``build_H``, the automaton over
+the prime principals of a consistent quasiorder. The constructions differ
+only in the principals they pass and the order they compare them by:
+
+- ``res``: reachable post-sets (right) or pre-sets (left) of the automaton,
+  under state-set inclusion, minus the composite ones (``is_composite``);
+- ``denis_residualize``: the same post-sets and order, minus the ones
+  coverable by smaller post-sets (the classic, weaker test);
+- ``canonical``: the states of the minimal DFA under residual inclusion,
+  minus the composite residuals;
+- the learner's hypothesis (``learn.ObservationState.build_automaton``):
+  representative words under row containment.
+
+Also here: principal enumeration, the double-reversal route to the
+canonical RFA, and the closedness condition characterizing when plain
+residualization is already canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 from .automata import Dfa, Nfa, bits, equivalence_counterexample, naive_inclusion
 from .quasiorder import residual_inclusion_matrix
@@ -35,15 +46,10 @@ __all__ = [
 class PrincipalSet:
     """All distinct reachable key sets of one direction of an automaton:
     post-sets of the initials (right) or pre-sets of the finals (left),
-    each with a shortest representative word. ``composite`` flags are
-    attached by ``with_flags``."""
+    each with a shortest representative word."""
 
     keys: tuple[int, ...]
     words: tuple[bytes, ...]
-    composite: tuple[bool, ...] | None = None
-
-    def with_flags(self, flags) -> "PrincipalSet":
-        return PrincipalSet(self.keys, self.words, tuple(flags))
 
 
 def principals(n: Nfa, direction: str = "right") -> PrincipalSet:
@@ -92,86 +98,73 @@ def is_composite(n: Nfa, key: int, ps: PrincipalSet, direction: str = "right") -
 
 
 def build_H(
-    ps: PrincipalSet,
-    leq: Callable[[int, int], bool],
-    extend: Callable[[int, int], int],
-    key_eps: int,
-    final_of: Callable[[int, bytes], bool],
+    keys: Sequence[Any],
+    leq: Callable[[Any, Any], bool],
+    extend: Callable[[Any, int], Any],
+    key_eps: Any,
+    final_of: Callable[[Any], bool],
     symbols,
     direction: str = "right",
 ) -> Nfa:
-    """Automaton over the prime principals of a consistent quasiorder.
+    """Automaton over the given prime principals of a consistent quasiorder,
+    one state per key, in order.
 
     Right: initial principals are those below the principal of the empty
-    word, final ones those whose representative belongs to the language,
-    and an a-transition from u's principal reaches every prime principal
-    below the principal of u·a. Left is the mirror image (transitions read
-    a·v, initial and final roles swap).
+    word, final ones those ``final_of`` accepts (their words belong to the
+    language), and an a-transition from u's principal reaches every prime
+    principal below the principal of u·a. Left is the mirror image
+    (transitions read a·v, initial and final roles swap).
     """
-    if ps.composite is None:
-        raise ValueError("principal set needs composite flags")
     if direction not in ("right", "left"):
         raise ValueError(f"bad direction {direction!r}")
-    states = [i for i, c in enumerate(ps.composite) if not c]
-    idx = {i: s for s, i in enumerate(states)}
-    eps_side = [idx[i] for i in states if leq(ps.keys[i], key_eps)]
-    lang_side = [idx[i] for i in states if final_of(ps.keys[i], ps.words[i])]
+    eps_side = [i for i, k in enumerate(keys) if leq(k, key_eps)]
+    lang_side = [i for i, k in enumerate(keys) if final_of(k)]
     initial, final = (
         (eps_side, lang_side) if direction == "right" else (lang_side, eps_side)
     )
     triples = []
-    for i in states:
+    for i, u in enumerate(keys):
         for sym in symbols:
             if direction == "right":
-                ext = extend(ps.keys[i], sym)
-                targets = [j for j in states if leq(ps.keys[j], ext)]
+                ext = extend(u, sym)
+                targets = [j for j, v in enumerate(keys) if leq(v, ext)]
             else:
-                targets = [
-                    j for j in states if leq(ps.keys[i], extend(ps.keys[j], sym))
-                ]
-            triples += [(idx[i], sym, idx[j]) for j in targets]
-    return Nfa(len(states), triples, initial, final)
+                targets = [j for j, v in enumerate(keys) if leq(u, extend(v, sym))]
+            triples += [(i, sym, j) for j in targets]
+    return Nfa(len(keys), triples, initial, final)
 
 
-def _flagged(n: Nfa, direction: str) -> PrincipalSet:
-    ps = principals(n, direction)
-    return ps.with_flags(is_composite(n, k, ps, direction) for k in ps.keys)
+def _state_set_H(n: Nfa, primes: list[int], direction: str) -> Nfa:
+    """``build_H`` under the automaton-induced state-set order: post-sets
+    of the initials (right) or pre-sets of the finals (left)."""
+    fwd = direction == "right"
+    start, goal = n.initial_mask, n.final_mask
+    if not fwd:
+        start, goal = goal, start
+    return build_H(
+        primes,
+        lambda a, b: a & b == a,
+        lambda key, sym: n.step(key, sym, fwd),
+        start,
+        lambda key: bool(key & goal),
+        sorted(n.alphabet),
+        direction,
+    )
 
 
 def res(n: Nfa, direction: str = "right") -> Nfa:
     """Residualization through the automaton-induced quasiorder: the states
     are the prime reachable post-sets (right) or pre-sets (left)."""
-    ps = _flagged(n, direction)
-    syms = sorted(n.alphabet)
-    subset = lambda a, b: a & b == a
-    if direction == "right":
-        return build_H(
-            ps,
-            subset,
-            lambda key, sym: n.step(key, sym, True),
-            n.initial_mask,
-            lambda key, _w: bool(key & n.final_mask),
-            syms,
-            "right",
-        )
-    if direction == "left":
-        return build_H(
-            ps,
-            subset,
-            lambda key, sym: n.step(key, sym, False),
-            n.final_mask,
-            lambda key, _w: bool(key & n.initial_mask),
-            syms,
-            "left",
-        )
-    raise ValueError(f"bad direction {direction!r}")
+    ps = principals(n, direction)
+    primes = [k for k in ps.keys if not is_composite(n, k, ps, direction)]
+    return _state_set_H(n, primes, direction)
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
-    """The canonical residual automaton of the language: states are the
-    prime residuals of the minimal DFA with maximally saturated
-    transitions; the left variant is the reverse of the canonical automaton
-    of the reversed language."""
+    """The canonical residual automaton of the language: ``build_H`` over
+    the prime residuals of the minimal DFA, ordered by residual inclusion,
+    which saturates the transitions; the left variant is the reverse of the
+    canonical automaton of the reversed language."""
     if direction == "left":
         return canonical(lang.reverse(), "right").reverse()
     if direction != "right":
@@ -179,60 +172,45 @@ def canonical(lang: Nfa, direction: str = "right") -> Nfa:
     m = lang.determinize().minimize()
     incl = residual_inclusion_matrix(m)
     count = m.state_count
-    composite = []
+    primes = []
     for p in range(count):
         strictly_below = [
             q for q in range(count) if q != p and incl[q] >> p & 1 and not incl[p] >> q & 1
         ]
         union_lang = Nfa(count, m._triples, strictly_below, m.final)
         this_lang = Nfa(count, m._triples, [p], m.final)
-        composite.append(equivalence_counterexample(this_lang, union_lang) is None)
-    prime = [p for p in range(count) if not composite[p]]
-    state_of = {p: s for s, p in enumerate(prime)}
-    init = m.initial_state
-    initial = [state_of[p] for p in prime if incl[p] >> init & 1]
-    final = [state_of[p] for p in prime if p in m.final]
-    syms = sorted(m.alphabet)
-    triples = []
-    for p in prime:
-        for sym in syms:
-            target = m.dnext(p, sym)
-            for q in prime:
-                if incl[q] >> target & 1:
-                    triples.append((state_of[p], sym, state_of[q]))
-    return Nfa(len(prime), triples, initial, final)
+        if equivalence_counterexample(this_lang, union_lang) is not None:
+            primes.append(p)
+    return build_H(
+        primes,
+        lambda p, q: bool(incl[p] >> q & 1),
+        m.dnext,
+        m.initial_state,
+        lambda p: p in m.final,
+        sorted(m.alphabet),
+    )
 
 
 def denis_residualize(n: Nfa) -> Nfa:
-    """Classic residualization: the subset construction restricted to
-    non-coverable reachable subsets, with saturated transitions."""
-    ps = principals(n, "right")
-    keys = ps.keys
-    coverable = []
-    for key in keys:
+    """Classic residualization: ``res``'s construction, keeping the
+    reachable post-sets that are not the union of the smaller ones (state-set
+    coverability instead of language equivalence)."""
+    keys = principals(n, "right").keys
+
+    def coverable(key: int) -> bool:
         union = 0
         for other in keys:
             if other != key and other & key == other:
                 union |= other
-        coverable.append(union == key)
-    kept = [i for i, c in enumerate(coverable) if not c]
-    state_of = {i: s for s, i in enumerate(kept)}
-    initial = [state_of[i] for i in kept if keys[i] & ~n.initial_mask == 0]
-    final = [state_of[i] for i in kept if keys[i] & n.final_mask]
-    syms = sorted(n.alphabet)
-    triples = []
-    for i in kept:
-        for sym in syms:
-            post = n.step(keys[i], sym, True)
-            for j in kept:
-                if keys[j] & post == keys[j]:
-                    triples.append((state_of[i], sym, state_of[j]))
-    return Nfa(len(kept), triples, initial, final)
+        return union == key
+
+    return _state_set_H(n, [k for k in keys if not coverable(k)], "right")
 
 
 def double_reversal_canonical(n: Nfa) -> Nfa:
-    """Residualize the reverse, reverse, residualize: lands on the canonical
-    residual automaton of the original language."""
+    """Residualize the reverse, reverse, residualize (two ``res`` calls,
+    hence two ``build_H`` calls under state-set inclusion): lands on the
+    canonical residual automaton of the original language."""
     return res(res(n.reverse(), "right").reverse(), "right")
 
 

