@@ -202,6 +202,41 @@ def rand_word(rng: random.Random, max_len: int, n_syms: int = 2) -> bytes:
     return bytes(rng.choice(syms) for _ in range(rng.randint(0, max_len)))
 
 
+_LOG_LEVELS = (b"INFO", b"INFO", b"DEBUG", b"WARN", b"ERROR")
+_LOG_SERVICES = (b"auth", b"billing", b"search", b"gateway", b"cache")
+_LOG_PATHS = (b"/api/v1/users", b"/api/v1/orders", b"/health", b"/login")
+_LOG_MESSAGES = (b"request served", b"cache miss", b"retrying upstream", b"timeout")
+
+
+def log_text(rng: random.Random, size: int) -> bytes:
+    """Synthetic service log of at least ``size`` bytes, whole lines only."""
+    lines = []
+    total = 0
+    second = rng.randrange(86400)
+    while total < size:
+        second += rng.randint(0, 3)
+        line = b"%02d:%02d:%02d %s [%s-%d] GET %s status=%d took=%dms %s\n" % (
+            second // 3600 % 24,
+            second // 60 % 60,
+            second % 60,
+            rng.choice(_LOG_LEVELS),
+            rng.choice(_LOG_SERVICES),
+            rng.randint(1, 8),
+            rng.choice(_LOG_PATHS),
+            rng.choice((200, 200, 404, 500)),
+            rng.randint(1, 2500),
+            rng.choice(_LOG_MESSAGES),
+        )
+        lines.append(line)
+        total += len(line)
+    return b"".join(lines)
+
+
+def run_heavy_text(rng: random.Random, chunks: int) -> bytes:
+    """Concatenation of short run-heavy chunks over {a, b}."""
+    return b"".join(rng.choice((b"aa", b"ab", b"aab", b"abb")) for _ in range(chunks))
+
+
 # -- independent oracles ---------------------------------------------------------
 
 

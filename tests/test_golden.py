@@ -1,10 +1,11 @@
-"""Golden outputs: digests of verdicts, witnesses and dumped automata on
-seeded random inputs.
+"""Golden outputs: digests of verdicts, witnesses, dumped automata and
+RePair grammars on seeded inputs.
 
-The pinned digests were computed once and must never change: the checks
-and constructions may be restructured freely, but every verdict, every
-witness word and every output automaton (byte for byte, as ``dump_nfa``
-prints it) has to stay the same.
+The pinned digests were computed once and must never change: the checks,
+constructions and the compressor may be restructured freely, but every
+verdict, every witness word, every output automaton (byte for byte, as
+``dump_nfa`` prints it) and every compressed grammar (as
+``dump_slp_binary`` writes it) has to stay the same.
 """
 
 import hashlib
@@ -31,14 +32,17 @@ from wqlang import (
     sim_handle,
     state_handle,
 )
-from wqlang.formats import dump_nfa
+from wqlang.formats import dump_nfa, dump_slp_binary
+from wqlang.slpsearch.slp import repair_compress
 
-from conftest import A, B, rand_cnf, rand_nfa
+from conftest import A, B, log_text, rand_cnf, rand_nfa, run_heavy_text
 
 PAIRS = 250
 GRAMMARS = 200
 NETS = 150
 AUTOMATA = 120
+LOG_SIZES = (512, 1024, 4096, 8192)
+RUN_HEAVY = 60
 
 PINNED = {
     "antichain-fwd": "718ca851575b2aca8e4a18c49a1dea8e4b736a10cb9a8849869863f2cda6f39d",
@@ -55,6 +59,9 @@ PINNED = {
     "denis": "b860ab3b2a6a85196a9c7ffbb2f573a528f85d0b5681cadb57bc7674be5943a9",
     "double-reversal": "f9f04ca08713d3bc6ce1eb42c0c009f4e582795ebb7b67af9edbb8b7302f51cb",
     "nl-learn": "eccd0eabd0c6bdcf537d32ea251d970996ef785397f09f6efc8b84d576aa7b6d",
+    "repair-logs": "378a064e7abbad95661f8a028a95e6ba033e2163730763badb1f69ecc517af7f",
+    "repair-small-alphabet": "ac0cc42e41565e2cf1ca9a45afb70fbe9641b002f18eb89564a5a81388d93bce",
+    "repair-long-runs": "f1b4b23cdf6ac2fcb6d1f9c2bd2a010a9297af73f67aa14709cbb65ed0a07b51",
 }
 
 
@@ -112,6 +119,17 @@ def _automata():
     return [rand_nfa(rng, max_states=6, density=0.3) for _ in range(AUTOMATA)]
 
 
+def _repair_inputs(name: str) -> list[bytes]:
+    if name == "repair-logs":
+        rng = random.Random(8_08828)
+        return [log_text(rng, size) for size in LOG_SIZES]
+    if name == "repair-small-alphabet":
+        rng = random.Random(19_99)
+        return [run_heavy_text(rng, rng.randint(1, 400)) for _ in range(RUN_HEAVY)]
+    # long runs: the skip rule and leftmost replacement inside runs
+    return [b"a" * 65536, b"ab" * 32768, b"aab" * 20000]
+
+
 def _learn(target):
     return nl_learn(
         target.member,
@@ -155,6 +173,8 @@ def _outputs(name: str):
         return [dump_nfa(double_reversal_canonical(n)) for n in _automata()]
     if name == "nl-learn":
         return [dump_nfa(_learn(n)) for n in _automata()]
+    if name.startswith("repair-"):
+        return [dump_slp_binary(repair_compress(t)) for t in _repair_inputs(name)]
     raise KeyError(name)
 
 
