@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from ..automata import Nfa, bits
-from .slp import Slp, id_to_rule
+from .slp import Expander, Slp, id_to_rule
 
 __all__ = [
     "CountingInfo",
@@ -207,16 +207,6 @@ class SearchEngine:
 
     # -- lazy reporting ------------------------------------------------------
 
-    def _expand(self, sym: int, memo: dict[int, bytes]) -> bytes:
-        r = id_to_rule(sym)
-        if r < 0:
-            return bytes([sym])
-        cached = memo.get(r)
-        if cached is None:
-            cached = b"".join(self._expand(s, memo) for s in self.slp.rules[r])
-            memo[r] = cached
-        return cached
-
     def _line_matches(self, segments: list[int]) -> bool:
         if not segments:
             return False
@@ -231,15 +221,19 @@ class SearchEngine:
     def report(self) -> Iterator[tuple[int, bytes]]:
         """Matching lines in order as (line number, line bytes); subtrees
         without newlines stay unexpanded until their line is known to
-        match."""
-        memo: dict[int, bytes] = {}
+        match. Matching lines are expanded by one ``Expander``, so a rule is
+        walked once however many lines use it and deep rules need no
+        recursion."""
+        expander = Expander(self.slp)
         segments: list[int] = []
         line_no = 1
 
         def flush() -> bytes | None:
-            if segments and self._line_matches(segments):
-                return b"".join(self._expand(s, memo) for s in segments)
-            return None
+            if not segments or not self._line_matches(segments):
+                return None
+            start = len(expander.out)
+            expander.append(segments)
+            return bytes(expander.out[start:])
 
         stack: list[int] = list(reversed(self.slp.axiom))
         while stack:

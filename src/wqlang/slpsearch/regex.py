@@ -7,7 +7,9 @@ postfix ``*`` ``+`` ``?`` ``{m}`` ``{m,n}``; atoms are literals, escapes,
 The newline byte is excluded from ``.`` and from character classes unless
 a class lists it explicitly, and patterns that can match the empty word
 are rejected by default: line counting needs a nonempty, newline-free
-match language.
+match language. Groups and postfix operators may nest at most
+``MAX_REGEX_DEPTH`` deep, so that parsing and compiling never exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from ..automata import Dfa, Nfa
 
 __all__ = [
+    "MAX_REGEX_DEPTH",
     "RegexSyntaxError",
     "EmptyMatchError",
     "parse_regex",
@@ -34,6 +37,9 @@ __all__ = [
 ]
 
 NEWLINE = 0x0A
+# groups plus postfix operators enclosing one atom; both the parser and the
+# compiler recurse once or twice per level
+MAX_REGEX_DEPTH = 100
 
 
 class RegexSyntaxError(ValueError):
@@ -105,6 +111,7 @@ class _Parser:
         except UnicodeEncodeError as exc:
             raise RegexSyntaxError(0, "pattern must be ASCII") from exc
         self.pos = 0
+        self.depth = 0  # enclosing groups
 
     def error(self, message: str, offset: int | None = None):
         raise RegexSyntaxError(self.pos if offset is None else offset, message)
@@ -147,8 +154,12 @@ class _Parser:
 
     def postfix(self):
         node = self.atom()
+        depth = self.depth
         while True:
             b = self.peek()
+            if b in (ord("*"), ord("+"), ord("?"), ord("{")):
+                depth += 1
+                self.check_depth(depth, self.pos)
             if b == ord("*"):
                 self.take()
                 node = Star(node)
@@ -162,6 +173,10 @@ class _Parser:
                 node = self.repetition(node)
             else:
                 return node
+
+    def check_depth(self, depth: int, offset: int) -> None:
+        if depth > MAX_REGEX_DEPTH:
+            self.error(f"nesting deeper than {MAX_REGEX_DEPTH}", offset)
 
     def repetition(self, node):
         start = self.pos
@@ -192,10 +207,13 @@ class _Parser:
         if b == ord("("):
             if self.peek() is None:
                 self.error("unbalanced group", start)
+            self.depth += 1
+            self.check_depth(self.depth, start)
             node = self.alternation()
             if self.peek() != ord(")"):
                 self.error("unbalanced group", start)
             self.take()
+            self.depth -= 1
             return node
         if b == ord("."):
             return ClassAtom(frozenset(range(256)) - {NEWLINE})

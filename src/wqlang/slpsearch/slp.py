@@ -7,9 +7,17 @@ the axiom and may have any arity >= 2.
 
 from __future__ import annotations
 
+import heapq
+import re
+import sys
+from array import array
+from collections import Counter, defaultdict
+from functools import partial
+from itertools import chain, compress
+from operator import ne
 from typing import Iterable, Sequence
 
-__all__ = ["Slp", "repair_compress", "decompress", "DecompressionCap"]
+__all__ = ["Slp", "Expander", "repair_compress", "decompress", "DecompressionCap"]
 
 TERMINALS = 256
 
@@ -90,30 +98,64 @@ class DecompressionCap(RuntimeError):
     """The expansion would exceed the configured output limit."""
 
 
+class Expander:
+    """Appends expansions of SLP symbols to one growing buffer, ``out``.
+
+    The walk keeps an explicit stack, so grammar depth is not bounded by
+    the interpreter's recursion limit. The first expansion of a rule
+    records where it starts in ``out``; every later use copies those
+    ``lengths[rule]`` bytes. Time and memory are O(output + rules).
+    """
+
+    __slots__ = ("rules", "lengths", "out", "_starts")
+
+    def __init__(self, p: Slp):
+        self.rules = p.rules
+        self.lengths = p.symbol_lengths()
+        self.out = bytearray()
+        self._starts = [-1] * p.rule_count
+
+    def append(self, symbols: Sequence[int]) -> None:
+        out, rules, lengths, starts = self.out, self.rules, self.lengths, self._starts
+        stack = list(reversed(symbols))
+        while stack:
+            sym = stack.pop()
+            r = sym - TERMINALS - 1
+            if r < 0:
+                out.append(sym)
+                continue
+            start = starts[r]
+            if start >= 0:
+                out += out[start : start + lengths[r]]
+            else:
+                # the rule's subtree is popped before anything below it on
+                # the stack, so later uses find its expansion complete
+                starts[r] = len(out)
+                stack.extend(reversed(rules[r]))
+
+
 def decompress(p: Slp, cap: int = 1 << 26) -> bytes:
     """The unique word the SLP generates.
 
     Expansion sizes are computed first, so an over-``cap`` output is refused
-    before any byte is materialized.
+    before any byte is materialized. The expansion itself is one
+    ``Expander`` walk: no recursion, O(output + rules) time and memory.
     """
-    total = p.text_length()
+    expander = Expander(p)
+    total = expander.lengths[-1]
     if total > cap:
         raise DecompressionCap(f"expansion is {total} bytes, cap is {cap}")
-    memo: list[bytes | None] = [None] * p.rule_count
+    expander.append(p.axiom)
+    return bytes(expander.out)
 
-    def expand(index: int) -> bytes:
-        cached = memo[index]
-        if cached is not None:
-            return cached
-        parts = []
-        for sym in p.rules[index]:
-            r = id_to_rule(sym)
-            parts.append(bytes([sym]) if r < 0 else expand(r))
-        out = b"".join(parts)
-        memo[index] = out
-        return out
 
-    return expand(p.rule_count - 1)
+# a pair (a, b) is keyed a << _SHIFT | b, so key order is pair order
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
+# the symbol of a removed position and of the end sentinel: no pair with
+# it is ever counted twice
+_NONE = -1
+_TWIN = re.compile(rb"(.)\1", re.DOTALL)  # leftmost pairs inside runs
 
 
 def repair_compress(text: bytes) -> Slp:
@@ -121,39 +163,242 @@ def repair_compress(text: bytes) -> Slp:
 
     Each round replaces every non-overlapping occurrence of the currently
     most frequent adjacent pair (ties broken by smallest pair) with a fresh
-    rule, until no pair occurs twice; what remains becomes the axiom.
+    rule, until no pair occurs twice; what remains becomes the axiom. A run
+    of ``L`` equal symbols ``c`` counts ``L // 2`` occurrences of ``(c, c)``
+    and is replaced from its left end.
+
+    This is Larsson and Moffat's RePair ("Off-line dictionary-based
+    compression", DCC 1999 / Proc. IEEE 2000): the sequence is a doubly
+    linked list over the original positions, each pair keeps an exact count
+    and a list of its occurrences, and a heap keyed on (count, pair) picks
+    the next pair. A round touches only the chosen pair's occurrences and
+    their neighbours, so an n-byte text takes O(n log n) time and O(n)
+    memory, against O(n) per round for rescanning the sequence.
     """
     if len(text) < 2:
         raise ValueError("need at least two bytes to compress")
-    seq: list[int] = list(text)
-    rules: list[tuple[int, int]] = []
-    while True:
-        counts: dict[tuple[int, int], int] = {}
-        i = 0
-        while i < len(seq) - 1:
-            pair = (seq[i], seq[i + 1])
-            counts[pair] = counts.get(pair, 0) + 1
-            # an overlapping repeat like "aaa" yields one replaceable pair
-            if i + 2 < len(seq) and (seq[i + 1], seq[i + 2]) == pair:
-                i += 2
+    return _RePair(text).run()
+
+
+class _RePair:
+    """The state of one ``repair_compress`` run.
+
+    Three facts keep the bookkeeping small:
+
+    - A position's pair only ever changes to one holding a fresher symbol,
+      so a position never returns to a pair it has left. Occurrence lists
+      are therefore checked lazily, and every occurrence of a pair is born
+      in one pass (the initial scan, or the round that makes its fresher
+      symbol), in text order. A pair seen fewer than twice after that pass
+      can never be chosen and is not tracked at all.
+    - Counts of existing pairs only fall, so a heap entry whose count is
+      out of date is requeued with the current count when popped.
+    - A run of equal symbols only shrinks at its ends, or is replaced whole
+      by a round on its own pair. Its length and other end are kept at both
+      ends (``run_len``, ``run_end``), measured by one walk the first time
+      they are needed (``run_len`` 0 means not measured yet), and a round
+      on ``(c, c)`` lists only run starts.
+    """
+
+    def __init__(self, text: bytes):
+        n = len(text)
+        # position n is a sentinel on both ends of the list
+        self.end = n
+        self.sym = array("i", list(text))
+        self.sym.append(_NONE)
+        ramp = array("i", range(n + 1))
+        self.nxt = ramp[1:] + array("i", [n])
+        self.prv = array("i", [n]) + ramp[:-1]
+        self.run_len = array("i", bytes(self.sym.itemsize * (n + 1)))
+        self.run_end = array("i", self.run_len)
+        self.counts: dict[int, int] = {}
+        self.occ: dict[int, array] = {}
+        self.heap: list[tuple[int, int]] = []
+        # the initial pairs as 16-bit codes a * 256 + b; inside a run only
+        # the first position is listed
+        even = array("H", text[: n // 2 * 2])
+        odd = array("H", text[1 : 1 + (n - 1) // 2 * 2])
+        if sys.byteorder == "little":
+            even.byteswap()
+            odd.byteswap()
+        codes = array("H", bytes(2 * (n - 1)))
+        codes[0::2], codes[1::2] = even, odd
+        listed = bytes(map(ne, codes, chain((-1,), codes)))
+        exact = {c << _SHIFT | c: count for (c,), count in Counter(_TWIN.findall(text)).items()}
+        self.enroll(
+            compress(range(n - 1), listed),
+            compress(codes, listed),
+            exact,
+            lambda code: (code >> 8) << _SHIFT | code & 0xFF,
+        )
+
+    def enroll(self, born: Iterable[int], keys: Iterable[int], exact: dict[int, int], widen=None) -> None:
+        """Track the pairs ``keys[t]`` born at positions ``born[t]`` (in text
+        order) that occur twice; ``exact`` holds the run-corrected counts of
+        (c, c) pairs, whose runs are listed at their first position only."""
+        groups: defaultdict[int, array] = defaultdict(partial(array, "i"))
+        for key, pos in zip(keys, born):
+            groups[key].append(pos)
+        for key, positions in groups.items():
+            if widen is not None:
+                key = widen(key)
+            count = exact.get(key, len(positions))
+            if count >= 2:
+                self.counts[key] = count
+                self.occ[key] = positions
+                heapq.heappush(self.heap, (-count, key))
+
+    def measure(self, p: int, step: array) -> None:
+        """Record the length and both ends of the run ending at ``p``,
+        walking away from ``p`` along ``step``."""
+        sym = self.sym
+        c, q, length = sym[p], p, 1
+        while sym[step[q]] == c:
+            q = step[q]
+            length += 1
+        self.run_end[p], self.run_end[q] = q, p
+        self.run_len[p] = self.run_len[q] = length
+
+    def run(self) -> Slp:
+        counts, occ, heap = self.counts, self.occ, self.heap
+        rules: list[tuple[int, int]] = []
+        while heap:
+            neg_count, key = heapq.heappop(heap)
+            count = counts.get(key)
+            if count != -neg_count:
+                if count is not None:
+                    if count >= 2:
+                        heapq.heappush(heap, (-count, key))
+                    else:
+                        del counts[key], occ[key]
+                continue
+            a, b = key >> _SHIFT, key & _LOW
+            fresh = rule_id(len(rules))
+            rules.append((a, b))
+            del counts[key]
+            # positions holding a new pair, with its key; a run of fresh is
+            # listed at its first position only
+            born = array("i")
+            keys = array("q")
+            dropped = array("q")  # one key per lost occurrence of an older pair
+            if a == b:
+                pairs = self.replace_runs(sorted(occ.pop(key)), a, fresh, born, keys, dropped)
             else:
-                i += 1
-        if not counts:
-            break
-        best = max(counts.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
-        pair, freq = best
-        if freq < 2:
-            break
-        fresh = rule_id(len(rules))
-        rules.append(pair)
-        out: list[int] = []
+                pairs = self.replace_pairs(occ.pop(key), a, b, fresh, born, keys, dropped)
+            for lost, count in Counter(dropped).items():
+                current = counts.get(lost)
+                if current is not None:
+                    counts[lost] = current - count
+            self.enroll(born, keys, {fresh << _SHIFT | fresh: pairs})
+        sym, nxt = self.sym, self.nxt
+        axiom = []
         i = 0
-        while i < len(seq):
-            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == pair:
-                out.append(fresh)
-                i += 2
+        while i != self.end:
+            axiom.append(sym[i])
+            i = nxt[i]
+        return Slp([*rules, tuple(axiom)])
+
+    def replace_runs(self, positions, c, fresh, born, keys, dropped) -> int:
+        """Replace every run of ``c`` pairwise from its left end, leaving its
+        last ``c`` when the length is odd; return the count of
+        ``(fresh, fresh)``. ``positions`` holds the run starts, in text
+        order, and stale entries."""
+        sym, nxt, prv = self.sym, self.nxt, self.prv
+        twin = fresh << _SHIFT | fresh
+        pairs = 0
+        for s in positions:
+            if sym[s] != c or sym[nxt[s]] != c:
+                continue
+            h = prv[s]
+            dropped.append(sym[h] << _SHIFT | c)
+            born.append(h)
+            keys.append(sym[h] << _SHIFT | fresh)
+            p, half = s, 0
+            while True:
+                q = nxt[p]
+                r = nxt[q]
+                sym[p] = fresh
+                sym[q] = _NONE
+                nxt[p] = r
+                prv[r] = p
+                half += 1
+                if sym[r] != c:
+                    dropped.append(c << _SHIFT | sym[r])  # lost with q
+                    break
+                if sym[nxt[r]] != c:
+                    break  # r is the odd last c and keeps its pair
+                p = r
+            if half >= 2:
+                born.append(s)
+                keys.append(twin)
+                pairs += half // 2
+                self.run_end[s], self.run_end[p] = p, s
+                self.run_len[s] = self.run_len[p] = half
+            born.append(p)
+            keys.append(fresh << _SHIFT | sym[r])
+        return pairs
+
+    def replace_pairs(self, positions, a, b, fresh, born, keys, dropped) -> int:
+        """Replace every occurrence of ``(a, b)``, ``a != b``, left to right;
+        return the count of ``(fresh, fresh)``."""
+        sym, nxt, prv = self.sym, self.nxt, self.prv
+        run_len, run_end = self.run_len, self.run_end
+        twin = fresh << _SHIFT | fresh
+        pairs = 0
+        span = 0  # length of the run of fresh ending at the last replacement
+        for i in positions:
+            j = nxt[i]
+            if sym[i] != a or sym[j] != b:
+                continue
+            h, k = prv[i], nxt[j]
+            x = sym[h]
+            if x == fresh:
+                # h is the previous replacement: its run of fresh grows
+                span += 1
+                if span % 2 == 0:
+                    pairs += 1
+                if span == 2:
+                    born.append(h)
+                    keys.append(twin)
             else:
-                out.append(seq[i])
-                i += 1
-        seq = out
-    return Slp([*rules, tuple(seq)])
+                span = 1
+                if x == a:
+                    # the run of a ending at i now ends at h
+                    if run_len[i] == 0:
+                        self.measure(i, prv)
+                    length, s = run_len[i], run_end[i]
+                    if length % 2 == 0:
+                        dropped.append(a << _SHIFT | a)
+                    if length > 2:
+                        run_end[s], run_end[h] = h, s
+                        run_len[s] = run_len[h] = length - 1
+                else:
+                    dropped.append(x << _SHIFT | a)
+                born.append(h)
+                keys.append(x << _SHIFT | fresh)
+            y = sym[k]
+            if y == b:
+                # the run of b starting at j now starts at k
+                if run_len[j] == 0:
+                    self.measure(j, nxt)
+                length, e = run_len[j], run_end[j]
+                if length % 2 == 0:
+                    dropped.append(b << _SHIFT | b)
+                if length > 2:
+                    run_end[k], run_end[e] = e, k
+                    run_len[k] = run_len[e] = length - 1
+                    starts = self.occ.get(b << _SHIFT | b)
+                    if starts is not None:
+                        starts.append(k)
+            else:
+                dropped.append(b << _SHIFT | y)
+            if y != a or sym[nxt[k]] != b:
+                # the next replacement is not at k, so i's pair is final
+                born.append(i)
+                keys.append(fresh << _SHIFT | y)
+            sym[i] = fresh
+            sym[j] = _NONE
+            nxt[i] = k
+            prv[k] = i
+            run_len[i] = 0  # its run of fresh is measured when needed
+        return pairs

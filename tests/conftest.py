@@ -7,8 +7,9 @@ import random
 
 import pytest
 
-from wqlang import CnfGrammar, Nfa, Ocn
+from wqlang import CnfGrammar, Nfa, Ocn, Slp
 from wqlang.automata import bits
+from wqlang.slpsearch.slp import rule_id
 
 A, B, C = ord("a"), ord("b"), ord("c")
 
@@ -308,6 +309,49 @@ def matching_lines_oracle(text: bytes, nfa: Nfa) -> list[tuple[int, bytes]]:
         for no, line in enumerate(text.split(b"\n"), start=1)
         if line and scan(line)
     ]
+
+
+def repair_oracle(text: bytes) -> Slp:
+    """Reference RePair: recount every pair and rebuild the whole sequence
+    each round (quadratic). The most frequent pair wins, ties go to the
+    smallest pair, and a run like "aaa" counts and replaces one pair, the
+    leftmost."""
+    seq: list[int] = list(text)
+    rules: list[tuple[int, int]] = []
+    while True:
+        counts: dict[tuple[int, int], int] = {}
+        i = 0
+        while i < len(seq) - 1:
+            pair = (seq[i], seq[i + 1])
+            counts[pair] = counts.get(pair, 0) + 1
+            if i + 2 < len(seq) and (seq[i + 1], seq[i + 2]) == pair:
+                i += 2
+            else:
+                i += 1
+        if not counts:
+            break
+        pair, freq = max(counts.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
+        if freq < 2:
+            break
+        fresh = rule_id(len(rules))
+        rules.append(pair)
+        out: list[int] = []
+        i = 0
+        while i < len(seq):
+            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == pair:
+                out.append(fresh)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+    return Slp([*rules, tuple(seq)])
+
+
+def chain_slp(text: bytes) -> Slp:
+    """The left-deep SLP of ``text``: rule 1 is its first two bytes and rule
+    i + 1 appends byte i + 2 to rule i, so the depth is ``len(text) - 1``."""
+    return Slp([(text[0], text[1]), *((rule_id(i), byte) for i, byte in enumerate(text[2:]))])
 
 
 def set_of(mask: int) -> set[int]:

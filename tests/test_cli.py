@@ -3,10 +3,10 @@ import json
 import pytest
 
 from wqlang.cli import main
-from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, parse_nfa
+from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import equivalence_counterexample
 
-from conftest import make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
+from conftest import chain_slp, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
 
 
 @pytest.fixture
@@ -213,3 +213,26 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["include", "nfa"])
     assert err.value.code == 2
+
+
+def test_deep_chain_decompress_and_report(tmp_path, capsys):
+    line = b"xyz" * 1666 + b"ab"
+    slp = tmp_path / "chain.slp"
+    slp.write_bytes(dump_slp_binary(chain_slp(line + b"\n")))
+    out = tmp_path / "chain.txt"
+    assert main(["decompress", str(slp), "-o", str(out)]) == 0
+    assert out.read_bytes() == line + b"\n"
+    assert main(["search", "-e", "a", str(slp), "--report"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1", f"1:{line.decode()}"]
+
+
+@pytest.mark.parametrize(
+    "pattern", ["(" * 2000 + "a" + ")" * 2000, "a" + "+" * 2000], ids=["groups", "postfix"]
+)
+def test_search_rejects_deep_nesting(tmp_path, capsys, pattern):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"ab\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    assert main(["search", "-e", pattern, str(slp)]) == 2
+    assert "nesting deeper than" in _one_line_error(capsys)

@@ -21,6 +21,7 @@ from wqlang.slpsearch.slp import Slp
 from conftest import (
     A,
     B,
+    chain_slp,
     count_lines_oracle,
     factor_scanner,
     make_fig52_prime,
@@ -210,3 +211,11 @@ def test_long_axiom_fold():
     slp = repair_compress(text)
     assert len(slp.axiom) > 2
     assert count_lines(slp, pat("ab")) == count_lines_oracle(text, pat("ab"))
+
+
+def test_report_line_under_deep_rule():
+    # the matching line lies under a 5000-deep rule without a newline
+    line = b"xyz" * 1666 + b"ab"
+    slp = chain_slp(line + b"\n")
+    assert list(report_lines(slp, pat("ab"))) == [(1, line)]
+    assert count_lines(slp, pat("ab")) == 1

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from wqlang import Slp, decompress, repair_compress
 from wqlang.slpsearch.slp import DecompressionCap, rule_id
 
+from conftest import chain_slp, repair_oracle
+
 A, B = ord("a"), ord("b")
 
 
@@ -79,3 +81,37 @@ def test_compression_actually_compresses():
     slp = repair_compress(text)
     assert slp.rule_count < 80
     assert decompress(slp) == text
+
+
+RUNS = st.lists(
+    st.tuples(st.sampled_from(b"abc"), st.integers(min_value=1, max_value=9)),
+    min_size=1,
+    max_size=40,
+).map(lambda runs: b"".join(bytes([c]) * k for c, k in runs))
+CHUNKS = st.lists(
+    st.sampled_from([b"a", b"b", b"aa", b"ab", b"ba", b"aab", b"abb", b"aaaa"]),
+    min_size=1,
+    max_size=80,
+).map(b"".join)
+
+
+@given(st.one_of(RUNS, CHUNKS).filter(lambda text: len(text) >= 2))
+@settings(max_examples=300, deadline=None)
+def test_repair_matches_oracle_on_run_heavy_text(text):
+    assert repair_compress(text).rules == repair_oracle(text).rules
+
+
+@pytest.mark.parametrize(
+    "text", [b"a" * 65536, b"ab" * 32768, b"aab" * 20000], ids=["a", "ab", "aab"]
+)
+def test_repair_matches_oracle_on_long_runs(text):
+    slp = repair_compress(text)
+    assert slp.rules == repair_oracle(text).rules
+    assert decompress(slp) == text
+
+
+@pytest.mark.parametrize("depth", [5000, 200_000])
+def test_decompress_deep_chain(depth):
+    rng = random.Random(depth)
+    text = bytes(rng.choice(b"abcxyz") for _ in range(depth + 1))
+    assert decompress(chain_slp(text)) == text
