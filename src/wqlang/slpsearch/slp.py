@@ -13,9 +13,7 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import chain, compress
-from operator import ne
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = ["Slp", "Expander", "repair_compress", "decompress", "DecompressionCap"]
 
@@ -156,6 +154,33 @@ _LOW = (1 << _SHIFT) - 1
 # it is ever counted twice
 _NONE = -1
 _TWIN = re.compile(rb"(.)\1", re.DOTALL)  # leftmost pairs inside runs
+_LONG_RUN = re.compile(rb"(.)\1\1+", re.DOTALL)
+
+
+def _initial_pairs(text: bytes) -> tuple[array, array, dict[int, int]]:
+    """The positions of the byte pairs of ``text``, with the pairs coded as
+    ``a * 256 + b``, and the exact counts of (c, c) pairs. Inside a run only
+    the first position is listed."""
+    n = len(text)
+    # the pairs at even and at odd positions, read as big-endian 16-bit words
+    even = array("H", text[: n // 2 * 2])
+    odd = array("H", text[1 : 1 + (n - 1) // 2 * 2])
+    if sys.byteorder == "little":
+        even.byteswap()
+        odd.byteswap()
+    codes = array("H", bytes(2 * (n - 1)))
+    codes[0::2], codes[1::2] = even, odd
+    born, kept = array("i"), array("H")
+    at = 0
+    for run in _LONG_RUN.finditer(text):
+        s, e = run.start(), run.end() - 1
+        born.extend(range(at, s + 1))
+        kept += codes[at : s + 1]
+        at = e
+    born.extend(range(at, n - 1))
+    kept += codes[at:]
+    exact = {c << _SHIFT | c: count for (c,), count in Counter(_TWIN.findall(text)).items()}
+    return born, kept, exact
 
 
 def repair_compress(text: bytes) -> Slp:
@@ -194,54 +219,45 @@ class _RePair:
     - Counts of existing pairs only fall, so a heap entry whose count is
       out of date is requeued with the current count when popped.
     - A run of equal symbols only shrinks at its ends, or is replaced whole
-      by a round on its own pair. Its length and other end are kept at both
-      ends (``run_len``, ``run_end``), measured by one walk the first time
-      they are needed (``run_len`` 0 means not measured yet), and a round
-      on ``(c, c)`` lists only run starts.
+      by a round on its own pair, so ``(c, c)`` lists only run starts. A
+      run's length and other end are kept at both ends (``run_len``,
+      ``run_end``), measured by one walk the first time they are needed
+      (``run_len`` 0 means not measured yet).
     """
 
     def __init__(self, text: bytes):
         n = len(text)
         # position n is a sentinel on both ends of the list
         self.end = n
-        self.sym = array("i", list(text))
-        self.sym.append(_NONE)
+        self.sym = array("i", [*text, _NONE])
         ramp = array("i", range(n + 1))
-        self.nxt = ramp[1:] + array("i", [n])
-        self.prv = array("i", [n]) + ramp[:-1]
+        self.nxt = ramp[1:]
+        self.nxt.append(n)
+        self.prv = array("i", [n]) + ramp[:n]
+        del ramp
         self.run_len = array("i", bytes(self.sym.itemsize * (n + 1)))
         self.run_end = array("i", self.run_len)
         self.counts: dict[int, int] = {}
         self.occ: dict[int, array] = {}
         self.heap: list[tuple[int, int]] = []
-        # the initial pairs as 16-bit codes a * 256 + b; inside a run only
-        # the first position is listed
-        even = array("H", text[: n // 2 * 2])
-        odd = array("H", text[1 : 1 + (n - 1) // 2 * 2])
-        if sys.byteorder == "little":
-            even.byteswap()
-            odd.byteswap()
-        codes = array("H", bytes(2 * (n - 1)))
-        codes[0::2], codes[1::2] = even, odd
-        listed = bytes(map(ne, codes, chain((-1,), codes)))
-        exact = {c << _SHIFT | c: count for (c,), count in Counter(_TWIN.findall(text)).items()}
-        self.enroll(
-            compress(range(n - 1), listed),
-            compress(codes, listed),
-            exact,
-            lambda code: (code >> 8) << _SHIFT | code & 0xFF,
-        )
+        self.enroll(*_initial_pairs(text), lambda code: (code >> 8) << _SHIFT | code & 0xFF)
 
-    def enroll(self, born: Iterable[int], keys: Iterable[int], exact: dict[int, int], widen=None) -> None:
+    def enroll(
+        self,
+        born: Sequence[int],
+        keys: Sequence[int],
+        exact: dict[int, int],
+        widen: Callable[[int], int] | None = None,
+    ) -> None:
         """Track the pairs ``keys[t]`` born at positions ``born[t]`` (in text
         order) that occur twice; ``exact`` holds the run-corrected counts of
-        (c, c) pairs, whose runs are listed at their first position only."""
+        (c, c) pairs, whose runs are listed at their first position only.
+        ``widen`` maps ``keys`` to pair keys if they are coded otherwise."""
         groups: defaultdict[int, array] = defaultdict(partial(array, "i"))
-        for key, pos in zip(keys, born):
-            groups[key].append(pos)
-        for key, positions in groups.items():
-            if widen is not None:
-                key = widen(key)
+        for code, pos in zip(keys, born):
+            groups[code].append(pos)
+        for code, positions in groups.items():
+            key = code if widen is None else widen(code)
             count = exact.get(key, len(positions))
             if count >= 2:
                 self.counts[key] = count
@@ -249,8 +265,8 @@ class _RePair:
                 heapq.heappush(self.heap, (-count, key))
 
     def measure(self, p: int, step: array) -> None:
-        """Record the length and both ends of the run ending at ``p``,
-        walking away from ``p`` along ``step``."""
+        """Record the length and both ends of the run that has ``p`` at one
+        end, walking away from ``p`` along ``step``."""
         sym = self.sym
         c, q, length = sym[p], p, 1
         while sym[step[q]] == c:
@@ -267,10 +283,7 @@ class _RePair:
             count = counts.get(key)
             if count != -neg_count:
                 if count is not None:
-                    if count >= 2:
-                        heapq.heappush(heap, (-count, key))
-                    else:
-                        del counts[key], occ[key]
+                    heapq.heappush(heap, (-count, key))
                 continue
             a, b = key >> _SHIFT, key & _LOW
             fresh = rule_id(len(rules))
@@ -282,14 +295,18 @@ class _RePair:
             keys = array("q")
             dropped = array("q")  # one key per lost occurrence of an older pair
             if a == b:
-                pairs = self.replace_runs(sorted(occ.pop(key)), a, fresh, born, keys, dropped)
+                # run starts that moved were appended out of text order
+                twins = self.replace_runs(sorted(occ.pop(key)), a, fresh, born, keys, dropped)
             else:
-                pairs = self.replace_pairs(occ.pop(key), a, b, fresh, born, keys, dropped)
+                twins = self.replace_pairs(occ.pop(key), a, b, fresh, born, keys, dropped)
             for lost, count in Counter(dropped).items():
                 current = counts.get(lost)
                 if current is not None:
-                    counts[lost] = current - count
-            self.enroll(born, keys, {fresh << _SHIFT | fresh: pairs})
+                    if current - count >= 2:
+                        counts[lost] = current - count
+                    else:
+                        del counts[lost], occ[lost]
+            self.enroll(born, keys, {fresh << _SHIFT | fresh: twins})
         sym, nxt = self.sym, self.nxt
         axiom = []
         i = 0
@@ -305,38 +322,42 @@ class _RePair:
         order, and stale entries."""
         sym, nxt, prv = self.sym, self.nxt, self.prv
         twin = fresh << _SHIFT | fresh
-        pairs = 0
+        twins = 0
         for s in positions:
-            if sym[s] != c or sym[nxt[s]] != c:
+            q = nxt[s]
+            if sym[s] != c or sym[q] != c:
                 continue
-            h = prv[s]
-            dropped.append(sym[h] << _SHIFT | c)
-            born.append(h)
-            keys.append(sym[h] << _SHIFT | fresh)
-            p, half = s, 0
-            while True:
-                q = nxt[p]
-                r = nxt[q]
+            x = sym[prv[s]]
+            dropped.append(x << _SHIFT | c)
+            born.append(prv[s])
+            keys.append(x << _SHIFT | fresh)
+            # pair up (p, q) while another whole pair follows at r
+            p, r, half = s, nxt[q], 1
+            while sym[r] == c and sym[nxt[r]] == c:
                 sym[p] = fresh
                 sym[q] = _NONE
                 nxt[p] = r
                 prv[r] = p
+                p, q = r, nxt[r]
+                r = nxt[q]
                 half += 1
-                if sym[r] != c:
-                    dropped.append(c << _SHIFT | sym[r])  # lost with q
-                    break
-                if sym[nxt[r]] != c:
-                    break  # r is the odd last c and keeps its pair
-                p = r
+            sym[p] = fresh
+            sym[q] = _NONE
+            nxt[p] = r
+            prv[r] = p
+            y = sym[r]
+            if y != c:
+                dropped.append(c << _SHIFT | y)  # lost with q
+            # else r is the odd last c and keeps its pair
             if half >= 2:
                 born.append(s)
                 keys.append(twin)
-                pairs += half // 2
+                twins += half // 2
                 self.run_end[s], self.run_end[p] = p, s
                 self.run_len[s] = self.run_len[p] = half
             born.append(p)
-            keys.append(fresh << _SHIFT | sym[r])
-        return pairs
+            keys.append(fresh << _SHIFT | y)
+        return twins
 
     def replace_pairs(self, positions, a, b, fresh, born, keys, dropped) -> int:
         """Replace every occurrence of ``(a, b)``, ``a != b``, left to right;
@@ -344,7 +365,7 @@ class _RePair:
         sym, nxt, prv = self.sym, self.nxt, self.prv
         run_len, run_end = self.run_len, self.run_end
         twin = fresh << _SHIFT | fresh
-        pairs = 0
+        twins = 0
         span = 0  # length of the run of fresh ending at the last replacement
         for i in positions:
             j = nxt[i]
@@ -356,7 +377,7 @@ class _RePair:
                 # h is the previous replacement: its run of fresh grows
                 span += 1
                 if span % 2 == 0:
-                    pairs += 1
+                    twins += 1
                 if span == 2:
                     born.append(h)
                     keys.append(twin)
@@ -401,4 +422,4 @@ class _RePair:
             nxt[i] = k
             prv[k] = i
             run_len[i] = 0  # its run of fresh is measured when needed
-        return pairs
+        return twins
