@@ -119,6 +119,7 @@ class RePair:
         self.run_len[p] = self.run_len[q] = length
 
     def run(self) -> Slp:
+        """Replace the most frequent pair until none occurs twice."""
         counts, occ, heap = self.counts, self.occ, self.heap
         rules: list[tuple[int, int]] = []
         while heap:
