@@ -1,11 +1,12 @@
-"""Golden outputs: digests of verdicts, witnesses, dumped automata and
-RePair grammars on seeded inputs.
+"""Golden outputs: digests of verdicts, witnesses, dumped automata, RePair
+grammars and compressed-search results on seeded inputs.
 
 The pinned digests were computed once and must never change: the checks,
 constructions and the compressor may be restructured freely, but every
 verdict, every witness word, every output automaton (byte for byte, as
 ``dump_nfa`` prints it) and every compressed grammar (as
-``dump_slp_binary`` writes it) has to stay the same.
+``dump_slp_binary`` writes it) and every search result (match flag, line
+count, per-rule counting tuples and reported lines) has to stay the same.
 """
 
 import hashlib
@@ -33,6 +34,13 @@ from wqlang import (
     state_handle,
 )
 from wqlang.formats import dump_nfa, dump_slp_binary
+from wqlang.slpsearch.counting import SearchEngine
+from wqlang.slpsearch.regex import (
+    compile_regex,
+    homogeneous_dfa,
+    homogeneous_kind,
+    parse_regex,
+)
 from wqlang.slpsearch.slp import repair_compress
 
 from conftest import A, B, log_text, rand_cnf, rand_nfa, run_heavy_text
@@ -43,6 +51,25 @@ NETS = 150
 AUTOMATA = 120
 LOG_SIZES = (512, 1024, 4096, 8192)
 RUN_HEAVY = 60
+SEARCH_TEXTS = 60
+# the query patterns of the search-logs benchmark workload
+LOG_PATTERNS = (
+    "ERROR",
+    "timeout",
+    "cache mis+",
+    "status=50[0-9]",
+    "took=[0-9][0-9][0-9][0-9]ms",
+    "[0-2][0-9]:[0-5]9:0[0-9]",
+    "(GET|POST) /api",
+    "id=9[0-9]{3,4} ",
+    "WARN.*disk",
+    "[a-z]+-7\\]",
+    "reset|expired",
+    "v[12]/(users|orders)",
+    "(auth|billing)-[1-3]\\] (PUT|DELETE)",
+    "status=(404|503) took=[0-9]{1,2}ms",
+)
+AB_PATTERNS = ("ba", "a+b", "[ab]{3}")
 
 PINNED = {
     "antichain-fwd": "718ca851575b2aca8e4a18c49a1dea8e4b736a10cb9a8849869863f2cda6f39d",
@@ -62,6 +89,7 @@ PINNED = {
     "repair-logs": "378a064e7abbad95661f8a028a95e6ba033e2163730763badb1f69ecc517af7f",
     "repair-small-alphabet": "ac0cc42e41565e2cf1ca9a45afb70fbe9641b002f18eb89564a5a81388d93bce",
     "repair-long-runs": "f1b4b23cdf6ac2fcb6d1f9c2bd2a010a9297af73f67aa14709cbb65ed0a07b51",
+    "search-outputs": "e625fd9610edbae8a3ef91e721d2b34368f979bad3f48a533fe363246bd591f5",
 }
 
 
@@ -130,6 +158,43 @@ def _repair_inputs(name: str) -> list[bytes]:
     return [b"a" * 65536, b"ab" * 32768, b"aab" * 20000]
 
 
+def _automata_of(pattern: str):
+    """The compiled NFA, plus the homogeneous DFA when the pattern has one."""
+    ast = parse_regex(pattern)
+    kind = homogeneous_kind(ast)
+    out = [compile_regex(ast)]
+    if kind is not None:
+        out.append(homogeneous_dfa(ast, kind))
+    return out
+
+
+def _search_cases():
+    rng = random.Random(2_019)
+    logs = [log_text(rng, size) for size in LOG_SIZES]
+    texts = [
+        bytes(rng.choice(b"ab\n") for _ in range(rng.randint(1, 400)))
+        for _ in range(SEARCH_TEXTS)
+    ]
+    automata = [n for p in LOG_PATTERNS for n in _automata_of(p)]
+    ab_automata = [n for p in AB_PATTERNS for n in _automata_of(p)]
+    return [(t, automata) for t in logs] + [(t, ab_automata) for t in texts]
+
+
+def _search_outputs():
+    for text, automata in _search_cases():
+        slp = repair_compress(text)
+        for nfa in automata:
+            engine = SearchEngine(slp, nfa)
+            yield repr(
+                (
+                    engine.match_exists(),
+                    engine.line_count(),
+                    engine.rule_info,
+                    list(engine.report()),
+                )
+            ).encode()
+
+
 def _learn(target):
     return nl_learn(
         target.member,
@@ -175,6 +240,8 @@ def _outputs(name: str):
         return [dump_nfa(_learn(n)) for n in _automata()]
     if name.startswith("repair-"):
         return [dump_slp_binary(repair_compress(t)) for t in _repair_inputs(name)]
+    if name == "search-outputs":
+        return list(_search_outputs())
     raise KeyError(name)
 
 
