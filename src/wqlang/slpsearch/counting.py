@@ -1,20 +1,25 @@
 """Search on grammar-compressed text without decompression.
 
-One bottom-up pass over the SLP computes, per grammar symbol, the set of
-state pairs the automaton can connect across that symbol's expansion
-(allowing a skipped prefix at initial states and a skipped suffix at final
-states) together with a per-symbol counting tuple. Matching is decided
-from the axiom's relation; matching lines are counted from the tuples and
-can be reported by a lazy top-down walk that only expands subtrees
+Compressed search is grammar inclusion on a grammar with exactly one
+derivation. One bottom-up pass over the SLP computes, per binary rule, the
+relation the automaton realizes across the rule's expansion, stored like
+``quasiorder.ctx_key`` as one successor mask per state, with a skipped
+prefix allowed at initial states and a skipped suffix at final states.
+Every composition is the image of a state set across a relation. The axiom
+and the lines found while reporting are folded as one state set, the
+states reached from the initial states, because only those rows are ever
+read. A counting tuple per symbol gives the number of matching lines, and
+the lines are reported by a lazy top-down walk that only expands subtrees
 overlapping a matching line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from ..automata import Nfa, bits
+from ..automata import Nfa
+from ..quasiorder import ctx_of_symbol
 from .slp import Expander, Slp, id_to_rule
 
 __all__ = [
@@ -59,9 +64,11 @@ def matching_line_total(c: CountingInfo) -> int:
 
 @dataclass
 class SearchStats:
-    """Instrumentation for the complexity checks: ``compose_steps`` counts
-    relation compositions (binary rules plus axiom folds) and
-    ``inner_iters`` the state-pair triples visited inside them."""
+    """Instrumentation for the complexity checks. ``compose_steps`` counts
+    compositions: one per binary rule, per axiom symbol after the first and
+    per line segment after the first. ``inner_iters`` counts the state bits
+    the image kernel visits, at most ``s`` per image, so a binary rule costs
+    O(s^2) and a folded symbol O(s)."""
 
     compose_steps: int = 0
     inner_iters: int = 0
@@ -75,7 +82,12 @@ class SearchEngine:
     The automaton must be free of epsilon transitions. For counting the
     automaton may not read the newline byte: lines are delimited by it and
     matches never cross them, while the implicit skip-loops at initial and
-    final states do consume newlines.
+    final states do consume newlines, and the automaton must reject the
+    empty word.
+
+    ``rule_rel`` holds the relation of each binary rule as a tuple of
+    successor masks; the axiom is summarized by the set of states reached
+    from the initial states across the whole text.
     """
 
     def __init__(self, slp: Slp, nfa: Nfa):
@@ -84,139 +96,96 @@ class SearchEngine:
         self.stats = SearchStats(
             automaton_states=nfa.state_count, rules=slp.rule_count
         )
-        s = nfa.state_count
-        self._marker = [[-1] * s for _ in range(s)]
-        self._mark = 0
-        self._term_rel: dict[int, list[tuple[int, int]]] = {}
-        self._term_info: dict[int, CountingInfo] = {}
-        self.rule_rel: list[list[tuple[int, int]]] = []
+        self._imask = nfa.initial_mask
+        self._fmask = nfa.final_mask
+        # states a boundary-crossing match passes at the boundary
+        self._middle = ((1 << nfa.state_count) - 1) & ~(self._imask | self._fmask)
+        self._terminals: dict[int, tuple[tuple[int, ...], CountingInfo]] = {}
+        self.rule_rel: list[tuple[int, ...]] = []
         self.rule_info: list[CountingInfo] = []
         self._run()
 
     # -- per-symbol access ----------------------------------------------
 
-    def relation(self, sym: int) -> list[tuple[int, int]]:
+    def relation(self, sym: int) -> tuple[int, ...]:
         r = id_to_rule(sym)
-        return self.rule_rel[r] if r >= 0 else self._terminal_rel(sym)
+        return self.rule_rel[r] if r >= 0 else self._terminal(sym)[0]
 
     def info(self, sym: int) -> CountingInfo:
         r = id_to_rule(sym)
-        return self.rule_info[r] if r >= 0 else self._terminal_info(sym)
+        return self.rule_info[r] if r >= 0 else self._terminal(sym)[1]
 
-    def _terminal_rel(self, byte: int) -> list[tuple[int, int]]:
-        rel = self._term_rel.get(byte)
-        if rel is None:
-            rel = []
-            table = self.nfa._fwd.get(byte)
-            if table is not None:
-                for p in range(self.nfa.state_count):
-                    for q in bits(table[p]):
-                        rel.append((p, q))
-            self._term_rel[byte] = rel
-        return rel
-
-    def _terminal_info(self, byte: int) -> CountingInfo:
-        info = self._term_info.get(byte)
-        if info is None:
-            hit = bool(
-                self.nfa.step(self.nfa.initial_mask, byte, True)
-                & self.nfa.final_mask
-            )
+    def _terminal(self, byte: int) -> tuple[tuple[int, ...], CountingInfo]:
+        entry = self._terminals.get(byte)
+        if entry is None:
+            hit = bool(self.nfa.step(self._imask, byte, True) & self._fmask)
             info = CountingInfo(byte == NEWLINE, hit, hit, 0)
-            self._term_info[byte] = info
-        return info
+            entry = self._terminals[byte] = (ctx_of_symbol(self.nfa, byte), info)
+        return entry
+
+    # -- the image kernel --------------------------------------------------
+
+    def _image(self, states: int, rel: tuple[int, ...]) -> int:
+        """States reached from ``states`` across ``rel``, where final states
+        may also stay put (the skip loop over a suffix)."""
+        self.stats.inner_iters += states.bit_count()
+        out = states & self._fmask
+        while states:
+            low = states & -states
+            out |= rel[low.bit_length() - 1]
+            states ^= low
+        return out
+
+    def _crosses(self, reached: int, rel: tuple[int, ...]) -> bool:
+        """Does a match cross into ``rel`` from ``reached``, the states the
+        left part reaches from the initial states, through a boundary state
+        that is neither initial nor final?"""
+        return bool(self._image(reached & self._middle, rel) & self._fmask)
 
     # -- the bottom-up pass ----------------------------------------------
 
-    def _compose(
-        self,
-        rel_a: list[tuple[int, int]],
-        info_a: CountingInfo,
-        rel_b: list[tuple[int, int]],
-        info_b: CountingInfo,
-    ) -> tuple[list[tuple[int, int]], CountingInfo]:
-        nfa = self.nfa
+    def _rule(self, a: int, b: int) -> tuple[tuple[int, ...], CountingInfo]:
+        """Relation and counting tuple of the binary rule ``a b``: each row is
+        the image across ``b`` of its row across ``a``, plus the state itself
+        at an initial state (the skip loop over a prefix)."""
         self.stats.compose_steps += 1
-        self._mark += 1
-        mark = self._mark
-        marker = self._marker
-        # K rows: successors across the right operand, with the final-state
-        # self-loop folded in
-        rows: list[list[int]] = [[] for _ in range(nfa.state_count)]
-        row_has: list[set[int]] = [set() for _ in range(nfa.state_count)]
-        for p, q in rel_b:
-            rows[p].append(q)
-            row_has[p].add(q)
-        for f in bits(nfa.final_mask):
-            if f not in row_has[f]:
-                rows[f].append(f)
-        # left entries, with the initial-state self-loop folded in
-        entries = list(rel_a)
-        left_has = {pair for pair in rel_a}
-        for i in bits(nfa.initial_mask):
-            if (i, i) not in left_has:
-                entries.append((i, i))
-        out: list[tuple[int, int]] = []
-        new_match = False
-        imask = nfa.initial_mask
-        fmask = nfa.final_mask
-        inner = 0
-        for q1, qm in entries:
-            for q2 in rows[qm]:
-                inner += 1
-                if marker[q1][q2] != mark:
-                    marker[q1][q2] = mark
-                    out.append((q1, q2))
-                if (
-                    not new_match
-                    and imask >> q1 & 1
-                    and fmask >> q2 & 1
-                    and not ((imask | fmask) >> qm & 1)
-                ):
-                    new_match = True
-        self.stats.inner_iters += inner
-        return out, combine_counting(info_a, info_b, new_match)
+        rel_a, rel_b = self.relation(a), self.relation(b)
+        imask = self._imask
+        rows = [row | ((1 << p) & imask) for p, row in enumerate(rel_a)]
+        # a list first: tuple() of a generator reallocates as it grows
+        rel = tuple([self._image(row, rel_b) if row else 0 for row in rows])
+        crosses = self._crosses(self._image(imask, rel_a), rel_b)
+        return rel, combine_counting(self.info(a), self.info(b), crosses)
+
+    def _fold(self, symbols: Sequence[int]) -> tuple[int, CountingInfo]:
+        """States reached from the initial states across the concatenation
+        of ``symbols``, and its counting tuple."""
+        reached = self._image(self._imask, self.relation(symbols[0]))
+        info = self.info(symbols[0])
+        for sym in symbols[1:]:
+            self.stats.compose_steps += 1
+            rel = self.relation(sym)
+            info = combine_counting(info, self.info(sym), self._crosses(reached, rel))
+            reached = self._image(reached | self._imask, rel)
+        return reached, info
 
     def _run(self) -> None:
-        for index, rule in enumerate(self.slp.rules):
-            if index < self.slp.rule_count - 1:
-                a, b = rule
-                rel, info = self._compose(
-                    self.relation(a), self.info(a), self.relation(b), self.info(b)
-                )
-            else:
-                rel, info = self.relation(rule[0]), self.info(rule[0])
-                for sym in rule[1:]:
-                    rel, info = self._compose(
-                        rel, info, self.relation(sym), self.info(sym)
-                    )
+        for a, b in self.slp.rules[:-1]:
+            rel, info = self._rule(a, b)
             self.rule_rel.append(rel)
             self.rule_info.append(info)
+        self._reached, info = self._fold(self.slp.axiom)
+        self.rule_info.append(info)
 
     # -- results -----------------------------------------------------------
 
     def match_exists(self) -> bool:
-        imask = self.nfa.initial_mask
-        fmask = self.nfa.final_mask
-        return any(
-            imask >> p & 1 and fmask >> q & 1 for p, q in self.rule_rel[-1]
-        )
+        return bool(self._reached & self._fmask)
 
     def line_count(self) -> int:
         return matching_line_total(self.rule_info[-1])
 
     # -- lazy reporting ------------------------------------------------------
-
-    def _line_matches(self, segments: list[int]) -> bool:
-        if not segments:
-            return False
-        rel = self.relation(segments[0])
-        info = self.info(segments[0])
-        for sym in segments[1:]:
-            rel, info = self._compose(rel, info, self.relation(sym), self.info(sym))
-        imask = self.nfa.initial_mask
-        fmask = self.nfa.final_mask
-        return any(imask >> p & 1 and fmask >> q & 1 for p, q in rel)
 
     def report(self) -> Iterator[tuple[int, bytes]]:
         """Matching lines in order as (line number, line bytes); subtrees
@@ -229,7 +198,7 @@ class SearchEngine:
         line_no = 1
 
         def flush() -> bytes | None:
-            if not segments or not self._line_matches(segments):
+            if not segments or not self._fold(segments)[0] & self._fmask:
                 return None
             start = len(expander.out)
             expander.append(segments)
