@@ -9,10 +9,11 @@ target automaton file.
 
 Exit codes: 0 success, 1 a requested --fail-on-miss inclusion does not
 hold, 2 usage error (including a search pattern that matches the empty
-string or nests deeper than ``MAX_REGEX_DEPTH``, or ``--engine dfa`` on a
-pattern with no DFA fast path), 3 malformed input file or a computation
-stopped by its cap (fixpoint iterations, learner queries, decompressed
-size). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps.
+string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
+``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions, or
+``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
+file or a computation stopped by its cap (fixpoint iterations, learner
+queries, decompressed size). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ a class lists it explicitly, and patterns that can match the empty word
 are rejected by default: line counting needs a nonempty, newline-free
 match language. Groups and postfix operators may nest at most
 ``MAX_REGEX_DEPTH`` deep, so that parsing and compiling never exhaust the
-interpreter stack.
+interpreter stack. Compiling creates at most ``MAX_REGEX_STATES`` states
+and ``MAX_REGEX_TRANSITIONS`` transitions, so that bounded repetitions
+such as ``a{99999}``, ``.{5000}`` or ``(a{1000}){1000}`` are refused
+instead of expanded.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from ..automata import Dfa, Nfa
 
 __all__ = [
     "MAX_REGEX_DEPTH",
+    "MAX_REGEX_STATES",
+    "MAX_REGEX_TRANSITIONS",
     "RegexSyntaxError",
     "EmptyMatchError",
     "parse_regex",
@@ -40,6 +45,13 @@ NEWLINE = 0x0A
 # groups plus postfix operators enclosing one atom; both the parser and the
 # compiler recurse once or twice per level
 MAX_REGEX_DEPTH = 100
+# states the compiler may allocate, counted before unreachable ones are
+# trimmed; bounded repetition copies its operand, so nesting multiplies
+MAX_REGEX_STATES = 1 << 14
+# transitions the compiler may create; concatenation bridges every exit of
+# the left operand to every entry move of the right, so dense classes and
+# optional copies grow them faster than states
+MAX_REGEX_TRANSITIONS = 1 << 17
 
 
 class RegexSyntaxError(ValueError):
@@ -308,26 +320,47 @@ class _Frag:
         self.eps = eps
 
 
+def _entry_moves(a: _Frag) -> list[tuple[int, int]]:
+    return [(sym, q) for p, sym, q in a.trans if p in a.starts]
+
+
 class _Builder:
     def __init__(self):
         self.next_state = 0
+        self.transitions = 0
 
     def fresh(self) -> int:
         s = self.next_state
+        if s == MAX_REGEX_STATES:
+            raise RegexSyntaxError(
+                0, f"pattern needs more than {MAX_REGEX_STATES} states"
+            )
         self.next_state += 1
         return s
 
+    def edges(self, sources, moves) -> list[tuple[int, int, int]]:
+        """Transitions from every state of ``sources`` along every
+        ``(sym, q)`` of ``moves``."""
+        self.transitions += len(sources) * len(moves)
+        if self.transitions > MAX_REGEX_TRANSITIONS:
+            raise RegexSyntaxError(
+                0, f"pattern needs more than {MAX_REGEX_TRANSITIONS} transitions"
+            )
+        return [(src, sym, q) for src in sources for sym, q in moves]
+
     def atom(self, byte_set) -> _Frag:
         s, t = self.fresh(), self.fresh()
-        return _Frag([(s, b, t) for b in sorted(byte_set)], {s}, {t}, False)
+        moves = [(b, t) for b in sorted(byte_set)]
+        return _Frag(self.edges([s], moves), {s}, {t}, False)
 
     def concat(self, a: _Frag, b: _Frag) -> _Frag:
-        bridge = [
-            (end, sym, q) for end in a.ends for (p, sym, q) in b.trans if p in b.starts
-        ]
+        bridge = self.edges(a.ends, _entry_moves(b))
         starts = set(a.starts) | (set(b.starts) if a.eps else set())
         ends = set(b.ends) | (set(a.ends) if b.eps else set())
-        return _Frag(a.trans + b.trans + bridge, starts, ends, a.eps and b.eps)
+        # a fragment is consumed once, so its list can grow in place
+        a.trans += b.trans
+        a.trans += bridge
+        return _Frag(a.trans, starts, ends, a.eps and b.eps)
 
     def alt(self, frags) -> _Frag:
         trans, starts, ends, eps = [], set(), set(), False
@@ -339,9 +372,7 @@ class _Builder:
         return _Frag(trans, starts, ends, eps)
 
     def loop(self, a: _Frag) -> list[tuple[int, int, int]]:
-        return [
-            (end, sym, q) for end in a.ends for (p, sym, q) in a.trans if p in a.starts
-        ]
+        return self.edges(a.ends, _entry_moves(a))
 
     def star(self, a: _Frag) -> _Frag:
         return _Frag(a.trans + self.loop(a), a.starts, a.ends, True)
@@ -386,7 +417,9 @@ def compile_regex(ast, allow_empty: bool = False) -> Nfa:
     """Compile a syntax tree to an epsilon-free NFA for the same language.
 
     Rejects patterns that match the empty word unless ``allow_empty``; the
-    search pipeline requires nonempty matches.
+    search pipeline requires nonempty matches. Raises ``RegexSyntaxError``
+    when the construction would need more than ``MAX_REGEX_STATES`` states
+    or ``MAX_REGEX_TRANSITIONS`` transitions.
     """
     builder = _Builder()
     frag = builder.build(ast)

@@ -236,3 +236,13 @@ def test_search_rejects_deep_nesting(tmp_path, capsys, pattern):
     main(["compress", str(src), "-o", str(slp)])
     assert main(["search", "-e", pattern, str(slp)]) == 2
     assert "nesting deeper than" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("pattern", ["a{99999}", "(a{1000}){1000}", ".{5000}"])
+def test_search_rejects_oversized_repetition(tmp_path, capsys, pattern):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"ab\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    assert main(["search", "-e", pattern, str(slp)]) == 2
+    assert "pattern needs more than" in _one_line_error(capsys)

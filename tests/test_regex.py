@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ from wqlang.slpsearch.regex import (
     Concat,
     EmptyMatchError,
     Lit,
+    MAX_REGEX_STATES,
+    MAX_REGEX_TRANSITIONS,
     Plus,
     RegexSyntaxError,
     Repeat,
@@ -74,6 +77,37 @@ def test_compile_rejects_empty_match():
         with pytest.raises(EmptyMatchError):
             compile_regex(parse_regex(pattern))
         compile_regex(parse_regex(pattern), allow_empty=True)  # fine
+
+
+@pytest.mark.parametrize(
+    "pattern, cap",
+    [
+        ("a{2}" + "{2}" * 40, "states"),
+        ("(a{1000}){1000}", "states"),
+        ("a{99999}", "states"),
+        (".{5000}", "transitions"),
+        ("(a?){8000}b", "transitions"),
+    ],
+    ids=["doubling", "thousands", "huge-bound", "dense-class", "optional-copies"],
+)
+def test_compile_refuses_oversized_repetition(pattern, cap):
+    start = time.perf_counter()
+    with pytest.raises(RegexSyntaxError, match=f"more than .* {cap}"):
+        compile_regex(parse_regex(pattern))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compile_caps_are_exact():
+    # a{n} allocates two states per copy; [a-p]{n} creates 16 moves per
+    # copy and 16 bridge moves between neighbouring copies
+    copies = MAX_REGEX_STATES // 2
+    assert compile_regex(parse_regex(f"a{{{copies}}}")).state_count == copies + 1
+    with pytest.raises(RegexSyntaxError):
+        compile_regex(parse_regex(f"a{{{copies + 1}}}"))
+    copies = (MAX_REGEX_TRANSITIONS + 16) // 32
+    assert compile_regex(parse_regex(f"[a-p]{{{copies}}}")).state_count == copies + 1
+    with pytest.raises(RegexSyntaxError):
+        compile_regex(parse_regex(f"[a-p]{{{copies + 1}}}"))
 
 
 def test_compile_allow_empty_accepts_epsilon():
