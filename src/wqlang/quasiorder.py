@@ -229,8 +229,8 @@ def ctx_identity(n: Nfa) -> tuple[int, ...]:
 
 
 def ctx_of_symbol(n: Nfa, sym: int) -> tuple[int, ...]:
-    # a list first: tuple() of a generator reallocates as it grows
-    return tuple([n.step(1 << q, sym, True) for q in range(n.state_count)])
+    table = n._fwd.get(sym)  # row q: the successor mask of state q
+    return tuple(table) if table is not None else (0,) * n.state_count
 
 
 def ctx_key(n: Nfa, word: bytes) -> tuple[int, ...]:
