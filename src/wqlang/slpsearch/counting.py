@@ -228,9 +228,11 @@ class SearchEngine:
             yield line_no, line
 
 
-def _require_newline_free(nfa: Nfa) -> None:
+def _require_line_automaton(nfa: Nfa) -> None:
     if NEWLINE in nfa.alphabet:
         raise ValueError("line counting needs a newline-free match automaton")
+    if nfa.initial_mask & nfa.final_mask:
+        raise ValueError("line counting needs an automaton rejecting the empty word")
 
 
 def slp_match_exists(p: Slp, n: Nfa) -> bool:
@@ -241,11 +243,11 @@ def slp_match_exists(p: Slp, n: Nfa) -> bool:
 def count_lines(p: Slp, n: Nfa) -> int:
     """Number of newline-delimited lines of the decompressed text containing
     a factor accepted by ``n``."""
-    _require_newline_free(n)
+    _require_line_automaton(n)
     return SearchEngine(p, n).line_count()
 
 
 def report_lines(p: Slp, n: Nfa) -> Iterator[tuple[int, bytes]]:
     """The matching lines themselves, lazily, as (line number, bytes)."""
-    _require_newline_free(n)
+    _require_line_automaton(n)
     return SearchEngine(p, n).report()

@@ -157,6 +157,15 @@ def test_match_exists_spans_newlines_but_count_does_not():
         count_lines(slp, nfa_with_nl)
 
 
+def test_line_search_rejects_empty_word_automaton():
+    slp = repair_compress(b"xy\nab\nq\n")
+    nfa = compile_regex(parse_regex("(ab)*"), allow_empty=True)
+    with pytest.raises(ValueError, match="empty word"):
+        count_lines(slp, nfa)
+    with pytest.raises(ValueError, match="empty word"):
+        report_lines(slp, nfa)
+
+
 def test_count_lines_matches_oracle_on_random_texts():
     rng = random.Random(63)
     patterns = [pat("ba"), pat("a+b"), pat("[ab]{3}")]
