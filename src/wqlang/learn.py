@@ -3,9 +3,11 @@
 The learner maintains a prefix-closed set P and a suffix-closed set S of
 words and approximates the residual-inclusion quasiorder of the target
 language by comparing residuals restricted to S. When the approximation is
-closed and consistent over P it builds the prime-principal automaton (the
-``residual.build_H`` core, under the restricted order) and asks the
-equivalence oracle; counterexample suffixes refine S.
+closed and consistent over P it builds the prime-principal automaton and
+asks the equivalence oracle; counterexample suffixes refine S. The
+hypothesis is the ``residual.build_H`` core under the restricted order:
+``build_H`` picks the primes, the learner supplies only its composite test
+(a row that is the join of the P-rows below it).
 """
 
 from __future__ import annotations
@@ -95,9 +97,12 @@ class ObservationState:
                 if u == v or not self.row_leq(u, v):
                     continue
                 for a in self.alphabet:
-                    ua, va = u + bytes([a]), v + bytes([a])
-                    for i, x in enumerate(self.suffixes):
-                        if self.row(ua)[i] and not self.row(va)[i]:
+                    row_ua = self.row(u + bytes([a]))
+                    if not any(row_ua):
+                        continue
+                    row_va = self.row(v + bytes([a]))
+                    for x, in_u, in_v in zip(self.suffixes, row_ua, row_va):
+                        if in_u and not in_v:
                             return bytes([a]) + x
         return None
 
@@ -105,18 +110,16 @@ class ObservationState:
 
     def build_automaton(self) -> Nfa:
         """Prime-principal automaton over the current P and S: ``build_H``
-        with one representative word per distinct prime row as keys, row
-        containment as the order and appending a letter as the extension."""
-        reps: list[bytes] = []
-        seen_rows = set()
+        over the first P-word of each distinct row, with row containment as
+        the order, appending a letter as the extension and ``is_prime``
+        deciding which rows are composite."""
+        firsts: dict[tuple[bool, ...], bytes] = {}
         for p in self.prefixes:
-            r = self.row(p)
-            if r not in seen_rows and self.is_prime(p):
-                seen_rows.add(r)
-                reps.append(p)
+            firsts.setdefault(self.row(p), p)
         return residual.build_H(
-            reps,
+            list(firsts.values()),
             self.row_leq,
+            lambda u, _below: not self.is_prime(u),
             lambda u, a: u + bytes([a]),
             b"",
             self.member,

@@ -73,24 +73,20 @@ def max_simulation(n: Nfa, direction: str = "right") -> SimRelation:
     full = (1 << count) - 1
     # condition (i): a final state is only simulated by final states
     rows = [n.final_mask if n.final_mask >> p & 1 else full for p in range(count)]
-    syms = sorted(n.alphabet)
+    # moves[p]: each move p -a-> p2 with a's successor table; q simulates p
+    # only if table[q] meets rows[p2] for every one of them
+    tables = [n._fwd[sym] for sym in sorted(n._fwd)]
+    moves = [[(p2, t) for t in tables for p2 in bits(t[p])] for p in range(count)]
     changed = True
     while changed:
         changed = False
         for p in range(count):
             for q in list(bits(rows[p])):
-                ok = True
-                for sym in syms:
-                    for p2 in bits(n.step(1 << p, sym, True)):
-                        targets = n.step(1 << q, sym, True)
-                        if not (rows[p2] & targets):
-                            ok = False
-                            break
-                    if not ok:
+                for p2, table in moves[p]:
+                    if not rows[p2] & table[q]:
+                        rows[p] &= ~(1 << q)
+                        changed = True
                         break
-                if not ok:
-                    rows[p] &= ~(1 << q)
-                    changed = True
     return SimRelation(tuple(rows))
 
 
@@ -104,28 +100,10 @@ def sim_leq(u_key: int, v_key: int, sim: SimRelation) -> bool:
 
 def residual_inclusion_matrix(min_dfa: Dfa) -> tuple[int, ...]:
     """For a complete DFA, the matrix of right-language inclusions between
-    states, computed by greatest-fixpoint refinement: ``rows[p]`` has bit q
-    set iff the language of p is included in the language of q."""
-    count = min_dfa.state_count
-    full = (1 << count) - 1
-    # a final state's language contains the empty word, so it only embeds
-    # into languages of final states
-    fmask = min_dfa.final_mask
-    rows = [fmask if fmask >> p & 1 else full for p in range(count)]
-    syms = sorted(min_dfa.alphabet)
-    changed = True
-    while changed:
-        changed = False
-        for p in range(count):
-            for q in list(bits(rows[p])):
-                for sym in syms:
-                    tp = min_dfa.dnext(p, sym)
-                    tq = min_dfa.dnext(q, sym)
-                    if not (rows[tp] >> tq & 1):
-                        rows[p] &= ~(1 << q)
-                        changed = True
-                        break
-    return tuple(rows)
+    states: ``rows[p]`` has bit q set iff the language of p is included in
+    the language of q. This is the DFA's maximal simulation: a deterministic
+    state simulates another exactly when its language includes the other's."""
+    return max_simulation(min_dfa).rows
 
 
 def empty_states_mask(d: Dfa) -> int:

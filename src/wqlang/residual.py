@@ -1,17 +1,20 @@
 """Residual-automata constructions driven by quasiorders.
 
 One core builds every residual automaton: ``build_H``, the automaton over
-the prime principals of a consistent quasiorder. The constructions differ
-only in the principals they pass and the order they compare them by:
+the prime principals of a consistent quasiorder. It takes all principals,
+lists the ones strictly below each, and picks the primes itself; the
+constructions differ only in the principals they pass, the order they
+compare them by and the composite test they supply:
 
-- ``res``: reachable post-sets (right) or pre-sets (left) of the automaton,
-  under state-set inclusion, minus the composite ones (``is_composite``);
-- ``denis_residualize``: the same post-sets and order, minus the ones
-  coverable by smaller post-sets (the classic, weaker test);
+- ``res``: reachable post-sets (right) or pre-sets (left) of the automaton
+  under state-set inclusion, composite when the union of the smaller ones
+  has the same language (``is_composite``);
+- ``denis_residualize``: the same post-sets and order, composite when the
+  smaller ones cover them (the classic, weaker test);
 - ``canonical``: the states of the minimal DFA under residual inclusion,
-  minus the composite residuals;
+  composite when the smaller residuals make up the residual;
 - the learner's hypothesis (``learn.ObservationState.build_automaton``):
-  representative words under row containment.
+  representative words under row containment, composite when not prime.
 
 Also here: principal enumeration, the double-reversal route to the
 canonical RFA, and the closedness condition characterizing when plain
@@ -21,6 +24,8 @@ residualization is already canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Any, Callable, Sequence
 
 from .automata import Dfa, Nfa, bits, equivalence_counterexample, naive_inclusion
@@ -45,96 +50,81 @@ __all__ = [
 @dataclass(frozen=True)
 class PrincipalSet:
     """All distinct reachable key sets of one direction of an automaton:
-    post-sets of the initials (right) or pre-sets of the finals (left),
-    each with a shortest representative word."""
+    post-sets of the initials (right) or pre-sets of the finals (left), in
+    breadth-first discovery order."""
 
     keys: tuple[int, ...]
-    words: tuple[bytes, ...]
 
 
 def principals(n: Nfa, direction: str = "right") -> PrincipalSet:
-    """Breadth-first enumeration of the reachable key sets; every reachable
-    set appears exactly once, tagged with a shortest generating word."""
+    """The subsets of the subset construction (of the reverse automaton for
+    left): every reachable key set exactly once."""
     if direction == "left":
-        ps = principals(n.reverse(), "right")
-        return PrincipalSet(ps.keys, tuple(w[::-1] for w in ps.words))
-    if direction != "right":
+        n = n.reverse()
+    elif direction != "right":
         raise ValueError(f"bad direction {direction!r}")
-    syms = sorted(n.alphabet)
-    start = n.initial_mask
-    seen = {start: b""}
-    order = [start]
-    i = 0
-    while i < len(order):
-        m = order[i]
-        w = seen[m]
-        for sym in syms:
-            t = n.step(m, sym, True)
-            if t not in seen:
-                seen[t] = w + bytes([sym])
-                order.append(t)
-        i += 1
-    return PrincipalSet(tuple(order), tuple(seen[m] for m in order))
+    return PrincipalSet(n.determinize().source_subsets)
 
 
 def is_composite(n: Nfa, key: int, ps: PrincipalSet, direction: str = "right") -> bool:
     """Is the key's residual exactly the union of the residuals of all
     strictly smaller principals? Decided by language equivalence, not mere
-    state-set coverability, which is strictly weaker."""
+    state-set coverability, which is strictly weaker. The union is a subset
+    of the key, so only the key's language can fail to be included."""
     if direction == "left":
         return is_composite(n.reverse(), key, ps, "right")
     if key not in ps.keys:
         raise ValueError("key is not a principal of the automaton")
-    union = 0
-    for other in ps.keys:
-        if other != key and other & key == other:
-            union |= other
-    lang_key = n.with_initial(bits(key))
-    lang_union = n.with_initial(bits(union))
-    return (
-        naive_inclusion(lang_key, lang_union).included
-        and naive_inclusion(lang_union, lang_key).included
-    )
+    union = reduce(or_, (k for k in ps.keys if k != key and k & key == k), 0)
+    return naive_inclusion(n.with_initial(bits(key)), n.with_initial(bits(union))).included
 
 
 def build_H(
     keys: Sequence[Any],
     leq: Callable[[Any, Any], bool],
+    composite: Callable[[Any, list], bool],
     extend: Callable[[Any, int], Any],
     key_eps: Any,
     final_of: Callable[[Any], bool],
     symbols,
     direction: str = "right",
 ) -> Nfa:
-    """Automaton over the given prime principals of a consistent quasiorder,
-    one state per key, in order.
+    """Automaton over the prime principals of a consistent quasiorder, one
+    state per prime key, in the order of ``keys``.
 
-    Right: initial principals are those below the principal of the empty
-    word, final ones those ``final_of`` accepts (their words belong to the
-    language), and an a-transition from u's principal reaches every prime
-    principal below the principal of u·a. Left is the mirror image
-    (transitions read a·v, initial and final roles swap).
+    ``keys`` holds every principal once; a key is dropped when
+    ``composite(key, below)`` holds, ``below`` listing the keys strictly
+    below it. Right: initial principals are those below the principal of
+    the empty word, final ones those ``final_of`` accepts (their words
+    belong to the language), and an a-transition from u's principal reaches
+    every prime principal below the principal of u·a. Left is the mirror
+    image (transitions read a·v, initial and final roles swap).
     """
     if direction not in ("right", "left"):
         raise ValueError(f"bad direction {direction!r}")
-    eps_side = [i for i, k in enumerate(keys) if leq(k, key_eps)]
-    lang_side = [i for i, k in enumerate(keys) if final_of(k)]
+    primes = [
+        k for k in keys if not composite(k, [b for b in keys if leq(b, k) and not leq(k, b)])
+    ]
+    eps_side = [i for i, k in enumerate(primes) if leq(k, key_eps)]
+    lang_side = [i for i, k in enumerate(primes) if final_of(k)]
     initial, final = (
         (eps_side, lang_side) if direction == "right" else (lang_side, eps_side)
     )
     triples = []
-    for i, u in enumerate(keys):
+    for i, u in enumerate(primes):
         for sym in symbols:
             if direction == "right":
                 ext = extend(u, sym)
-                targets = [j for j, v in enumerate(keys) if leq(v, ext)]
+                targets = [j for j, v in enumerate(primes) if leq(v, ext)]
             else:
-                targets = [j for j, v in enumerate(keys) if leq(u, extend(v, sym))]
+                targets = [j for j, v in enumerate(primes) if leq(u, extend(v, sym))]
             triples += [(i, sym, j) for j in targets]
-    return Nfa(len(keys), triples, initial, final)
+    return Nfa(len(primes), triples, initial, final)
 
 
-def _state_set_H(n: Nfa, primes: list[int], direction: str) -> Nfa:
+def _state_set_H(
+    n: Nfa, keys: Sequence[int], composite: Callable[[int, list], bool], direction: str
+) -> Nfa:
     """``build_H`` under the automaton-induced state-set order: post-sets
     of the initials (right) or pre-sets of the finals (left)."""
     fwd = direction == "right"
@@ -142,8 +132,9 @@ def _state_set_H(n: Nfa, primes: list[int], direction: str) -> Nfa:
     if not fwd:
         start, goal = goal, start
     return build_H(
-        primes,
+        keys,
         lambda a, b: a & b == a,
+        composite,
         lambda key, sym: n.step(key, sym, fwd),
         start,
         lambda key: bool(key & goal),
@@ -156,8 +147,8 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
     """Residualization through the automaton-induced quasiorder: the states
     are the prime reachable post-sets (right) or pre-sets (left)."""
     ps = principals(n, direction)
-    primes = [k for k in ps.keys if not is_composite(n, k, ps, direction)]
-    return _state_set_H(n, primes, direction)
+    fwd = n.reverse() if direction == "left" else n
+    return _state_set_H(n, ps.keys, lambda key, _below: is_composite(fwd, key, ps), direction)
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
@@ -171,19 +162,10 @@ def canonical(lang: Nfa, direction: str = "right") -> Nfa:
         raise ValueError(f"bad direction {direction!r}")
     m = lang.determinize().minimize()
     incl = residual_inclusion_matrix(m)
-    count = m.state_count
-    primes = []
-    for p in range(count):
-        strictly_below = [
-            q for q in range(count) if q != p and incl[q] >> p & 1 and not incl[p] >> q & 1
-        ]
-        union_lang = Nfa(count, m._triples, strictly_below, m.final)
-        this_lang = Nfa(count, m._triples, [p], m.final)
-        if equivalence_counterexample(this_lang, union_lang) is not None:
-            primes.append(p)
     return build_H(
-        primes,
+        range(m.state_count),
         lambda p, q: bool(incl[p] >> q & 1),
+        lambda p, below: naive_inclusion(m.with_initial([p]), m.with_initial(below)).included,
         m.dnext,
         m.initial_state,
         lambda p: p in m.final,
@@ -195,16 +177,12 @@ def denis_residualize(n: Nfa) -> Nfa:
     """Classic residualization: ``res``'s construction, keeping the
     reachable post-sets that are not the union of the smaller ones (state-set
     coverability instead of language equivalence)."""
-    keys = principals(n, "right").keys
-
-    def coverable(key: int) -> bool:
-        union = 0
-        for other in keys:
-            if other != key and other & key == other:
-                union |= other
-        return union == key
-
-    return _state_set_H(n, [k for k in keys if not coverable(k)], "right")
+    return _state_set_H(
+        n,
+        principals(n, "right").keys,
+        lambda key, below: reduce(or_, below, 0) == key,
+        "right",
+    )
 
 
 def double_reversal_canonical(n: Nfa) -> Nfa:

@@ -1,6 +1,6 @@
 import random
 
-from wqlang import Nfa
+from wqlang import Nfa, naive_inclusion
 from wqlang.quasiorder import (
     ctx_compose,
     ctx_identity,
@@ -12,6 +12,7 @@ from wqlang.quasiorder import (
     myhill_leq,
     nerode_leq,
     ocn_macro,
+    residual_inclusion_matrix,
     sim_leq,
     state_key,
 )
@@ -263,3 +264,15 @@ def test_macro_right_monotone(counter_ocn):
                     macro_step(counter_ocn, mu, sym),
                     macro_step(counter_ocn, mv, sym),
                 )
+
+
+def test_residual_inclusion_matrix_is_language_inclusion():
+    rng = random.Random(78)
+    for _ in range(40):
+        n = rand_nfa(rng, max_states=5, n_syms=rng.choice([1, 2, 3]))
+        for m in (min_dfa(n), min_dfa(n.reverse())):
+            rows = residual_inclusion_matrix(m)
+            for p in range(m.state_count):
+                for q in range(m.state_count):
+                    included = naive_inclusion(m.with_initial([p]), m.with_initial([q]))
+                    assert bool(rows[p] >> q & 1) == included.included

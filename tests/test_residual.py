@@ -59,23 +59,31 @@ def test_composite_agrees_with_quotient_enumeration():
     rng = random.Random(71)
     for _ in range(20):
         n = rand_nfa(rng, max_states=4)
-        ps = principals(n, "right")
         suffixes = [
             bytes(rng.choice([A, B]) for _ in range(rng.randint(0, 5)))
             for _ in range(60)
         ]
-        for key in ps.keys:
-            union_keys = [k for k in ps.keys if k != key and k & key == k]
-            union = 0
-            for k in union_keys:
-                union |= k
-            brute_equal = all(
-                bool(n.with_initial(bits(key)).member(s))
-                == bool(n.with_initial(bits(union)).member(s))
-                for s in suffixes
-            )
-            if is_composite(n, key, ps, "right"):
-                assert brute_equal
+        for direction in ("right", "left"):
+            # left keys are pre-sets: right languages of the reverse
+            fwd = n if direction == "right" else n.reverse()
+            ps = principals(n, direction)
+            for key in ps.keys:
+                union_keys = [k for k in ps.keys if k != key and k & key == k]
+                union = 0
+                for k in union_keys:
+                    union |= k
+                lang_key = fwd.with_initial(bits(key))
+                lang_union = fwd.with_initial(bits(union))
+                brute_equal = all(
+                    bool(lang_key.member(s)) == bool(lang_union.member(s))
+                    for s in suffixes
+                )
+                composite = is_composite(n, key, ps, direction)
+                assert composite == (
+                    equivalence_counterexample(lang_key, lang_union) is None
+                )
+                if composite:
+                    assert brute_equal
 
 
 def test_res_fig62_smaller_than_denis(fig62):
