@@ -308,20 +308,26 @@ def parse_regex(text: str):
 
 
 class _Frag:
-    """Epsilon-free fragment: transitions over a private state space plus a
-    flag recording whether the fragment accepts the empty word."""
+    """Epsilon-free fragment: transitions over a private state space, the
+    moves leaving its entry states, and a flag recording whether the
+    fragment accepts the empty word.
 
-    __slots__ = ("trans", "starts", "ends", "eps")
+    Entry states are atom sources: no transition enters them and their only
+    moves are their atom's, so each constructor derives ``entry`` from its
+    operands'."""
 
-    def __init__(self, trans, starts, ends, eps):
+    __slots__ = ("trans", "starts", "entry", "ends", "eps")
+
+    def __init__(self, trans, starts, entry, ends, eps):
         self.trans = trans  # list of (p, sym, q)
         self.starts = starts  # frozenset of entry states
+        self.entry = entry  # list of (sym, q) leaving the entry states
         self.ends = ends  # frozenset of exit states
         self.eps = eps
 
 
-def _entry_moves(a: _Frag) -> list[tuple[int, int]]:
-    return [(sym, q) for p, sym, q in a.trans if p in a.starts]
+def _optional(a: _Frag) -> _Frag:
+    return _Frag(a.trans, a.starts, a.entry, a.ends, True)
 
 
 class _Builder:
@@ -351,34 +357,39 @@ class _Builder:
     def atom(self, byte_set) -> _Frag:
         s, t = self.fresh(), self.fresh()
         moves = [(b, t) for b in sorted(byte_set)]
-        return _Frag(self.edges([s], moves), {s}, {t}, False)
+        return _Frag(self.edges([s], moves), {s}, moves, {t}, False)
 
     def concat(self, a: _Frag, b: _Frag) -> _Frag:
-        bridge = self.edges(a.ends, _entry_moves(b))
+        bridge = self.edges(a.ends, b.entry)
         starts = set(a.starts) | (set(b.starts) if a.eps else set())
+        entry = a.entry + b.entry if a.eps else a.entry
         ends = set(b.ends) | (set(a.ends) if b.eps else set())
-        # a fragment is consumed once, so its list can grow in place
-        a.trans += b.trans
-        a.trans += bridge
-        return _Frag(a.trans, starts, ends, a.eps and b.eps)
+        # a fragment is consumed once, so the longer list can grow in place
+        trans, other = a.trans, b.trans
+        if len(other) > len(trans):
+            trans, other = other, trans
+        trans += other
+        trans += bridge
+        return _Frag(trans, starts, entry, ends, a.eps and b.eps)
 
     def alt(self, frags) -> _Frag:
-        trans, starts, ends, eps = [], set(), set(), False
+        trans, starts, entry, ends, eps = [], set(), [], set(), False
         for f in frags:
             trans += f.trans
             starts |= f.starts
+            entry += f.entry
             ends |= f.ends
             eps = eps or f.eps
-        return _Frag(trans, starts, ends, eps)
+        return _Frag(trans, starts, entry, ends, eps)
 
     def loop(self, a: _Frag) -> list[tuple[int, int, int]]:
-        return self.edges(a.ends, _entry_moves(a))
+        return self.edges(a.ends, a.entry)
 
     def star(self, a: _Frag) -> _Frag:
-        return _Frag(a.trans + self.loop(a), a.starts, a.ends, True)
+        return _Frag(a.trans + self.loop(a), a.starts, a.entry, a.ends, True)
 
     def plus(self, a: _Frag) -> _Frag:
-        return _Frag(a.trans + self.loop(a), a.starts, a.ends, a.eps)
+        return _Frag(a.trans + self.loop(a), a.starts, a.entry, a.ends, a.eps)
 
     def build(self, node) -> _Frag:
         if isinstance(node, Lit):
@@ -397,18 +408,19 @@ class _Builder:
         if isinstance(node, Plus):
             return self.plus(self.build(node.inner))
         if isinstance(node, Opt):
-            inner = self.build(node.inner)
-            return _Frag(inner.trans, inner.starts, inner.ends, True)
+            return _optional(self.build(node.inner))
         if isinstance(node, Repeat):
             if node.low == 0 and node.high == 0:
-                empty = _Frag([], set(), set(), True)
-                return empty
+                return _Frag([], set(), [], set(), True)
+            copies = [self.build(node.inner) for _ in range(node.high)]
+            # x{m,n} is m copies followed by (x(x(...)?)?)?, folded from the
+            # right, so that each optional copy is entered only from the
+            # copy before it
             frag = None
-            for i in range(node.high):
-                copy = self.build(node.inner)
+            for i in reversed(range(node.high)):
+                frag = copies[i] if frag is None else self.concat(copies[i], frag)
                 if i >= node.low:
-                    copy = _Frag(copy.trans, copy.starts, copy.ends, True)
-                frag = copy if frag is None else self.concat(frag, copy)
+                    frag = _optional(frag)
             return frag
         raise TypeError(f"unknown AST node {node!r}")
 

@@ -257,39 +257,23 @@ def ocn_trace_oracle(o: Ocn, start: tuple[int, int], word: bytes) -> bool:
 
 
 def factor_scanner(nfa: Nfa):
-    """DFA table for 'some factor of the input is accepted': determinize the
-    automaton with restart-at-every-position semantics."""
-    syms = sorted(nfa.alphabet)
+    """Test for 'some factor of the input is accepted': the automaton run
+    with a restart at every position, its subset construction built lazily
+    along the bytes the inputs read (eagerly, a pattern like
+    ``foo.{0,100}bar`` reaches exponentially many subsets)."""
     start = nfa.initial_mask
-    index = {start: 0}
-    order = [start]
-    accept = [bool(start & nfa.final_mask)]
-    table: list[dict[int, int]] = [{}]
-    i = 0
-    while i < len(order):
-        m = order[i]
-        for sym in syms:
-            t = nfa.step(m, sym, True) | start
-            j = index.get(t)
-            if j is None:
-                j = len(order)
-                index[t] = j
-                order.append(t)
-                accept.append(bool(t & nfa.final_mask))
-                table.append({})
-            table[i][sym] = j
-        i += 1
+    table: dict[tuple[int, int], int] = {}
 
     def contains_factor(data: bytes) -> bool:
-        state = 0
-        if accept[0]:
+        state = start
+        if state & nfa.final_mask:
             return True
         for byte in data:
-            state = table[state].get(byte)
-            if state is None:
-                state = 0
-                continue
-            if accept[state]:
+            nxt = table.get((state, byte))
+            if nxt is None:
+                nxt = table[(state, byte)] = nfa.step(state, byte, True) | start
+            state = nxt
+            if state & nfa.final_mask:
                 return True
         return False
 

@@ -1,12 +1,14 @@
 import json
+import random
+import re
 
 import pytest
 
 from wqlang.cli import main
 from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
-from wqlang import equivalence_counterexample
+from wqlang import compile_regex, equivalence_counterexample, parse_regex
 
-from conftest import chain_slp, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
+from conftest import chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
 
 
 @pytest.fixture
@@ -246,3 +248,24 @@ def test_search_rejects_oversized_repetition(tmp_path, capsys, pattern):
     main(["compress", str(src), "-o", str(slp)])
     assert main(["search", "-e", pattern, str(slp)]) == 2
     assert "pattern needs more than" in _one_line_error(capsys)
+
+
+def test_search_counts_wide_bounded_repetition(tmp_path, capsys):
+    # an optional-copy range this wide used to exceed the transition cap
+    pattern = "foo.{0,100}bar"
+    rng = random.Random(5)
+    lines = [
+        b"foo" + bytes(rng.choice(b"abfor ") for _ in range(gap)) + rng.choice([b"bar", b"ba"])
+        for gap in range(0, 120, 3)
+    ]
+    text = b"\n".join(lines) + b"\n"
+    src = tmp_path / "c.txt"
+    src.write_bytes(text)
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    assert main(["search", "-e", pattern, str(slp)]) == 0
+    expected = count_lines_oracle(text, compile_regex(parse_regex(pattern)))
+    assert expected == sum(1 for line in lines if re.search(pattern.encode(), line))
+    assert 0 < expected < len(lines)
+    assert capsys.readouterr().out.strip() == str(expected)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -108,6 +109,42 @@ def test_compile_caps_are_exact():
     assert compile_regex(parse_regex(f"[a-p]{{{copies}}}")).state_count == copies + 1
     with pytest.raises(RegexSyntaxError):
         compile_regex(parse_regex(f"[a-p]{{{copies + 1}}}"))
+
+
+def _repetition_word(rng: random.Random, high: int, head: bytes, pieces, tail: bytes) -> bytes:
+    """Head, a run of pieces whose length is often at or just past the
+    bound, and tail; one word in three has one part replaced by a random
+    byte or dropped, so that both matches and near misses occur."""
+    count = rng.choice([rng.randint(0, high + 2), 0, 1, high - 1, high, high + 1])
+    parts = [head] + [rng.choice(pieces) for _ in range(count)] + [tail]
+    if rng.random() < 1 / 3:
+        parts[rng.randrange(len(parts))] = rng.choice([b"a", b"b", b"c", b"\n", b""])
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize(
+    "template, head, pieces, tail",
+    [
+        ("foo.{0,%d}bar", b"foo", [b"o", b"b", b"r"], b"bar"),
+        ("a{0,%d}b", b"", [b"a"], b"b"),
+        ("a{1,%d}", b"", [b"a"], b""),
+        ("(ab|c){1,%d}d", b"", [b"ab", b"c"], b"d"),
+    ],
+)
+def test_bounded_repetition_grows_linearly(template, head, pieces, tail):
+    # x{m,n} chains its optional copies, each entered only from the one
+    # before, so every further copy adds the same number of transitions
+    sizes = {}
+    for high in (25, 50, 100, 200):
+        pattern = template % high
+        nfa = compile_regex(parse_regex(pattern))
+        sizes[high] = len(nfa._triples)
+        rng = random.Random(high)
+        for _ in range(200):
+            word = _repetition_word(rng, high, head, pieces, tail)
+            assert nfa.member(word) == bool(re.fullmatch(pattern.encode(), word)), word
+    growth = [sizes[b] - sizes[a] for a, b in ((25, 50), (50, 100), (100, 200))]
+    assert growth[1] == 2 * growth[0] and growth[2] == 2 * growth[1]
 
 
 def test_compile_allow_empty_accepts_epsilon():
