@@ -21,6 +21,7 @@ iterates, purely boolean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -57,6 +58,8 @@ class QuasiorderHandle:
     Directed handles supply ``extend``, the key of the one-symbol extension
     on the working side: prepended for left handles, appended for right
     ones. Two-sided handles supply ``compose``, the key of a concatenation.
+    Keys must be hashable: the fixpoints memoize ``extend`` and ``compose``
+    on them and skip a key already offered to the same antichain.
     """
 
     direction: str  # 'left' | 'right' | 'two-sided'
@@ -155,10 +158,62 @@ def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
 # -- word-based algorithm ----------------------------------------------------
 
 
-def _vec_abs_eq(va: list[Antichain], vb: list[Antichain]) -> bool:
-    return all(
-        ac_below(a, b) and ac_below(b, a) for a, b in zip(va, vb)
-    )
+def _kleene_rounds(
+    count: int,
+    leq: Callable[[Any, Any], bool],
+    reads: list[set[int]],
+    offers: Callable[[int, list[Antichain]], Any],
+    max_iter: int,
+):
+    """Least fixpoint of a system of antichain equations, one component per
+    equation, by Kleene iteration from the empty antichains.
+
+    ``offers(v, vec)`` yields the (key, word) entries that component ``v``
+    inserts, in order, given the previous iterate; it may look only at the
+    components in ``reads[v]``. Each round rebuilds just the components
+    that read a component changed by the previous round (all of them in
+    the first round); every other component keeps its antichain object,
+    since rebuilding it from the same inputs gives the same entries. An
+    offered key equal to one already offered in the same rebuild is
+    skipped: by transitivity the antichain already holds a key below it.
+    The iteration stops when every changed component is equivalent to its
+    previous value both ways, so rounds and iterates are those of the
+    from-scratch iteration. Returns the final vector and the round count.
+    """
+    readers: list[list[int]] = [[] for _ in range(count)]
+    for v in range(count):
+        for d in reads[v]:
+            readers[d].append(v)
+    changed: list[int] | None = None
+
+    def step(vec: list[Antichain]) -> list[Antichain]:
+        nonlocal changed
+        if changed is None:
+            dirty = range(count)
+        else:
+            dirty = {r for d in changed for r in readers[d]}
+        out = list(vec)
+        changed = []
+        for v in dirty:
+            ac = Antichain(leq)
+            seen = set()
+            for key, word in offers(v, vec):
+                if key not in seen:
+                    seen.add(key)
+                    ac.insert(key, word)
+            if ac._entries != vec[v]._entries:
+                out[v] = ac
+                changed.append(v)
+        return out
+
+    def same(new: list[Antichain], old: list[Antichain]) -> bool:
+        return all(
+            a is b or (ac_below(a, b) and ac_below(b, a)) for a, b in zip(new, old)
+        )
+
+    bottom = [Antichain(leq) for _ in range(count)]
+    result = kleene(step, bottom, same, max_iter)
+    return result.value, result.iterations
 
 
 def word_fixpoint(
@@ -177,33 +232,23 @@ def word_fixpoint(
     key_eps = handle.key_of(b"")
     syms = sorted(n1.alphabet)
     base_mask = n1.final_mask if left else n1.initial_mask
-    moves: list[list[tuple[int, int]]] = [[] for _ in range(n1.state_count)]
+    moves: list[list[tuple[int, bytes, int]]] = [[] for _ in range(n1.state_count)]
     for q in range(n1.state_count):
         for sym in syms:
-            one = 1 << q
-            targets = n1.step(one, sym, True) if left else n1.step(one, sym, False)
+            targets = n1.step(1 << q, sym, left)
             for q2 in bits(targets):
-                moves[q].append((sym, q2))
+                moves[q].append((sym, bytes([sym]), q2))
+    extend = functools.cache(handle.extend)
 
-    extend = handle.extend
+    def offers(q: int, vec: list[Antichain]):
+        if base_mask >> q & 1:
+            yield key_eps, b""
+        for sym, s, q2 in moves[q]:
+            for key, word in vec[q2]:
+                yield extend(key, sym), s + word if left else word + s
 
-    def step(vec: list[Antichain]) -> list[Antichain]:
-        out = []
-        for q in range(n1.state_count):
-            ac = Antichain(handle.leq)
-            if base_mask >> q & 1:
-                ac.insert(key_eps, b"")
-            for sym, q2 in moves[q]:
-                s = bytes([sym])
-                for key, word in vec[q2]:
-                    word2 = s + word if left else word + s
-                    ac.insert(extend(key, sym), word2)
-            out.append(ac)
-        return out
-
-    bottom = [Antichain(handle.leq) for _ in range(n1.state_count)]
-    result = kleene(step, bottom, _vec_abs_eq, max_iter)
-    return result.value, result.iterations
+    reads = [{q2 for _, _, q2 in m} for m in moves]
+    return _kleene_rounds(n1.state_count, handle.leq, reads, offers, max_iter)
 
 
 def fa_inc_word(
@@ -240,20 +285,16 @@ def fa_inc_antichain(
     accepted iff every surviving set meets n2's initials.
     backward: complemented pre-sets under the dual (superset) order;
     accepted iff no surviving set contains all of n2's initials.
-    The witness is the shortest, then lexicographically least, failing word.
+    The witness is the shortest, then lexicographically least, failing word
+    among the entries that survive in the fixpoint at n1's initial states;
+    it need not be a shortest word of L(n1) - L(n2).
     """
     i2 = n2.initial_mask
     if variant == "forward":
         handle = state_handle(n2, "left")
         fails = lambda key: not (key & i2)
     elif variant == "backward":
-        full2 = (1 << n2.state_count) - 1
-        handle = QuasiorderHandle(
-            direction="left",
-            key_of=lambda w: full2 & ~n2.run(w, False),
-            leq=lambda a, b: a | b == a,
-            extend=lambda key, sym: full2 & ~n2.step(full2 & ~key, sym, False),
-        )
+        handle = _backward_state_handle(n2)
         fails = lambda key: key & i2 == i2
     else:
         raise ValueError(f"bad variant {variant!r}")
@@ -261,9 +302,22 @@ def fa_inc_antichain(
     return _key_verdict((e for q in bits(n1.initial_mask) for e in vec[q]), fails)
 
 
+def _backward_state_handle(n2: Nfa) -> QuasiorderHandle:
+    """Complemented pre-sets of n2's finals under the superset order."""
+    full2 = (1 << n2.state_count) - 1
+    return QuasiorderHandle(
+        direction="left",
+        key_of=lambda w: full2 & ~n2.run(w, False),
+        leq=lambda a, b: a | b == a,
+        extend=lambda key, sym: full2 & ~n2.step(full2 & ~key, sym, False),
+    )
+
+
 def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
-    """Included iff no (key, word) entry fails; otherwise the shortest, then
-    lexicographically least, failing word is the witness."""
+    """Included iff no (key, word) entry fails; otherwise the witness is the
+    shortest, then lexicographically least, word of a failing entry. Only
+    the given entries are searched, so a shorter counterexample that the
+    fixpoint subsumed under another key is not found."""
     failing = [word for key, word in entries if fails(key)]
     if not failing:
         return Verdict(True)
@@ -368,23 +422,17 @@ def cfg_word_fixpoint(
         raise ValueError("grammar fixpoints need a two-sided quasiorder")
     base, rules = _grammar_parts(g)
     base_keyed = [[(handle.key_of(w), w) for w in words] for words in base]
+    compose = functools.cache(handle.compose)
 
-    def step(vec: list[Antichain]) -> list[Antichain]:
-        out = []
-        for v in range(g.variable_count):
-            ac = Antichain(handle.leq)
-            for key, word in base_keyed[v]:
-                ac.insert(key, word)
-            for y, z in rules[v]:
-                for k1, w1 in vec[y]:
-                    for k2, w2 in vec[z]:
-                        ac.insert(handle.compose(k1, k2), w1 + w2)
-            out.append(ac)
-        return out
+    def offers(v: int, vec: list[Antichain]):
+        yield from base_keyed[v]
+        for y, z in rules[v]:
+            for k1, w1 in vec[y]:
+                for k2, w2 in vec[z]:
+                    yield compose(k1, k2), w1 + w2
 
-    bottom = [Antichain(handle.leq) for _ in range(g.variable_count)]
-    result = kleene(step, bottom, _vec_abs_eq, max_iter)
-    return result.value, result.iterations
+    reads = [{x for rule in r for x in rule} for r in rules]
+    return _kleene_rounds(g.variable_count, handle.leq, reads, offers, max_iter)
 
 
 def cfg_inc_word(
@@ -409,7 +457,8 @@ def cfg_inc_antichain(
     """State-based antichain inclusion check of L(g) in L(n):
     ``cfg_word_fixpoint`` under the state-pair order (``ctx_handle``).
     Accepts iff every surviving relation of the axiom connects an initial to
-    a final state; the witness is the shortest, then least, failing word."""
+    a final state; the witness is the shortest, then least, word of a
+    failing entry that survives at the axiom."""
 
     def fails(rel: tuple[int, ...]) -> bool:
         return not any(rel[p] & n.final_mask for p in bits(n.initial_mask))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .automata import Dfa, Nfa, Ocn, bits
 
 __all__ = [
-    "state_key",
     "SimRelation",
     "max_simulation",
     "sim_leq",
@@ -22,11 +21,9 @@ __all__ = [
     "residual_state",
     "residual_next",
     "residual_order",
-    "nerode_leq",
     "myhill_key",
     "myhill_compose",
     "myhill_order",
-    "myhill_leq",
     "ctx_key",
     "ctx_identity",
     "ctx_compose",
@@ -35,16 +32,6 @@ __all__ = [
     "macro_step",
     "macro_leq",
 ]
-
-
-def state_key(n: Nfa, word: bytes, direction: str) -> int:
-    """Right: post_word of the initial states. Left: pre_word of the final
-    states. Keys are compared by plain bitmask inclusion."""
-    if direction == "right":
-        return n.run(word, True)
-    if direction == "left":
-        return n.run(word, False)
-    raise ValueError(f"bad direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -157,21 +144,6 @@ def residual_order(min_dfa: Dfa):
     return leq
 
 
-def nerode_leq(min_dfa: Dfa, u: bytes, v: bytes, direction: str = "right") -> bool:
-    """Residual-language comparison through the minimal DFA.
-
-    Right: u^{-1}L <= v^{-1}L on the minimal DFA of L. Left: the caller
-    passes the minimal DFA of the reversed language and the comparison runs
-    on reversed words, using the quotient/reversal duality.
-    """
-    if direction == "left":
-        u, v = u[::-1], v[::-1]
-    elif direction != "right":
-        raise ValueError(f"bad direction {direction!r}")
-    leq = residual_order(min_dfa)
-    return leq(residual_state(min_dfa, u), residual_state(min_dfa, v))
-
-
 def myhill_key(min_dfa: Dfa, word: bytes) -> tuple[int, ...]:
     """The word's action on the minimal DFA: state p maps to the state
     reached from p by the word, or DEAD when the DFA falls off."""
@@ -186,17 +158,6 @@ def myhill_order(min_dfa: Dfa):
     """Context inclusion on actions: the residual order, pointwise."""
     leq = residual_order(min_dfa)
     return lambda a, b: all(map(leq, a, b))
-
-
-def myhill_leq(min_dfa: Dfa, u, v) -> bool:
-    """Context inclusion: for every state p, the residual after reading u
-    from p is included in the residual after reading v from p.
-
-    ``u``/``v`` may be words or precomputed keys.
-    """
-    ku = myhill_key(min_dfa, u) if isinstance(u, bytes) else u
-    kv = myhill_key(min_dfa, v) if isinstance(v, bytes) else v
-    return myhill_order(min_dfa)(ku, kv)
 
 
 # -- state-pair contexts (relations q -word-> q') --------------------------

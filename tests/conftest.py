@@ -1,5 +1,6 @@
 """Shared fixtures: the worked-example machines, random generators, and
-independent oracles (bounded enumeration, configuration search, scan)."""
+independent oracles (bounded enumeration, configuration search, scan,
+from-scratch Kleene iteration)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 from wqlang import CnfGrammar, Nfa, Ocn, Slp
 from wqlang.automata import bits
+from wqlang.fixpoint import Antichain, ac_below, kleene
 from wqlang.slpsearch.slp import rule_id
 
 A, B, C = ord("a"), ord("b"), ord("c")
@@ -254,6 +256,68 @@ def ocn_trace_oracle(o: Ocn, start: tuple[int, int], word: bytes) -> bool:
         if not configs:
             return False
     return True
+
+
+def _abs_eq(va, vb) -> bool:
+    return all(ac_below(a, b) and ac_below(b, a) for a, b in zip(va, vb))
+
+
+def word_step_oracle(n1: Nfa, handle):
+    """One from-scratch Kleene round of ``word_fixpoint``: every state's
+    antichain is rebuilt from the previous iterate, every key inserted."""
+    left = handle.direction == "left"
+    base_mask = n1.final_mask if left else n1.initial_mask
+
+    def step(vec):
+        out = []
+        for q in range(n1.state_count):
+            ac = Antichain(handle.leq)
+            if base_mask >> q & 1:
+                ac.insert(handle.key_of(b""), b"")
+            for sym in sorted(n1.alphabet):
+                s = bytes([sym])
+                for q2 in bits(n1.step(1 << q, sym, left)):
+                    for key, word in vec[q2]:
+                        ac.insert(handle.extend(key, sym), s + word if left else word + s)
+            out.append(ac)
+        return out
+
+    return step
+
+
+def word_fixpoint_oracle(n1: Nfa, handle, max_iter: int = 1 << 20):
+    """``word_fixpoint`` recomputed from scratch on every round, stopping
+    when two iterates are equivalent both ways on every state."""
+    bottom = [Antichain(handle.leq) for _ in range(n1.state_count)]
+    result = kleene(word_step_oracle(n1, handle), bottom, _abs_eq, max_iter)
+    return result.value, result.iterations
+
+
+def cfg_word_fixpoint_oracle(g: CnfGrammar, handle, max_iter: int = 1 << 20):
+    """``cfg_word_fixpoint`` recomputed from scratch on every round."""
+    base = []
+    for v in range(g.variable_count):
+        words = [bytes([t]) for t in sorted(g.terminal_rules.get(v, ()))]
+        if v == 0 and g.axiom_nullable:
+            words.insert(0, b"")
+        base.append(words)
+
+    def step(vec):
+        out = []
+        for v in range(g.variable_count):
+            ac = Antichain(handle.leq)
+            for word in base[v]:
+                ac.insert(handle.key_of(word), word)
+            for y, z in sorted(g.binary_rules.get(v, ())):
+                for k1, w1 in vec[y]:
+                    for k2, w2 in vec[z]:
+                        ac.insert(handle.compose(k1, k2), w1 + w2)
+            out.append(ac)
+        return out
+
+    bottom = [Antichain(handle.leq) for _ in range(g.variable_count)]
+    result = kleene(step, bottom, _abs_eq, max_iter)
+    return result.value, result.iterations
 
 
 def factor_scanner(nfa: Nfa):

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from wqlang import Antichain, ac_below, kleene, minor
 from wqlang.fixpoint import KleeneDivergence
 
+from conftest import word_step_oracle
+
 subset = lambda a, b: a <= b
 
 sets = st.frozensets(st.integers(min_value=0, max_value=5), max_size=4)
@@ -113,10 +115,11 @@ def test_word_antichain_iterates_nondecreasing(fig42_n1, fig42_n2):
 
     handle = state_handle(fig42_n2, "left")
     vec, _ = word_fixpoint(fig42_n1, handle)
+    step = word_step_oracle(fig42_n1, handle)
     # replay the iteration manually and compare successive iterates
     prev = [Antichain(handle.leq) for _ in range(fig42_n1.state_count)]
     for _ in range(6):
-        nxt = _step_once(fig42_n1, handle, prev)
+        nxt = step(prev)
         for a, b in zip(prev, nxt):
             assert ac_below(a, b, handle.leq)
         prev = nxt
@@ -124,20 +127,3 @@ def test_word_antichain_iterates_nondecreasing(fig42_n1, fig42_n2):
     # equivalent keys, so compare in the antichain order
     for a, b in zip(prev, vec):
         assert ac_below(a, b, handle.leq) and ac_below(b, a, handle.leq)
-
-
-def _step_once(n1, handle, vec):
-    from wqlang.automata import bits
-
-    out = []
-    for q in range(n1.state_count):
-        ac = Antichain(handle.leq)
-        if n1.final_mask >> q & 1:
-            ac.insert(handle.key_of(b""), b"")
-        for sym in sorted(n1.alphabet):
-            for q2 in bits(n1.step(1 << q, sym, True)):
-                for key, word in vec[q2]:
-                    word2 = bytes([sym]) + word
-                    ac.insert(handle.extend(key, sym), word2)
-        out.append(ac)
-    return out

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wqlang import (
     CnfGrammar,
     Nfa,
@@ -19,11 +21,21 @@ from wqlang import (
     sim_handle,
     state_handle,
 )
-from wqlang.fixpoint import ac_below
-from wqlang.inclusion import cfg_word_fixpoint, word_fixpoint
+from wqlang.fixpoint import KleeneDivergence, ac_below
+from wqlang.inclusion import _backward_state_handle, cfg_word_fixpoint, word_fixpoint
 from wqlang.quasiorder import ctx_key
 
-from conftest import A, B, C, ocn_trace_oracle, rand_cnf, rand_nfa, rand_word
+from conftest import (
+    A,
+    B,
+    C,
+    cfg_word_fixpoint_oracle,
+    ocn_trace_oracle,
+    rand_cnf,
+    rand_nfa,
+    rand_word,
+    word_fixpoint_oracle,
+)
 
 
 def words_of(vec):
@@ -252,3 +264,82 @@ def test_ocn_random_agreement():
         else:
             assert n.member(verdict.witness)
             assert not ocn_trace_oracle(o, (0, 1), verdict.witness)
+
+
+# -- incremental rounds against the from-scratch iteration ------------------------
+
+
+def entries_and_rounds(result):
+    vec, iterations = result
+    return [ac._entries for ac in vec], iterations
+
+
+def test_word_fixpoint_matches_from_scratch_oracle():
+    rng = random.Random(45)
+    for _ in range(30):
+        density = rng.choice((0.2, 0.3, 0.45))
+        n1 = rand_nfa(rng, max_states=8, density=density)
+        n2 = rand_nfa(rng, max_states=8, density=density)
+        handles = [
+            make(n2, direction)
+            for make in (state_handle, nerode_handle, sim_handle)
+            for direction in ("left", "right")
+        ]
+        handles += [_backward_state_handle(n2), ocn_handle(rand_ocn(rng), (0, 1))]
+        for handle in handles:
+            assert entries_and_rounds(word_fixpoint(n1, handle)) == entries_and_rounds(
+                word_fixpoint_oracle(n1, handle)
+            )
+
+
+def test_cfg_word_fixpoint_matches_from_scratch_oracle():
+    rng = random.Random(46)
+    for _ in range(40):
+        g = rand_cnf(rng, max_vars=8)
+        n = rand_nfa(rng, max_states=8, density=rng.choice((0.2, 0.3)))
+        for handle in (ctx_handle(n), myhill_handle(n)):
+            assert entries_and_rounds(cfg_word_fixpoint(g, handle)) == entries_and_rounds(
+                cfg_word_fixpoint_oracle(g, handle)
+            )
+
+
+def test_iteration_cap_counts_the_same_rounds():
+    # the smallest caps that let these fixpoints finish, computed with the
+    # from-scratch iteration: the cap still counts every round
+    rng = random.Random(93)
+    n1 = rand_nfa(rng, max_states=8, density=0.3)
+    n2 = rand_nfa(rng, max_states=8, density=0.3)
+    run_nfa = lambda cap: word_fixpoint(n1, state_handle(n2, "left"), cap)
+    rng = random.Random(41)
+    g = rand_cnf(rng, max_vars=5)
+    n = rand_nfa(rng, max_states=6, density=0.3)
+    run_cfg = lambda cap: cfg_word_fixpoint(g, ctx_handle(n), cap)
+    for run, cap in ((run_nfa, 6), (run_cfg, 9)):
+        assert run(cap)[1] == cap + 1
+        with pytest.raises(KleeneDivergence):
+            run(cap - 1)
+
+
+def test_witnesses_fail_and_are_no_shorter_than_naive():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(150):
+        n1 = rand_nfa(rng, max_states=6)
+        n2 = rand_nfa(rng, max_states=6)
+        shortest = naive_inclusion(n1, n2)
+        verdicts = [
+            fa_inc_antichain(n1, n2, "forward"),
+            fa_inc_antichain(n1, n2, "backward"),
+            fa_inc_word(n1, state_handle(n2, "left"), n2.member),
+            fa_inc_word(n1, state_handle(n2, "right"), n2.member),
+            fa_inc_word(n1, nerode_handle(n2, "left"), n2.member),
+            fa_inc_word(n1, sim_handle(n2, "left"), n2.member),
+        ]
+        for verdict in verdicts:
+            assert verdict.included == shortest.included
+            if not verdict.included:
+                assert n1.member(verdict.witness)
+                assert not n2.member(verdict.witness)
+                assert len(verdict.witness) >= len(shortest.witness)
+                checked += 1
+    assert checked > 100

@@ -1,6 +1,6 @@
 import random
 
-from wqlang import Nfa, naive_inclusion
+from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, state_handle
 from wqlang.quasiorder import (
     ctx_compose,
     ctx_identity,
@@ -9,12 +9,9 @@ from wqlang.quasiorder import (
     macro_leq,
     macro_step,
     max_simulation,
-    myhill_leq,
-    nerode_leq,
     ocn_macro,
     residual_inclusion_matrix,
     sim_leq,
-    state_key,
 )
 
 from conftest import A, B, C, ocn_trace_oracle, rand_nfa, rand_word, set_of
@@ -24,9 +21,13 @@ def min_dfa(n):
     return n.determinize().minimize()
 
 
+def handle_leq(handle, u: bytes, v: bytes) -> bool:
+    return handle.leq(handle.key_of(u), handle.key_of(v))
+
+
 def test_state_key_fig42(fig42_n2):
-    assert set_of(state_key(fig42_n2, b"ac", "left")) == {0, 1}
-    assert set_of(state_key(fig42_n2, b"", "right")) == {0}
+    assert set_of(state_handle(fig42_n2, "left").key_of(b"ac")) == {0, 1}
+    assert set_of(state_handle(fig42_n2, "right").key_of(b"")) == {0}
 
 
 def test_state_key_monotone():
@@ -94,7 +95,7 @@ def test_quasiorder_containment_chain():
     for _ in range(15):
         n = rand_nfa(rng, max_states=5)
         sim = max_simulation(n, "right")
-        m = min_dfa(n)
+        nerode = nerode_handle(n, "right")
         words = [rand_word(rng, 4) for _ in range(10)]
         for u in words:
             for v in words:
@@ -102,31 +103,31 @@ def test_quasiorder_containment_chain():
                 if ku & kv == ku:
                     assert sim_leq(ku, kv, sim)
                 if sim_leq(ku, kv, sim):
-                    assert nerode_leq(m, u, v, "right")
+                    assert handle_leq(nerode, u, v)
 
 
 def test_nerode_left_fig42(fig42_n2):
-    m_rev = min_dfa(fig42_n2.reverse())
-    assert nerode_leq(m_rev, b"c", b"a", "left")
-    assert nerode_leq(m_rev, b"c", b"b", "left")
-    assert not nerode_leq(m_rev, b"a", b"c", "left")
+    nerode = nerode_handle(fig42_n2, "left")
+    assert handle_leq(nerode, b"c", b"a")
+    assert handle_leq(nerode, b"c", b"b")
+    assert not handle_leq(nerode, b"a", b"c")
     # bb is in the language but ba is not, so the left quotient of b is not
     # inside that of a; brute force confirms
     assert fig42_n2.member(b"bb") and not fig42_n2.member(b"ba")
-    assert not nerode_leq(m_rev, b"b", b"a", "left")
+    assert not handle_leq(nerode, b"b", b"a")
 
 
 def test_nerode_reflexive(fig42_n2):
-    m = min_dfa(fig42_n2)
+    nerode = nerode_handle(fig42_n2, "right")
     for w in (b"", b"a", b"ab"):
-        assert nerode_leq(m, w, w, "right")
+        assert handle_leq(nerode, w, w)
 
 
 def test_nerode_agrees_with_quotient_enumeration():
     rng = random.Random(25)
     for _ in range(10):
         n = rand_nfa(rng, max_states=4)
-        m = min_dfa(n)
+        nerode = nerode_handle(n, "right")
         words = [rand_word(rng, 3) for _ in range(6)]
         suffixes = [rand_word(rng, 4) for _ in range(40)] + [b""]
         for u in words:
@@ -134,23 +135,23 @@ def test_nerode_agrees_with_quotient_enumeration():
                 brute = all(
                     n.member(v + s) for s in suffixes if n.member(u + s)
                 )
-                if nerode_leq(m, u, v, "right"):
+                if handle_leq(nerode, u, v):
                     assert brute
                 # bounded-suffix disagreement refutes the quasiorder
                 if not brute:
-                    assert not nerode_leq(m, u, v, "right")
+                    assert not handle_leq(nerode, u, v)
 
 
 def test_myhill_example(fig43):
-    m = min_dfa(fig43)
-    assert myhill_leq(m, b"a", b"ba")
-    assert myhill_leq(m, b"", b"b")
-    assert myhill_leq(m, b"ab", b"ab")
+    myhill = myhill_handle(fig43)
+    assert handle_leq(myhill, b"a", b"ba")
+    assert handle_leq(myhill, b"", b"b")
+    assert handle_leq(myhill, b"ab", b"ab")
 
 
 def test_myhill_agrees_with_context_enumeration(fig43):
     rng = random.Random(26)
-    m = min_dfa(fig43)
+    myhill = myhill_handle(fig43)
     contexts = [(rand_word(rng, 3), rand_word(rng, 3)) for _ in range(60)]
     words = [b"", b"a", b"b", b"ab", b"ba", b"aa", b"bb"]
     for u in words:
@@ -158,7 +159,7 @@ def test_myhill_agrees_with_context_enumeration(fig43):
             brute = all(
                 fig43.member(x + v + y) for x, y in contexts if fig43.member(x + u + y)
             )
-            if myhill_leq(m, u, v):
+            if handle_leq(myhill, u, v):
                 assert brute
 
 
@@ -196,29 +197,29 @@ def test_nerode_is_coarsest():
     rng = random.Random(29)
     for _ in range(15):
         n = rand_nfa(rng, max_states=4)
-        m = min_dfa(n)
+        nerode = nerode_handle(n, "right")
         words = [rand_word(rng, 3) for _ in range(8)]
         for u in words:
             for v in words:
                 ku, kv = n.run(u, True), n.run(v, True)
                 if ku & kv == ku:
-                    assert nerode_leq(m, u, v, "right")
+                    assert handle_leq(nerode, u, v)
 
 
 def test_language_consistency_of_all_quasiorders():
     rng = random.Random(30)
     for _ in range(10):
         n = rand_nfa(rng, max_states=4)
-        m = min_dfa(n)
-        m_rev = min_dfa(n.reverse())
+        nerode_r, nerode_l = nerode_handle(n, "right"), nerode_handle(n, "left")
+        myhill = myhill_handle(n)
         sim_r = max_simulation(n, "right")
         words = [rand_word(rng, 4) for _ in range(12)]
         for u in words:
             for v in words:
                 if n.member(u) and not n.member(v):
-                    assert not nerode_leq(m, u, v, "right")
-                    assert not nerode_leq(m_rev, u, v, "left")
-                    assert not myhill_leq(m, u, v)
+                    assert not handle_leq(nerode_r, u, v)
+                    assert not handle_leq(nerode_l, u, v)
+                    assert not handle_leq(myhill, u, v)
                     assert not sim_leq(n.run(u, True), n.run(v, True), sim_r)
                     ku, kv = n.run(u, True), n.run(v, True)
                     assert ku & kv != ku
