@@ -1,16 +1,20 @@
 """Search on grammar-compressed text without decompression.
 
 Compressed search is grammar inclusion on a grammar with exactly one
-derivation. One bottom-up pass over the SLP computes, per binary rule, the
-relation the automaton realizes across the rule's expansion, stored like
-``quasiorder.ctx_key`` as one successor mask per state, with a skipped
-prefix allowed at initial states and a skipped suffix at final states.
-Every composition is the image of a state set across a relation. The axiom
-and the lines found while reporting are folded as one state set, the
-states reached from the initial states, because only those rows are ever
-read. A counting tuple per symbol gives the number of matching lines, and
-the lines are reported by a lazy top-down walk that only expands subtrees
-overlapping a matching line.
+derivation, seen from the left: the engine walks the axiom left to right
+and carries one context, the set of automaton states reached in the
+current line. Before each byte the initial states join the context; a
+context that meets the final states becomes ``MATCHED``; and a newline
+closes the line, counting it when its context is ``MATCHED``, and starts
+the next one. Each (symbol, entry context) is evaluated once, to its exit
+context and the number of matching lines it closes, so the work is
+proportional to the distinct pairs the walk meets, never to the text
+length times the automaton size. Matching lines are reported by a second
+walk through the same memo that expands only rules containing a newline.
+This is the standard technique of computing over an SLP by memoizing per
+rule and context (Lohrey, "Algorithmics on SLP-compressed strings: a
+survey", 2012; Navarro, "Regular expression searching on compressed
+text", J. Discrete Algorithms 2003).
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from ..automata import Nfa
-from ..quasiorder import ctx_of_symbol
-from .slp import Expander, Slp, id_to_rule
+from .slp import TERMINALS, Expander, Slp, rule_id
 
 __all__ = [
     "CountingInfo",
@@ -62,13 +65,18 @@ def matching_line_total(c: CountingInfo) -> int:
     return c.closed + (1 if c.first else 0) + (1 if c.newline and c.last else 0)
 
 
+MATCHED = -1
+"""The context of a line that already contains a match."""
+
+
 @dataclass
 class SearchStats:
     """Instrumentation for the complexity checks. ``compose_steps`` counts
-    compositions: one per binary rule, per axiom symbol after the first and
-    per line segment after the first. ``inner_iters`` counts the state bits
-    the image kernel visits, at most ``s`` per image, so a binary rule costs
-    O(s^2) and a folded symbol O(s)."""
+    memo misses on rules, each the evaluation of a rule from an entry
+    context not seen before, plus one per axiom symbol walked after the
+    first; a walk of an n-byte text makes at most n of them. ``inner_iters``
+    counts the state bits that terminal steps visit, at most ``s`` per
+    distinct (byte, context) pair."""
 
     compose_steps: int = 0
     inner_iters: int = 0
@@ -77,17 +85,19 @@ class SearchStats:
 
 
 class SearchEngine:
-    """Bottom-up relation/counting pass of one SLP against one automaton.
+    """Directed left-to-right walk of one SLP's axiom against one automaton.
 
-    The automaton must be free of epsilon transitions. For counting the
-    automaton may not read the newline byte: lines are delimited by it and
-    matches never cross them, while the implicit skip-loops at initial and
-    final states do consume newlines, and the automaton must reject the
-    empty word.
+    The automaton must be free of epsilon transitions. When it does not read
+    the newline byte, newlines delimit lines and matches never cross them;
+    counting and reporting lines also need it to reject the empty word.
+    When it reads the newline byte, the newline is an ordinary symbol, a
+    reached final state stays reached, and only ``match_exists`` is defined.
 
-    ``rule_rel`` holds the relation of each binary rule as a tuple of
-    successor masks; the axiom is summarized by the set of states reached
-    from the initial states across the whole text.
+    The walk runs on construction. Contexts are state masks with the
+    initial states added, or ``MATCHED``. ``evaluate`` memoizes each
+    (symbol, entry context), terminals and rules in one table, as (exit
+    context, closed matching lines), and
+    ``rule_info`` derives the per-rule counting tuples from it on first use.
     """
 
     def __init__(self, slp: Slp, nfa: Nfa):
@@ -96,136 +106,168 @@ class SearchEngine:
         self.stats = SearchStats(
             automaton_states=nfa.state_count, rules=slp.rule_count
         )
-        self._imask = nfa.initial_mask
-        self._fmask = nfa.final_mask
-        # states a boundary-crossing match passes at the boundary
-        self._middle = ((1 << nfa.state_count) - 1) & ~(self._imask | self._fmask)
-        self._terminals: dict[int, tuple[tuple[int, ...], CountingInfo]] = {}
-        self.rule_rel: list[tuple[int, ...]] = []
-        self.rule_info: list[CountingInfo] = []
-        self._run()
+        # a newline closes the line only when the automaton cannot read it
+        self._lines = NEWLINE not in nfa.alphabet
+        self._start = self._context(0)
+        self._memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self._info: list[CountingInfo] | None = None
+        self._exit, self._closed = self._walk(slp.axiom, self._start)
 
-    # -- per-symbol access ----------------------------------------------
+    # -- the walk ------------------------------------------------------------
 
-    def relation(self, sym: int) -> tuple[int, ...]:
-        r = id_to_rule(sym)
-        return self.rule_rel[r] if r >= 0 else self._terminal(sym)[0]
+    def _context(self, reached: int) -> int:
+        """Context after reaching ``reached``: the initial states join it,
+        and one that meets the final states is ``MATCHED``."""
+        reached |= self.nfa.initial_mask
+        return MATCHED if reached & self.nfa.final_mask else reached
 
-    def info(self, sym: int) -> CountingInfo:
-        r = id_to_rule(sym)
-        return self.rule_info[r] if r >= 0 else self._terminal(sym)[1]
+    def _leaf(self, sym: int, ctx: int) -> tuple[int, int]:
+        """Exit of a step that needs no descent: a terminal, or any symbol
+        entered in ``MATCHED`` when newlines are ordinary symbols."""
+        if sym == NEWLINE and self._lines:
+            return self._start, int(ctx == MATCHED)
+        if ctx == MATCHED:
+            return MATCHED, 0
+        self.stats.inner_iters += ctx.bit_count()
+        return self._context(self.nfa.step(ctx, sym)), 0
 
-    def _terminal(self, byte: int) -> tuple[tuple[int, ...], CountingInfo]:
-        entry = self._terminals.get(byte)
-        if entry is None:
-            hit = bool(self.nfa.step(self._imask, byte, True) & self._fmask)
-            info = CountingInfo(byte == NEWLINE, hit, hit, 0)
-            entry = self._terminals[byte] = (ctx_of_symbol(self.nfa, byte), info)
-        return entry
+    def evaluate(self, sym: int, ctx: int) -> tuple[int, int]:
+        """Exit context and number of closed matching lines of ``sym``'s
+        expansion entered in ``ctx``, memoized. A rule is its left child,
+        then its right child from the left child's exit; pending rules wait
+        on an explicit stack, so grammar depth is not bounded by the
+        interpreter's recursion limit."""
+        memo, rules, lines = self._memo, self.slp.rules, self._lines
+        # (rule, entry context, closed lines of its left child, or -1 while
+        # the left child is still being evaluated)
+        pending: list[tuple[int, int, int]] = []
+        while True:
+            hit = memo.get((sym, ctx))
+            if hit is None:
+                if sym > TERMINALS and (lines or ctx != MATCHED):
+                    self.stats.compose_steps += 1
+                    pending.append((sym, ctx, -1))
+                    sym = rules[sym - TERMINALS - 1][0]
+                    continue
+                hit = memo[sym, ctx] = self._leaf(sym, ctx)
+            out, closed = hit
+            while pending:
+                parent, entry, left = pending.pop()
+                if left < 0:
+                    pending.append((parent, entry, closed))
+                    sym, ctx = rules[parent - TERMINALS - 1][1], out
+                    break
+                closed += left
+                memo[parent, entry] = (out, closed)
+            else:
+                return out, closed
 
-    # -- the image kernel --------------------------------------------------
+    def _walk(self, symbols: Sequence[int], ctx: int) -> tuple[int, int]:
+        """``evaluate`` of the concatenation of ``symbols``."""
+        self.stats.compose_steps += len(symbols) - 1
+        memo, evaluate = self._memo, self.evaluate
+        closed = 0
+        for sym in symbols:
+            hit = memo.get((sym, ctx))
+            if hit is None:
+                hit = evaluate(sym, ctx)
+            ctx = hit[0]
+            closed += hit[1]
+        return ctx, closed
 
-    def _image(self, states: int, rel: tuple[int, ...]) -> int:
-        """States reached from ``states`` across ``rel``, where final states
-        may also stay put (the skip loop over a suffix)."""
-        self.stats.inner_iters += states.bit_count()
-        out = states & self._fmask
-        while states:
-            low = states & -states
-            out |= rel[low.bit_length() - 1]
-            states ^= low
-        return out
-
-    def _crosses(self, reached: int, rel: tuple[int, ...]) -> bool:
-        """Does a match cross into ``rel`` from ``reached``, the states the
-        left part reaches from the initial states, through a boundary state
-        that is neither initial nor final?"""
-        return bool(self._image(reached & self._middle, rel) & self._fmask)
-
-    # -- the bottom-up pass ----------------------------------------------
-
-    def _rule(self, a: int, b: int) -> tuple[tuple[int, ...], CountingInfo]:
-        """Relation and counting tuple of the binary rule ``a b``: each row is
-        the image across ``b`` of its row across ``a``, plus the state itself
-        at an initial state (the skip loop over a prefix)."""
-        self.stats.compose_steps += 1
-        rel_a, rel_b = self.relation(a), self.relation(b)
-        imask = self._imask
-        rows = [row | ((1 << p) & imask) for p, row in enumerate(rel_a)]
-        # a list first: tuple() of a generator reallocates as it grows
-        rel = tuple([self._image(row, rel_b) if row else 0 for row in rows])
-        crosses = self._crosses(self._image(imask, rel_a), rel_b)
-        return rel, combine_counting(self.info(a), self.info(b), crosses)
-
-    def _fold(self, symbols: Sequence[int]) -> tuple[int, CountingInfo]:
-        """States reached from the initial states across the concatenation
-        of ``symbols``, and its counting tuple."""
-        reached = self._image(self._imask, self.relation(symbols[0]))
-        info = self.info(symbols[0])
-        for sym in symbols[1:]:
-            self.stats.compose_steps += 1
-            rel = self.relation(sym)
-            info = combine_counting(info, self.info(sym), self._crosses(reached, rel))
-            reached = self._image(reached | self._imask, rel)
-        return reached, info
-
-    def _run(self) -> None:
+    def _newlines(self) -> list[bool]:
+        """Whether each rule's expansion contains a newline, bottom-up."""
+        has: list[bool] = []
         for a, b in self.slp.rules[:-1]:
-            rel, info = self._rule(a, b)
-            self.rule_rel.append(rel)
-            self.rule_info.append(info)
-        self._reached, info = self._fold(self.slp.axiom)
-        self.rule_info.append(info)
+            has.append(
+                (has[a - TERMINALS - 1] if a > TERMINALS else a == NEWLINE)
+                or (has[b - TERMINALS - 1] if b > TERMINALS else b == NEWLINE)
+            )
+        has.append(
+            any(has[s - TERMINALS - 1] if s > TERMINALS else s == NEWLINE for s in self.slp.axiom)
+        )
+        return has
 
     # -- results -----------------------------------------------------------
 
     def match_exists(self) -> bool:
-        return bool(self._reached & self._fmask)
+        return self._exit == MATCHED or self._closed > 0
 
     def line_count(self) -> int:
-        return matching_line_total(self.rule_info[-1])
+        _require_line_automaton(self.nfa)
+        return self._closed + (self._exit == MATCHED)
 
-    # -- lazy reporting ------------------------------------------------------
+    @property
+    def rule_info(self) -> list[CountingInfo]:
+        """Counting tuple of each rule, the axiom last. A rule with a newline
+        entered in ``MATCHED`` closes ``1 + closed`` lines and entered at a
+        line start ``first + closed``; its exit context says whether its
+        last line matches. A rule without a newline has one line."""
+        if self._info is None:
+            _require_line_automaton(self.nfa)
+            last_rule = self.slp.rule_count - 1
+
+            def run(r: int, ctx: int) -> tuple[int, int]:
+                if r == last_rule:
+                    return self._walk(self.slp.axiom, ctx)
+                return self.evaluate(rule_id(r), ctx)
+
+            self._info = []
+            for r, newline in enumerate(self._newlines()):
+                out, from_start = run(r, self._start)
+                hit = out == MATCHED
+                if newline:
+                    from_matched = run(r, MATCHED)[1]
+                    info = CountingInfo(True, from_start == from_matched, hit, from_matched - 1)
+                else:
+                    info = CountingInfo(False, hit, hit, 0)
+                self._info.append(info)
+        return self._info
 
     def report(self) -> Iterator[tuple[int, bytes]]:
-        """Matching lines in order as (line number, line bytes); subtrees
-        without newlines stay unexpanded until their line is known to
-        match. Matching lines are expanded by one ``Expander``, so a rule is
-        walked once however many lines use it and deep rules need no
-        recursion."""
+        """Matching lines in order as (line number, line bytes), lazily.
+
+        A second walk through the memo expands only rules that contain a
+        newline; the others stay segments of their line, whose context
+        says whether it matches. Matching lines are expanded by one
+        ``Expander``, so a rule is walked once however many lines use it
+        and deep rules need no recursion."""
+        _require_line_automaton(self.nfa)
+        return self._matching_lines()
+
+    def _matching_lines(self) -> Iterator[tuple[int, bytes]]:
+        newline = self._newlines()
+        rules, memo, evaluate = self.slp.rules, self._memo, self.evaluate
         expander = Expander(self.slp)
         segments: list[int] = []
-        line_no = 1
 
-        def flush() -> bytes | None:
-            if not segments or not self._fold(segments)[0] & self._fmask:
-                return None
+        def text() -> bytes:
             start = len(expander.out)
             expander.append(segments)
             return bytes(expander.out[start:])
 
-        stack: list[int] = list(reversed(self.slp.axiom))
+        line_no, ctx = 1, self._start
+        stack = list(reversed(self.slp.axiom))
         while stack:
             sym = stack.pop()
-            r = id_to_rule(sym)
-            if r < 0:
-                if sym == NEWLINE:
-                    line = flush()
-                    if line is not None:
-                        yield line_no, line
-                    segments.clear()
-                    line_no += 1
-                else:
-                    segments.append(sym)
-            elif not self.rule_info[r].newline:
-                segments.append(sym)
-            else:
-                a, b = self.slp.rules[r]
+            r = sym - TERMINALS - 1
+            if r >= 0 and newline[r]:
+                a, b = rules[r]
                 stack.append(b)
                 stack.append(a)
-        line = flush()
-        if line is not None:
-            yield line_no, line
+            elif sym == NEWLINE:
+                if ctx == MATCHED:
+                    yield line_no, text()
+                segments.clear()
+                line_no += 1
+                ctx = self._start
+            else:
+                segments.append(sym)
+                if ctx != MATCHED:
+                    hit = memo.get((sym, ctx))
+                    ctx = (hit if hit is not None else evaluate(sym, ctx))[0]
+        if ctx == MATCHED:
+            yield line_no, text()
 
 
 def _require_line_automaton(nfa: Nfa) -> None:
@@ -243,11 +285,9 @@ def slp_match_exists(p: Slp, n: Nfa) -> bool:
 def count_lines(p: Slp, n: Nfa) -> int:
     """Number of newline-delimited lines of the decompressed text containing
     a factor accepted by ``n``."""
-    _require_line_automaton(n)
     return SearchEngine(p, n).line_count()
 
 
 def report_lines(p: Slp, n: Nfa) -> Iterator[tuple[int, bytes]]:
     """The matching lines themselves, lazily, as (line number, bytes)."""
-    _require_line_automaton(n)
     return SearchEngine(p, n).report()

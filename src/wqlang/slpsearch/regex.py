@@ -413,13 +413,21 @@ class _Builder:
             if node.low == 0 and node.high == 0:
                 return _Frag([], set(), [], set(), True)
             copies = [self.build(node.inner) for _ in range(node.high)]
+            low = node.low
+            if copies[0].eps:
+                # x{m,n} with x nullable is (x minus the empty word){0,n}:
+                # nullable copies would each be enterable from every earlier
+                # one, which takes quadratically many transitions
+                for copy in copies:
+                    copy.eps = False
+                low = 0
             # x{m,n} is m copies followed by (x(x(...)?)?)?, folded from the
             # right, so that each optional copy is entered only from the
             # copy before it
             frag = None
             for i in reversed(range(node.high)):
                 frag = copies[i] if frag is None else self.concat(copies[i], frag)
-                if i >= node.low:
+                if i >= low:
                     frag = _optional(frag)
             return frag
         raise TypeError(f"unknown AST node {node!r}")

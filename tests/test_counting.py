@@ -17,7 +17,8 @@ from wqlang import (
 )
 from wqlang.slpsearch import matching_line_total
 from wqlang.slpsearch.regex import EmptyMatchError
-from wqlang.slpsearch.slp import Slp
+from wqlang.slpsearch.counting import MATCHED
+from wqlang.slpsearch.slp import Slp, rule_id
 
 from conftest import (
     A,
@@ -125,7 +126,10 @@ def test_match_exists_fig52():
     # the worked compressed-search example: text ab$a$bab$a$b, L' = {ab, bb}
     slp = Slp([(A, B), (ord("$"), A), (ord("$"), B), (257, 258), (260, 259), (261, 261)])
     engine = SearchEngine(slp, make_fig52_prime())
-    assert engine.rule_rel[4][0] >> 2 & 1  # fifth rule connects q1 to q3
+    # the fifth rule carries q1 to q3, the final state, so entered in {q1}
+    # it exits matched; the second rule, $a, only reaches q2
+    assert engine.evaluate(rule_id(4), 0b001) == (MATCHED, 0)
+    assert engine.evaluate(rule_id(1), 0b001) == (0b011, 0)
     assert engine.match_exists()
 
 
@@ -271,3 +275,42 @@ def test_report_line_under_deep_rule():
     slp = chain_slp(line + b"\n")
     assert list(report_lines(slp, pat("ab"))) == [(1, line)]
     assert count_lines(slp, pat("ab")) == 1
+
+
+def test_line_results_refuse_a_newline_automaton():
+    # "a\n": the engine's own line results refuse it as count_lines does,
+    # while match_exists treats the newline as an ordinary symbol
+    slp = repair_compress(b"xa\nbb\nyy")
+    nfa = Nfa(3, [(0, A, 1), (1, 0x0A, 2)], [0], [2])
+    engine = SearchEngine(slp, nfa)
+    for result in (engine.line_count, engine.report, lambda: engine.rule_info):
+        with pytest.raises(ValueError, match="newline-free"):
+            result()
+    with pytest.raises(ValueError, match="newline-free"):
+        count_lines(slp, nfa)
+    assert engine.match_exists()
+
+
+def test_search_on_200000_deep_chain():
+    # one 200,000-byte line under a left-deep chain of rules, then a tail
+    rng = random.Random(70)
+    line = bytes(rng.choice(b"xyz") for _ in range(200_000 - 2)) + b"ab"
+    text = line + b"\nqab\nzz"
+    slp = chain_slp(text)
+    nfa = pat("ab")
+    assert count_lines(slp, nfa) == count_lines_oracle(text, nfa) == 2
+    assert slp_match_exists(slp, nfa) == factor_scanner(nfa)(text)
+    assert list(report_lines(slp, nfa)) == matching_lines_oracle(text, nfa)
+
+
+def test_compositions_bounded_by_text_length():
+    # a[ab]{12}c on random ab text meets up to 2^12 contexts, the worst case
+    # of the directed walk; each composition still covers a distinct node of
+    # the derivation tree, so there are fewer than there are bytes
+    rng = random.Random(71)
+    text = bytes(rng.choice(b"ab") for _ in range(32 * 1024))
+    slp = repair_compress(text)
+    nfa = pat("a[ab]{12}c")
+    engine = SearchEngine(slp, nfa)
+    assert engine.stats.compose_steps <= len(text)
+    assert engine.line_count() == count_lines_oracle(text, nfa) == 0

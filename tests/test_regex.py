@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -87,7 +88,7 @@ def test_compile_rejects_empty_match():
         ("(a{1000}){1000}", "states"),
         ("a{99999}", "states"),
         (".{5000}", "transitions"),
-        ("(a?){8000}b", "transitions"),
+        ("(a?){9000}b", "states"),
     ],
     ids=["doubling", "thousands", "huge-bound", "dense-class", "optional-copies"],
 )
@@ -145,6 +146,17 @@ def test_bounded_repetition_grows_linearly(template, head, pieces, tail):
             assert nfa.member(word) == bool(re.fullmatch(pattern.encode(), word)), word
     growth = [sizes[b] - sizes[a] for a, b in ((25, 50), (50, 100), (100, 200))]
     assert growth[1] == 2 * growth[0] and growth[2] == 2 * growth[1]
+
+
+def test_nullable_repeated_operand_compiles_like_its_chain():
+    # (a?){300}b is built as (a?-minus-empty){0,300}b, the chain of a{0,300}b
+    nullable = compile_regex(parse_regex("(a?){300}b"))
+    chain = compile_regex(parse_regex("a{0,300}b"))
+    assert nullable.state_count == chain.state_count == 303
+    assert len(nullable._triples) == len(chain._triples) == 601
+    for length in range(9):
+        for word in itertools.product(b"ab", repeat=length):
+            assert nullable.member(bytes(word)) == chain.member(bytes(word))
 
 
 def test_compile_allow_empty_accepts_epsilon():
