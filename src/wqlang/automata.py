@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "Nfa",
@@ -18,6 +18,8 @@ __all__ = [
     "CnfGrammar",
     "Ocn",
     "Verdict",
+    "MAX_DFA_STATES",
+    "DeterminizationCap",
     "bits",
     "mask_of",
     "naive_inclusion",
@@ -54,26 +56,37 @@ class Verdict:
     witness: bytes | None = None
 
 
+MAX_DFA_STATES = 1 << 16
+
+
+class DeterminizationCap(RuntimeError):
+    """The subset construction would need more than ``MAX_DFA_STATES``
+    states."""
+
+
+def _check_symbols(syms: list[int]) -> None:
+    """Reject a sorted symbol list that holds a non-byte."""
+    if syms and not (0 <= syms[0] and syms[-1] <= 255):
+        bad = syms[0] if syms[0] < 0 else syms[-1]
+        raise ValueError(f"symbol {bad} is not a byte")
+
+
 class Nfa:
     """Nondeterministic finite automaton over byte symbols.
 
-    Immutable after construction. ``transitions`` maps ``(state, symbol)``
-    to a frozenset of successor states; ``initial``/``final`` are frozensets
-    of states, with bitmask twins ``initial_mask``/``final_mask``.
+    Immutable after construction. It holds ``state_count``, one successor
+    table per symbol (``_fwd[sym][p]`` is the mask of the states p reaches
+    on sym; only symbols with a transition have a table, and they make up
+    ``alphabet``) and the bitmasks ``initial_mask``/``final_mask``.
+    ``with_initial``, ``with_final`` and ``reverse`` share their source's
+    tables and check only the new masks; ``reverse`` swaps the successor
+    and predecessor tables. The predecessor tables and the views
+    ``transitions`` (``(state, symbol)`` to a frozenset of successors) and
+    ``_triples`` are built on first use and shared by every automaton over
+    the same tables; ``initial``/``final`` are frozensets of the masks.
     """
 
-    __slots__ = (
-        "state_count",
-        "alphabet",
-        "transitions",
-        "initial",
-        "final",
-        "initial_mask",
-        "final_mask",
-        "_fwd",
-        "_bwd",
-        "_triples",
-    )
+    __slots__ = ("state_count", "alphabet", "initial_mask", "final_mask", "_fwd", "_views")
 
     def __init__(
         self,
@@ -84,39 +97,111 @@ class Nfa:
     ):
         if state_count < 0:
             raise ValueError("state_count must be nonnegative")
-        triples = frozenset(transitions)
-        initial = frozenset(initial)
-        final = frozenset(final)
-        for p, sym, q in triples:
+        rows: dict[int, list[int]] = {}
+        for p, sym, q in transitions:
             if not (0 <= p < state_count and 0 <= q < state_count):
                 raise ValueError(f"transition ({p},{sym},{q}) out of range")
             if not (0 <= sym <= 255):
                 raise ValueError(f"symbol {sym} is not a byte")
-        for q in initial | final:
-            if not (0 <= q < state_count):
-                raise ValueError(f"state {q} out of range")
+            row = rows.get(sym)
+            if row is None:
+                row = rows[sym] = [0] * state_count
+            row[p] |= 1 << q
         self.state_count = state_count
-        self._triples = triples
-        self.alphabet = frozenset(sym for _, sym, _ in triples)
-        tmap: dict[tuple[int, int], set[int]] = defaultdict(set)
-        fwd: dict[int, list[int]] = {}
-        bwd: dict[int, list[int]] = {}
-        for p, sym, q in triples:
-            tmap[(p, sym)].add(q)
-            if sym not in fwd:
-                fwd[sym] = [0] * state_count
-                bwd[sym] = [0] * state_count
-            fwd[sym][p] |= 1 << q
-            bwd[sym][q] |= 1 << p
-        self.transitions: Mapping[tuple[int, int], frozenset[int]] = {
-            k: frozenset(v) for k, v in tmap.items()
-        }
-        self.initial = initial
-        self.final = final
-        self.initial_mask = mask_of(initial)
-        self.final_mask = mask_of(final)
-        self._fwd = fwd
-        self._bwd = bwd
+        self._fwd = {sym: tuple(rows[sym]) for sym in sorted(rows)}
+        self.alphabet = frozenset(self._fwd)
+        self.initial_mask = self._state_mask(initial)
+        self.final_mask = self._state_mask(final)
+        self._views: dict[str, Any] = {}
+
+    @classmethod
+    def _of_tables(
+        cls, state_count: int, fwd: dict[int, tuple[int, ...]], initial_mask: int, final_mask: int
+    ) -> "Nfa":
+        """Unchecked constructor over finished successor tables: ``fwd``
+        holds one table per symbol, by ascending symbol, each with a
+        transition."""
+        out = object.__new__(cls)
+        out.state_count = state_count
+        out._fwd = fwd
+        out.alphabet = frozenset(fwd)
+        out.initial_mask = initial_mask
+        out.final_mask = final_mask
+        out._views = {}
+        return out
+
+    def _state_mask(self, states: Iterable[int]) -> int:
+        m = 0
+        for q in states:
+            if not (0 <= q < self.state_count):
+                raise ValueError(f"state {q} out of range")
+            m |= 1 << q
+        return m
+
+    def _derived(self, initial_mask: int, final_mask: int) -> "Nfa":
+        """An automaton over this one's tables with new masks: a DFA over
+        the same successor arrays when this is a DFA and one state is
+        initial, a plain NFA otherwise."""
+        one_initial = initial_mask and not initial_mask & (initial_mask - 1)
+        deterministic = isinstance(self, Dfa) and one_initial
+        out = object.__new__(Dfa if deterministic else Nfa)
+        out.state_count = self.state_count
+        out._fwd = self._fwd
+        out.alphabet = self.alphabet
+        out.initial_mask = initial_mask
+        out.final_mask = final_mask
+        out._views = self._views
+        if deterministic:
+            out._succ = self._succ
+            out.source_subsets = None
+        return out
+
+    # -- views built on first use -----------------------------------------
+
+    @property
+    def _bwd(self) -> dict[int, tuple[int, ...]]:
+        """Predecessor tables: ``_bwd[sym][q]`` is the mask of the states
+        that reach q on sym."""
+        bwd = self._views.get("bwd")
+        if bwd is None:
+            bwd = {}
+            for sym, row in self._fwd.items():
+                pre = [0] * self.state_count
+                for p, succ in enumerate(row):
+                    for q in bits(succ):
+                        pre[q] |= 1 << p
+                bwd[sym] = tuple(pre)
+            self._views["bwd"] = bwd
+        return bwd
+
+    @property
+    def transitions(self) -> Mapping[tuple[int, int], frozenset[int]]:
+        view = self._views.get("transitions")
+        if view is None:
+            view = self._views["transitions"] = {
+                (p, sym): frozenset(bits(succ))
+                for sym, row in self._fwd.items()
+                for p, succ in enumerate(row)
+                if succ
+            }
+        return view
+
+    @property
+    def _triples(self) -> frozenset[tuple[int, int, int]]:
+        view = self._views.get("triples")
+        if view is None:
+            view = self._views["triples"] = frozenset(
+                (p, sym, q) for (p, sym), qs in self.transitions.items() for q in qs
+            )
+        return view
+
+    @property
+    def initial(self) -> frozenset[int]:
+        return frozenset(bits(self.initial_mask))
+
+    @property
+    def final(self) -> frozenset[int]:
+        return frozenset(bits(self.final_mask))
 
     # -- structural value semantics ------------------------------------
 
@@ -125,18 +210,21 @@ class Nfa:
             return NotImplemented
         return (
             self.state_count == other.state_count
-            and self._triples == other._triples
-            and self.initial == other.initial
-            and self.final == other.final
+            and self.initial_mask == other.initial_mask
+            and self.final_mask == other.final_mask
+            and self._fwd == other._fwd
         )
 
     def __hash__(self) -> int:
-        return hash((self.state_count, self._triples, self.initial, self.final))
+        return hash(
+            (self.state_count, self.initial_mask, self.final_mask, tuple(sorted(self._fwd.items())))
+        )
 
     def __repr__(self) -> str:
+        trans = sum(succ.bit_count() for row in self._fwd.values() for succ in row)
         return (
             f"{type(self).__name__}(states={self.state_count}, "
-            f"trans={len(self._triples)}, I={sorted(self.initial)}, "
+            f"trans={trans}, I={sorted(self.initial)}, "
             f"F={sorted(self.final)})"
         )
 
@@ -151,8 +239,10 @@ class Nfa:
         if table is None:
             return 0
         out = 0
-        for q in bits(s):
-            out |= table[q]
+        while s:
+            low = s & -s
+            out |= table[low.bit_length() - 1]
+            s ^= low
         return out
 
     def run(self, word: bytes, forward: bool = True) -> int:
@@ -172,18 +262,15 @@ class Nfa:
         return bool(self.run(word, True) & self.final_mask)
 
     def reverse(self) -> "Nfa":
-        return Nfa(
-            self.state_count,
-            ((q, sym, p) for p, sym, q in self._triples),
-            self.final,
-            self.initial,
-        )
+        out = Nfa._of_tables(self.state_count, self._bwd, self.final_mask, self.initial_mask)
+        out._views["bwd"] = self._fwd
+        return out
 
     def with_initial(self, initial: Iterable[int]) -> "Nfa":
-        return Nfa(self.state_count, self._triples, initial, self.final)
+        return self._derived(self._state_mask(initial), self.final_mask)
 
     def with_final(self, final: Iterable[int]) -> "Nfa":
-        return Nfa(self.state_count, self._triples, self.initial, final)
+        return self._derived(self.initial_mask, self._state_mask(final))
 
     def determinize(self, symbols: Iterable[int] | None = None) -> "Dfa":
         """Reachable-subset construction.
@@ -192,26 +279,43 @@ class Nfa:
         alphabet); the empty subset is materialized when reachable. Each
         output state remembers its originating subset in
         ``source_subsets``, which residualization comparisons rely on.
+        Raises ``DeterminizationCap`` beyond ``MAX_DFA_STATES`` subsets.
         """
         syms = sorted(self.alphabet if symbols is None else symbols)
+        _check_symbols(syms)
+        tables = [self._fwd.get(sym, ()) for sym in syms]
         start = self.initial_mask
         index = {start: 0}
         order = [start]
-        triples: list[tuple[int, int, int]] = []
+        rows: list[list[int]] = [[] for _ in syms]
         i = 0
         while i < len(order):
             m = order[i]
-            for sym in syms:
-                t = self.step(m, sym, True)
+            for table, row in zip(tables, rows):
+                t = 0
+                if table:
+                    s = m
+                    while s:
+                        low = s & -s
+                        t |= table[low.bit_length() - 1]
+                        s ^= low
                 j = index.get(t)
                 if j is None:
                     j = len(order)
+                    if j == MAX_DFA_STATES:
+                        raise DeterminizationCap(
+                            f"determinization needs more than {MAX_DFA_STATES} states"
+                        )
                     index[t] = j
                     order.append(t)
-                triples.append((i, sym, j))
+                row.append(j)
             i += 1
-        final = [i for i, m in enumerate(order) if m & self.final_mask]
-        return Dfa(len(order), triples, [0], final, source_subsets=tuple(order))
+        final = 0
+        for i, m in enumerate(order):
+            if m & self.final_mask:
+                final |= 1 << i
+        succ = {sym: tuple(row) for sym, row in zip(syms, rows)}
+        return Dfa._of_succ(len(order), succ, 0, final, tuple(order))
 
     def accepted_words(self, max_len: int) -> Iterator[bytes]:
         """All accepted words of length <= max_len, in shortlex order.
@@ -236,28 +340,57 @@ class Nfa:
 
 class Dfa(Nfa):
     """Deterministic automaton: one initial state, at most one successor
-    per (state, symbol). May be partial; ``complete`` adds a sink."""
+    per (state, symbol). May be partial; ``complete`` adds a sink.
 
-    __slots__ = ("source_subsets",)
+    Besides the successor mask tables it keeps one successor array per
+    symbol, ``_succ[sym][p]`` being the state p moves to or -1 when the
+    transition is missing. ``with_initial`` with one state and
+    ``with_final`` return a ``Dfa`` that shares both; ``with_initial`` with
+    any other number of states returns a plain ``Nfa``.
+    """
+
+    __slots__ = ("_succ", "source_subsets")
 
     def __init__(self, state_count, transitions, initial, final, source_subsets=None):
         super().__init__(state_count, transitions, initial, final)
-        if len(self.initial) != 1:
+        m = self.initial_mask
+        if not m or m & (m - 1):
             raise ValueError("a DFA has exactly one initial state")
-        for (p, sym), targets in self.transitions.items():
-            if len(targets) > 1:
-                raise ValueError(f"nondeterministic on state {p}, symbol {sym}")
+        succ = {}
+        for sym, row in self._fwd.items():
+            for p, targets in enumerate(row):
+                if targets & (targets - 1):
+                    raise ValueError(f"nondeterministic on state {p}, symbol {sym}")
+            succ[sym] = tuple(targets.bit_length() - 1 for targets in row)
+        self._succ = succ
         self.source_subsets = source_subsets
+
+    @classmethod
+    def _of_succ(
+        cls,
+        state_count: int,
+        succ: dict[int, tuple[int, ...]],
+        initial_state: int,
+        final_mask: int,
+        source_subsets: tuple[int, ...] | None = None,
+    ) -> "Dfa":
+        """Unchecked constructor over finished successor arrays, by
+        ascending symbol, each with a transition."""
+        fwd = {sym: tuple(0 if q < 0 else 1 << q for q in row) for sym, row in succ.items()}
+        out = cls._of_tables(state_count, fwd, 1 << initial_state, final_mask)
+        out._succ = succ
+        out.source_subsets = source_subsets
+        return out
 
     @property
     def initial_state(self) -> int:
-        return next(iter(self.initial))
+        return self.initial_mask.bit_length() - 1
 
     def dnext(self, p: int, sym: int) -> int | None:
-        t = self.transitions.get((p, sym))
-        if not t:
+        row = self._succ.get(sym)
+        if row is None or row[p] < 0:
             return None
-        return next(iter(t))
+        return row[p]
 
     def run_state(self, word: bytes, start: int | None = None) -> int | None:
         q = self.initial_state if start is None else start
@@ -271,78 +404,85 @@ class Dfa(Nfa):
         """Total transition function over ``symbols``, adding a sink state
         only when some transition is actually missing."""
         syms = sorted(self.alphabet if symbols is None else symbols)
-        missing = [
-            (p, sym)
-            for p in range(self.state_count)
-            for sym in syms
-            if self.dnext(p, sym) is None
-        ]
-        if not missing:
+        succ = self._succ
+        if all(sym in succ and min(succ[sym]) >= 0 for sym in syms):
             return self
+        _check_symbols(syms)
         sink = self.state_count
-        triples = list(self._triples)
-        triples += [(p, sym, sink) for p, sym in missing]
-        triples += [(sink, sym, sink) for sym in syms]
-        return Dfa(sink + 1, triples, self.initial, self.final)
+        missing = (-1,) * sink
+        wanted = set(syms)
+        out = {}
+        for sym in sorted(succ.keys() | wanted):
+            row = succ.get(sym, missing)
+            if sym in wanted:
+                out[sym] = tuple(sink if q < 0 else q for q in row) + (sink,)
+            else:
+                out[sym] = row + (-1,)
+        return Dfa._of_succ(sink + 1, out, self.initial_state, self.final_mask)
 
     def minimize(self) -> "Dfa":
         """Unique minimal complete DFA of the language, canonically numbered
         by breadth-first discovery so equal languages give equal objects."""
         syms = sorted(self.alphabet)
         d = self.complete(syms)
+        rows = [d._succ[sym] for sym in syms]
+        start = d.initial_state
         # restrict to reachable states
-        reach = [d.initial_state]
-        seen = {d.initial_state}
+        seen = [False] * d.state_count
+        seen[start] = True
+        reach = [start]
         i = 0
         while i < len(reach):
             p = reach[i]
-            for sym in syms:
-                q = d.dnext(p, sym)
-                if q is not None and q not in seen:
-                    seen.add(q)
+            for row in rows:
+                q = row[p]
+                if not seen[q]:
+                    seen[q] = True
                     reach.append(q)
             i += 1
-        # Moore partition refinement
-        cls = {p: (1 if p in d.final else 0) for p in reach}
+        # Moore partition refinement: each round refines the classes, so a
+        # round that keeps their number is stable
+        cls = [d.final_mask >> p & 1 for p in range(d.state_count)]
+        count = len({cls[p] for p in reach})
         while True:
-            sig = {
-                p: (cls[p], tuple(cls[d.dnext(p, sym)] for sym in syms)) for p in reach
-            }
             renum: dict[tuple, int] = {}
-            new_cls = {}
+            new_cls = cls[:]
             for p in reach:
-                s = sig[p]
-                if s not in renum:
-                    renum[s] = len(renum)
-                new_cls[p] = renum[s]
-            if new_cls == cls:
-                break
+                sig = (cls[p], *[cls[row[p]] for row in rows])
+                new_cls[p] = renum.setdefault(sig, len(renum))
             cls = new_cls
+            if len(renum) == count:
+                break
+            count = len(renum)
         # canonical numbering: BFS over classes from the initial one
         rep: dict[int, int] = {}
         for p in reach:
             rep.setdefault(cls[p], p)
-        order = [cls[d.initial_state]]
+        order = [cls[start]]
         number = {order[0]: 0}
-        triples = []
+        out: list[list[int]] = [[] for _ in syms]
         i = 0
         while i < len(order):
-            c = order[i]
-            p = rep[c]
-            for sym in syms:
-                tc = cls[d.dnext(p, sym)]
-                if tc not in number:
-                    number[tc] = len(order)
+            p = rep[order[i]]
+            for row, out_row in zip(rows, out):
+                tc = cls[row[p]]
+                j = number.get(tc)
+                if j is None:
+                    j = number[tc] = len(order)
                     order.append(tc)
-                triples.append((i, sym, number[tc]))
+                out_row.append(j)
             i += 1
-        final = [number[c] for c in order if rep[c] in d.final]
-        return Dfa(len(order), triples, [0], final)
+        final = 0
+        for j, c in enumerate(order):
+            if d.final_mask >> rep[c] & 1:
+                final |= 1 << j
+        return Dfa._of_succ(len(order), {sym: tuple(row) for sym, row in zip(syms, out)}, 0, final)
 
 
 def _product_search(a: Dfa, b: Dfa, syms: list[int], bad) -> bytes | None:
-    """Shortest word (lex-least among them) whose product state satisfies
-    ``bad``; both DFAs must be complete over ``syms``."""
+    """Shortest word (lex-least among them) whose product state (p, q)
+    satisfies ``bad(p, q)``; both DFAs must be complete over ``syms``."""
+    moves = [(sym, a._succ[sym], b._succ[sym]) for sym in syms]
     start = (a.initial_state, b.initial_state)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = [start]
@@ -350,16 +490,16 @@ def _product_search(a: Dfa, b: Dfa, syms: list[int], bad) -> bytes | None:
     while i < len(queue):
         pair = queue[i]
         i += 1
-        if bad(pair):
+        pa, pb = pair
+        if bad(pa, pb):
             out = bytearray()
             node = pair
             while parent[node] is not None:
                 node, sym = parent[node]
                 out.append(sym)
             return bytes(reversed(out))
-        pa, pb = pair
-        for sym in syms:
-            nxt = (a.dnext(pa, sym), b.dnext(pb, sym))
+        for sym, ra, rb in moves:
+            nxt = (ra[pa], rb[pb])
             if nxt not in parent:
                 parent[nxt] = (pair, sym)
                 queue.append(nxt)
@@ -375,9 +515,8 @@ def naive_inclusion(a: Nfa, b: Nfa) -> Verdict:
     syms = sorted(a.alphabet | b.alphabet)
     da = a.determinize(syms)
     db = b.determinize(syms)
-    w = _product_search(
-        da, db, syms, lambda pq: pq[0] in da.final and pq[1] not in db.final
-    )
+    fa, fb = da.final_mask, db.final_mask
+    w = _product_search(da, db, syms, lambda p, q: fa >> p & 1 and not fb >> q & 1)
     if w is None:
         return Verdict(True)
     return Verdict(False, w)
@@ -389,9 +528,8 @@ def equivalence_counterexample(a: Nfa, b: Nfa) -> bytes | None:
     syms = sorted(a.alphabet | b.alphabet)
     da = a.determinize(syms)
     db = b.determinize(syms)
-    return _product_search(
-        da, db, syms, lambda pq: (pq[0] in da.final) != (pq[1] in db.final)
-    )
+    fa, fb = da.final_mask, db.final_mask
+    return _product_search(da, db, syms, lambda p, q: (fa >> p & 1) != (fb >> q & 1))
 
 
 class CnfGrammar:
@@ -495,7 +633,8 @@ def cfg_in_regular_oracle(g: CnfGrammar, d: Dfa) -> Verdict:
     """
     syms = sorted(set(d.alphabet) | set(g.terminals))
     dd = d.complete(syms)
-    if g.axiom_nullable and dd.initial_state not in dd.final:
+    accepting = dd.final_mask
+    if g.axiom_nullable and not accepting >> dd.initial_state & 1:
         return Verdict(False, b"")
     left_of: dict[int, list[tuple[int, int]]] = defaultdict(list)
     right_of: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -521,7 +660,7 @@ def cfg_in_regular_oracle(g: CnfGrammar, d: Dfa) -> Verdict:
         if (v, p, q) in settled:
             continue
         settled[(v, p, q)] = word
-        if v == 0 and p == dd.initial_state and q not in dd.final:
+        if v == 0 and p == dd.initial_state and not accepting >> q & 1:
             return Verdict(False, word)
         by_start[(v, p)].append((q, word))
         by_end[(v, q)].append((p, word))

@@ -13,7 +13,8 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions, or
 ``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
 file or a computation stopped by its cap (fixpoint iterations, learner
-queries, decompressed size). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps.
+queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
+states). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 
 from . import inclusion, residual
-from .automata import Nfa, Verdict, equivalence_counterexample
+from .automata import DeterminizationCap, Nfa, Verdict, equivalence_counterexample
 from .formats import (
     FormatError,
     dump_nfa,
@@ -346,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         FileNotFoundError,
         KleeneDivergence,
         LearnerDiverged,
+        DeterminizationCap,
         DecompressionCap,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

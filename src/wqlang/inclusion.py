@@ -328,30 +328,34 @@ def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
 
 
 def _universal_dfa(syms: list[int]) -> Dfa:
-    return Dfa(1, [(0, sym, 0) for sym in syms], [0], [0])
+    return Dfa._of_succ(1, {sym: (0,) for sym in syms}, 0, 1)
 
 
 def _dfa_intersect(d1: Dfa, d2: Dfa, syms: list[int]) -> Dfa:
+    """Product of two DFAs that are complete over ``syms``."""
+    moves = [(d1._succ[sym], d2._succ[sym]) for sym in syms]
     start = (d1.initial_state, d2.initial_state)
     index = {start: 0}
     order = [start]
-    triples = []
+    rows: list[list[int]] = [[] for _ in syms]
     i = 0
     while i < len(order):
         p1, p2 = order[i]
-        for sym in syms:
-            nxt = (d1.dnext(p1, sym), d2.dnext(p2, sym))
+        for (r1, r2), row in zip(moves, rows):
+            nxt = (r1[p1], r2[p2])
             j = index.get(nxt)
             if j is None:
                 j = len(order)
                 index[nxt] = j
                 order.append(nxt)
-            triples.append((i, sym, j))
+            row.append(j)
         i += 1
-    final = [
-        i for i, (p1, p2) in enumerate(order) if p1 in d1.final and p2 in d2.final
-    ]
-    return Dfa(len(order), triples, [0], final)
+    f1, f2 = d1.final_mask, d2.final_mask
+    final = 0
+    for i, (p1, p2) in enumerate(order):
+        if f1 >> p1 & 1 and f2 >> p2 & 1:
+            final |= 1 << i
+    return Dfa._of_succ(len(order), {sym: tuple(row) for sym, row in zip(syms, rows)}, 0, final)
 
 
 def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int | None = None) -> Verdict:
@@ -376,7 +380,7 @@ def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int | None = None) -> Verdict:
     base = [l2c if n1.initial_mask >> q & 1 else top for q in range(n1.state_count)]
 
     def quotient(d: Dfa, sym: int) -> Dfa:
-        return Dfa(d.state_count, d._triples, [d.dnext(d.initial_state, sym)], d.final)
+        return d.with_initial([d.dnext(d.initial_state, sym)])
 
     def step(vec: list[Dfa]) -> list[Dfa]:
         out = []
@@ -393,7 +397,7 @@ def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int | None = None) -> Verdict:
     vec = kleene(step, [top] * n1.state_count, lambda a, b: a == b, max_iter).value
     for q in bits(n1.final_mask):
         d = vec[q]
-        if d.initial_state not in d.final:
+        if not d.final_mask >> d.initial_state & 1:
             return Verdict(False)
     return Verdict(True)
 

@@ -99,14 +99,11 @@ def empty_states_mask(d: Dfa) -> int:
     changed = True
     while changed:
         changed = False
-        for (p, _sym), targets in d.transitions.items():
-            if alive >> p & 1:
-                continue
-            for q in targets:
-                if alive >> q & 1:
+        for row in d._fwd.values():
+            for p, targets in enumerate(row):
+                if targets & alive and not alive >> p & 1:
                     alive |= 1 << p
                     changed = True
-                    break
     return ((1 << d.state_count) - 1) & ~alive
 
 
@@ -168,8 +165,8 @@ def ctx_identity(n: Nfa) -> tuple[int, ...]:
 
 
 def ctx_of_symbol(n: Nfa, sym: int) -> tuple[int, ...]:
-    table = n._fwd.get(sym)  # row q: the successor mask of state q
-    return tuple(table) if table is not None else (0,) * n.state_count
+    # row q: the successor mask of state q
+    return n._fwd.get(sym) or (0,) * n.state_count
 
 
 def ctx_key(n: Nfa, word: bytes) -> tuple[int, ...]:

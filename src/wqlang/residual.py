@@ -23,7 +23,6 @@ residualization is already canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Any, Callable, Sequence
@@ -32,7 +31,6 @@ from .automata import Dfa, Nfa, bits, equivalence_counterexample, naive_inclusio
 from .quasiorder import residual_inclusion_matrix
 
 __all__ = [
-    "PrincipalSet",
     "principals",
     "is_composite",
     "build_H",
@@ -47,35 +45,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrincipalSet:
-    """All distinct reachable key sets of one direction of an automaton:
+def principals(n: Nfa, direction: str = "right") -> tuple[int, ...]:
+    """All distinct reachable key sets of one direction of the automaton:
     post-sets of the initials (right) or pre-sets of the finals (left), in
-    breadth-first discovery order."""
-
-    keys: tuple[int, ...]
-
-
-def principals(n: Nfa, direction: str = "right") -> PrincipalSet:
-    """The subsets of the subset construction (of the reverse automaton for
-    left): every reachable key set exactly once."""
+    breadth-first discovery order. They are the subsets of the subset
+    construction (of the reverse automaton for left)."""
     if direction == "left":
         n = n.reverse()
     elif direction != "right":
         raise ValueError(f"bad direction {direction!r}")
-    return PrincipalSet(n.determinize().source_subsets)
+    return n.determinize().source_subsets
 
 
-def is_composite(n: Nfa, key: int, ps: PrincipalSet, direction: str = "right") -> bool:
-    """Is the key's residual exactly the union of the residuals of all
-    strictly smaller principals? Decided by language equivalence, not mere
-    state-set coverability, which is strictly weaker. The union is a subset
-    of the key, so only the key's language can fail to be included."""
+def is_composite(n: Nfa, key: int, below: Sequence[int], direction: str = "right") -> bool:
+    """Is the key's residual exactly the union of the residuals of the
+    principals strictly below it (``below``, as ``build_H`` lists them)?
+    Decided by language equivalence, not mere state-set coverability, which
+    is strictly weaker. The union is a subset of the key, so only the key's
+    language can fail to be included."""
     if direction == "left":
-        return is_composite(n.reverse(), key, ps, "right")
-    if key not in ps.keys:
-        raise ValueError("key is not a principal of the automaton")
-    union = reduce(or_, (k for k in ps.keys if k != key and k & key == k), 0)
+        return is_composite(n.reverse(), key, below, "right")
+    union = reduce(or_, below, 0)
     return naive_inclusion(n.with_initial(bits(key)), n.with_initial(bits(union))).included
 
 
@@ -146,9 +136,10 @@ def _state_set_H(
 def res(n: Nfa, direction: str = "right") -> Nfa:
     """Residualization through the automaton-induced quasiorder: the states
     are the prime reachable post-sets (right) or pre-sets (left)."""
-    ps = principals(n, direction)
     fwd = n.reverse() if direction == "left" else n
-    return _state_set_H(n, ps.keys, lambda key, _below: is_composite(fwd, key, ps), direction)
+    return _state_set_H(
+        n, principals(n, direction), lambda key, below: is_composite(fwd, key, below), direction
+    )
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
@@ -168,7 +159,7 @@ def canonical(lang: Nfa, direction: str = "right") -> Nfa:
         lambda p, below: naive_inclusion(m.with_initial([p]), m.with_initial(below)).included,
         m.dnext,
         m.initial_state,
-        lambda p: p in m.final,
+        lambda p: bool(m.final_mask >> p & 1),
         sorted(m.alphabet),
     )
 
@@ -179,7 +170,7 @@ def denis_residualize(n: Nfa) -> Nfa:
     coverability instead of language equivalence)."""
     return _state_set_H(
         n,
-        principals(n, "right").keys,
+        principals(n, "right"),
         lambda key, below: reduce(or_, below, 0) == key,
         "right",
     )
@@ -220,9 +211,7 @@ def check_dr_condition(n: Nfa) -> bool:
         up = 0
         for p in bits(reach_of[q]):
             up |= inclc[p]
-        closure_lang = Dfa(mc.state_count, mc._triples, mc.initial, list(bits(up)))
-        left_lang = n.with_final([q])
-        if equivalence_counterexample(left_lang, closure_lang) is not None:
+        if equivalence_counterexample(n.with_final([q]), mc.with_final(bits(up))) is not None:
             return False
     return True
 
@@ -234,8 +223,7 @@ def is_rfa(n: Nfa) -> bool:
     for q in range(n.state_count):
         right = n.with_initial([q])
         if all(
-            equivalence_counterexample(right, Dfa(m.state_count, m._triples, [p], m.final))
-            is not None
+            equivalence_counterexample(right, m.with_initial([p])) is not None
             for p in range(m.state_count)
         ):
             return False
@@ -254,8 +242,7 @@ def canonical_signature(candidate: Nfa, min_dfa: Dfa):
         right = candidate.with_initial([q])
         match = None
         for p in range(min_dfa.state_count):
-            residual = Dfa(min_dfa.state_count, min_dfa._triples, [p], min_dfa.final)
-            if equivalence_counterexample(right, residual) is None:
+            if equivalence_counterexample(right, min_dfa.with_initial([p])) is None:
                 match = p
                 break
         if match is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..automata import Dfa, Nfa
+from ..automata import Dfa, Nfa, mask_of
 
 __all__ = [
     "MAX_REGEX_DEPTH",
@@ -445,21 +445,21 @@ def compile_regex(ast, allow_empty: bool = False) -> Nfa:
     frag = builder.build(ast)
     if frag.eps and not allow_empty:
         raise EmptyMatchError("pattern matches the empty string")
-    # keep only states reachable from an entry or reaching an exit
-    fwd: dict[int, list[tuple[int, int]]] = {}
-    for p, sym, q in frag.trans:
-        fwd.setdefault(p, []).append((sym, q))
+    # keep only states reachable from an entry or reaching an exit; the
+    # adjacency sets ignore symbols, so parallel moves are held once
+    fwd: dict[int, set[int]] = {}
+    bwd: dict[int, set[int]] = {}
+    for p, _sym, q in frag.trans:
+        fwd.setdefault(p, set()).add(q)
+        bwd.setdefault(q, set()).add(p)
     reachable = set(frag.starts)
     stack = list(frag.starts)
     while stack:
         p = stack.pop()
-        for _, q in fwd.get(p, ()):
+        for q in fwd.get(p, ()):
             if q not in reachable:
                 reachable.add(q)
                 stack.append(q)
-    bwd: dict[int, list[int]] = {}
-    for p, sym, q in frag.trans:
-        bwd.setdefault(q, []).append(p)
     useful = set(frag.ends)
     stack = list(frag.ends)
     while stack:
@@ -470,29 +470,33 @@ def compile_regex(ast, allow_empty: bool = False) -> Nfa:
                 stack.append(p)
     keep = sorted(reachable & useful)
     number = {s: i for i, s in enumerate(keep)}
-    triples = [
-        (number[p], sym, number[q])
-        for p, sym, q in frag.trans
-        if p in number and q in number
-    ]
     initial = [number[s] for s in frag.starts if s in number]
     final = [number[s] for s in frag.ends if s in number]
-    count = len(keep)
-    if frag.eps and allow_empty:
-        # a fresh state that is initial and final and has the entry moves
-        extra = count
-        entry_moves = []
-        for s in frag.starts:
-            if s in number:
-                src = number[s]
-                entry_moves += [
-                    (extra, sym, q) for (p, sym, q) in triples if p == src
-                ]
-        triples += entry_moves
+    # with an empty match, a fresh state that is initial and final and has
+    # the entry moves
+    extra = len(keep) if frag.eps and allow_empty else None
+    count = len(keep) + (extra is not None)
+    rows: dict[int, list[int]] = {}
+    for p, sym, q in frag.trans:
+        i, j = number.get(p), number.get(q)
+        if i is None or j is None:
+            continue
+        row = rows.get(sym)
+        if row is None:
+            row = rows[sym] = [0] * count
+        row[i] |= 1 << j
+    if extra is not None:
+        for row in rows.values():
+            for s in initial:
+                row[extra] |= row[s]
         initial = [extra]
-        final = final + [extra]
-        count += 1
-    return Nfa(count, triples, initial, final)
+        final.append(extra)
+    return Nfa._of_tables(
+        count,
+        {sym: tuple(rows[sym]) for sym in sorted(rows)},
+        mask_of(initial),
+        mask_of(final),
+    )
 
 
 # -- homogeneous shapes --------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wqlang import Nfa, equivalence_counterexample, naive_inclusion
+from wqlang import Dfa, Nfa, compile_regex, equivalence_counterexample, naive_inclusion, parse_regex
 from wqlang.automata import bits, mask_of
 
 from conftest import A, B, C, make_fig31, rand_nfa, set_of
@@ -226,3 +226,133 @@ def test_nfa_validation_errors():
         Nfa(1, [(0, 300, 0)], [0], [])
     with pytest.raises(ValueError):
         Nfa(1, [], [2], [])
+
+
+# -- the lean core against the validating constructor ------------------------
+
+
+def _rebuilt(a: Nfa) -> Nfa:
+    """The same automaton through the validating constructor, from its
+    triple view."""
+    cls = Dfa if isinstance(a, Dfa) else Nfa
+    return cls(a.state_count, a._triples, a.initial, a.final)
+
+
+def _assert_same(derived: Nfa, reference: Nfa) -> None:
+    assert type(derived) is type(reference)
+    assert derived == reference and hash(derived) == hash(reference)
+    assert derived.transitions == reference.transitions
+    assert derived.initial == reference.initial
+    assert derived.final == reference.final
+    # a symbol is in the alphabet exactly when it has a transition
+    assert derived.alphabet == reference.alphabet == {sym for _p, sym in derived.transitions}
+    syms = sorted(derived.alphabet) + [255]
+    for p in range(derived.state_count):
+        for sym in syms:
+            for forward in (True, False):
+                assert derived.step(1 << p, sym, forward) == reference.step(1 << p, sym, forward)
+            if isinstance(derived, Dfa):
+                assert derived.dnext(p, sym) == reference.dnext(p, sym)
+
+
+def _subset_construction(n: Nfa, syms: list[int]) -> Dfa:
+    """Reference determinization: one validated triple per step."""
+    index = {n.initial_mask: 0}
+    order = [n.initial_mask]
+    triples = []
+    for m in order:
+        for sym in syms:
+            t = n.step(m, sym, True)
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            triples.append((index[m], sym, index[t]))
+    final = [i for i, m in enumerate(order) if m & n.final_mask]
+    return Dfa(len(order), triples, [0], final, source_subsets=tuple(order))
+
+
+def _completed(d: Dfa, syms: list[int]) -> Dfa:
+    """Reference completion: the missing triples plus a looping sink."""
+    missing = [(p, s) for p in range(d.state_count) for s in syms if d.dnext(p, s) is None]
+    if not missing:
+        return d
+    sink = d.state_count
+    triples = [*d._triples, *((p, s, sink) for p, s in missing), *((sink, s, sink) for s in syms)]
+    return Dfa(sink + 1, triples, d.initial, d.final)
+
+
+def test_derived_nfas_match_the_validating_constructor():
+    rng = random.Random(90)
+    for _ in range(60):
+        n = rand_nfa(rng, max_states=6, n_syms=3)
+        k, triples = n.state_count, n._triples
+        init = [q for q in range(k) if rng.random() < 0.4]
+        fin = [q for q in range(k) if rng.random() < 0.4]
+        _assert_same(n, _rebuilt(n))
+        _assert_same(n.with_initial(init), Nfa(k, triples, init, n.final))
+        _assert_same(n.with_final(fin), Nfa(k, triples, n.initial, fin))
+        rev = n.reverse()
+        _assert_same(rev, Nfa(k, [(q, s, p) for p, s, q in triples], n.final, n.initial))
+        _assert_same(rev.reverse(), n)
+        _assert_same(rev.with_initial(init), _rebuilt(rev).with_initial(init))
+        syms = sorted(n.alphabet | {C})
+        d = n.determinize(syms)
+        reference = _subset_construction(n, syms)
+        _assert_same(d, reference)
+        assert d.source_subsets == reference.source_subsets
+        for bad in ([k], [-1]):
+            with pytest.raises(ValueError):
+                n.with_initial(bad)
+            with pytest.raises(ValueError):
+                n.with_final(bad)
+        with pytest.raises(ValueError):
+            n.determinize([A, 256])
+
+
+def test_derived_dfas_match_the_validating_constructor():
+    rng = random.Random(91)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        syms = [A, B, C][: rng.randint(1, 3)]
+        moves = [(p, s, rng.randrange(k)) for p in range(k) for s in syms if rng.random() < 0.7]
+        fin = [q for q in range(k) if rng.random() < 0.4]
+        d = Dfa(k, moves, [0], fin)
+        triples = d._triples
+        _assert_same(d, _rebuilt(d))
+        for p in range(k):
+            _assert_same(d.with_initial([p]), Dfa(k, triples, [p], d.final))
+            _assert_same(d.with_initial([p]).with_final(fin), Dfa(k, triples, [p], fin))
+        _assert_same(d.with_final([]), Dfa(k, triples, d.initial, []))
+        several = d.with_initial(range(k)) if k > 1 else d.with_initial([])
+        _assert_same(several, Nfa(k, triples, several.initial, d.final))
+        for over in (syms, syms[:1], sorted(set(syms) | {C, 0})):
+            _assert_same(d.complete(over), _completed(d, over))
+        m = d.minimize()
+        _assert_same(m, _rebuilt(m))
+        _assert_same(m, _rebuilt(d).minimize())
+        _assert_same(m, _completed(d, sorted(d.alphabet)).minimize())
+        assert equivalence_counterexample(m, d) is None
+        _assert_same(d.determinize(), _subset_construction(d, sorted(d.alphabet)))
+        for bad in ([k], [-1]):
+            with pytest.raises(ValueError):
+                d.with_initial(bad)
+            with pytest.raises(ValueError):
+                d.with_final(bad)
+        with pytest.raises(ValueError):
+            d.complete([A, 300])
+
+
+def test_dfa_validation_errors():
+    with pytest.raises(ValueError):
+        Dfa(2, [(0, A, 1)], [0, 1], [])
+    with pytest.raises(ValueError):
+        Dfa(2, [(0, A, 1), (0, A, 0)], [0], [])
+    with pytest.raises(ValueError):
+        Dfa(2, [(0, A, 2)], [0], [])
+
+
+@pytest.mark.parametrize("pattern", ["(ab)*c", "a[bc]+|d", "(a|b)*a(a|b){3}", "a?b?"])
+def test_compiled_nfas_match_the_validating_constructor(pattern):
+    nfa = compile_regex(parse_regex(pattern), allow_empty=True)
+    _assert_same(nfa, _rebuilt(nfa))
+    _assert_same(nfa.reverse(), _rebuilt(nfa).reverse())

@@ -7,6 +7,7 @@ import pytest
 from wqlang.cli import main
 from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import compile_regex, equivalence_counterexample, parse_regex
+from wqlang.automata import MAX_DFA_STATES
 
 from conftest import chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
 
@@ -175,6 +176,18 @@ def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "nl_learn", diverge)
     assert main(["learn", files["n2"]]) == 3
     assert "no stable hypothesis" in _one_line_error(capsys)
+
+
+def test_determinization_budget_exits_with_input_error(files, tmp_path, capsys):
+    # the minimal DFA of (a|b)*a(a|b){16} remembers the last 17 letters, so
+    # the subset construction passes MAX_DFA_STATES
+    big = tmp_path / "big.nfa"
+    big.write_bytes(dump_nfa(compile_regex(parse_regex("(a|b)*a(a|b){16}"))))
+    for argv in (["canonical", str(big)], ["include", "nfa", files["n1"], str(big), "--algo", "gfp"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and f"more than {MAX_DFA_STATES} states" in err
 
 
 def test_residual_subcommands(files, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,34 @@ def test_bounded_repetition_grows_linearly(template, head, pieces, tail):
             assert nfa.member(word) == bool(re.fullmatch(pattern.encode(), word)), word
     growth = [sizes[b] - sizes[a] for a, b in ((25, 50), (50, 100), (100, 200))]
     assert growth[1] == 2 * growth[0] and growth[2] == 2 * growth[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_compile_near_the_transition_cap_stays_small():
+    # .{257} has 65,792 transitions, just under MAX_REGEX_TRANSITIONS; the
+    # compiler fills the automaton's mask tables straight from the fragment
+    # and holds no other copy of its transitions. The child reports VmHWM,
+    # the peak of its own address space: ru_maxrss would also count the
+    # peak of this test process, which a child inherits across fork and exec.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import re\n"
+        "from wqlang.slpsearch.regex import compile_regex, parse_regex\n"
+        "n = compile_regex(parse_regex('.{257}'))\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(n.state_count, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    states, peak_kb = map(int, run.stdout.split())
+    assert states == 258
+    assert peak_kb < 50 * 1024, f"peak RSS {peak_kb} kB"
 
 
 def test_nullable_repeated_operand_compiles_like_its_chain():

@@ -18,9 +18,14 @@ from wqlang.residual import isomorphic_to_canonical
 from conftest import A, B, C, make_fig62, rand_nfa, set_of
 
 
+def _below(key, keys):
+    """The principals strictly below ``key``, as ``build_H`` lists them."""
+    return [k for k in keys if k != key and k & key == k]
+
+
 def test_principals_fig62(fig62):
     ps = principals(fig62, "right")
-    keys = {frozenset(bits(k)) for k in ps.keys}
+    keys = {frozenset(bits(k)) for k in ps}
     assert keys == {
         frozenset({0}),
         frozenset({1, 2}),
@@ -34,20 +39,20 @@ def test_principals_fig62(fig62):
 def test_principals_single_loop():
     n = Nfa(1, [(0, A, 0)], [0], [0])
     ps = principals(n, "right")
-    assert ps.keys == (1,)
+    assert ps == (1,)
 
 
 def test_principal_count_matches_determinization():
     rng = random.Random(70)
     for _ in range(40):
         n = rand_nfa(rng, max_states=5)
-        assert len(principals(n, "right").keys) == n.determinize().state_count
+        assert len(principals(n, "right")) == n.determinize().state_count
 
 
 def test_composite_fig62(fig62):
     ps = principals(fig62, "right")
     flags = {
-        frozenset(bits(k)): is_composite(fig62, k, ps, "right") for k in ps.keys
+        frozenset(bits(k)): is_composite(fig62, k, _below(k, ps), "right") for k in ps
     }
     assert flags[frozenset({1, 2, 3, 4})]  # the c principal is composite
     assert flags[frozenset()]  # empty post-set is trivially composite
@@ -67,8 +72,8 @@ def test_composite_agrees_with_quotient_enumeration():
             # left keys are pre-sets: right languages of the reverse
             fwd = n if direction == "right" else n.reverse()
             ps = principals(n, direction)
-            for key in ps.keys:
-                union_keys = [k for k in ps.keys if k != key and k & key == k]
+            for key in ps:
+                union_keys = _below(key, ps)
                 union = 0
                 for k in union_keys:
                     union |= k
@@ -78,7 +83,7 @@ def test_composite_agrees_with_quotient_enumeration():
                     bool(lang_key.member(s)) == bool(lang_union.member(s))
                     for s in suffixes
                 )
-                composite = is_composite(n, key, ps, direction)
+                composite = is_composite(n, key, union_keys, direction)
                 assert composite == (
                     equivalence_counterexample(lang_key, lang_union) is None
                 )
