@@ -119,8 +119,6 @@ def _cmd_include_nfa(args) -> int:
         )
     elif algo == "antichain-fwd":
         verdict = inclusion.fa_inc_antichain(left, right, "forward", cap)
-    elif algo == "antichain-bwd":
-        verdict = inclusion.fa_inc_antichain(left, right, "backward", cap)
     else:  # gfp
         verdict = inclusion.fa_inc_gfp(left, right.determinize())
     return _verdict_output(args, verdict, {"algo": algo})
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
             "word-state",
             "word-sim",
             "antichain-fwd",
-            "antichain-bwd",
             "gfp",
         ],
     )

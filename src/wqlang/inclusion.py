@@ -8,7 +8,7 @@ one of them:
 - ``fa_inc_word`` runs ``word_fixpoint`` under any directed handle
   (Nerode, state-set, simulation) and tests representative words;
 - ``fa_inc_antichain`` runs ``word_fixpoint`` under the left state-set
-  order (forward) or its complemented dual (backward) and tests keys;
+  order and tests keys (one variant, the forward antichain algorithm);
 - ``cfg_inc_word`` runs ``cfg_word_fixpoint`` under any two-sided handle
   (Myhill, state-pair) and tests representative words;
 - ``cfg_inc_antichain`` runs ``cfg_word_fixpoint`` under the state-pair
@@ -279,37 +279,19 @@ def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """Antichain inclusion check of L(n1) in L(n2): ``word_fixpoint`` under
-    a state-set order of n2, with a key-level acceptance test.
-
-    forward: pre-sets of n2's finals under inclusion (``state_handle``);
-    accepted iff every surviving set meets n2's initials.
-    backward: complemented pre-sets under the dual (superset) order;
-    accepted iff no surviving set contains all of n2's initials.
+    the pre-sets of n2's finals ordered by inclusion (``state_handle``);
+    accepted iff every surviving set meets n2's initials. ``variant`` names
+    the algorithm and must be "forward", the only one.
     The witness is the shortest, then lexicographically least, failing word
     among the entries that survive in the fixpoint at n1's initial states;
     it need not be a shortest word of L(n1) - L(n2).
     """
-    i2 = n2.initial_mask
-    if variant == "forward":
-        handle = state_handle(n2, "left")
-        fails = lambda key: not (key & i2)
-    elif variant == "backward":
-        handle = _backward_state_handle(n2)
-        fails = lambda key: key & i2 == i2
-    else:
+    if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
-    vec, _ = word_fixpoint(n1, handle, max_iter)
-    return _key_verdict((e for q in bits(n1.initial_mask) for e in vec[q]), fails)
-
-
-def _backward_state_handle(n2: Nfa) -> QuasiorderHandle:
-    """Complemented pre-sets of n2's finals under the superset order."""
-    full2 = (1 << n2.state_count) - 1
-    return QuasiorderHandle(
-        direction="left",
-        key_of=lambda w: full2 & ~n2.run(w, False),
-        leq=lambda a, b: a | b == a,
-        extend=lambda key, sym: full2 & ~n2.step(full2 & ~key, sym, False),
+    i2 = n2.initial_mask
+    vec, _ = word_fixpoint(n1, state_handle(n2, "left"), max_iter)
+    return _key_verdict(
+        (e for q in bits(n1.initial_mask) for e in vec[q]), lambda key: not (key & i2)
     )
 
 

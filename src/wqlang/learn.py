@@ -7,11 +7,13 @@ closed and consistent over P it builds the prime-principal automaton and
 asks the equivalence oracle; counterexample suffixes refine S. The
 hypothesis is the ``residual.build_H`` core under the restricted order:
 ``build_H`` picks the primes, the learner supplies only its composite test
-(a row that is the join of the P-rows below it).
+(a row that is the join of the rows ``build_H`` passes as below it).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable
 
 from . import residual
@@ -26,11 +28,12 @@ class LearnerDiverged(RuntimeError):
 
 
 class ObservationState:
-    """The learner's bookkeeping: P, S, and cached membership rows.
+    """The learner's bookkeeping: P, S, and cached membership answers.
 
-    The row of a word u is the bit vector of teacher answers for u
-    extended by each suffix in S; row containment decides the restricted
-    residual-inclusion quasiorder.
+    The row of a word u is an int bitmask whose bit i is the teacher's
+    answer for u extended by the i-th suffix in S; row containment
+    (``a & b == a``) decides the restricted residual-inclusion quasiorder
+    and OR joins rows.
     """
 
     def __init__(self, teacher: Callable[[bytes], bool], alphabet: Iterable[int]):
@@ -47,11 +50,12 @@ class ObservationState:
             self._member[word] = cached
         return cached
 
-    def row(self, word: bytes) -> tuple[bool, ...]:
-        return tuple(self.member(word + s) for s in self.suffixes)
+    def row(self, word: bytes) -> int:
+        return sum(1 << i for i, s in enumerate(self.suffixes) if self.member(word + s))
 
     def row_leq(self, u: bytes, v: bytes) -> bool:
-        return all(b or not a for a, b in zip(self.row(u), self.row(v)))
+        a = self.row(u)
+        return a & self.row(v) == a
 
     def add_prefix(self, word: bytes) -> None:
         if word not in self.prefixes:
@@ -63,15 +67,15 @@ class ObservationState:
 
     # -- primality over P --------------------------------------------------
 
-    def join_below(self, word: bytes) -> tuple[bool, ...]:
+    def join_below(self, word: bytes) -> int:
         """Join of the rows of P-words strictly below the given word."""
         target = self.row(word)
-        acc = [False] * len(self.suffixes)
+        acc = 0
         for p in self.prefixes:
             r = self.row(p)
-            if r != target and all(b or not a for a, b in zip(r, target)):
-                acc = [x or y for x, y in zip(acc, r)]
-        return tuple(acc)
+            if r != target and r & target == r:
+                acc |= r
+        return acc
 
     def is_prime(self, word: bytes) -> bool:
         return self.row(word) != self.join_below(word)
@@ -91,19 +95,19 @@ class ObservationState:
 
     def consistency_defect(self) -> bytes | None:
         """A suffix a·x witnessing that row containment of two P-words is
-        not preserved by extension with the letter a."""
+        not preserved by extension with the letter a; x is the first suffix
+        in S on which u·a accepts and v·a rejects."""
         for u in self.prefixes:
             for v in self.prefixes:
                 if u == v or not self.row_leq(u, v):
                     continue
                 for a in self.alphabet:
                     row_ua = self.row(u + bytes([a]))
-                    if not any(row_ua):
+                    if not row_ua:
                         continue
-                    row_va = self.row(v + bytes([a]))
-                    for x, in_u, in_v in zip(self.suffixes, row_ua, row_va):
-                        if in_u and not in_v:
-                            return bytes([a]) + x
+                    diff = row_ua & ~self.row(v + bytes([a]))
+                    if diff:
+                        return bytes([a]) + self.suffixes[(diff & -diff).bit_length() - 1]
         return None
 
     # -- hypothesis ----------------------------------------------------------
@@ -111,15 +115,16 @@ class ObservationState:
     def build_automaton(self) -> Nfa:
         """Prime-principal automaton over the current P and S: ``build_H``
         over the first P-word of each distinct row, with row containment as
-        the order, appending a letter as the extension and ``is_prime``
-        deciding which rows are composite."""
-        firsts: dict[tuple[bool, ...], bytes] = {}
+        the order and appending a letter as the extension. A row is
+        composite when it is the OR of the rows ``build_H`` lists below it;
+        every P-row has a representative, so this is ``not is_prime``."""
+        firsts: dict[int, bytes] = {}
         for p in self.prefixes:
             firsts.setdefault(self.row(p), p)
         return residual.build_H(
             list(firsts.values()),
             self.row_leq,
-            lambda u, _below: not self.is_prime(u),
+            lambda u, below: self.row(u) == reduce(or_, map(self.row, below), 0),
             lambda u, a: u + bytes([a]),
             b"",
             self.member,

@@ -9,12 +9,9 @@ macro states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import Dfa, Nfa, Ocn, bits
 
 __all__ = [
-    "SimRelation",
     "max_simulation",
     "sim_leq",
     "residual_inclusion_matrix",
@@ -34,20 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimRelation:
-    """Greatest simulation of one NFA as a bit matrix: ``rows[p]`` holds the
-    mask of states q that simulate p."""
-
-    rows: tuple[int, ...]
-
-    def holds(self, p: int, q: int) -> bool:
-        return bool(self.rows[p] >> q & 1)
-
-
-def max_simulation(n: Nfa, direction: str = "right") -> SimRelation:
+def max_simulation(n: Nfa, direction: str = "right") -> tuple[int, ...]:
     """Coarsest relation such that related states agree on finality and
-    every labeled move of the smaller state is matched by the larger.
+    every labeled move of the smaller state is matched by the larger, as a
+    bit matrix: ``rows[p]`` holds the mask of states q that simulate p.
 
     The left variant is the same computation on the reverse automaton, so
     it relates states by left-language inclusion instead of right.
@@ -74,13 +61,14 @@ def max_simulation(n: Nfa, direction: str = "right") -> SimRelation:
                         rows[p] &= ~(1 << q)
                         changed = True
                         break
-    return SimRelation(tuple(rows))
+    return tuple(rows)
 
 
-def sim_leq(u_key: int, v_key: int, sim: SimRelation) -> bool:
-    """Universal-existential lift of a simulation to state sets."""
+def sim_leq(u_key: int, v_key: int, rows: tuple[int, ...]) -> bool:
+    """Universal-existential lift of a simulation, given by its rows, to
+    state sets."""
     for x in bits(u_key):
-        if not (sim.rows[x] & v_key):
+        if not (rows[x] & v_key):
             return False
     return True
 
@@ -90,7 +78,7 @@ def residual_inclusion_matrix(min_dfa: Dfa) -> tuple[int, ...]:
     states: ``rows[p]`` has bit q set iff the language of p is included in
     the language of q. This is the DFA's maximal simulation: a deterministic
     state simulates another exactly when its language includes the other's."""
-    return max_simulation(min_dfa).rows
+    return max_simulation(min_dfa)
 
 
 def empty_states_mask(d: Dfa) -> int:

@@ -1,31 +1,34 @@
 """Residual-automata constructions driven by quasiorders.
 
 One core builds every residual automaton: ``build_H``, the automaton over
-the prime principals of a consistent quasiorder. It takes all principals,
-lists the ones strictly below each, and picks the primes itself; the
-constructions differ only in the principals they pass, the order they
-compare them by and the composite test they supply:
+the prime principals of a consistent right quasiorder. It takes all
+principals, lists the ones strictly below each, and picks the primes
+itself; the constructions differ only in the keys they pass, the order
+they compare them by and the composite test they supply:
 
-- ``res``: reachable post-sets (right) or pre-sets (left) of the automaton
-  under state-set inclusion, composite when the union of the smaller ones
-  has the same language (``is_composite``);
+- ``res``: reachable post-sets of the automaton under state-set
+  inclusion, composite when the union of the smaller ones has the same
+  language (``is_composite``);
 - ``denis_residualize``: the same post-sets and order, composite when the
   smaller ones cover them (the classic, weaker test);
-- ``canonical``: the states of the minimal DFA under residual inclusion,
-  composite when the smaller residuals make up the residual;
+- ``canonical``: the one-state sets of the minimal DFA under residual
+  inclusion, composite by ``is_composite`` on the minimal DFA;
 - the learner's hypothesis (``learn.ObservationState.build_automaton``):
-  representative words under row containment, composite when not prime.
+  representative words under row containment, composite when the row is
+  the join of the rows below it.
 
-Also here: principal enumeration, the double-reversal route to the
-canonical RFA, and the closedness condition characterizing when plain
-residualization is already canonical.
+The first three share the state-set helper ``_state_set_H``. Direction is
+decided only in ``res`` and ``canonical``: left is the reverse of the
+construction on the reverse. Also here: principal enumeration, the
+double-reversal route to the canonical RFA, and the closedness condition
+characterizing when plain residualization is already canonical.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .automata import Dfa, Nfa, bits, equivalence_counterexample, naive_inclusion
 from .quasiorder import residual_inclusion_matrix
@@ -45,26 +48,18 @@ __all__ = [
 ]
 
 
-def principals(n: Nfa, direction: str = "right") -> tuple[int, ...]:
-    """All distinct reachable key sets of one direction of the automaton:
-    post-sets of the initials (right) or pre-sets of the finals (left), in
-    breadth-first discovery order. They are the subsets of the subset
-    construction (of the reverse automaton for left)."""
-    if direction == "left":
-        n = n.reverse()
-    elif direction != "right":
-        raise ValueError(f"bad direction {direction!r}")
+def principals(n: Nfa) -> tuple[int, ...]:
+    """All distinct reachable post-sets of the initials, in breadth-first
+    discovery order: the subsets of the subset construction."""
     return n.determinize().source_subsets
 
 
-def is_composite(n: Nfa, key: int, below: Sequence[int], direction: str = "right") -> bool:
-    """Is the key's residual exactly the union of the residuals of the
-    principals strictly below it (``below``, as ``build_H`` lists them)?
+def is_composite(n: Nfa, key: int, below: Sequence[int]) -> bool:
+    """Is the right language of the key's states exactly the union of those
+    of the keys strictly below it (``below``, as ``build_H`` lists them)?
     Decided by language equivalence, not mere state-set coverability, which
     is strictly weaker. The union is a subset of the key, so only the key's
     language can fail to be included."""
-    if direction == "left":
-        return is_composite(n.reverse(), key, below, "right")
     union = reduce(or_, below, 0)
     return naive_inclusion(n.with_initial(bits(key)), n.with_initial(bits(union))).included
 
@@ -77,102 +72,92 @@ def build_H(
     key_eps: Any,
     final_of: Callable[[Any], bool],
     symbols,
-    direction: str = "right",
 ) -> Nfa:
-    """Automaton over the prime principals of a consistent quasiorder, one
-    state per prime key, in the order of ``keys``.
+    """Automaton over the prime principals of a consistent right
+    quasiorder, one state per prime key, in the order of ``keys``.
 
     ``keys`` holds every principal once; a key is dropped when
     ``composite(key, below)`` holds, ``below`` listing the keys strictly
-    below it. Right: initial principals are those below the principal of
-    the empty word, final ones those ``final_of`` accepts (their words
-    belong to the language), and an a-transition from u's principal reaches
-    every prime principal below the principal of u·a. Left is the mirror
-    image (transitions read a·v, initial and final roles swap).
+    below it. Initial principals are those below the principal of the
+    empty word, final ones those ``final_of`` accepts (their words belong
+    to the language), and an a-transition from u's principal reaches every
+    prime principal below the principal of u·a.
     """
-    if direction not in ("right", "left"):
-        raise ValueError(f"bad direction {direction!r}")
     primes = [
         k for k in keys if not composite(k, [b for b in keys if leq(b, k) and not leq(k, b)])
     ]
-    eps_side = [i for i, k in enumerate(primes) if leq(k, key_eps)]
-    lang_side = [i for i, k in enumerate(primes) if final_of(k)]
-    initial, final = (
-        (eps_side, lang_side) if direction == "right" else (lang_side, eps_side)
-    )
+    initial = [i for i, k in enumerate(primes) if leq(k, key_eps)]
+    final = [i for i, k in enumerate(primes) if final_of(k)]
     triples = []
     for i, u in enumerate(primes):
         for sym in symbols:
-            if direction == "right":
-                ext = extend(u, sym)
-                targets = [j for j, v in enumerate(primes) if leq(v, ext)]
-            else:
-                targets = [j for j, v in enumerate(primes) if leq(u, extend(v, sym))]
-            triples += [(i, sym, j) for j in targets]
+            ext = extend(u, sym)
+            triples += [(i, sym, j) for j, v in enumerate(primes) if leq(v, ext)]
     return Nfa(len(primes), triples, initial, final)
 
 
-def _state_set_H(
-    n: Nfa, keys: Sequence[int], composite: Callable[[int, list], bool], direction: str
-) -> Nfa:
-    """``build_H`` under the automaton-induced state-set order: post-sets
-    of the initials (right) or pre-sets of the finals (left)."""
-    fwd = direction == "right"
-    start, goal = n.initial_mask, n.final_mask
-    if not fwd:
-        start, goal = goal, start
+def _state_set_H(n: Nfa, keys: Sequence[int], leq: Callable, composite: Callable) -> Nfa:
+    """``build_H`` over state sets of ``n``: a key extends by the post-set
+    step and is final when it meets the finals."""
+    final = n.final_mask
     return build_H(
         keys,
-        lambda a, b: a & b == a,
+        leq,
         composite,
-        lambda key, sym: n.step(key, sym, fwd),
-        start,
-        lambda key: bool(key & goal),
+        lambda key, sym: n.step(key, sym, True),
+        n.initial_mask,
+        lambda key: bool(key & final),
         sorted(n.alphabet),
-        direction,
     )
+
+
+def _subset(a: int, b: int) -> bool:
+    return a & b == a
 
 
 def res(n: Nfa, direction: str = "right") -> Nfa:
     """Residualization through the automaton-induced quasiorder: the states
-    are the prime reachable post-sets (right) or pre-sets (left)."""
-    fwd = n.reverse() if direction == "left" else n
+    are the prime reachable post-sets under inclusion, composite when the
+    smaller ones have the same language (``is_composite``). The left
+    variant is the reverse of the residualization of the reverse, whose
+    states are the prime pre-sets of the finals."""
+    if direction == "left":
+        return res(n.reverse()).reverse()
+    if direction != "right":
+        raise ValueError(f"bad direction {direction!r}")
     return _state_set_H(
-        n, principals(n, direction), lambda key, below: is_composite(fwd, key, below), direction
+        n, principals(n), _subset, lambda key, below: is_composite(n, key, below)
     )
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
-    """The canonical residual automaton of the language: ``build_H`` over
-    the prime residuals of the minimal DFA, ordered by residual inclusion,
-    which saturates the transitions; the left variant is the reverse of the
-    canonical automaton of the reversed language."""
+    """The canonical residual automaton of the language: the state-set
+    construction on the minimal DFA over its one-state keys, ordered by
+    residual inclusion, which saturates the transitions; a residual is
+    composite when the smaller ones make it up (``is_composite``). The left
+    variant is the reverse of the canonical automaton of the reversed
+    language."""
     if direction == "left":
-        return canonical(lang.reverse(), "right").reverse()
+        return canonical(lang.reverse()).reverse()
     if direction != "right":
         raise ValueError(f"bad direction {direction!r}")
     m = lang.determinize().minimize()
     incl = residual_inclusion_matrix(m)
-    return build_H(
-        range(m.state_count),
-        lambda p, q: bool(incl[p] >> q & 1),
-        lambda p, below: naive_inclusion(m.with_initial([p]), m.with_initial(below)).included,
-        m.dnext,
-        m.initial_state,
-        lambda p: bool(m.final_mask >> p & 1),
-        sorted(m.alphabet),
+    return _state_set_H(
+        m,
+        [1 << p for p in range(m.state_count)],
+        # every key, and every step of one on the complete DFA, is one state
+        lambda a, b: bool(incl[a.bit_length() - 1] & b),
+        lambda key, below: is_composite(m, key, below),
     )
 
 
 def denis_residualize(n: Nfa) -> Nfa:
-    """Classic residualization: ``res``'s construction, keeping the
+    """Classic residualization: ``res``'s keys and order, keeping the
     reachable post-sets that are not the union of the smaller ones (state-set
     coverability instead of language equivalence)."""
     return _state_set_H(
-        n,
-        principals(n, "right"),
-        lambda key, below: reduce(or_, below, 0) == key,
-        "right",
+        n, principals(n), _subset, lambda key, below: reduce(or_, below, 0) == key
     )
 
 
@@ -180,16 +165,17 @@ def double_reversal_canonical(n: Nfa) -> Nfa:
     """Residualize the reverse, reverse, residualize (two ``res`` calls,
     hence two ``build_H`` calls under state-set inclusion): lands on the
     canonical residual automaton of the original language."""
-    return res(res(n.reverse(), "right").reverse(), "right")
+    return res(res(n.reverse()).reverse())
 
 
 def check_dr_condition(n: Nfa) -> bool:
     """Does residualization of ``n`` yield the canonical automaton? True
     exactly when the left language of every state is upward closed under
     residual inclusion, checked by product exploration against the minimal
-    DFA plus one language equivalence per state."""
+    DFA (complete over ``n``'s alphabet) plus one language equivalence per
+    state."""
     syms = sorted(n.alphabet)
-    mc = n.determinize().minimize().complete(syms)
+    mc = n.determinize().minimize()
     inclc = residual_inclusion_matrix(mc)
     # product reachability: which minimal-DFA states co-occur with each state
     start_pairs = [(q, mc.initial_state) for q in bits(n.initial_mask)]
@@ -216,18 +202,19 @@ def check_dr_condition(n: Nfa) -> bool:
     return True
 
 
+def _residual_labels(n: Nfa, min_dfa: Dfa) -> Iterator[int | None]:
+    """For each state of ``n`` in turn, the first minimal-DFA state whose
+    residual equals the state's right language, or None when none does."""
+    for q in range(n.state_count):
+        right = n.with_initial([q])
+        same = lambda p: equivalence_counterexample(right, min_dfa.with_initial([p])) is None
+        yield next(filter(same, range(min_dfa.state_count)), None)
+
+
 def is_rfa(n: Nfa) -> bool:
     """Is every state's right language a residual of the automaton's own
     language? Empty right languages need the empty residual to exist."""
-    m = n.determinize().minimize()
-    for q in range(n.state_count):
-        right = n.with_initial([q])
-        if all(
-            equivalence_counterexample(right, m.with_initial([p])) is not None
-            for p in range(m.state_count)
-        ):
-            return False
-    return True
+    return None not in _residual_labels(n, n.determinize().minimize())
 
 
 # -- canonical-form comparison ------------------------------------------------
@@ -237,27 +224,14 @@ def canonical_signature(candidate: Nfa, min_dfa: Dfa):
     """Label every candidate state by the minimal-DFA state whose residual
     equals its right language; None when some state matches no residual or
     two states collide, i.e. the candidate is not canonical-shaped."""
-    labels = []
-    for q in range(candidate.state_count):
-        right = candidate.with_initial([q])
-        match = None
-        for p in range(min_dfa.state_count):
-            if equivalence_counterexample(right, min_dfa.with_initial([p])) is None:
-                match = p
-                break
-        if match is None:
-            return None
-        labels.append(match)
-    if len(set(labels)) != len(labels):
+    labels = list(_residual_labels(candidate, min_dfa))
+    if None in labels or len(set(labels)) != len(labels):
         return None
-    relabel = {q: labels[q] for q in range(candidate.state_count)}
     return (
         frozenset(labels),
-        frozenset(relabel[q] for q in candidate.initial),
-        frozenset(relabel[q] for q in candidate.final),
-        frozenset(
-            (relabel[p], sym, relabel[q]) for p, sym, q in candidate._triples
-        ),
+        frozenset(labels[q] for q in candidate.initial),
+        frozenset(labels[q] for q in candidate.final),
+        frozenset((labels[p], sym, labels[q]) for p, sym, q in candidate._triples),
     )
 
 

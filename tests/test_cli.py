@@ -34,7 +34,7 @@ def files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "algo", ["word-nerode", "word-state", "word-sim", "antichain-fwd", "antichain-bwd", "gfp"]
+    "algo", ["word-nerode", "word-state", "word-sim", "antichain-fwd", "gfp"]
 )
 def test_include_nfa_all_algorithms(files, capsys, algo):
     code = main(["include", "nfa", files["n1"], files["n2"], "--algo", algo])
@@ -43,6 +43,14 @@ def test_include_nfa_all_algorithms(files, capsys, algo):
     assert out.startswith("NOT INCLUDED")
     if algo != "gfp":
         assert "witness=" in out
+
+
+def test_include_nfa_antichain_bwd_is_a_usage_error(files, capsys):
+    # the backward antichain variant is gone; its name is no longer a choice
+    with pytest.raises(SystemExit) as err:
+        main(["include", "nfa", files["n1"], files["n2"], "--algo", "antichain-bwd"])
+    assert err.value.code == 2
+    assert "invalid choice: 'antichain-bwd'" in capsys.readouterr().err
 
 
 def test_include_nfa_fail_on_miss(files):

@@ -73,7 +73,6 @@ AB_PATTERNS = ("ba", "a+b", "[ab]{3}")
 
 PINNED = {
     "antichain-fwd": "718ca851575b2aca8e4a18c49a1dea8e4b736a10cb9a8849869863f2cda6f39d",
-    "antichain-bwd": "718ca851575b2aca8e4a18c49a1dea8e4b736a10cb9a8849869863f2cda6f39d",
     "word-nerode": "0cd8759a620adc93493d3cc9b0f7b0bc4cb4aab68bc6e12129eefb6fa861437b",
     "word-state": "caffc9160e9f32753f5b8431222c2031f827fcfb3b954ab4da9895bc865d9bb6",
     "word-sim": "619301658a8120b7977e1f1cfad3d43dbdd4518010dd421289eafb75ad24a68a",
@@ -206,8 +205,6 @@ def _learn(target):
 def _outputs(name: str):
     if name == "antichain-fwd":
         return [fa_inc_antichain(a, b, "forward") for a, b in _nfa_pairs()]
-    if name == "antichain-bwd":
-        return [fa_inc_antichain(a, b, "backward") for a, b in _nfa_pairs()]
     if name.startswith("word-"):
         factory = {
             "word-nerode": nerode_handle,

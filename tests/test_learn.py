@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wqlang import Nfa, canonical, equivalence_counterexample, nl_learn
+from wqlang import Nfa, canonical, equivalence_counterexample, nl_learn, residual
 from wqlang.learn import LearnerDiverged, ObservationState
 from wqlang.residual import isomorphic_to_canonical
 
@@ -91,11 +91,45 @@ def test_observation_rows_and_quasiorder_agree():
                 qu = {s for s in obs.suffixes if target.member(u + s)}
                 if qp != qu and qp <= qu:
                     union |= qp
-            assert {s for s, bit in zip(obs.suffixes, join) if bit} == union
+            assert {s for i, s in enumerate(obs.suffixes) if join >> i & 1} == union
 
     learned = nl_learn(target.member, lambda c: equivalence_counterexample(c, target), [A, B], on_hypothesis=snapshot)
     assert tables
     assert equivalence_counterexample(learned, target) is None
+
+
+def test_below_join_agrees_with_is_prime(monkeypatch):
+    # build_automaton's composite test, given the representatives build_H
+    # lists below a row, decides primality exactly as is_prime does over P
+    calls = []
+    real_build_H = residual.build_H
+
+    def spy(keys, leq, composite, *rest):
+        calls.append((keys, leq, composite))
+        return real_build_H(keys, leq, composite, *rest)
+
+    monkeypatch.setattr(residual, "build_H", spy)
+    seen = {True: 0, False: 0}
+
+    def snapshot(obs: ObservationState, hypothesis: Nfa):
+        keys, leq, composite = calls[-1]
+        for u in keys:
+            below = [v for v in keys if leq(v, u) and not leq(u, v)]
+            verdict = composite(u, below)
+            assert verdict == (not obs.is_prime(u))
+            seen[verdict] += 1
+
+    rng = random.Random(81)
+    for _ in range(30):
+        target = rand_nfa(rng, max_states=5, n_syms=2)
+        learned = nl_learn(
+            target.member,
+            lambda c: equivalence_counterexample(c, target),
+            [A, B],
+            on_hypothesis=snapshot,
+        )
+        assert equivalence_counterexample(learned, target) is None
+    assert seen[True] >= 10 and seen[False] >= 50
 
 
 def test_prefix_and_suffix_closure_maintained():

@@ -24,7 +24,7 @@ def _below(key, keys):
 
 
 def test_principals_fig62(fig62):
-    ps = principals(fig62, "right")
+    ps = principals(fig62)
     keys = {frozenset(bits(k)) for k in ps}
     assert keys == {
         frozenset({0}),
@@ -38,7 +38,7 @@ def test_principals_fig62(fig62):
 
 def test_principals_single_loop():
     n = Nfa(1, [(0, A, 0)], [0], [0])
-    ps = principals(n, "right")
+    ps = principals(n)
     assert ps == (1,)
 
 
@@ -46,13 +46,13 @@ def test_principal_count_matches_determinization():
     rng = random.Random(70)
     for _ in range(40):
         n = rand_nfa(rng, max_states=5)
-        assert len(principals(n, "right")) == n.determinize().state_count
+        assert len(principals(n)) == n.determinize().state_count
 
 
 def test_composite_fig62(fig62):
-    ps = principals(fig62, "right")
+    ps = principals(fig62)
     flags = {
-        frozenset(bits(k)): is_composite(fig62, k, _below(k, ps), "right") for k in ps
+        frozenset(bits(k)): is_composite(fig62, k, _below(k, ps)) for k in ps
     }
     assert flags[frozenset({1, 2, 3, 4})]  # the c principal is composite
     assert flags[frozenset()]  # empty post-set is trivially composite
@@ -71,7 +71,7 @@ def test_composite_agrees_with_quotient_enumeration():
         for direction in ("right", "left"):
             # left keys are pre-sets: right languages of the reverse
             fwd = n if direction == "right" else n.reverse()
-            ps = principals(n, direction)
+            ps = principals(fwd)
             for key in ps:
                 union_keys = _below(key, ps)
                 union = 0
@@ -83,7 +83,7 @@ def test_composite_agrees_with_quotient_enumeration():
                     bool(lang_key.member(s)) == bool(lang_union.member(s))
                     for s in suffixes
                 )
-                composite = is_composite(n, key, union_keys, direction)
+                composite = is_composite(fwd, key, union_keys)
                 assert composite == (
                     equivalence_counterexample(lang_key, lang_union) is None
                 )
