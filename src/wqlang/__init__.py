@@ -18,7 +18,7 @@ from .automata import (
     equivalence_counterexample,
     naive_inclusion,
 )
-from .fixpoint import Antichain, KleeneResult, ac_below, kleene, minor
+from .fixpoint import Antichain, KleeneResult, ac_below, kleene
 from .inclusion import (
     QuasiorderHandle,
     cfg_inc_antichain,
@@ -45,14 +45,7 @@ from .residual import (
     principals,
     res,
 )
-from .slpsearch.counting import (
-    CountingInfo,
-    SearchEngine,
-    combine_counting,
-    count_lines,
-    report_lines,
-    slp_match_exists,
-)
+from .slpsearch.counting import SearchEngine
 from .slpsearch.regex import (
     compile_regex,
     homogeneous_dfa,
@@ -64,7 +57,6 @@ from .slpsearch.slp import Slp, decompress, repair_compress
 __all__ = [
     "Antichain",
     "CnfGrammar",
-    "CountingInfo",
     "Dfa",
     "KleeneResult",
     "Nfa",
@@ -80,9 +72,7 @@ __all__ = [
     "cfg_inc_antichain",
     "cfg_inc_word",
     "check_dr_condition",
-    "combine_counting",
     "compile_regex",
-    "count_lines",
     "ctx_handle",
     "decompress",
     "denis_residualize",
@@ -96,7 +86,6 @@ __all__ = [
     "is_composite",
     "is_rfa",
     "kleene",
-    "minor",
     "myhill_handle",
     "naive_inclusion",
     "nerode_handle",
@@ -106,9 +95,7 @@ __all__ = [
     "parse_regex",
     "principals",
     "repair_compress",
-    "report_lines",
     "res",
     "sim_handle",
-    "slp_match_exists",
     "state_handle",
 ]

@@ -9,7 +9,6 @@ from typing import Any, Callable, Iterable
 
 __all__ = [
     "Antichain",
-    "minor",
     "ac_below",
     "kleene",
     "KleeneResult",
@@ -45,14 +44,8 @@ class Antichain:
         self._entries.append((key, word))
         return True
 
-    def entries(self) -> list[tuple[Any, bytes | None]]:
-        return list(self._entries)
-
     def keys(self) -> list[Any]:
         return [k for k, _ in self._entries]
-
-    def words(self) -> list[bytes | None]:
-        return [w for _, w in self._entries]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,12 +55,6 @@ class Antichain:
 
     def __repr__(self) -> str:
         return f"Antichain({self.keys()!r})"
-
-
-def minor(items: Iterable[Any], leq: Leq) -> Antichain:
-    """Minor of ``items``: an antichain of minimal elements that still
-    dominates every input element."""
-    return Antichain(leq, ((k, None) for k in items))
 
 
 def ac_below(x, y, leq: Leq | None = None) -> bool:

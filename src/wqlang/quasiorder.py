@@ -205,6 +205,8 @@ def ocn_macro(o: Ocn, start: tuple[int, int], word: bytes) -> MacroState:
     """Macro state after reading the word from the start configuration:
     per state, the maximal reachable counter value (None if unreachable)."""
     q0, n0 = start
+    if not 0 <= q0 < o.state_count:
+        raise ValueError(f"start state {q0} out of range")
     if n0 < 0:
         raise ValueError("counter must be nonnegative")
     m: MacroState = tuple(n0 if q == q0 else None for q in range(o.state_count))

@@ -1,14 +1,6 @@
 """Regular-expression search on grammar-compressed text."""
 
-from .counting import (
-    CountingInfo,
-    SearchEngine,
-    combine_counting,
-    count_lines,
-    matching_line_total,
-    report_lines,
-    slp_match_exists,
-)
+from .counting import SearchEngine
 from .regex import (
     EmptyMatchError,
     RegexSyntaxError,
@@ -20,20 +12,14 @@ from .regex import (
 from .slp import Slp, decompress, repair_compress
 
 __all__ = [
-    "CountingInfo",
     "EmptyMatchError",
     "RegexSyntaxError",
     "SearchEngine",
     "Slp",
-    "combine_counting",
     "compile_regex",
-    "count_lines",
     "decompress",
     "homogeneous_dfa",
     "homogeneous_kind",
-    "matching_line_total",
     "parse_regex",
     "repair_compress",
-    "report_lines",
-    "slp_match_exists",
 ]

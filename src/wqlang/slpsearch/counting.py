@@ -20,50 +20,14 @@ text", J. Discrete Algorithms 2003).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from ..automata import Nfa
-from .slp import TERMINALS, Expander, Slp, rule_id
+from .slp import TERMINALS, Expander, Slp
 
-__all__ = [
-    "CountingInfo",
-    "combine_counting",
-    "matching_line_total",
-    "SearchEngine",
-    "slp_match_exists",
-    "count_lines",
-    "report_lines",
-]
+__all__ = ["SearchEngine"]
 
 NEWLINE = 0x0A
-
-
-class CountingInfo(NamedTuple):
-    """Per-symbol line bookkeeping: has a newline, first line matches, last
-    line matches, and the number of closed matching lines."""
-
-    newline: bool
-    first: bool
-    last: bool
-    closed: int
-
-
-def combine_counting(a: CountingInfo, b: CountingInfo, m: bool) -> CountingInfo:
-    """Counting tuple of a concatenation whose boundary-crossing match flag
-    is ``m``."""
-    newline = a.newline or b.newline
-    first = a.first if a.newline else (a.first or b.first or m)
-    last = b.last if b.newline else (a.last or b.last or m)
-    closed = a.closed + b.closed
-    if a.newline and b.newline and (a.last or b.first or m):
-        closed += 1
-    return CountingInfo(newline, first, last, closed)
-
-
-def matching_line_total(c: CountingInfo) -> int:
-    """Number of matching lines of the expansion behind a counting tuple."""
-    return c.closed + (1 if c.first else 0) + (1 if c.newline and c.last else 0)
-
 
 MATCHED = -1
 """The context of a line that already contains a match."""
@@ -96,8 +60,8 @@ class SearchEngine:
     The walk runs on construction. Contexts are state masks with the
     initial states added, or ``MATCHED``. ``evaluate`` memoizes each
     (symbol, entry context), terminals and rules in one table, as (exit
-    context, closed matching lines), and
-    ``rule_info`` derives the per-rule counting tuples from it on first use.
+    context, closed matching lines); ``match_exists``, ``line_count`` and
+    ``report`` read their answers from the walk and that table.
     """
 
     def __init__(self, slp: Slp, nfa: Nfa):
@@ -110,7 +74,6 @@ class SearchEngine:
         self._lines = NEWLINE not in nfa.alphabet
         self._start = self._context(0)
         self._memo: dict[tuple[int, int], tuple[int, int]] = {}
-        self._info: list[CountingInfo] | None = None
         self._exit, self._closed = self._walk(slp.axiom, self._start)
 
     # -- the walk ------------------------------------------------------------
@@ -176,16 +139,13 @@ class SearchEngine:
         return ctx, closed
 
     def _newlines(self) -> list[bool]:
-        """Whether each rule's expansion contains a newline, bottom-up."""
+        """Whether each binary rule's expansion contains a newline, bottom-up."""
         has: list[bool] = []
         for a, b in self.slp.rules[:-1]:
             has.append(
                 (has[a - TERMINALS - 1] if a > TERMINALS else a == NEWLINE)
                 or (has[b - TERMINALS - 1] if b > TERMINALS else b == NEWLINE)
             )
-        has.append(
-            any(has[s - TERMINALS - 1] if s > TERMINALS else s == NEWLINE for s in self.slp.axiom)
-        )
         return has
 
     # -- results -----------------------------------------------------------
@@ -196,33 +156,6 @@ class SearchEngine:
     def line_count(self) -> int:
         _require_line_automaton(self.nfa)
         return self._closed + (self._exit == MATCHED)
-
-    @property
-    def rule_info(self) -> list[CountingInfo]:
-        """Counting tuple of each rule, the axiom last. A rule with a newline
-        entered in ``MATCHED`` closes ``1 + closed`` lines and entered at a
-        line start ``first + closed``; its exit context says whether its
-        last line matches. A rule without a newline has one line."""
-        if self._info is None:
-            _require_line_automaton(self.nfa)
-            last_rule = self.slp.rule_count - 1
-
-            def run(r: int, ctx: int) -> tuple[int, int]:
-                if r == last_rule:
-                    return self._walk(self.slp.axiom, ctx)
-                return self.evaluate(rule_id(r), ctx)
-
-            self._info = []
-            for r, newline in enumerate(self._newlines()):
-                out, from_start = run(r, self._start)
-                hit = out == MATCHED
-                if newline:
-                    from_matched = run(r, MATCHED)[1]
-                    info = CountingInfo(True, from_start == from_matched, hit, from_matched - 1)
-                else:
-                    info = CountingInfo(False, hit, hit, 0)
-                self._info.append(info)
-        return self._info
 
     def report(self) -> Iterator[tuple[int, bytes]]:
         """Matching lines in order as (line number, line bytes), lazily.
@@ -275,19 +208,3 @@ def _require_line_automaton(nfa: Nfa) -> None:
         raise ValueError("line counting needs a newline-free match automaton")
     if nfa.initial_mask & nfa.final_mask:
         raise ValueError("line counting needs an automaton rejecting the empty word")
-
-
-def slp_match_exists(p: Slp, n: Nfa) -> bool:
-    """Does the decompressed text contain a factor accepted by ``n``?"""
-    return SearchEngine(p, n).match_exists()
-
-
-def count_lines(p: Slp, n: Nfa) -> int:
-    """Number of newline-delimited lines of the decompressed text containing
-    a factor accepted by ``n``."""
-    return SearchEngine(p, n).line_count()
-
-
-def report_lines(p: Slp, n: Nfa) -> Iterator[tuple[int, bytes]]:
-    """The matching lines themselves, lazily, as (line number, bytes)."""
-    return SearchEngine(p, n).report()

@@ -56,10 +56,6 @@ class Slp:
     def rule_count(self) -> int:
         return len(self.rules)
 
-    @property
-    def terminal_alphabet(self) -> frozenset[int]:
-        return frozenset(s for r in self.rules for s in r if s < TERMINALS)
-
     def symbol_lengths(self) -> list[int]:
         """Expansion length of each rule, bottom-up."""
         lens: list[int] = []
@@ -70,9 +66,6 @@ class Slp:
                 total += 1 if r < 0 else lens[r]
             lens.append(total)
         return lens
-
-    def text_length(self) -> int:
-        return self.symbol_lengths()[-1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Slp):

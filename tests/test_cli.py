@@ -6,7 +6,7 @@ import pytest
 
 from wqlang.cli import main
 from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
-from wqlang import compile_regex, equivalence_counterexample, parse_regex
+from wqlang import Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
 from conftest import chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
@@ -83,6 +83,18 @@ def test_include_ocn(files, capsys, tmp_path):
     code = main(["include", "ocn", str(abstar), files["ocn"]])
     assert code == 0
     assert capsys.readouterr().out.strip() == "INCLUDED"
+
+
+@pytest.mark.parametrize("state", ["5", "-1"])
+def test_include_ocn_start_state_outside_the_net(files, capsys, tmp_path, state):
+    # a usage error like a negative counter, not a verdict on an empty start
+    net = tmp_path / "two.ocn"
+    net.write_bytes(dump_ocn(Ocn(2, [(0, ord("a"), 1, 1), (1, ord("b"), -1, 0)])))
+    code = main(["include", "ocn", files["n1"], str(net), "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: start state {state} out of range\n"
 
 
 def test_compress_decompress_round_trip(tmp_path, capsys):

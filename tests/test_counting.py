@@ -4,18 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqlang import (
-    CountingInfo,
     Nfa,
     SearchEngine,
-    combine_counting,
     compile_regex,
-    count_lines,
+    decompress,
     parse_regex,
     repair_compress,
-    report_lines,
-    slp_match_exists,
 )
-from wqlang.slpsearch import matching_line_total
 from wqlang.slpsearch.regex import EmptyMatchError
 from wqlang.slpsearch.counting import MATCHED
 from wqlang.slpsearch.slp import Slp, rule_id
@@ -37,89 +32,46 @@ def pat(text: str) -> Nfa:
 
 def test_example_text_counts_one_line():
     slp = repair_compress(b"ab\na\nbab\n")
-    assert count_lines(slp, pat("ba")) == 1
+    assert SearchEngine(slp, pat("ba")).line_count() == 1
 
 
 def test_no_match_counts_zero():
     slp = repair_compress(b"aa")
-    assert count_lines(slp, pat("b")) == 0
+    assert SearchEngine(slp, pat("b")).line_count() == 0
 
 
 def test_report_matching_line():
     slp = repair_compress(b"ab\na\nbab\n")
-    assert list(report_lines(slp, pat("ba"))) == [(3, b"bab")]
+    assert list(SearchEngine(slp, pat("ba")).report()) == [(3, b"bab")]
 
 
 def test_report_empty_when_no_match():
     slp = repair_compress(b"ab\na\nqq\n")
-    assert list(report_lines(slp, pat("ba"))) == []
-
-
-def test_combine_example():
-    c = combine_counting(
-        CountingInfo(True, True, False, 0), CountingInfo(True, False, True, 0), True
-    )
-    assert c == CountingInfo(True, True, True, 1)
-    assert matching_line_total(c) == 3
-
-
-def test_combine_trivial():
-    zero = CountingInfo(False, False, False, 0)
-    assert combine_counting(zero, zero, False) == zero
-
-
-def line_info(text: bytes, nfa: Nfa) -> CountingInfo:
-    """Counting tuple computed straight from the definition."""
-    scan = factor_scanner(nfa)
-    lines = text.split(b"\n")
-    newline = b"\n" in text
-    first = bool(lines[0]) and scan(lines[0])
-    last = bool(lines[-1]) and scan(lines[-1])
-    closed = sum(1 for line in lines[1:-1] if line and scan(line))
-    return CountingInfo(newline, first, last, closed)
-
-
-@given(st.binary(min_size=1, max_size=40), st.binary(min_size=1, max_size=40))
-@settings(max_examples=150, deadline=None)
-def test_combine_matches_definition_on_splits(x, y):
-    nfa = pat("ba")
-    m_flag = _boundary_match(x, y, nfa)
-    combined = combine_counting(line_info(x, nfa), line_info(y, nfa), m_flag)
-    assert combined == line_info(x + y, nfa)
-
-
-def _boundary_match(x: bytes, y: bytes, nfa: Nfa) -> bool:
-    scan = factor_scanner(nfa)
-    tail = x.split(b"\n")[-1]
-    head = y.split(b"\n")[0]
-    return scan(tail + head) and not scan(tail) and not scan(head)
+    assert list(SearchEngine(slp, pat("ba")).report()) == []
 
 
 def test_counting_info_sound_at_every_symbol():
+    # every binary rule, entered at a line start or in a matched line, closes
+    # the matching lines a scan of its expansion finds and exits matched
+    # exactly when its last line matches
     rng = random.Random(61)
-    nfa = pat("ba")
-    from wqlang import decompress
-    from wqlang.slpsearch.slp import id_to_rule
-
-    for _ in range(25):
-        text = bytes(
-            rng.choice(b"ab\n") for _ in range(rng.randint(2, 300))
-        )
-        slp = repair_compress(text)
-        engine = SearchEngine(slp, nfa)
-        for index in range(slp.rule_count):
-            expansion = _expand(slp, index)
-            assert engine.rule_info[index] == line_info(expansion, nfa)
-
-
-def _expand(slp: Slp, index: int) -> bytes:
-    from wqlang.slpsearch.slp import id_to_rule
-
-    out = []
-    for sym in slp.rules[index]:
-        r = id_to_rule(sym)
-        out.append(bytes([sym]) if r < 0 else _expand(slp, r))
-    return b"".join(out)
+    for nfa in (pat("ba"), pat("a+b")):
+        scan = factor_scanner(nfa)
+        for _ in range(25):
+            text = bytes(rng.choice(b"ab\n") for _ in range(rng.randint(2, 300)))
+            slp = repair_compress(text)
+            engine = SearchEngine(slp, nfa)
+            for index in range(slp.rule_count - 1):
+                # the rule's expansion: the prefix grammar with it as axiom
+                lines = decompress(Slp(slp.rules[: index + 1])).split(b"\n")
+                closed = sum(scan(line) for line in lines[1:-1])
+                last = scan(lines[-1])
+                out, from_start = engine.evaluate(rule_id(index), nfa.initial_mask)
+                assert from_start == closed + (len(lines) > 1 and scan(lines[0]))
+                assert (out == MATCHED) == last
+                out, from_matched = engine.evaluate(rule_id(index), MATCHED)
+                assert from_matched == closed + (len(lines) > 1)
+                assert (out == MATCHED) == (len(lines) == 1 or last)
 
 
 def test_match_exists_fig52():
@@ -135,39 +87,38 @@ def test_match_exists_fig52():
 
 def test_match_exists_single_rule():
     slp = Slp([(A, B)])
-    assert slp_match_exists(slp, pat("ab"))
-    assert not slp_match_exists(slp, pat("ba"))
+    assert SearchEngine(slp, pat("ab")).match_exists()
+    assert not SearchEngine(slp, pat("ba")).match_exists()
 
 
 def test_match_exists_agrees_with_scan():
     rng = random.Random(62)
     nfa = pat("ba")
     scan = factor_scanner(nfa)
-    from wqlang import decompress
-
     for _ in range(60):
         text = bytes(rng.choice(b"ab\n") for _ in range(rng.randint(2, 200)))
         slp = repair_compress(text)
-        assert slp_match_exists(slp, nfa) == scan(text)
+        assert SearchEngine(slp, nfa).match_exists() == scan(text)
 
 
 def test_match_exists_spans_newlines_but_count_does_not():
     text = b"xb\nay"
     slp = repair_compress(text)
     nfa_with_nl = Nfa(3, [(0, B, 1), (1, 0x0A, 2)], [0], [2])  # "b\n"
-    assert slp_match_exists(slp, nfa_with_nl)
-    assert count_lines(slp, pat("ba")) == 0
+    engine = SearchEngine(slp, nfa_with_nl)
+    assert engine.match_exists()
+    assert SearchEngine(slp, pat("ba")).line_count() == 0
     with pytest.raises(ValueError):
-        count_lines(slp, nfa_with_nl)
+        engine.line_count()
 
 
 def test_line_search_rejects_empty_word_automaton():
     slp = repair_compress(b"xy\nab\nq\n")
-    nfa = compile_regex(parse_regex("(ab)*"), allow_empty=True)
+    engine = SearchEngine(slp, compile_regex(parse_regex("(ab)*"), allow_empty=True))
     with pytest.raises(ValueError, match="empty word"):
-        count_lines(slp, nfa)
+        engine.line_count()
     with pytest.raises(ValueError, match="empty word"):
-        report_lines(slp, nfa)
+        engine.report()
 
 
 def test_count_lines_matches_oracle_on_random_texts():
@@ -177,7 +128,7 @@ def test_count_lines_matches_oracle_on_random_texts():
         text = bytes(rng.choice(b"aabb\n") for _ in range(rng.randint(2, 400)))
         slp = repair_compress(text)
         for nfa in patterns:
-            assert count_lines(slp, nfa) == count_lines_oracle(text, nfa)
+            assert SearchEngine(slp, nfa).line_count() == count_lines_oracle(text, nfa)
 
 
 def test_report_matches_oracle_on_random_texts():
@@ -186,7 +137,7 @@ def test_report_matches_oracle_on_random_texts():
     for _ in range(40):
         text = bytes(rng.choice(b"ab\n") for _ in range(rng.randint(2, 300)))
         slp = repair_compress(text)
-        assert list(report_lines(slp, nfa)) == matching_lines_oracle(text, nfa)
+        assert list(SearchEngine(slp, nfa).report()) == matching_lines_oracle(text, nfa)
 
 
 def test_report_count_consistency():
@@ -195,7 +146,8 @@ def test_report_count_consistency():
     for _ in range(30):
         text = bytes(rng.choice(b"aabbb\n") for _ in range(rng.randint(2, 250)))
         slp = repair_compress(text)
-        assert count_lines(slp, nfa) == len(list(report_lines(slp, nfa)))
+        engine = SearchEngine(slp, nfa)
+        assert engine.line_count() == len(list(engine.report()))
 
 
 def test_inner_loop_bound_nfa():
@@ -231,7 +183,7 @@ def test_long_axiom_fold():
     text = bytes(random.Random(68).choice(b"abcdefgh") for _ in range(64)) + b"ab"
     slp = repair_compress(text)
     assert len(slp.axiom) > 2
-    assert count_lines(slp, pat("ab")) == count_lines_oracle(text, pat("ab"))
+    assert SearchEngine(slp, pat("ab")).line_count() == count_lines_oracle(text, pat("ab"))
 
 
 def _pattern(draw, depth: int) -> str:
@@ -264,30 +216,30 @@ def patterns(draw) -> Nfa:
 def test_search_matches_scan_oracle(nfa, text):
     data = text.encode()
     slp = repair_compress(data)
-    assert count_lines(slp, nfa) == count_lines_oracle(data, nfa)
-    assert list(report_lines(slp, nfa)) == matching_lines_oracle(data, nfa)
-    assert slp_match_exists(slp, nfa) == factor_scanner(nfa)(data)
+    engine = SearchEngine(slp, nfa)
+    assert engine.line_count() == count_lines_oracle(data, nfa)
+    assert list(engine.report()) == matching_lines_oracle(data, nfa)
+    assert engine.match_exists() == factor_scanner(nfa)(data)
 
 
 def test_report_line_under_deep_rule():
     # the matching line lies under a 5000-deep rule without a newline
     line = b"xyz" * 1666 + b"ab"
     slp = chain_slp(line + b"\n")
-    assert list(report_lines(slp, pat("ab"))) == [(1, line)]
-    assert count_lines(slp, pat("ab")) == 1
+    engine = SearchEngine(slp, pat("ab"))
+    assert list(engine.report()) == [(1, line)]
+    assert engine.line_count() == 1
 
 
 def test_line_results_refuse_a_newline_automaton():
-    # "a\n": the engine's own line results refuse it as count_lines does,
-    # while match_exists treats the newline as an ordinary symbol
+    # "a\n": the engine's line results refuse it, while match_exists treats
+    # the newline as an ordinary symbol
     slp = repair_compress(b"xa\nbb\nyy")
     nfa = Nfa(3, [(0, A, 1), (1, 0x0A, 2)], [0], [2])
     engine = SearchEngine(slp, nfa)
-    for result in (engine.line_count, engine.report, lambda: engine.rule_info):
+    for result in (engine.line_count, engine.report):
         with pytest.raises(ValueError, match="newline-free"):
             result()
-    with pytest.raises(ValueError, match="newline-free"):
-        count_lines(slp, nfa)
     assert engine.match_exists()
 
 
@@ -298,9 +250,10 @@ def test_search_on_200000_deep_chain():
     text = line + b"\nqab\nzz"
     slp = chain_slp(text)
     nfa = pat("ab")
-    assert count_lines(slp, nfa) == count_lines_oracle(text, nfa) == 2
-    assert slp_match_exists(slp, nfa) == factor_scanner(nfa)(text)
-    assert list(report_lines(slp, nfa)) == matching_lines_oracle(text, nfa)
+    engine = SearchEngine(slp, nfa)
+    assert engine.line_count() == count_lines_oracle(text, nfa) == 2
+    assert engine.match_exists() == factor_scanner(nfa)(text)
+    assert list(engine.report()) == matching_lines_oracle(text, nfa)
 
 
 def test_compositions_bounded_by_text_length():

@@ -3,12 +3,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlang import Antichain, ac_below, kleene, minor
+from wqlang import Antichain, ac_below, kleene
 from wqlang.fixpoint import KleeneDivergence
 
 from conftest import word_step_oracle
 
 subset = lambda a, b: a <= b
+
+
+def minor(items, leq):
+    """The antichain of minimal elements of ``items``."""
+    return Antichain(leq, ((k, None) for k in items))
 
 sets = st.frozensets(st.integers(min_value=0, max_value=5), max_size=4)
 
@@ -46,7 +51,7 @@ def test_insert_keeps_first_of_equivalent_keys():
     ac = Antichain(leq)
     assert ac.insert("ab", b"first")
     assert not ac.insert("cd", b"second")
-    assert ac.entries() == [("ab", b"first")]
+    assert list(ac) == [("ab", b"first")]
 
 
 def test_insert_evicts_dominated():

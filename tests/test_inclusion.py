@@ -39,7 +39,7 @@ from conftest import (
 
 
 def words_of(vec):
-    return [sorted(ac.words()) for ac in vec]
+    return [sorted(w for _, w in ac) for ac in vec]
 
 
 def test_word_nerode_fixpoint(fig42_n1, fig42_n2):
@@ -138,8 +138,8 @@ def test_nerode_fixpoint_below_state_fixpoint(fig42_n1, fig42_n2):
     vec_s, _ = word_fixpoint(fig42_n1, state)
     for acn, acs in zip(vec_n, vec_s):
         assert ac_below(
-            [nerode.key_of(w) for w in acn.words()],
-            [nerode.key_of(w) for w in acs.words()],
+            [nerode.key_of(w) for _, w in acn],
+            [nerode.key_of(w) for _, w in acs],
             nerode.leq,
         )
 
@@ -245,6 +245,16 @@ def test_ocn_astar_bstar_not_included(counter_ocn):
 def test_ocn_empty_language(counter_ocn):
     n = Nfa(1, [(0, A, 0)], [0], [])
     assert nfa_in_ocn(n, counter_ocn, (0, 0)).included
+
+
+@pytest.mark.parametrize("state", [2, -1])
+def test_ocn_start_state_outside_the_net_is_refused(state):
+    # the empty word is a trace of every configuration, so a start state
+    # outside the net must not read as an empty start configuration
+    two = Ocn(2, [(0, A, 1, 1), (1, B, -1, 0)])
+    n = Nfa(1, [(0, A, 0)], [0], [0])
+    with pytest.raises(ValueError, match="start state"):
+        nfa_in_ocn(n, two, (state, 0))
 
 
 def rand_ocn(rng, max_states=3, n_syms=2):

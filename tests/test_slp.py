@@ -47,7 +47,7 @@ def test_doubling_grammar():
     # X1 -> aa, X_{i+1} -> X_i X_i; four levels make a^16
     slp = Slp([(A, A), (257, 257), (258, 258), (259, 259)])
     assert decompress(slp) == b"a" * 16
-    assert slp.text_length() == 16
+    assert slp.symbol_lengths()[-1] == 16
 
 
 def test_axiom_only_decompress():
@@ -56,7 +56,7 @@ def test_axiom_only_decompress():
 
 def test_decompression_cap():
     slp = Slp([(A, A)] + [(256 + i, 256 + i) for i in range(1, 30)])
-    assert slp.text_length() == 2**30
+    assert slp.symbol_lengths()[-1] == 2**30
     with pytest.raises(DecompressionCap):
         decompress(slp, cap=1 << 20)
 
