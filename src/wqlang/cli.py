@@ -14,7 +14,9 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
 file or a computation stopped by its cap (fixpoint iterations, learner
 queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
-states). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps.
+states). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps of
+``include nfa`` (every ``--algo``, ``gfp`` included) and ``include cfg``;
+``include ocn`` has no cap.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _verdict_output(args, verdict: Verdict, stats: dict | None) -> int:
             "stats": stats if args.stats else None,
         },
     )
-    if not verdict.included and getattr(args, "fail_on_miss", False):
+    if not verdict.included and args.fail_on_miss:
         return 1
     return 0
 
@@ -120,7 +122,7 @@ def _cmd_include_nfa(args) -> int:
     elif algo == "antichain-fwd":
         verdict = inclusion.fa_inc_antichain(left, right, "forward", cap)
     else:  # gfp
-        verdict = inclusion.fa_inc_gfp(left, right.determinize())
+        verdict = inclusion.fa_inc_gfp(left, right.determinize(), cap)
     return _verdict_output(args, verdict, {"algo": algo})
 
 
@@ -248,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     include = sub.add_parser("include", help="decide a language inclusion")
     inc_sub = include.add_subparsers(dest="flavor", required=True)
-    common = dict(add_help=True)
-
-    inc_nfa = inc_sub.add_parser("nfa", **common)
+    inc_nfa = inc_sub.add_parser("nfa")
     inc_nfa.add_argument("left")
     inc_nfa.add_argument("right")
     inc_nfa.add_argument(
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_verdict_flags(inc_nfa)
     inc_nfa.set_defaults(func=_cmd_include_nfa)
 
-    inc_cfg = inc_sub.add_parser("cfg", **common)
+    inc_cfg = inc_sub.add_parser("cfg")
     inc_cfg.add_argument("left")
     inc_cfg.add_argument("right")
     inc_cfg.add_argument(
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_verdict_flags(inc_cfg)
     inc_cfg.set_defaults(func=_cmd_include_cfg)
 
-    inc_ocn = inc_sub.add_parser("ocn", **common)
+    inc_ocn = inc_sub.add_parser("ocn")
     inc_ocn.add_argument("left")
     inc_ocn.add_argument("right")
     inc_ocn.add_argument("--state", type=int, default=0)

@@ -13,10 +13,9 @@ one of them:
   (Myhill, state-pair) and tests representative words;
 - ``cfg_inc_antichain`` runs ``cfg_word_fixpoint`` under the state-pair
   order and tests keys;
+- ``fa_inc_gfp`` runs ``word_fixpoint`` under the right state-set order
+  and tests keys at the final states, reporting the verdict only;
 - ``nfa_in_ocn`` is ``fa_inc_word`` under the one-counter macro order.
-
-``fa_inc_gfp`` is the odd one out: a greatest fixpoint over regular
-iterates, purely boolean.
 """
 
 from __future__ import annotations
@@ -92,21 +91,15 @@ def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
 def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """State-set quasiorder: pre-sets of the finals (left) or post-sets of
     the initials (right), compared by inclusion."""
-    if direction == "left":
-        return QuasiorderHandle(
-            direction="left",
-            key_of=lambda w: n2.run(w, False),
-            leq=lambda a, b: a & b == a,
-            extend=lambda key, sym: n2.step(key, sym, False),
-        )
-    if direction == "right":
-        return QuasiorderHandle(
-            direction="right",
-            key_of=lambda w: n2.run(w, True),
-            leq=lambda a, b: a & b == a,
-            extend=lambda key, sym: n2.step(key, sym, True),
-        )
-    raise ValueError(f"bad direction {direction!r}")
+    if direction not in ("left", "right"):
+        raise ValueError(f"bad direction {direction!r}")
+    forward = direction == "right"
+    return QuasiorderHandle(
+        direction=direction,
+        key_of=lambda w: n2.run(w, forward),
+        leq=lambda a, b: a & b == a,
+        extend=lambda key, sym: n2.step(key, sym, forward),
+    )
 
 
 def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
@@ -272,7 +265,7 @@ def fa_inc_word(
     return Verdict(True)
 
 
-# -- state-based antichain algorithm ----------------------------------------
+# -- state-set key algorithms: antichain and greatest fixpoint ---------------
 
 
 def fa_inc_antichain(
@@ -306,82 +299,23 @@ def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
     return Verdict(False, min(failing, key=lambda w: (len(w), w)))
 
 
-# -- greatest fixpoint algorithm ---------------------------------------------
+def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
+    """Greatest-fixpoint inclusion check of L(n1) in L(l2), purely boolean.
 
-
-def _universal_dfa(syms: list[int]) -> Dfa:
-    return Dfa._of_succ(1, {sym: (0,) for sym in syms}, 0, 1)
-
-
-def _dfa_intersect(d1: Dfa, d2: Dfa, syms: list[int]) -> Dfa:
-    """Product of two DFAs that are complete over ``syms``."""
-    moves = [(d1._succ[sym], d2._succ[sym]) for sym in syms]
-    start = (d1.initial_state, d2.initial_state)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in syms]
-    i = 0
-    while i < len(order):
-        p1, p2 = order[i]
-        for (r1, r2), row in zip(moves, rows):
-            nxt = (r1[p1], r2[p2])
-            j = index.get(nxt)
-            if j is None:
-                j = len(order)
-                index[nxt] = j
-                order.append(nxt)
-            row.append(j)
-        i += 1
-    f1, f2 = d1.final_mask, d2.final_mask
-    final = 0
-    for i, (p1, p2) in enumerate(order):
-        if f1 >> p1 & 1 and f2 >> p2 & 1:
-            final |= 1 << i
-    return Dfa._of_succ(len(order), {sym: tuple(row) for sym, row in zip(syms, rows)}, 0, final)
-
-
-def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int | None = None) -> Verdict:
-    """Greatest-fixpoint inclusion check of L(n1) in L(l2).
-
-    Iterates downward from the everything-language: each component holds a
-    regular language (a canonical minimal DFA) and one step intersects the
-    component constraint with symbol-quotients of the successors. Accepts
-    iff every final component of n1 still contains the empty word. Purely
-    boolean: no witness is materialized.
+    The greatest solution of the inclusion equations holds at each state q
+    of n1 the intersection of the residuals u^-1 L(l2) over the words u
+    that reach q. That residual is the language of the state set u reaches
+    in l2, and a smaller set has a smaller language, so the intersection
+    is the one over the minimal sets: the antichain that ``word_fixpoint``
+    keeps under the right state-set order (``state_handle``). Inclusion
+    holds iff the empty word lies in every component at n1's final states,
+    that is iff every minimal set there meets l2's finals. No witness is
+    reported.
     """
-    syms = sorted(n1.alphabet | l2.alphabet)
-    l2c = l2.complete(syms).minimize()
-    top = _universal_dfa(syms).minimize()
-    # the adjoint of the prepend step constrains each state through its
-    # incoming transitions: a state reached by p -a-> q demands a^{-1}X_p
-    pred: list[list[tuple[int, int]]] = [[] for _ in range(n1.state_count)]
-    for p in range(n1.state_count):
-        for sym in syms:
-            for q in bits(n1.step(1 << p, sym, True)):
-                pred[q].append((sym, p))
-    base = [l2c if n1.initial_mask >> q & 1 else top for q in range(n1.state_count)]
-
-    def quotient(d: Dfa, sym: int) -> Dfa:
-        return d.with_initial([d.dnext(d.initial_state, sym)])
-
-    def step(vec: list[Dfa]) -> list[Dfa]:
-        out = []
-        for q in range(n1.state_count):
-            d = base[q]
-            for sym, p in pred[q]:
-                d = _dfa_intersect(d, quotient(vec[p], sym), syms)
-            out.append(d.minimize())
-        return out
-
-    if max_iter is None:
-        # chains of upward-closed iterates have length at most 2^|Q2|
-        max_iter = min(1 << min(l2.state_count, 24), DEFAULT_ITER_CAP) + 4
-    vec = kleene(step, [top] * n1.state_count, lambda a, b: a == b, max_iter).value
-    for q in bits(n1.final_mask):
-        d = vec[q]
-        if not d.final_mask >> d.initial_state & 1:
-            return Verdict(False)
-    return Verdict(True)
+    vec, _ = word_fixpoint(n1, state_handle(l2, "right"), max_iter)
+    f2 = l2.final_mask
+    entries = (e for q in bits(n1.final_mask) for e in vec[q])
+    return Verdict(_key_verdict(entries, lambda key: not (key & f2)).included)
 
 
 # -- grammar algorithms -------------------------------------------------------

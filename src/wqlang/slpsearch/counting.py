@@ -99,8 +99,11 @@ class SearchEngine:
         expansion entered in ``ctx``, memoized. A rule is its left child,
         then its right child from the left child's exit; pending rules wait
         on an explicit stack, so grammar depth is not bounded by the
-        interpreter's recursion limit."""
+        interpreter's recursion limit. ``sym`` must be a byte or a binary
+        rule's id; the axiom and unknown ids raise ``ValueError``."""
         memo, rules, lines = self._memo, self.slp.rules, self._lines
+        if not (0 <= sym < TERMINALS or TERMINALS < sym < TERMINALS + len(rules)):
+            raise ValueError(f"symbol id {sym} is neither a byte nor a binary rule")
         # (rule, entry context, closed lines of its left child, or -1 while
         # the left child is still being evaluated)
         pending: list[tuple[int, int, int]] = []

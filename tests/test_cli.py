@@ -1,10 +1,11 @@
+import argparse
 import json
 import random
 import re
 
 import pytest
 
-from wqlang.cli import main
+from wqlang.cli import build_parser, main
 from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
@@ -172,14 +173,33 @@ def _one_line_error(capsys) -> str:
     return err
 
 
-def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TOOL_ITER_CAP", "1")
-    assert main(["include", "nfa", files["n1"], files["n2"]]) == 3
-    assert "no fixpoint" in _one_line_error(capsys)
-    assert main(["include", "cfg", files["g"], files["fig43"]]) == 3
-    _one_line_error(capsys)
-    monkeypatch.delenv("TOOL_ITER_CAP")
+def _include_algos() -> list[tuple[str, str]]:
+    """Every ``--algo`` choice of ``include nfa`` and ``include cfg``, as
+    the parser declares them."""
 
+    def subcommands(parser: argparse.ArgumentParser) -> dict:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    flavors = subcommands(subcommands(build_parser())["include"])
+    return [
+        (flavor, algo)
+        for flavor in ("nfa", "cfg")
+        for action in flavors[flavor]._actions
+        if action.dest == "algo"
+        for algo in action.choices
+    ]
+
+
+@pytest.mark.parametrize("flavor, algo", _include_algos())
+def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch, flavor, algo):
+    monkeypatch.setenv("TOOL_ITER_CAP", "1")
+    left, right = {"nfa": ("n1", "n2"), "cfg": ("g", "fig43")}[flavor]
+    assert main(["include", flavor, files[left], files[right], "--algo", algo]) == 3
+    assert "no fixpoint" in _one_line_error(capsys)
+
+
+def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
     src = tmp_path / "c.txt"
     src.write_bytes(b"abababab\n")
     slp = tmp_path / "c.slp"

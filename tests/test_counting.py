@@ -85,6 +85,19 @@ def test_match_exists_fig52():
     assert engine.match_exists()
 
 
+@pytest.mark.parametrize("sym", [258, 256, -1, 259])
+def test_evaluate_refuses_the_axiom_and_unknown_ids(sym):
+    # ab\nab\ncb: 258 is the axiom, 256 and -1 are no byte, 259 no rule
+    slp = Slp([(A, B), (257, 10, 257, 10, ord("c"), B)])
+    nfa = pat("cb")
+    engine = SearchEngine(slp, nfa)
+    assert engine.line_count() == 1
+    assert engine.evaluate(257, nfa.initial_mask)[1] == 0
+    assert engine.evaluate(ord("c"), nfa.initial_mask)[1] == 0
+    with pytest.raises(ValueError, match="neither a byte nor a binary rule"):
+        engine.evaluate(sym, nfa.initial_mask)
+
+
 def test_match_exists_single_rule():
     slp = Slp([(A, B)])
     assert SearchEngine(slp, pat("ab")).match_exists()

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wqlang import (
     CnfGrammar,
     Nfa,
     Ocn,
+    Verdict,
     cfg_in_regular_oracle,
     cfg_inc_antichain,
     cfg_inc_word,
@@ -128,6 +130,27 @@ def test_all_nfa_algorithms_agree_with_naive():
         ]
         assert got == [expected] * len(got)
     assert checked_not_included > 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), syms2=st.integers(1, 3), no_finals=st.booleans())
+@example(seed=0, syms2=1, no_finals=False)  # n1 reads c, which n2 lacks: witness c
+@example(seed=13, syms2=1, no_finals=False)  # n1 reads c on no accepting path
+@example(seed=6, syms2=1, no_finals=True)  # n2 accepts nothing, L(n1) is empty
+def test_gfp_and_antichain_agree_with_naive(seed, syms2, no_finals):
+    rng = random.Random(seed)
+    n1 = rand_nfa(rng, max_states=6, n_syms=3)
+    n2 = rand_nfa(rng, max_states=6, n_syms=syms2)
+    if no_finals:
+        n2 = n2.with_final([])
+    expected = naive_inclusion(n1, n2).included
+    assert fa_inc_gfp(n1, n2.determinize()) == Verdict(expected)
+    verdict = fa_inc_antichain(n1, n2)
+    assert verdict.included == expected
+    if expected:
+        assert verdict.witness is None
+    else:
+        assert n1.member(verdict.witness) and not n2.member(verdict.witness)
 
 
 def test_nerode_fixpoint_below_state_fixpoint(fig42_n1, fig42_n2):
