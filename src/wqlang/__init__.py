@@ -44,6 +44,7 @@ from .residual import (
     is_rfa,
     principals,
     res,
+    right_inclusion,
 )
 from .slpsearch.counting import SearchEngine
 from .slpsearch.regex import (
@@ -96,6 +97,7 @@ __all__ = [
     "principals",
     "repair_compress",
     "res",
+    "right_inclusion",
     "sim_handle",
     "state_handle",
 ]

@@ -15,8 +15,8 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 file or a computation stopped by its cap (fixpoint iterations, learner
 queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
 states). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps of
-``include nfa`` (every ``--algo``, ``gfp`` included) and ``include cfg``;
-``include ocn`` has no cap.
+``include nfa`` (every ``--algo``, ``gfp`` included), ``include cfg`` and
+``include ocn``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _cmd_include_nfa(args) -> int:
     elif algo == "antichain-fwd":
         verdict = inclusion.fa_inc_antichain(left, right, "forward", cap)
     else:  # gfp
-        verdict = inclusion.fa_inc_gfp(left, right.determinize(), cap)
+        verdict = inclusion.fa_inc_gfp(left, right, cap)
     return _verdict_output(args, verdict, {"algo": algo})
 
 
@@ -146,7 +146,7 @@ def _cmd_include_cfg(args) -> int:
 def _cmd_include_ocn(args) -> int:
     left = parse_nfa(_read(args.left))
     net = parse_ocn(_read(args.right))
-    verdict = inclusion.nfa_in_ocn(left, net, (args.state, args.counter))
+    verdict = inclusion.nfa_in_ocn(left, net, (args.state, args.counter), _iter_cap())
     return _verdict_output(args, verdict, {"algo": "word-macro"})
 
 

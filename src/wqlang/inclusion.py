@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .automata import CnfGrammar, Dfa, Nfa, Ocn, Verdict, bits
+from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
 from .fixpoint import Antichain, ac_below, kleene
 from . import quasiorder as qo
 
@@ -299,7 +299,7 @@ def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
     return Verdict(False, min(failing, key=lambda w: (len(w), w)))
 
 
-def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
+def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     """Greatest-fixpoint inclusion check of L(n1) in L(l2), purely boolean.
 
     The greatest solution of the inclusion equations holds at each state q
@@ -309,7 +309,8 @@ def fa_inc_gfp(n1: Nfa, l2: Dfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     is the one over the minimal sets: the antichain that ``word_fixpoint``
     keeps under the right state-set order (``state_handle``). Inclusion
     holds iff the empty word lies in every component at n1's final states,
-    that is iff every minimal set there meets l2's finals. No witness is
+    that is iff every minimal set there meets l2's finals. This is exact on
+    a nondeterministic l2, which is never determinized. No witness is
     reported.
     """
     vec, _ = word_fixpoint(n1, state_handle(l2, "right"), max_iter)
@@ -390,13 +391,15 @@ def cfg_inc_antichain(
 # -- one-counter nets ---------------------------------------------------------
 
 
-def nfa_in_ocn(n: Nfa, o: Ocn, start: tuple[int, int]) -> Verdict:
+def nfa_in_ocn(
+    n: Nfa, o: Ocn, start: tuple[int, int], max_iter: int = DEFAULT_ITER_CAP
+) -> Verdict:
     """Inclusion of L(n) in the trace set of the one-counter net from the
     given start configuration: ``fa_inc_word`` under the macro-state
-    quasiorder (``ocn_handle``)."""
+    quasiorder (``ocn_handle``), stopped after ``max_iter`` iterations."""
     handle = ocn_handle(o, start)
 
     def membership(word: bytes) -> bool:
         return any(e is not None for e in qo.ocn_macro(o, start, word))
 
-    return fa_inc_word(n, handle, membership)
+    return fa_inc_word(n, handle, membership, max_iter)

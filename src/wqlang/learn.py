@@ -34,6 +34,12 @@ class ObservationState:
     answer for u extended by the i-th suffix in S; row containment
     (``a & b == a``) decides the restricted residual-inclusion quasiorder
     and OR joins rows.
+
+    Rows are cached per word with the number of suffixes they cover. S only
+    grows by appending (``add_suffix``), so a cached row stays right on the
+    suffixes it covers and ``row`` fills in only the bits of suffixes added
+    since; the membership answers asked for, and their order, are those of
+    rebuilding the row on every call.
     """
 
     def __init__(self, teacher: Callable[[bytes], bool], alphabet: Iterable[int]):
@@ -42,6 +48,7 @@ class ObservationState:
         self.prefixes: list[bytes] = [b""]
         self.suffixes: list[bytes] = [b""]
         self._member: dict[bytes, bool] = {}
+        self._rows: dict[bytes, tuple[int, int]] = {}
 
     def member(self, word: bytes) -> bool:
         cached = self._member.get(word)
@@ -51,7 +58,14 @@ class ObservationState:
         return cached
 
     def row(self, word: bytes) -> int:
-        return sum(1 << i for i, s in enumerate(self.suffixes) if self.member(word + s))
+        suffixes = self.suffixes
+        row, covered = self._rows.get(word, (0, 0))
+        if covered < len(suffixes):
+            for i in range(covered, len(suffixes)):
+                if self.member(word + suffixes[i]):
+                    row |= 1 << i
+            self._rows[word] = row, len(suffixes)
+        return row
 
     def row_leq(self, u: bytes, v: bytes) -> bool:
         a = self.row(u)

@@ -22,6 +22,26 @@ decided only in ``res`` and ``canonical``: left is the reverse of the
 construction on the reverse. Also here: principal enumeration, the
 double-reversal route to the canonical RFA, and the closedness condition
 characterizing when plain residualization is already canonical.
+
+The composite test is a language inclusion L(K) ⊆ L(U) between two state
+sets of one automaton, and ``res`` and ``canonical`` ask it once per key.
+``right_inclusion`` answers all of an automaton's questions with one
+forward walk over pairs (K-mask, U-mask) that shares two memos between
+calls: the successor masks of every mask met so far (bounded by
+``MAX_DFA_STATES``, like a subset construction) and the pairs already
+proved safe. A pair is safe when no pair reachable from it has K meeting
+the finals and U missing them; a successful call proves this for every
+pair it explored, since each of their successors was either explored too
+or already safe.
+
+Kameda and Weiner's co-subset test (IEEE Trans. Computers, 1970) would
+decide the same inclusion by the subsets of the reversed automaton: K's
+language is in U's iff every co-subset that meets K meets U. It is not
+used because the reverse subset construction can be exponentially larger
+than the forward one: on the 19-state NFA for "the 18th letter is a" it
+needs 2^18 sets and passes ``MAX_DFA_STATES``, while the forward walk
+meets 20 masks, as many as the forward construction, and ``res`` takes
+about a millisecond.
 """
 
 from __future__ import annotations
@@ -30,11 +50,17 @@ from functools import reduce
 from operator import or_
 from typing import Any, Callable, Iterator, Sequence
 
-from .automata import Dfa, Nfa, bits, equivalence_counterexample, naive_inclusion
+from . import automata
+from .automata import DeterminizationCap, Dfa, Nfa, bits, equivalence_counterexample
+
+# Not called here: bound because the benchmark tracer patches
+# ``residual.naive_inclusion`` by name (tests/test_bench_hooks.py).
+from .automata import naive_inclusion  # noqa: F401
 from .quasiorder import residual_inclusion_matrix
 
 __all__ = [
     "principals",
+    "right_inclusion",
     "is_composite",
     "build_H",
     "res",
@@ -54,14 +80,61 @@ def principals(n: Nfa) -> tuple[int, ...]:
     return n.determinize().source_subsets
 
 
-def is_composite(n: Nfa, key: int, below: Sequence[int]) -> bool:
+def right_inclusion(n: Nfa) -> Callable[[int, int], bool]:
+    """A callable ``included(key, union)`` deciding L(key) ⊆ L(union) for
+    state sets (bitmasks) of ``n``, by a depth-first walk over the pairs of
+    masks that one word reaches from both. A pair is bad when its first
+    mask meets the finals and its second does not; a pair whose first mask
+    is a subset of its second is never extended, since no bad pair follows.
+
+    The callable memoizes, across calls, each mask's successors per symbol
+    and the set of pairs from which no bad pair is reachable (every pair
+    explored by a call that returned True). Raises ``DeterminizationCap``
+    when the successor memo would hold more than ``MAX_DFA_STATES`` masks.
+    """
+    syms = sorted(n.alphabet)
+    final = n.final_mask
+    step = n.step
+    succ: dict[int, tuple[int, ...]] = {}
+    safe: set[tuple[int, int]] = set()
+
+    def successors(mask: int) -> tuple[int, ...]:
+        out = succ.get(mask)
+        if out is None:
+            cap = automata.MAX_DFA_STATES
+            if len(succ) == cap:
+                raise DeterminizationCap(f"determinization needs more than {cap} states")
+            out = succ[mask] = tuple(step(mask, sym, True) for sym in syms)
+        return out
+
+    def included(key: int, union: int) -> bool:
+        start = (key, union)
+        if key & ~union == 0 or start in safe:
+            return True
+        seen = {start}
+        stack = [start]
+        while stack:
+            k, u = stack.pop()
+            if k & final and not u & final:
+                return False
+            for pair in zip(successors(k), successors(u)):
+                if pair[0] & ~pair[1] and pair not in seen and pair not in safe:
+                    seen.add(pair)
+                    stack.append(pair)
+        safe.update(seen)
+        return True
+
+    return included
+
+
+def is_composite(included: Callable[[int, int], bool], key: int, below: Sequence[int]) -> bool:
     """Is the right language of the key's states exactly the union of those
     of the keys strictly below it (``below``, as ``build_H`` lists them)?
     Decided by language equivalence, not mere state-set coverability, which
     is strictly weaker. The union is a subset of the key, so only the key's
-    language can fail to be included."""
-    union = reduce(or_, below, 0)
-    return naive_inclusion(n.with_initial(bits(key)), n.with_initial(bits(union))).included
+    language can fail to be included; ``included`` is the automaton's
+    ``right_inclusion`` walk, shared by all its keys."""
+    return included(key, reduce(or_, below, 0))
 
 
 def build_H(
@@ -125,8 +198,9 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         return res(n.reverse()).reverse()
     if direction != "right":
         raise ValueError(f"bad direction {direction!r}")
+    included = right_inclusion(n)
     return _state_set_H(
-        n, principals(n), _subset, lambda key, below: is_composite(n, key, below)
+        n, principals(n), _subset, lambda key, below: is_composite(included, key, below)
     )
 
 
@@ -143,12 +217,13 @@ def canonical(lang: Nfa, direction: str = "right") -> Nfa:
         raise ValueError(f"bad direction {direction!r}")
     m = lang.determinize().minimize()
     incl = residual_inclusion_matrix(m)
+    included = right_inclusion(m)
     return _state_set_H(
         m,
         [1 << p for p in range(m.state_count)],
         # every key, and every step of one on the complete DFA, is one state
         lambda a, b: bool(incl[a.bit_length() - 1] & b),
-        lambda key, below: is_composite(m, key, below),
+        lambda key, below: is_composite(included, key, below),
     )
 
 

@@ -191,11 +191,14 @@ def _include_algos() -> list[tuple[str, str]]:
     ]
 
 
-@pytest.mark.parametrize("flavor, algo", _include_algos())
+@pytest.mark.parametrize(
+    "flavor, algo", _include_algos() + [pytest.param("ocn", None, id="ocn")]
+)
 def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch, flavor, algo):
     monkeypatch.setenv("TOOL_ITER_CAP", "1")
-    left, right = {"nfa": ("n1", "n2"), "cfg": ("g", "fig43")}[flavor]
-    assert main(["include", flavor, files[left], files[right], "--algo", algo]) == 3
+    left, right = {"nfa": ("n1", "n2"), "cfg": ("g", "fig43"), "ocn": ("n1", "ocn")}[flavor]
+    algo_flag = [] if algo is None else ["--algo", algo]
+    assert main(["include", flavor, files[left], files[right], *algo_flag]) == 3
     assert "no fixpoint" in _one_line_error(capsys)
 
 
@@ -218,16 +221,37 @@ def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
     assert "no stable hypothesis" in _one_line_error(capsys)
 
 
+def _regex_file(tmp_path, name: str, pattern: str) -> str:
+    path = tmp_path / f"{name}.nfa"
+    path.write_bytes(dump_nfa(compile_regex(parse_regex(pattern))))
+    return str(path)
+
+
 def test_determinization_budget_exits_with_input_error(files, tmp_path, capsys):
     # the minimal DFA of (a|b)*a(a|b){16} remembers the last 17 letters, so
-    # the subset construction passes MAX_DFA_STATES
-    big = tmp_path / "big.nfa"
-    big.write_bytes(dump_nfa(compile_regex(parse_regex("(a|b)*a(a|b){16}"))))
-    for argv in (["canonical", str(big)], ["include", "nfa", files["n1"], str(big), "--algo", "gfp"]):
+    # the subset construction passes MAX_DFA_STATES; so does the reverse of
+    # (a|b){16}a(a|b)*, which the left Nerode order of the right side needs
+    last17 = _regex_file(tmp_path, "last17", "(a|b)*a(a|b){16}")
+    first17 = _regex_file(tmp_path, "first17", "(a|b){16}a(a|b)*")
+    for argv in (
+        ["canonical", last17],
+        ["include", "nfa", files["n1"], first17, "--algo", "word-nerode"],
+    ):
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and f"more than {MAX_DFA_STATES} states" in err
+
+
+def test_gfp_decides_without_determinizing_the_right_side(files, tmp_path, capsys):
+    # the right side's DFA would pass MAX_DFA_STATES; the state-set
+    # fixpoint works on its NFA and agrees with the word-based check
+    last17 = _regex_file(tmp_path, "last17", "(a|b)*a(a|b){16}")
+    verdicts = []
+    for algo in ("gfp", "word-state"):
+        assert main(["include", "nfa", files["n1"], last17, "--algo", algo, "--json"]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+    assert verdicts[0] == verdicts[1]
 
 
 def test_residual_subcommands(files, tmp_path, capsys):

@@ -145,6 +145,7 @@ def test_gfp_and_antichain_agree_with_naive(seed, syms2, no_finals):
         n2 = n2.with_final([])
     expected = naive_inclusion(n1, n2).included
     assert fa_inc_gfp(n1, n2.determinize()) == Verdict(expected)
+    assert fa_inc_gfp(n1, n2) == Verdict(expected)
     verdict = fa_inc_antichain(n1, n2)
     assert verdict.included == expected
     if expected:

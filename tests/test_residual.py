@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import wqlang.automata as automata
 from wqlang import (
     Nfa,
     canonical,
@@ -9,10 +13,13 @@ from wqlang import (
     equivalence_counterexample,
     is_composite,
     is_rfa,
+    naive_inclusion,
+    nl_learn,
     principals,
     res,
+    right_inclusion,
 )
-from wqlang.automata import bits
+from wqlang.automata import DeterminizationCap, bits
 from wqlang.residual import isomorphic_to_canonical
 
 from conftest import A, B, C, make_fig62, rand_nfa, set_of
@@ -51,8 +58,9 @@ def test_principal_count_matches_determinization():
 
 def test_composite_fig62(fig62):
     ps = principals(fig62)
+    included = right_inclusion(fig62)
     flags = {
-        frozenset(bits(k)): is_composite(fig62, k, _below(k, ps)) for k in ps
+        frozenset(bits(k)): is_composite(included, k, _below(k, ps)) for k in ps
     }
     assert flags[frozenset({1, 2, 3, 4})]  # the c principal is composite
     assert flags[frozenset()]  # empty post-set is trivially composite
@@ -72,6 +80,7 @@ def test_composite_agrees_with_quotient_enumeration():
             # left keys are pre-sets: right languages of the reverse
             fwd = n if direction == "right" else n.reverse()
             ps = principals(fwd)
+            included = right_inclusion(fwd)
             for key in ps:
                 union_keys = _below(key, ps)
                 union = 0
@@ -83,7 +92,7 @@ def test_composite_agrees_with_quotient_enumeration():
                     bool(lang_key.member(s)) == bool(lang_union.member(s))
                     for s in suffixes
                 )
-                composite = is_composite(fwd, key, union_keys)
+                composite = is_composite(included, key, union_keys)
                 assert composite == (
                     equivalence_counterexample(lang_key, lang_union) is None
                 )
@@ -242,3 +251,85 @@ def test_language_preservation_all_constructions():
         n = rand_nfa(rng, max_states=4)
         for out in (res(n, "right"), res(n, "left"), canonical(n), denis_residualize(n)):
             assert equivalence_counterexample(out, n) is None
+
+
+# -- the composite test's pair walk ------------------------------------------------
+
+
+def _eighteenth_letter_is_a() -> Nfa:
+    """19 states for (a|b){17}a(a|b)*: its subset construction is a chain,
+    that of its reverse needs 2^18 sets."""
+    chain = [(q, sym, q + 1) for q in range(17) for sym in (A, B)]
+    return Nfa(19, chain + [(17, A, 18), (18, A, 18), (18, B, 18)], [0], [18])
+
+
+def test_walk_needs_no_reverse_subsets(monkeypatch):
+    # Deciding composites by the subsets of the reversed automaton (the
+    # co-subsets of Kameda and Weiner) would pass any budget below 2^18 on
+    # this NFA; the forward walk stays within the forward construction.
+    n = _eighteenth_letter_is_a()
+    c, r = canonical(n), res(n)
+    assert is_rfa(c) and equivalence_counterexample(c, n) is None
+    assert equivalence_counterexample(r, n) is None
+    assert c.state_count == r.state_count == 19
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 1024)
+    assert canonical(n) == c and res(n) == r
+    with pytest.raises(DeterminizationCap):
+        n.reverse().determinize()
+    # double reversal residualizes the reverse first, so it needs those sets
+    with pytest.raises(DeterminizationCap):
+        double_reversal_canonical(n)
+
+
+def test_walk_is_bounded_by_the_subset_budget(monkeypatch):
+    # five principals, but the unions below them reach a sixth mask
+    n = Nfa(
+        5,
+        [
+            (0, B, 2), (1, A, 1), (1, B, 1), (1, B, 3), (2, A, 1), (2, B, 0), (2, B, 1),
+            (2, B, 3), (3, A, 4), (3, B, 3), (3, B, 4), (4, A, 4), (4, B, 4),
+        ],
+        [0, 1, 3],
+        [4],
+    )
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 5)
+    assert len(principals(n)) == 5
+    with pytest.raises(DeterminizationCap):
+        res(n)
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 6)
+    assert equivalence_counterexample(res(n), n) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 63), st.booleans()), min_size=1, max_size=8
+    ),
+)
+@example(seed=0, pairs=[(63, 0, True)])
+def test_right_inclusion_agrees_with_naive(seed, pairs):
+    n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
+    full = (1 << n.state_count) - 1
+    included = right_inclusion(n)
+    # asked twice over on one helper, so later calls meet the pairs that
+    # earlier ones proved safe; a union below the key is is_composite's case
+    for _ in range(2):
+        for k, u, below in pairs:
+            key, union = k & full, (k & u if below else u) & full
+            expected = naive_inclusion(n.with_initial(bits(key)), n.with_initial(bits(union)))
+            assert included(key, union) == expected.included
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_constructions_agree_on_generated_nfas(seed):
+    # the learner decides composites by rows, not by the pair walk, so it
+    # checks canonical, which shares the walk with res and double reversal
+    n = rand_nfa(random.Random(seed), max_states=5)
+    c = canonical(n)
+    assert equivalence_counterexample(c, n) is None
+    assert isomorphic_to_canonical(double_reversal_canonical(n), c)
+    learned = nl_learn(n.member, lambda h: equivalence_counterexample(h, n), [A, B])
+    assert isomorphic_to_canonical(learned, c)
+    assert equivalence_counterexample(res(n), n) is None
