@@ -12,11 +12,12 @@ hold, 2 usage error (including a search pattern that matches the empty
 string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions, or
 ``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
-file or a computation stopped by its cap (fixpoint iterations, learner
+file or a computation stopped by its cap (fixpoint layers, learner
 queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
-states). ``TOOL_ITER_CAP`` overrides the fixpoint iteration caps of
-``include nfa`` (every ``--algo``, ``gfp`` included), ``include cfg`` and
-``include ocn``.
+states). ``TOOL_ITER_CAP`` overrides the cap on fixpoint layers (each
+extends the entries the one before added; a witness found within the cap
+is still reported) of ``include nfa`` (every ``--algo``, ``gfp``
+included), ``include cfg`` and ``include ocn``.
 """
 
 from __future__ import annotations

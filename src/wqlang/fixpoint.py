@@ -40,8 +40,12 @@ class Antichain:
         for k, _ in self._entries:
             if leq(k, key):
                 return False
-        self._entries = [(k, w) for k, w in self._entries if not leq(key, k)]
-        self._entries.append((key, word))
+        entries = self._entries
+        for i, (k, _) in enumerate(entries):
+            if leq(key, k):
+                entries[i:] = [e for e in entries[i + 1 :] if not leq(key, e[0])]
+                break
+        entries.append((key, word))
         return True
 
     def keys(self) -> list[Any]:

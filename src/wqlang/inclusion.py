@@ -2,8 +2,13 @@
 
 Two cores do all the word-based work: ``word_fixpoint`` for automata and
 ``cfg_word_fixpoint`` for CNF grammars, each the least fixpoint of the
-antichain equations under a quasiorder handle. Every check instantiates
-one of them:
+antichain equations under a quasiorder handle, computed by one layered
+worklist that extends only the entries the previous layer added (the
+forward antichain algorithm of De Wulf, Doyen, Henzinger and Raskin, and
+its grammar form after Holik and Meyer). Every check instantiates one of
+them with a failure test and stops at the first layer where an entry
+fails; on automata that witness is a shortest counterexample, on
+grammars (layers are derivation heights) it need not be:
 
 - ``fa_inc_word`` runs ``word_fixpoint`` under any directed handle
   (Nerode, state-set, simulation) and tests representative words;
@@ -25,7 +30,12 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
-from .fixpoint import Antichain, ac_below, kleene
+from .fixpoint import Antichain, KleeneDivergence
+
+# Not called here: bound because the benchmark tracer patches
+# ``inclusion.kleene`` and ``inclusion.ac_below`` by name
+# (tests/test_bench_hooks.py).
+from .fixpoint import ac_below, kleene  # noqa: F401
 from . import quasiorder as qo
 
 __all__ = [
@@ -151,97 +161,90 @@ def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
 # -- word-based algorithm ----------------------------------------------------
 
 
-def _kleene_rounds(
-    count: int,
-    leq: Callable[[Any, Any], bool],
-    reads: list[set[int]],
-    offers: Callable[[int, list[Antichain]], Any],
-    max_iter: int,
-):
-    """Least fixpoint of a system of antichain equations, one component per
-    equation, by Kleene iteration from the empty antichains.
+def _layers(count, leq, base, grow, check, fails, max_iter):
+    """Least fixpoint of a system of antichain equations, one antichain of
+    (key, word) entries per component, by a layered semi-naive worklist.
 
-    ``offers(v, vec)`` yields the (key, word) entries that component ``v``
-    inserts, in order, given the previous iterate; it may look only at the
-    components in ``reads[v]``. Each round rebuilds just the components
-    that read a component changed by the previous round (all of them in
-    the first round); every other component keeps its antichain object,
-    since rebuilding it from the same inputs gives the same entries. An
-    offered key equal to one already offered in the same rebuild is
-    skipped: by transitivity the antichain already holds a key below it.
-    The iteration stops when every changed component is equivalent to its
-    previous value both ways, so rounds and iterates are those of the
-    from-scratch iteration. Returns the final vector and the round count.
+    Layer 0 offers the ``base`` (component, key, word) entries; each later
+    layer offers ``grow(frontier, vec)``, the extensions of just the
+    entries the previous layer accepted. An entry evicted after it was
+    accepted is still extended, so the key of every word of layer n is
+    dominated by an entry accepted in layer n or before. A key already
+    offered to a component is skipped: the antichain holds a key below it.
+
+    After each layer the run stops at the accepted entries of components
+    in the ``check`` mask whose (key, word) ``fails``, and returns the
+    shortest, then least, of their words. Otherwise it runs to the empty
+    frontier, where each component is equivalent both ways to the least
+    fixpoint's. The keys accepted in one component form a bad sequence
+    (none lies above an earlier one, which is still dominated), so under a
+    well-quasiorder the run ends; the cap of ``max_iter`` layers after the
+    base only turns a handle that is not one into ``KleeneDivergence``.
+    Returns the vector, the layer count and the witness, or None.
     """
-    readers: list[list[int]] = [[] for _ in range(count)]
-    for v in range(count):
-        for d in reads[v]:
-            readers[d].append(v)
-    changed: list[int] | None = None
-
-    def step(vec: list[Antichain]) -> list[Antichain]:
-        nonlocal changed
-        if changed is None:
-            dirty = range(count)
-        else:
-            dirty = {r for d in changed for r in readers[d]}
-        out = list(vec)
-        changed = []
-        for v in dirty:
-            ac = Antichain(leq)
-            seen = set()
-            for key, word in offers(v, vec):
-                if key not in seen:
-                    seen.add(key)
-                    ac.insert(key, word)
-            if ac._entries != vec[v]._entries:
-                out[v] = ac
-                changed.append(v)
-        return out
-
-    def same(new: list[Antichain], old: list[Antichain]) -> bool:
-        return all(
-            a is b or (ac_below(a, b) and ac_below(b, a)) for a, b in zip(new, old)
-        )
-
-    bottom = [Antichain(leq) for _ in range(count)]
-    result = kleene(step, bottom, same, max_iter)
-    return result.value, result.iterations
+    vec = [Antichain(leq) for _ in range(count)]
+    offers, layers = base, 0
+    seen = [set() for _ in range(count)]
+    while True:
+        frontier = []
+        for v, key, word in offers:
+            if key not in seen[v]:
+                seen[v].add(key)
+                if vec[v].insert(key, word):
+                    frontier.append((v, key, word))
+        failing = [w for v, k, w in frontier if check >> v & 1 and fails(k, w)]
+        if failing:
+            return vec, layers, min(failing, key=lambda w: (len(w), w))
+        if not frontier:
+            return vec, layers, None
+        if layers == max_iter:
+            raise KleeneDivergence(f"no fixpoint after {layers} layers")
+        layers += 1
+        offers = grow(frontier, vec)
 
 
 def word_fixpoint(
-    n1: Nfa, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
+    n1: Nfa,
+    handle: QuasiorderHandle,
+    max_iter: int = DEFAULT_ITER_CAP,
+    fails: Callable[[Any, bytes], bool] | None = None,
 ):
     """Least fixpoint of the word-antichain equations of ``n1`` under the
     given quasiorder; one antichain of (key, word) entries per state.
 
-    Left handles iterate the prepend form starting from the final states;
-    right handles iterate the append form starting from the initials.
-    Returns the final vector and the iteration count.
+    Left handles prepend from the empty word at the final states, right
+    handles append from the empty word at the initials; layer n holds the
+    words of length n. The run stops at the first layer with an entry at a
+    check state (initials for left handles, finals for right ones) that
+    ``fails``. When every key below a failing one fails too, as membership
+    does under a consistent handle, that witness is a shortest failing
+    word. Returns the vector, the layer count and the witness (None if
+    nothing fails).
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
         raise ValueError("word_fixpoint needs a directed quasiorder handle")
-    key_eps = handle.key_of(b"")
-    syms = sorted(n1.alphabet)
-    base_mask = n1.final_mask if left else n1.initial_mask
-    moves: list[list[tuple[int, bytes, int]]] = [[] for _ in range(n1.state_count)]
-    for q in range(n1.state_count):
-        for sym in syms:
-            targets = n1.step(1 << q, sym, left)
-            for q2 in bits(targets):
-                moves[q].append((sym, bytes([sym]), q2))
+    base_mask, check = n1.final_mask, n1.initial_mask
+    if not left:
+        base_mask, check = check, base_mask
+    # preds[q2]: the moves (q, sym) that extend a word at q2 into one at q
+    preds: list[list[tuple[int, int, bytes]]] = [[] for _ in range(n1.state_count)]
+    tables = n1._bwd if left else n1._fwd
+    for sym in sorted(tables):
+        for q2, qs in enumerate(tables[sym]):
+            for q in bits(qs):
+                preds[q2].append((q, sym, bytes([sym])))
     extend = functools.cache(handle.extend)
 
-    def offers(q: int, vec: list[Antichain]):
-        if base_mask >> q & 1:
-            yield key_eps, b""
-        for sym, s, q2 in moves[q]:
-            for key, word in vec[q2]:
-                yield extend(key, sym), s + word if left else word + s
+    def grow(frontier, _vec):
+        for q2, key, word in frontier:
+            for q, sym, s in preds[q2]:
+                yield q, extend(key, sym), s + word if left else word + s
 
-    reads = [{q2 for _, _, q2 in m} for m in moves]
-    return _kleene_rounds(n1.state_count, handle.leq, reads, offers, max_iter)
+    base = [(q, handle.key_of(b""), b"") for q in bits(base_mask)]
+    return _layers(
+        n1.state_count, handle.leq, base, grow, check if fails else 0, fails, max_iter
+    )
 
 
 def fa_inc_word(
@@ -252,17 +255,10 @@ def fa_inc_word(
 ) -> Verdict:
     """Word-based inclusion check: L(n1) <= L2, where ``membership`` decides
     L2 and ``handle`` is an L2-consistent well-quasiorder matching its
-    direction. ``word_fixpoint`` under that handle; the first surviving word
-    that fails membership is the witness."""
-    vec, _ = word_fixpoint(n1, handle, max_iter)
-    check_mask = n1.initial_mask if handle.direction == "left" else n1.final_mask
-    for q in range(n1.state_count):
-        if not (check_mask >> q & 1):
-            continue
-        for _, word in vec[q]:
-            if not membership(word):
-                return Verdict(False, word)
-    return Verdict(True)
+    direction. ``word_fixpoint`` under that handle, stopped at the first
+    word that fails membership: a shortest word of L(n1) - L2."""
+    _, _, witness = word_fixpoint(n1, handle, max_iter, lambda _, w: not membership(w))
+    return Verdict(witness is None, witness)
 
 
 # -- state-set key algorithms: antichain and greatest fixpoint ---------------
@@ -272,31 +268,19 @@ def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """Antichain inclusion check of L(n1) in L(n2): ``word_fixpoint`` under
-    the pre-sets of n2's finals ordered by inclusion (``state_handle``);
-    accepted iff every surviving set meets n2's initials. ``variant`` names
-    the algorithm and must be "forward", the only one.
-    The witness is the shortest, then lexicographically least, failing word
-    among the entries that survive in the fixpoint at n1's initial states;
-    it need not be a shortest word of L(n1) - L(n2).
+    the pre-sets of n2's finals ordered by inclusion (``state_handle``),
+    stopped at the first set at an initial state of n1 that misses n2's
+    initials. ``variant`` names the algorithm and must be "forward", the
+    only one. The witness is a shortest word of L(n1) - L(n2), the least
+    among the failing entries of its layer.
     """
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
     i2 = n2.initial_mask
-    vec, _ = word_fixpoint(n1, state_handle(n2, "left"), max_iter)
-    return _key_verdict(
-        (e for q in bits(n1.initial_mask) for e in vec[q]), lambda key: not (key & i2)
+    _, _, witness = word_fixpoint(
+        n1, state_handle(n2, "left"), max_iter, lambda key, _: not key & i2
     )
-
-
-def _key_verdict(entries, fails: Callable[[Any], bool]) -> Verdict:
-    """Included iff no (key, word) entry fails; otherwise the witness is the
-    shortest, then lexicographically least, word of a failing entry. Only
-    the given entries are searched, so a shorter counterexample that the
-    fixpoint subsumed under another key is not found."""
-    failing = [word for key, word in entries if fails(key)]
-    if not failing:
-        return Verdict(True)
-    return Verdict(False, min(failing, key=lambda w: (len(w), w)))
+    return Verdict(witness is None, witness)
 
 
 def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
@@ -309,51 +293,69 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     is the one over the minimal sets: the antichain that ``word_fixpoint``
     keeps under the right state-set order (``state_handle``). Inclusion
     holds iff the empty word lies in every component at n1's final states,
-    that is iff every minimal set there meets l2's finals. This is exact on
-    a nondeterministic l2, which is never determinized. No witness is
+    that is iff every minimal set there meets l2's finals; the run stops at
+    the first set there that misses them. This is exact on a
+    nondeterministic l2, which is never determinized. No witness is
     reported.
     """
-    vec, _ = word_fixpoint(n1, state_handle(l2, "right"), max_iter)
     f2 = l2.final_mask
-    entries = (e for q in bits(n1.final_mask) for e in vec[q])
-    return Verdict(_key_verdict(entries, lambda key: not (key & f2)).included)
+    _, _, witness = word_fixpoint(
+        n1, state_handle(l2, "right"), max_iter, lambda key, _: not key & f2
+    )
+    return Verdict(witness is None)
 
 
 # -- grammar algorithms -------------------------------------------------------
 
 
-def _grammar_parts(g: CnfGrammar):
-    base: list[list[bytes]] = []
-    for v in range(g.variable_count):
-        words = [bytes([t]) for t in sorted(g.terminal_rules.get(v, ()))]
-        if v == 0 and g.axiom_nullable:
-            words.insert(0, b"")
-        base.append(words)
-    rules = [sorted(g.binary_rules.get(v, ())) for v in range(g.variable_count)]
-    return base, rules
-
-
 def cfg_word_fixpoint(
-    g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
+    g: CnfGrammar,
+    handle: QuasiorderHandle,
+    max_iter: int = DEFAULT_ITER_CAP,
+    fails: Callable[[Any, bytes], bool] | None = None,
 ):
     """Least fixpoint of the word-antichain equations of a CNF grammar under
     a two-sided quasiorder; one antichain per variable. Keys of
-    concatenations come from the handle's ``compose``."""
+    concatenations come from the handle's ``compose``.
+
+    Layer 0 holds the terminal words (and the empty word at a nullable
+    axiom). In each later layer a binary rule fires when either side
+    gained an entry: every new entry at Y is composed, for each rule
+    X -> Y Z or X -> Z Y, with the entries of Z at the start of the layer.
+    Layers are derivation heights, not word lengths, so the run stops at
+    the first layer with a failing entry at the axiom, and that witness
+    need not be a shortest failing word. Returns the vector, the layer
+    count and the witness (None if nothing fails).
+    """
     if handle.direction != "two-sided":
         raise ValueError("grammar fixpoints need a two-sided quasiorder")
-    base, rules = _grammar_parts(g)
-    base_keyed = [[(handle.key_of(w), w) for w in words] for words in base]
+    words = [(0, b"")] if g.axiom_nullable else []
+    for v in range(g.variable_count):
+        words += [(v, bytes([t])) for t in sorted(g.terminal_rules.get(v, ()))]
+    base = [(v, handle.key_of(w), w) for v, w in words]
+    # uses[y]: (x, z, y_first) for each rule x -> y z (y_first) or x -> z y
+    uses: list[list[tuple[int, int, bool]]] = [[] for _ in range(g.variable_count)]
+    for x in range(g.variable_count):
+        for y, z in sorted(g.binary_rules.get(x, ())):
+            uses[y].append((x, z, True))
+            uses[z].append((x, y, False))
     compose = functools.cache(handle.compose)
 
-    def offers(v: int, vec: list[Antichain]):
-        yield from base_keyed[v]
-        for y, z in rules[v]:
-            for k1, w1 in vec[y]:
-                for k2, w2 in vec[z]:
-                    yield compose(k1, k2), w1 + w2
+    def grow(frontier, vec):
+        # runs up to its first offer before the layer inserts anything, so
+        # this copy is the antichains at the start of the layer
+        snapshot = [list(ac) for ac in vec]
+        for y, k1, w1 in frontier:
+            for x, z, y_first in uses[y]:
+                for k2, w2 in snapshot[z]:
+                    if y_first:
+                        yield x, compose(k1, k2), w1 + w2
+                    else:
+                        yield x, compose(k2, k1), w2 + w1
 
-    reads = [{x for rule in r for x in rule} for r in rules]
-    return _kleene_rounds(g.variable_count, handle.leq, reads, offers, max_iter)
+    return _layers(
+        g.variable_count, handle.leq, base, grow, 1 if fails else 0, fails, max_iter
+    )
 
 
 def cfg_inc_word(
@@ -364,28 +366,25 @@ def cfg_inc_word(
 ) -> Verdict:
     """Word-based inclusion check L(g) <= L2 for a CNF grammar and a
     two-sided L2-consistent well-quasiorder: ``cfg_word_fixpoint`` under
-    that handle, then membership of the axiom's surviving words."""
-    vec, _ = cfg_word_fixpoint(g, handle, max_iter)
-    for _, word in vec[0]:
-        if not membership(word):
-            return Verdict(False, word)
-    return Verdict(True)
+    that handle, stopped at the first axiom word that fails membership."""
+    _, _, witness = cfg_word_fixpoint(g, handle, max_iter, lambda _, w: not membership(w))
+    return Verdict(witness is None, witness)
 
 
 def cfg_inc_antichain(
     g: CnfGrammar, n: Nfa, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """State-based antichain inclusion check of L(g) in L(n):
-    ``cfg_word_fixpoint`` under the state-pair order (``ctx_handle``).
-    Accepts iff every surviving relation of the axiom connects an initial to
-    a final state; the witness is the shortest, then least, word of a
-    failing entry that survives at the axiom."""
+    ``cfg_word_fixpoint`` under the state-pair order (``ctx_handle``),
+    stopped at the first relation of the axiom that connects no initial to
+    a final state. The witness is the shortest, then least, word of a
+    failing axiom entry of that layer."""
 
-    def fails(rel: tuple[int, ...]) -> bool:
+    def fails(rel: tuple[int, ...], _) -> bool:
         return not any(rel[p] & n.final_mask for p in bits(n.initial_mask))
 
-    vec, _ = cfg_word_fixpoint(g, ctx_handle(n), max_iter)
-    return _key_verdict(vec[0], fails)
+    _, _, witness = cfg_word_fixpoint(g, ctx_handle(n), max_iter, fails)
+    return Verdict(witness is None, witness)
 
 
 # -- one-counter nets ---------------------------------------------------------
@@ -396,7 +395,7 @@ def nfa_in_ocn(
 ) -> Verdict:
     """Inclusion of L(n) in the trace set of the one-counter net from the
     given start configuration: ``fa_inc_word`` under the macro-state
-    quasiorder (``ocn_handle``), stopped after ``max_iter`` iterations."""
+    quasiorder (``ocn_handle``), capped at ``max_iter`` layers."""
     handle = ocn_handle(o, start)
 
     def membership(word: bytes) -> bool:

@@ -7,10 +7,10 @@ import pytest
 
 from wqlang.cli import build_parser, main
 from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
-from wqlang import Ocn, compile_regex, equivalence_counterexample, parse_regex
+from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
-from conftest import chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
+from conftest import A, B, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
 
 
 @pytest.fixture
@@ -194,12 +194,34 @@ def _include_algos() -> list[tuple[str, str]]:
 @pytest.mark.parametrize(
     "flavor, algo", _include_algos() + [pytest.param("ocn", None, id="ocn")]
 )
-def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch, flavor, algo):
+def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch, tmp_path, flavor, algo):
+    # included inputs whose fixpoints need a second layer, so that no check
+    # stops early at a witness: n1 in itself; {a, b}^n for n >= 2, whose
+    # axiom derives only through binary rules, in (a|b)*; (ab)* in the
+    # counter net
     monkeypatch.setenv("TOOL_ITER_CAP", "1")
-    left, right = {"nfa": ("n1", "n2"), "cfg": ("g", "fig43"), "ocn": ("n1", "ocn")}[flavor]
+    (tmp_path / "two.cnf").write_bytes(dump_cnf(CnfGrammar(2, {1: {A, B}}, {0: {(1, 0), (1, 1)}})))
+    (tmp_path / "all.nfa").write_bytes(dump_nfa(Nfa(1, [(0, A, 0), (0, B, 0)], [0], [0])))
+    (tmp_path / "abstar.nfa").write_bytes(dump_nfa(Nfa(2, [(0, A, 1), (1, B, 0)], [0], [0])))
+    left, right = {
+        "nfa": (files["n1"], files["n1"]),
+        "cfg": (tmp_path / "two.cnf", tmp_path / "all.nfa"),
+        "ocn": (tmp_path / "abstar.nfa", files["ocn"]),
+    }[flavor]
     algo_flag = [] if algo is None else ["--algo", algo]
-    assert main(["include", flavor, files[left], files[right], *algo_flag]) == 3
+    assert main(["include", flavor, str(left), str(right), *algo_flag]) == 3
     assert "no fixpoint" in _one_line_error(capsys)
+    monkeypatch.delenv("TOOL_ITER_CAP")
+    assert main(["include", flavor, str(left), str(right), *algo_flag]) == 0
+    assert capsys.readouterr().out == "INCLUDED\n"
+
+
+def test_iteration_cap_reports_a_witness_found_within_it(files, capsys, monkeypatch):
+    # the first layer extends the empty word to the words of length 1, and
+    # the check stops there at the witness a before the cap counts another
+    monkeypatch.setenv("TOOL_ITER_CAP", "1")
+    assert main(["include", "nfa", files["n1"], files["n2"]]) == 0
+    assert capsys.readouterr().out == "NOT INCLUDED witness=a\n"
 
 
 def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):

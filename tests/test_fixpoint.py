@@ -119,7 +119,7 @@ def test_word_antichain_iterates_nondecreasing(fig42_n1, fig42_n2):
     from wqlang.inclusion import state_handle, word_fixpoint
 
     handle = state_handle(fig42_n2, "left")
-    vec, _ = word_fixpoint(fig42_n1, handle)
+    vec, _, _ = word_fixpoint(fig42_n1, handle)
     step = word_step_oracle(fig42_n1, handle)
     # replay the iteration manually and compare successive iterates
     prev = [Antichain(handle.leq) for _ in range(fig42_n1.state_count)]

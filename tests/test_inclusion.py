@@ -24,7 +24,7 @@ from wqlang import (
     state_handle,
 )
 from wqlang.fixpoint import KleeneDivergence, ac_below
-from wqlang.inclusion import cfg_word_fixpoint, word_fixpoint
+from wqlang.inclusion import DEFAULT_ITER_CAP, cfg_word_fixpoint, word_fixpoint
 from wqlang.quasiorder import ctx_key
 
 from conftest import (
@@ -45,18 +45,19 @@ def words_of(vec):
 
 
 def test_word_nerode_fixpoint(fig42_n1, fig42_n2):
-    vec, _ = word_fixpoint(fig42_n1, nerode_handle(fig42_n2, "left"))
+    vec, _, _ = word_fixpoint(fig42_n1, nerode_handle(fig42_n2, "left"))
     assert words_of(vec) == [[b"c"], [b""]]
 
 
 def test_word_state_fixpoint(fig42_n1, fig42_n2):
-    vec, iters = word_fixpoint(fig42_n1, state_handle(fig42_n2, "left"))
+    vec, layers, witness = word_fixpoint(fig42_n1, state_handle(fig42_n2, "left"))
     assert words_of(vec) == [[b"a", b"ab", b"b", b"c"], [b""]]
-    assert iters == 4
+    # layers 1 and 2 accept words of length 1 and 2; layer 3 accepts none
+    assert (layers, witness) == (3, None)
 
 
 def test_word_sim_fixpoint(fig42_n1, fig42_n2):
-    vec, _ = word_fixpoint(fig42_n1, sim_handle(fig42_n2, "left"))
+    vec, _, _ = word_fixpoint(fig42_n1, sim_handle(fig42_n2, "left"))
     assert words_of(vec) == [[b"c"], [b""]]
 
 
@@ -158,8 +159,8 @@ def test_nerode_fixpoint_below_state_fixpoint(fig42_n1, fig42_n2):
     # the coarser quasiorder converges to antichains below the finer one's
     nerode = nerode_handle(fig42_n2, "left")
     state = state_handle(fig42_n2, "left")
-    vec_n, _ = word_fixpoint(fig42_n1, nerode)
-    vec_s, _ = word_fixpoint(fig42_n1, state)
+    vec_n, _, _ = word_fixpoint(fig42_n1, nerode)
+    vec_s, _, _ = word_fixpoint(fig42_n1, state)
     for acn, acs in zip(vec_n, vec_s):
         assert ac_below(
             [nerode.key_of(w) for _, w in acn],
@@ -172,14 +173,14 @@ def test_nerode_fixpoint_below_state_fixpoint(fig42_n1, fig42_n2):
 
 
 def test_cfg_word_myhill_fixpoint(ex451_grammar, fig43):
-    vec, _ = cfg_word_fixpoint(ex451_grammar, myhill_handle(fig43))
+    vec, _, _ = cfg_word_fixpoint(ex451_grammar, myhill_handle(fig43))
     assert words_of(vec) == [[b"ab", b"b"], [b"a"]]
     verdict = cfg_inc_word(ex451_grammar, myhill_handle(fig43), fig43.member)
     assert verdict == verdict.__class__(False, b"ab")
 
 
 def test_cfg_word_ctx_fixpoint(ex451_grammar, fig43):
-    vec, _ = cfg_word_fixpoint(ex451_grammar, ctx_handle(fig43))
+    vec, _, _ = cfg_word_fixpoint(ex451_grammar, ctx_handle(fig43))
     assert words_of(vec) == [[b"ab", b"b", b"ba"], [b"a"]]
 
 
@@ -305,12 +306,20 @@ def test_ocn_random_agreement():
             assert not ocn_trace_oracle(o, (0, 1), verdict.witness)
 
 
-# -- incremental rounds against the from-scratch iteration ------------------------
+# -- the layered worklist against the from-scratch iteration ----------------------
 
 
-def entries_and_rounds(result):
-    vec, iterations = result
-    return [ac._entries for ac in vec], iterations
+def assert_same_fixpoint(result, oracle, handle):
+    """With no stop test the worklist runs to the least fixpoint: each
+    component is equivalent both ways to the from-scratch iteration's, and
+    every entry carries its own word's key."""
+    vec, _, witness = result
+    expected, _ = oracle
+    assert witness is None
+    for ac, want in zip(vec, expected, strict=True):
+        assert ac_below(ac, want) and ac_below(want, ac)
+        for key, word in ac:
+            assert key == handle.key_of(word)
 
 
 def test_word_fixpoint_matches_from_scratch_oracle():
@@ -326,8 +335,8 @@ def test_word_fixpoint_matches_from_scratch_oracle():
         ]
         handles.append(ocn_handle(rand_ocn(rng), (0, 1)))
         for handle in handles:
-            assert entries_and_rounds(word_fixpoint(n1, handle)) == entries_and_rounds(
-                word_fixpoint_oracle(n1, handle)
+            assert_same_fixpoint(
+                word_fixpoint(n1, handle), word_fixpoint_oracle(n1, handle), handle
             )
 
 
@@ -337,14 +346,14 @@ def test_cfg_word_fixpoint_matches_from_scratch_oracle():
         g = rand_cnf(rng, max_vars=8)
         n = rand_nfa(rng, max_states=8, density=rng.choice((0.2, 0.3)))
         for handle in (ctx_handle(n), myhill_handle(n)):
-            assert entries_and_rounds(cfg_word_fixpoint(g, handle)) == entries_and_rounds(
-                cfg_word_fixpoint_oracle(g, handle)
+            assert_same_fixpoint(
+                cfg_word_fixpoint(g, handle), cfg_word_fixpoint_oracle(g, handle), handle
             )
 
 
-def test_iteration_cap_counts_the_same_rounds():
-    # the smallest caps that let these fixpoints finish, computed with the
-    # from-scratch iteration: the cap still counts every round
+def test_iteration_cap_counts_layers():
+    # the smallest cap that lets a fixpoint finish is the layer count it
+    # returns; one less stops it
     rng = random.Random(93)
     n1 = rand_nfa(rng, max_states=8, density=0.3)
     n2 = rand_nfa(rng, max_states=8, density=0.3)
@@ -353,13 +362,14 @@ def test_iteration_cap_counts_the_same_rounds():
     g = rand_cnf(rng, max_vars=5)
     n = rand_nfa(rng, max_states=6, density=0.3)
     run_cfg = lambda cap: cfg_word_fixpoint(g, ctx_handle(n), cap)
-    for run, cap in ((run_nfa, 6), (run_cfg, 9)):
-        assert run(cap)[1] == cap + 1
-        with pytest.raises(KleeneDivergence):
-            run(cap - 1)
+    for run, layers in ((run_nfa, 6), (run_cfg, 9)):
+        assert run(DEFAULT_ITER_CAP)[1] == layers
+        assert run(layers)[1] == layers
+        with pytest.raises(KleeneDivergence, match="no fixpoint"):
+            run(layers - 1)
 
 
-def test_witnesses_fail_and_are_no_shorter_than_naive():
+def test_witnesses_fail_and_are_as_short_as_naive():
     rng = random.Random(47)
     checked = 0
     for _ in range(150):
@@ -378,6 +388,57 @@ def test_witnesses_fail_and_are_no_shorter_than_naive():
             if not verdict.included:
                 assert n1.member(verdict.witness)
                 assert not n2.member(verdict.witness)
-                assert len(verdict.witness) >= len(shortest.witness)
+                assert len(verdict.witness) == len(shortest.witness)
                 checked += 1
     assert checked > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    syms2=st.integers(1, 3),
+    direction=st.sampled_from(("left", "right")),
+)
+def test_antichain_and_word_checks_agree_with_naive(seed, syms2, direction):
+    rng = random.Random(seed)
+    n1 = rand_nfa(rng, max_states=6, n_syms=3)
+    n2 = rand_nfa(rng, max_states=6, n_syms=syms2)
+    shortest = naive_inclusion(n1, n2)
+    for verdict in (
+        fa_inc_antichain(n1, n2),
+        fa_inc_word(n1, state_handle(n2, direction), n2.member),
+    ):
+        assert verdict.included == shortest.included
+        if not verdict.included:
+            assert n1.member(verdict.witness) and not n2.member(verdict.witness)
+            assert len(verdict.witness) == len(shortest.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cfg_antichain_agrees_with_oracle(seed):
+    rng = random.Random(seed)
+    g = rand_cnf(rng, max_vars=4)
+    n = rand_nfa(rng, max_states=4)
+    verdict = cfg_inc_antichain(g, n)
+    assert verdict.included == cfg_in_regular_oracle(g, n.determinize()).included
+    if not verdict.included:
+        assert verdict.witness in g.words_up_to(len(verdict.witness))
+        assert not n.member(verdict.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counter=st.integers(0, 2))
+def test_nfa_in_ocn_agrees_with_trace_oracle(seed, counter):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=4)
+    o = rand_ocn(rng)
+    start = (rng.randrange(o.state_count), counter)
+    verdict = nfa_in_ocn(n, o, start)
+    # the witness is a shortest accepted non-trace, so every shorter
+    # accepted word (all of them, when included) is a trace
+    bound = 6 if verdict.included else len(verdict.witness) - 1
+    assert all(ocn_trace_oracle(o, start, w) for w in n.accepted_words(bound))
+    if not verdict.included:
+        assert n.member(verdict.witness)
+        assert not ocn_trace_oracle(o, start, verdict.witness)
