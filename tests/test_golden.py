@@ -25,6 +25,7 @@ from wqlang import (
     canonical,
     cfg_inc_antichain,
     cfg_inc_word,
+    check_dr_condition,
     ctx_handle,
     denis_residualize,
     double_reversal_canonical,
@@ -87,6 +88,7 @@ PINNED = {
     "cfg-word-ctx": "9bcb59125f864745fcc66aa3ff4b150ea78109bcd96723fe6b0df629867ca0d9",
     "nfa-in-ocn": "d97406b91135713d1da8aee0fd5980cd06e6300aaa8992eed38bbab51ec6ab5e",
     "res": "ed692c573acec809431908cc11ce622f291217663571e75971235d95f4518226",
+    "check-dr": "950e671adda1f32e617a2cbda69010cac76d89b6aef843ac3142b888139386d1",
     "canonical": "f73178e037f26e87159ffea30614e58d60f8d67071105ebe68ea2110b9faf9fa",
     "denis": "b860ab3b2a6a85196a9c7ffbb2f573a528f85d0b5681cadb57bc7674be5943a9",
     "double-reversal": "f9f04ca08713d3bc6ce1eb42c0c009f4e582795ebb7b67af9edbb8b7302f51cb",
@@ -234,6 +236,8 @@ def _outputs(name: str):
         return [
             dump_nfa(canonical(n, d)) for n in _automata() for d in ("right", "left")
         ]
+    if name == "check-dr":
+        return [b"HOLDS" if check_dr_condition(n) else b"DOES NOT HOLD" for n in _automata()]
     if name == "denis":
         return [dump_nfa(denis_residualize(n)) for n in _automata()]
     if name == "double-reversal":
