@@ -103,44 +103,42 @@ def _verdict_output(args, verdict: Verdict, stats: dict | None) -> int:
     return 0
 
 
+# One table per include flavor: the --algo choices, in order, and the call
+# each makes with (left, right, cap). The calls look ``inclusion.<fn>`` up at
+# call time, so a wrapper installed on the module sees them.
+NFA_ALGOS = {
+    "word-nerode": lambda n1, n2, cap: inclusion.fa_inc_word(
+        n1, inclusion.nerode_handle(n2, "left"), n2.member, cap
+    ),
+    "word-state": lambda n1, n2, cap: inclusion.fa_inc_word(
+        n1, inclusion.state_handle(n2, "left"), n2.member, cap
+    ),
+    "word-sim": lambda n1, n2, cap: inclusion.fa_inc_word(
+        n1, inclusion.sim_handle(n2, "left"), n2.member, cap
+    ),
+    "antichain-fwd": lambda n1, n2, cap: inclusion.fa_inc_antichain(n1, n2, "forward", cap),
+    "gfp": lambda n1, n2, cap: inclusion.fa_inc_gfp(n1, n2, cap),
+}
+CFG_ALGOS = {
+    "antichain": lambda g, n, cap: inclusion.cfg_inc_antichain(g, n, cap),
+    "word-myhill": lambda g, n, cap: inclusion.cfg_inc_word(
+        g, inclusion.myhill_handle(n), n.member, cap
+    ),
+    "word-ctx": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.ctx_handle(n), n.member, cap),
+}
+
+
 def _cmd_include_nfa(args) -> int:
     left = parse_nfa(_read(args.left))
     right = parse_nfa(_read(args.right))
-    cap = _iter_cap()
-    algo = args.algo
-    if algo == "word-nerode":
-        verdict = inclusion.fa_inc_word(
-            left, inclusion.nerode_handle(right, "left"), right.member, cap
-        )
-    elif algo == "word-state":
-        verdict = inclusion.fa_inc_word(
-            left, inclusion.state_handle(right, "left"), right.member, cap
-        )
-    elif algo == "word-sim":
-        verdict = inclusion.fa_inc_word(
-            left, inclusion.sim_handle(right, "left"), right.member, cap
-        )
-    elif algo == "antichain-fwd":
-        verdict = inclusion.fa_inc_antichain(left, right, "forward", cap)
-    else:  # gfp
-        verdict = inclusion.fa_inc_gfp(left, right, cap)
-    return _verdict_output(args, verdict, {"algo": algo})
+    verdict = NFA_ALGOS[args.algo](left, right, _iter_cap())
+    return _verdict_output(args, verdict, {"algo": args.algo})
 
 
 def _cmd_include_cfg(args) -> int:
     grammar = parse_cnf(_read(args.left))
     right = parse_nfa(_read(args.right))
-    cap = _iter_cap()
-    if args.algo == "antichain":
-        verdict = inclusion.cfg_inc_antichain(grammar, right, cap)
-    elif args.algo == "word-myhill":
-        verdict = inclusion.cfg_inc_word(
-            grammar, inclusion.myhill_handle(right), right.member, cap
-        )
-    else:  # word-ctx
-        verdict = inclusion.cfg_inc_word(
-            grammar, inclusion.ctx_handle(right), right.member, cap
-        )
+    verdict = CFG_ALGOS[args.algo](grammar, right, _iter_cap())
     return _verdict_output(args, verdict, {"algo": args.algo})
 
 
@@ -254,26 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     inc_nfa = inc_sub.add_parser("nfa")
     inc_nfa.add_argument("left")
     inc_nfa.add_argument("right")
-    inc_nfa.add_argument(
-        "--algo",
-        default="antichain-fwd",
-        choices=[
-            "word-nerode",
-            "word-state",
-            "word-sim",
-            "antichain-fwd",
-            "gfp",
-        ],
-    )
+    inc_nfa.add_argument("--algo", default="antichain-fwd", choices=NFA_ALGOS)
     _common_verdict_flags(inc_nfa)
     inc_nfa.set_defaults(func=_cmd_include_nfa)
 
     inc_cfg = inc_sub.add_parser("cfg")
     inc_cfg.add_argument("left")
     inc_cfg.add_argument("right")
-    inc_cfg.add_argument(
-        "--algo", default="antichain", choices=["antichain", "word-myhill", "word-ctx"]
-    )
+    inc_cfg.add_argument("--algo", default="antichain", choices=CFG_ALGOS)
     _common_verdict_flags(inc_cfg)
     inc_cfg.set_defaults(func=_cmd_include_cfg)
 

@@ -20,8 +20,8 @@ they compare them by and the composite test they supply:
 The first three share the state-set helper ``_state_set_H``. Direction is
 decided only in ``res`` and ``canonical``: left is the reverse of the
 construction on the reverse. Also here: principal enumeration, the
-double-reversal route to the canonical RFA, and the closedness condition
-characterizing when plain residualization is already canonical.
+double-reversal route to the canonical RFA, and the closedness condition,
+sufficient but not necessary for plain residualization to be canonical.
 
 The composite test is a language inclusion L(K) ⊆ L(U) between two state
 sets of one automaton, and ``res`` and ``canonical`` ask it once per key.
@@ -244,37 +244,27 @@ def double_reversal_canonical(n: Nfa) -> Nfa:
 
 
 def check_dr_condition(n: Nfa) -> bool:
-    """Does residualization of ``n`` yield the canonical automaton? True
-    exactly when the left language of every state is upward closed under
-    residual inclusion, checked by product exploration against the minimal
-    DFA (complete over ``n``'s alphabet) plus one language equivalence per
-    state."""
-    syms = sorted(n.alphabet)
-    mc = n.determinize().minimize()
-    inclc = residual_inclusion_matrix(mc)
-    # product reachability: which minimal-DFA states co-occur with each state
-    start_pairs = [(q, mc.initial_state) for q in bits(n.initial_mask)]
-    seen = set(start_pairs)
-    stack = list(start_pairs)
-    reach_of: list[int] = [0] * n.state_count  # bitmask over mc states
-    for q, p in start_pairs:
-        reach_of[q] |= 1 << p
-    while stack:
-        q, p = stack.pop()
-        for sym in syms:
-            p2 = mc.dnext(p, sym)
-            for q2 in bits(n.step(1 << q, sym, True)):
-                if (q2, p2) not in seen:
-                    seen.add((q2, p2))
-                    reach_of[q2] |= 1 << p2
-                    stack.append((q2, p2))
-    for q in range(n.state_count):
-        up = 0
-        for p in bits(reach_of[q]):
-            up |= inclc[p]
-        if equivalence_counterexample(n.with_final([q]), mc.with_final(bits(up))) is not None:
-            return False
-    return True
+    """Sufficient, not necessary, for residualization of ``n`` to yield the
+    canonical automaton: every state's left language is upward closed under
+    residual inclusion. The subset construction is complete, so the words
+    reaching each subset form one block of a partition, and a state's left
+    language is the union of the blocks of the subsets that hold it: the
+    condition holds iff every subset whose residual (minimal-DFA state)
+    includes that of a subset holding ``q`` holds ``q`` too."""
+    d = n.determinize()
+    mc = d.minimize()
+    incl = residual_inclusion_matrix(mc)
+    # breadth-first numbering: each subset's class is set before it is read
+    cls = [mc.initial_state] * d.state_count
+    for s in range(d.state_count):
+        for sym in d.alphabet:
+            cls[d.dnext(s, sym)] = mc.dnext(cls[s], sym)
+    pairs = list(zip(d.source_subsets, cls))
+    up = [0] * n.state_count
+    for subset, p in pairs:
+        for q in bits(subset):
+            up[q] |= incl[p]
+    return all(subset >> q & 1 for subset, p in pairs for q, u in enumerate(up) if u >> p & 1)
 
 
 def _residual_labels(n: Nfa, min_dfa: Dfa) -> Iterator[int | None]:

@@ -257,6 +257,7 @@ def test_determinization_budget_exits_with_input_error(files, tmp_path, capsys):
     first17 = _regex_file(tmp_path, "first17", "(a|b){16}a(a|b)*")
     for argv in (
         ["canonical", last17],
+        ["check-dr", last17],
         ["include", "nfa", files["n1"], first17, "--algo", "word-nerode"],
     ):
         assert main(argv) == 3

@@ -20,6 +20,7 @@ from wqlang import (
     right_inclusion,
 )
 from wqlang.automata import DeterminizationCap, bits
+from wqlang.quasiorder import residual_inclusion_matrix
 from wqlang.residual import isomorphic_to_canonical
 
 from conftest import A, B, C, make_fig62, rand_nfa, set_of
@@ -206,6 +207,41 @@ def test_check_dr_reverse_direction_is_strictly_weaker():
     ) is None  # the language is everything
     assert isomorphic_to_canonical(res(n, "right"), canonical(n))
     assert not check_dr_condition(n)
+
+
+def _dr_condition_by_definition(n):
+    """The closedness condition from its definition: a product walk finds
+    the minimal-DFA states met with each state on a common word, and each
+    state's left language must equal the words reaching the upward closure
+    of those states under residual inclusion."""
+    mc = n.determinize().minimize()
+    incl = residual_inclusion_matrix(mc)
+    met = [0] * n.state_count
+    stack = [(q, mc.initial_state) for q in bits(n.initial_mask)]
+    seen = set(stack)
+    while stack:
+        q, p = stack.pop()
+        met[q] |= 1 << p
+        for sym in n.alphabet:
+            for pair in ((q2, mc.dnext(p, sym)) for q2 in bits(n.step(1 << q, sym))):
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    for q in range(n.state_count):
+        up = 0
+        for p in bits(met[q]):
+            up |= incl[p]
+        if equivalence_counterexample(n.with_final([q]), mc.with_final(bits(up))) is not None:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 2**32 - 1).map(lambda seed: rand_nfa(random.Random(seed), max_states=6)))
+@example(n=Nfa(3, [(0, A, 1), (1, B, 0), (2, A, 0)], [0], [1]))  # state 2 is unreachable
+@example(n=Nfa(2, [], [0], [0, 1]))  # no transitions, an empty alphabet
+def test_check_dr_agrees_with_its_definition(n):
+    assert check_dr_condition(n) == _dr_condition_by_definition(n)
 
 
 def test_check_dr_on_canonical_and_incomparable_minimal(fig62):
