@@ -14,10 +14,11 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
 file or a computation stopped by its cap (fixpoint layers, learner
 queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
-states). ``TOOL_ITER_CAP`` overrides the cap on fixpoint layers (each
-extends the entries the one before added; a witness found within the cap
-is still reported) of ``include nfa`` (every ``--algo``, ``gfp``
-included), ``include cfg`` and ``include ocn``.
+states). ``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on
+fixpoint layers (each extends the entries the one before added; a witness
+found within the cap is still reported) of ``include nfa`` (every
+``--algo``, ``gfp`` included), ``include cfg`` and ``include ocn``; any
+other value is a usage error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ INPUT_ERROR = 3
 
 def _iter_cap() -> int:
     value = os.environ.get("TOOL_ITER_CAP")
-    return int(value) if value else inclusion.DEFAULT_ITER_CAP
+    cap = int(value) if value else inclusion.DEFAULT_ITER_CAP
+    if cap < 0:
+        raise ValueError(f"TOOL_ITER_CAP must be nonnegative, got {cap}")
+    return cap
 
 
 def _read(path: str) -> bytes:
@@ -107,24 +111,16 @@ def _verdict_output(args, verdict: Verdict, stats: dict | None) -> int:
 # each makes with (left, right, cap). The calls look ``inclusion.<fn>`` up at
 # call time, so a wrapper installed on the module sees them.
 NFA_ALGOS = {
-    "word-nerode": lambda n1, n2, cap: inclusion.fa_inc_word(
-        n1, inclusion.nerode_handle(n2, "left"), n2.member, cap
-    ),
-    "word-state": lambda n1, n2, cap: inclusion.fa_inc_word(
-        n1, inclusion.state_handle(n2, "left"), n2.member, cap
-    ),
-    "word-sim": lambda n1, n2, cap: inclusion.fa_inc_word(
-        n1, inclusion.sim_handle(n2, "left"), n2.member, cap
-    ),
+    "word-nerode": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.nerode_handle(n2), cap),
+    "word-state": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.state_handle(n2), cap),
+    "word-sim": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.sim_handle(n2), cap),
     "antichain-fwd": lambda n1, n2, cap: inclusion.fa_inc_antichain(n1, n2, "forward", cap),
     "gfp": lambda n1, n2, cap: inclusion.fa_inc_gfp(n1, n2, cap),
 }
 CFG_ALGOS = {
     "antichain": lambda g, n, cap: inclusion.cfg_inc_antichain(g, n, cap),
-    "word-myhill": lambda g, n, cap: inclusion.cfg_inc_word(
-        g, inclusion.myhill_handle(n), n.member, cap
-    ),
-    "word-ctx": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.ctx_handle(n), n.member, cap),
+    "word-myhill": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.myhill_handle(n), cap),
+    "word-ctx": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.ctx_handle(n), cap),
 }
 
 

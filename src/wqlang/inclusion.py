@@ -5,22 +5,22 @@ Two cores do all the word-based work: ``word_fixpoint`` for automata and
 antichain equations under a quasiorder handle, computed by one layered
 worklist that extends only the entries the previous layer added (the
 forward antichain algorithm of De Wulf, Doyen, Henzinger and Raskin, and
-its grammar form after Holik and Meyer). Every check instantiates one of
-them with a failure test and stops at the first layer where an entry
-fails; on automata that witness is a shortest counterexample, on
-grammars (layers are derivation heights) it need not be:
+its grammar form after Holik and Meyer). A handle is consistent with the
+language L2 it checks against: every principal lies wholly inside L2 or
+wholly outside it, so membership in L2 is read off a key by the handle's
+``accepts``. A check stops at the first layer where an accepted entry's
+key is rejected; on automata that witness is a shortest counterexample,
+on grammars (layers are derivation heights) it need not be:
 
 - ``fa_inc_word`` runs ``word_fixpoint`` under any directed handle
-  (Nerode, state-set, simulation) and tests representative words;
-- ``fa_inc_antichain`` runs ``word_fixpoint`` under the left state-set
-  order and tests keys (one variant, the forward antichain algorithm);
+  (Nerode, state-set, simulation, one-counter macro states);
 - ``cfg_inc_word`` runs ``cfg_word_fixpoint`` under any two-sided handle
-  (Myhill, state-pair) and tests representative words;
-- ``cfg_inc_antichain`` runs ``cfg_word_fixpoint`` under the state-pair
-  order and tests keys;
-- ``fa_inc_gfp`` runs ``word_fixpoint`` under the right state-set order
-  and tests keys at the final states, reporting the verdict only;
-- ``nfa_in_ocn`` is ``fa_inc_word`` under the one-counter macro order.
+  (Myhill, state-pair).
+
+The named checks are instances of these two: ``fa_inc_antichain`` under
+the left state-set order, ``fa_inc_gfp`` under the right one (reporting
+the verdict only), ``cfg_inc_antichain`` under the state-pair order and
+``nfa_in_ocn`` under the one-counter macro order.
 """
 
 from __future__ import annotations
@@ -64,16 +64,19 @@ class QuasiorderHandle:
     """A decidable quasiorder on words packaged for the fixpoint engines.
 
     ``key_of`` maps a word to its finite key and ``leq`` compares keys.
-    Directed handles supply ``extend``, the key of the one-symbol extension
-    on the working side: prepended for left handles, appended for right
-    ones. Two-sided handles supply ``compose``, the key of a concatenation.
-    Keys must be hashable: the fixpoints memoize ``extend`` and ``compose``
-    on them and skip a key already offered to the same antichain.
+    The quasiorder is consistent with one language, so ``accepts`` tells
+    from a key whether its words belong to that language. Directed handles
+    supply ``extend``, the key of the one-symbol extension on the working
+    side: prepended for left handles, appended for right ones. Two-sided
+    handles supply ``compose``, the key of a concatenation. Keys must be
+    hashable: the fixpoints memoize ``extend`` and ``compose`` on them and
+    skip a key already offered to the same antichain.
     """
 
     direction: str  # 'left' | 'right' | 'two-sided'
     key_of: Callable[[bytes], Any]
     leq: Callable[[Any, Any], bool]
+    accepts: Callable[[Any], bool]
     extend: Callable[[Any, int], Any] | None = None
     compose: Callable[[Any, Any], Any] | None = None
 
@@ -90,24 +93,29 @@ def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
         m = n2.determinize().minimize()
     else:
         raise ValueError(f"bad direction {direction!r}")
+    final = m.final_mask
     return QuasiorderHandle(
         direction=direction,
         key_of=lambda w: qo.residual_state(m, w[::-1] if direction == "left" else w),
         leq=qo.residual_order(m),
+        accepts=lambda q: q != qo.DEAD and final >> q & 1 == 1,
         extend=lambda key, sym: qo.residual_next(m, key, sym),
     )
 
 
 def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """State-set quasiorder: pre-sets of the finals (left) or post-sets of
-    the initials (right), compared by inclusion."""
+    the initials (right), compared by inclusion. A pre-set accepts when it
+    meets the initials, a post-set when it meets the finals."""
     if direction not in ("left", "right"):
         raise ValueError(f"bad direction {direction!r}")
     forward = direction == "right"
+    target = n2.final_mask if forward else n2.initial_mask
     return QuasiorderHandle(
         direction=direction,
         key_of=lambda w: n2.run(w, forward),
         leq=lambda a, b: a & b == a,
+        accepts=lambda key: key & target != 0,
         extend=lambda key, sym: n2.step(key, sym, forward),
     )
 
@@ -121,6 +129,7 @@ def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
         direction=direction,
         key_of=base.key_of,
         leq=lambda a, b: qo.sim_leq(a, b, sim),
+        accepts=base.accepts,
         extend=base.extend,
     )
 
@@ -129,10 +138,12 @@ def myhill_handle(n: Nfa) -> QuasiorderHandle:
     """Two-sided context quasiorder of L(n), realized as the word's action
     on the minimal DFA with pointwise residual inclusion."""
     m = n.determinize().minimize()
+    q0, final = m.initial_state, m.final_mask
     return QuasiorderHandle(
         direction="two-sided",
         key_of=lambda w: qo.myhill_key(m, w),
         leq=qo.myhill_order(m),
+        accepts=lambda key: key[q0] != qo.DEAD and final >> key[q0] & 1 == 1,
         compose=qo.myhill_compose,
     )
 
@@ -140,20 +151,24 @@ def myhill_handle(n: Nfa) -> QuasiorderHandle:
 def ctx_handle(n: Nfa) -> QuasiorderHandle:
     """Two-sided state-pair quasiorder: the relation a word induces between
     states of n, compared by inclusion."""
+    initials, final = list(bits(n.initial_mask)), n.final_mask
     return QuasiorderHandle(
         direction="two-sided",
         key_of=lambda w: qo.ctx_key(n, w),
         leq=qo.ctx_leq,
+        accepts=lambda rel: any(rel[p] & final for p in initials),
         compose=qo.ctx_compose,
     )
 
 
 def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
-    """Right quasiorder on macro states of a one-counter net."""
+    """Right quasiorder on macro states of a one-counter net; a word is a
+    trace iff its macro state reaches some state."""
     return QuasiorderHandle(
         direction="right",
         key_of=lambda w: qo.ocn_macro(o, start, w),
         leq=qo.macro_leq,
+        accepts=lambda m: any(e is not None for e in m),
         extend=lambda key, sym: qo.macro_step(o, key, sym),
     )
 
@@ -161,7 +176,7 @@ def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
 # -- word-based algorithm ----------------------------------------------------
 
 
-def _layers(count, leq, base, grow, check, fails, max_iter):
+def _layers(count, handle, base, grow, check, max_iter):
     """Least fixpoint of a system of antichain equations, one antichain of
     (key, word) entries per component, by a layered semi-naive worklist.
 
@@ -173,18 +188,20 @@ def _layers(count, leq, base, grow, check, fails, max_iter):
     offered to a component is skipped: the antichain holds a key below it.
 
     After each layer the run stops at the accepted entries of components
-    in the ``check`` mask whose (key, word) ``fails``, and returns the
-    shortest, then least, of their words. Otherwise it runs to the empty
-    frontier, where each component is equivalent both ways to the least
-    fixpoint's. The keys accepted in one component form a bad sequence
-    (none lies above an earlier one, which is still dominated), so under a
-    well-quasiorder the run ends; the cap of ``max_iter`` layers after the
-    base only turns a handle that is not one into ``KleeneDivergence``.
-    Returns the vector, the layer count and the witness, or None.
+    in the ``check`` mask whose key the handle does not accept, and
+    returns the shortest, then least, of their words. Otherwise it runs to
+    the empty frontier, where each component is equivalent both ways to
+    the least fixpoint's. The keys accepted in one component form a bad
+    sequence (none lies above an earlier one, which is still dominated), so
+    under a well-quasiorder the run ends; the cap of ``max_iter`` layers
+    after the base (a negative cap acts as 0) only turns a handle that is
+    not one into ``KleeneDivergence``. Returns the vector, the layer count
+    and the witness, or None.
     """
-    vec = [Antichain(leq) for _ in range(count)]
+    vec = [Antichain(handle.leq) for _ in range(count)]
     offers, layers = base, 0
     seen = [set() for _ in range(count)]
+    accepts = handle.accepts
     while True:
         frontier = []
         for v, key, word in offers:
@@ -192,34 +209,31 @@ def _layers(count, leq, base, grow, check, fails, max_iter):
                 seen[v].add(key)
                 if vec[v].insert(key, word):
                     frontier.append((v, key, word))
-        failing = [w for v, k, w in frontier if check >> v & 1 and fails(k, w)]
+        failing = [w for v, k, w in frontier if check >> v & 1 and not accepts(k)]
         if failing:
             return vec, layers, min(failing, key=lambda w: (len(w), w))
         if not frontier:
             return vec, layers, None
-        if layers == max_iter:
+        if layers >= max_iter:
             raise KleeneDivergence(f"no fixpoint after {layers} layers")
         layers += 1
         offers = grow(frontier, vec)
 
 
 def word_fixpoint(
-    n1: Nfa,
-    handle: QuasiorderHandle,
-    max_iter: int = DEFAULT_ITER_CAP,
-    fails: Callable[[Any, bytes], bool] | None = None,
+    n1: Nfa, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP, stop: bool = False
 ):
     """Least fixpoint of the word-antichain equations of ``n1`` under the
     given quasiorder; one antichain of (key, word) entries per state.
 
     Left handles prepend from the empty word at the final states, right
     handles append from the empty word at the initials; layer n holds the
-    words of length n. The run stops at the first layer with an entry at a
-    check state (initials for left handles, finals for right ones) that
-    ``fails``. When every key below a failing one fails too, as membership
-    does under a consistent handle, that witness is a shortest failing
-    word. Returns the vector, the layer count and the witness (None if
-    nothing fails).
+    words of length n. With ``stop`` the run ends at the first layer with
+    an entry at a check state (initials for left handles, finals for right
+    ones) whose key the handle does not accept. Under a consistent handle
+    every key below a rejected one is rejected too, so that witness is a
+    shortest word of L(n1) outside the handle's language. Returns the
+    vector, the layer count and the witness (None if nothing is rejected).
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
@@ -242,45 +256,32 @@ def word_fixpoint(
                 yield q, extend(key, sym), s + word if left else word + s
 
     base = [(q, handle.key_of(b""), b"") for q in bits(base_mask)]
-    return _layers(
-        n1.state_count, handle.leq, base, grow, check if fails else 0, fails, max_iter
-    )
+    return _layers(n1.state_count, handle, base, grow, check if stop else 0, max_iter)
 
 
 def fa_inc_word(
-    n1: Nfa,
-    handle: QuasiorderHandle,
-    membership: Callable[[bytes], bool],
-    max_iter: int = DEFAULT_ITER_CAP,
+    n1: Nfa, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """Word-based inclusion check: L(n1) <= L2, where ``membership`` decides
-    L2 and ``handle`` is an L2-consistent well-quasiorder matching its
-    direction. ``word_fixpoint`` under that handle, stopped at the first
-    word that fails membership: a shortest word of L(n1) - L2."""
-    _, _, witness = word_fixpoint(n1, handle, max_iter, lambda _, w: not membership(w))
+    """Word-based inclusion check: L(n1) <= L2, where ``handle`` is a
+    directed L2-consistent well-quasiorder. ``word_fixpoint`` under that
+    handle, stopped at the first key it does not accept: the witness is a
+    shortest word of L(n1) - L2, the least among the rejected entries of
+    its layer."""
+    _, _, witness = word_fixpoint(n1, handle, max_iter, stop=True)
     return Verdict(witness is None, witness)
-
-
-# -- state-set key algorithms: antichain and greatest fixpoint ---------------
 
 
 def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """Antichain inclusion check of L(n1) in L(n2): ``word_fixpoint`` under
+    """Antichain inclusion check of L(n1) in L(n2): ``fa_inc_word`` under
     the pre-sets of n2's finals ordered by inclusion (``state_handle``),
-    stopped at the first set at an initial state of n1 that misses n2's
-    initials. ``variant`` names the algorithm and must be "forward", the
-    only one. The witness is a shortest word of L(n1) - L(n2), the least
-    among the failing entries of its layer.
-    """
+    which stops at the first set at an initial state of n1 that misses
+    n2's initials. ``variant`` names the algorithm and must be "forward",
+    the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
-    i2 = n2.initial_mask
-    _, _, witness = word_fixpoint(
-        n1, state_handle(n2, "left"), max_iter, lambda key, _: not key & i2
-    )
-    return Verdict(witness is None, witness)
+    return fa_inc_word(n1, state_handle(n2, "left"), max_iter)
 
 
 def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
@@ -293,26 +294,18 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     is the one over the minimal sets: the antichain that ``word_fixpoint``
     keeps under the right state-set order (``state_handle``). Inclusion
     holds iff the empty word lies in every component at n1's final states,
-    that is iff every minimal set there meets l2's finals; the run stops at
-    the first set there that misses them. This is exact on a
-    nondeterministic l2, which is never determinized. No witness is
-    reported.
+    that is iff every minimal set there meets l2's finals: the verdict of
+    ``fa_inc_word`` under that handle. This is exact on a nondeterministic
+    l2, which is never determinized. No witness is reported.
     """
-    f2 = l2.final_mask
-    _, _, witness = word_fixpoint(
-        n1, state_handle(l2, "right"), max_iter, lambda key, _: not key & f2
-    )
-    return Verdict(witness is None)
+    return Verdict(fa_inc_word(n1, state_handle(l2, "right"), max_iter).included)
 
 
 # -- grammar algorithms -------------------------------------------------------
 
 
 def cfg_word_fixpoint(
-    g: CnfGrammar,
-    handle: QuasiorderHandle,
-    max_iter: int = DEFAULT_ITER_CAP,
-    fails: Callable[[Any, bytes], bool] | None = None,
+    g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP, stop: bool = False
 ):
     """Least fixpoint of the word-antichain equations of a CNF grammar under
     a two-sided quasiorder; one antichain per variable. Keys of
@@ -322,10 +315,11 @@ def cfg_word_fixpoint(
     axiom). In each later layer a binary rule fires when either side
     gained an entry: every new entry at Y is composed, for each rule
     X -> Y Z or X -> Z Y, with the entries of Z at the start of the layer.
-    Layers are derivation heights, not word lengths, so the run stops at
-    the first layer with a failing entry at the axiom, and that witness
-    need not be a shortest failing word. Returns the vector, the layer
-    count and the witness (None if nothing fails).
+    Layers are derivation heights, not word lengths, so with ``stop`` the
+    run ends at the first layer with an axiom entry whose key the handle
+    does not accept, and that witness need not be a shortest rejected
+    word. Returns the vector, the layer count and the witness (None if
+    nothing is rejected).
     """
     if handle.direction != "two-sided":
         raise ValueError("grammar fixpoints need a two-sided quasiorder")
@@ -353,38 +347,28 @@ def cfg_word_fixpoint(
                     else:
                         yield x, compose(k2, k1), w2 + w1
 
-    return _layers(
-        g.variable_count, handle.leq, base, grow, 1 if fails else 0, fails, max_iter
-    )
+    return _layers(g.variable_count, handle, base, grow, 1 if stop else 0, max_iter)
 
 
 def cfg_inc_word(
-    g: CnfGrammar,
-    handle: QuasiorderHandle,
-    membership: Callable[[bytes], bool],
-    max_iter: int = DEFAULT_ITER_CAP,
+    g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """Word-based inclusion check L(g) <= L2 for a CNF grammar and a
     two-sided L2-consistent well-quasiorder: ``cfg_word_fixpoint`` under
-    that handle, stopped at the first axiom word that fails membership."""
-    _, _, witness = cfg_word_fixpoint(g, handle, max_iter, lambda _, w: not membership(w))
+    that handle, stopped at the first axiom key it does not accept. The
+    witness is the shortest, then least, word of a rejected axiom entry of
+    that layer."""
+    _, _, witness = cfg_word_fixpoint(g, handle, max_iter, stop=True)
     return Verdict(witness is None, witness)
 
 
 def cfg_inc_antichain(
     g: CnfGrammar, n: Nfa, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """State-based antichain inclusion check of L(g) in L(n):
-    ``cfg_word_fixpoint`` under the state-pair order (``ctx_handle``),
-    stopped at the first relation of the axiom that connects no initial to
-    a final state. The witness is the shortest, then least, word of a
-    failing axiom entry of that layer."""
-
-    def fails(rel: tuple[int, ...], _) -> bool:
-        return not any(rel[p] & n.final_mask for p in bits(n.initial_mask))
-
-    _, _, witness = cfg_word_fixpoint(g, ctx_handle(n), max_iter, fails)
-    return Verdict(witness is None, witness)
+    """State-based antichain inclusion check of L(g) in L(n): ``cfg_inc_word``
+    under the state-pair order (``ctx_handle``), which stops at the first
+    relation of the axiom that connects no initial to a final state."""
+    return cfg_inc_word(g, ctx_handle(n), max_iter)
 
 
 # -- one-counter nets ---------------------------------------------------------
@@ -396,9 +380,4 @@ def nfa_in_ocn(
     """Inclusion of L(n) in the trace set of the one-counter net from the
     given start configuration: ``fa_inc_word`` under the macro-state
     quasiorder (``ocn_handle``), capped at ``max_iter`` layers."""
-    handle = ocn_handle(o, start)
-
-    def membership(word: bytes) -> bool:
-        return any(e is not None for e in qo.ocn_macro(o, start, word))
-
-    return fa_inc_word(n, handle, membership, max_iter)
+    return fa_inc_word(n, ocn_handle(o, start), max_iter)

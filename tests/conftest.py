@@ -4,6 +4,7 @@ from-scratch Kleene iteration)."""
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,12 @@ from wqlang.fixpoint import Antichain, ac_below, kleene
 from wqlang.slpsearch.slp import rule_id
 
 A, B, C = ord("a"), ord("b"), ord("c")
+
+
+def examples(count: int) -> int:
+    """Hypothesis example count of a property test: ``count`` in Tier-1,
+    ten times that under ``HYPOTHESIS_PROFILE=deep``."""
+    return count * 10 if os.environ.get("HYPOTHESIS_PROFILE") == "deep" else count
 
 
 # -- worked-example machines -------------------------------------------------

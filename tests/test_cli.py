@@ -211,6 +211,10 @@ def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch,
     algo_flag = [] if algo is None else ["--algo", algo]
     assert main(["include", flavor, str(left), str(right), *algo_flag]) == 3
     assert "no fixpoint" in _one_line_error(capsys)
+    # a negative cap would never fire: it is refused as a usage error
+    monkeypatch.setenv("TOOL_ITER_CAP", "-1")
+    assert main(["include", flavor, str(left), str(right), *algo_flag]) == 2
+    assert "TOOL_ITER_CAP must be nonnegative" in _one_line_error(capsys)
     monkeypatch.delenv("TOOL_ITER_CAP")
     assert main(["include", flavor, str(left), str(right), *algo_flag]) == 0
     assert capsys.readouterr().out == "INCLUDED\n"

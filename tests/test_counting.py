@@ -20,6 +20,7 @@ from conftest import (
     B,
     chain_slp,
     count_lines_oracle,
+    examples,
     factor_scanner,
     make_fig52_prime,
     matching_lines_oracle,
@@ -225,7 +226,7 @@ def patterns(draw) -> Nfa:
 
 
 @given(patterns(), st.text(alphabet="ab\n", min_size=2, max_size=120))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_search_matches_scan_oracle(nfa, text):
     data = text.encode()
     slp = repair_compress(data)

@@ -219,7 +219,7 @@ def _outputs(name: str):
             "word-sim": sim_handle,
         }[name]
         return [
-            fa_inc_word(a, factory(b, direction), b.member)
+            fa_inc_word(a, factory(b, direction))
             for a, b in _nfa_pairs()
             for direction in ("left", "right")
         ]
@@ -227,7 +227,7 @@ def _outputs(name: str):
         return [cfg_inc_antichain(g, n) for g, n in _grammar_pairs()]
     if name.startswith("cfg-word-"):
         factory = myhill_handle if name == "cfg-word-myhill" else ctx_handle
-        return [cfg_inc_word(g, factory(n), n.member) for g, n in _grammar_pairs()]
+        return [cfg_inc_word(g, factory(n)) for g, n in _grammar_pairs()]
     if name == "nfa-in-ocn":
         return [nfa_in_ocn(n, o, start) for n, o, start in _ocn_cases()]
     if name == "res":

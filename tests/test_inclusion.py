@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     B,
     C,
     cfg_word_fixpoint_oracle,
+    examples,
     ocn_trace_oracle,
     rand_cnf,
     rand_nfa,
@@ -67,7 +69,7 @@ def test_word_verdicts_and_witnesses(fig42_n1, fig42_n2):
         state_handle(fig42_n2, "left"),
         sim_handle(fig42_n2, "left"),
     ):
-        verdict = fa_inc_word(fig42_n1, handle, fig42_n2.member)
+        verdict = fa_inc_word(fig42_n1, handle)
         assert not verdict.included
         assert fig42_n1.member(verdict.witness)
         assert not fig42_n2.member(verdict.witness)
@@ -79,7 +81,7 @@ def test_word_right_direction(fig42_n1, fig42_n2):
         state_handle(fig42_n2, "right"),
         sim_handle(fig42_n2, "right"),
     ):
-        assert not fa_inc_word(fig42_n1, handle, fig42_n2.member).included
+        assert not fa_inc_word(fig42_n1, handle).included
 
 
 def test_antichain_forward_backward(fig42_n1, fig42_n2):
@@ -122,10 +124,10 @@ def test_all_nfa_algorithms_agree_with_naive():
         expected = naive_inclusion(n1, n2).included
         checked_not_included += 0 if expected else 1
         got = [
-            fa_inc_word(n1, nerode_handle(n2, "left"), n2.member).included,
-            fa_inc_word(n1, state_handle(n2, "left"), n2.member).included,
-            fa_inc_word(n1, sim_handle(n2, "left"), n2.member).included,
-            fa_inc_word(n1, state_handle(n2, "right"), n2.member).included,
+            fa_inc_word(n1, nerode_handle(n2, "left")).included,
+            fa_inc_word(n1, state_handle(n2, "left")).included,
+            fa_inc_word(n1, sim_handle(n2, "left")).included,
+            fa_inc_word(n1, state_handle(n2, "right")).included,
             fa_inc_antichain(n1, n2, "forward").included,
             fa_inc_gfp(n1, n2.determinize()).included,
         ]
@@ -133,7 +135,7 @@ def test_all_nfa_algorithms_agree_with_naive():
     assert checked_not_included > 10
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), syms2=st.integers(1, 3), no_finals=st.booleans())
 @example(seed=0, syms2=1, no_finals=False)  # n1 reads c, which n2 lacks: witness c
 @example(seed=13, syms2=1, no_finals=False)  # n1 reads c on no accepting path
@@ -175,7 +177,7 @@ def test_nerode_fixpoint_below_state_fixpoint(fig42_n1, fig42_n2):
 def test_cfg_word_myhill_fixpoint(ex451_grammar, fig43):
     vec, _, _ = cfg_word_fixpoint(ex451_grammar, myhill_handle(fig43))
     assert words_of(vec) == [[b"ab", b"b"], [b"a"]]
-    verdict = cfg_inc_word(ex451_grammar, myhill_handle(fig43), fig43.member)
+    verdict = cfg_inc_word(ex451_grammar, myhill_handle(fig43))
     assert verdict == verdict.__class__(False, b"ab")
 
 
@@ -195,7 +197,7 @@ def test_cfg_trivial_inclusion():
     g = CnfGrammar(1, {0: {B}}, {})
     n = Nfa(2, [(0, B, 1)], [0], [1])
     assert cfg_inc_antichain(g, n).included
-    assert cfg_inc_word(g, myhill_handle(n), n.member).included
+    assert cfg_inc_word(g, myhill_handle(n)).included
 
 
 def test_cfg_oracle_fig43(ex451_grammar, fig43):
@@ -233,8 +235,8 @@ def test_cfg_algorithms_agree_with_oracle():
         n = rand_nfa(rng, max_states=4)
         expected = cfg_in_regular_oracle(g, n.determinize()).included
         assert cfg_inc_antichain(g, n).included == expected
-        assert cfg_inc_word(g, myhill_handle(n), n.member).included == expected
-        assert cfg_inc_word(g, ctx_handle(n), n.member).included == expected
+        assert cfg_inc_word(g, myhill_handle(n)).included == expected
+        assert cfg_inc_word(g, ctx_handle(n)).included == expected
 
 
 def test_cfg_witnesses_verify():
@@ -244,7 +246,7 @@ def test_cfg_witnesses_verify():
         n = rand_nfa(rng, max_states=4)
         for verdict in (
             cfg_inc_antichain(g, n),
-            cfg_inc_word(g, ctx_handle(n), n.member),
+            cfg_inc_word(g, ctx_handle(n)),
         ):
             if not verdict.included:
                 assert verdict.witness in g.words_up_to(max(1, len(verdict.witness)))
@@ -306,6 +308,30 @@ def test_ocn_random_agreement():
             assert not ocn_trace_oracle(o, (0, 1), verdict.witness)
 
 
+# -- membership read off the key --------------------------------------------------
+
+
+def test_every_handle_accepts_exactly_its_language():
+    # words over a, b, c while the automata read a and b (c is read by no
+    # minimal DFA, whose keys then go DEAD) or a, b, c
+    rng = random.Random(48)
+    words = [bytes(w) for k in range(5) for w in itertools.product((A, B, C), repeat=k)]
+    for _ in range(25):
+        n = rand_nfa(rng, max_states=5, n_syms=rng.choice((2, 3)))
+        o = rand_ocn(rng)
+        start = (rng.randrange(o.state_count), rng.randint(0, 1))
+        cases = [
+            (make(n, direction), n.member)
+            for make in (nerode_handle, state_handle, sim_handle)
+            for direction in ("left", "right")
+        ]
+        cases += [(myhill_handle(n), n.member), (ctx_handle(n), n.member)]
+        cases.append((ocn_handle(o, start), lambda w: ocn_trace_oracle(o, start, w)))
+        for handle, member in cases:
+            for w in words:
+                assert handle.accepts(handle.key_of(w)) == member(w), (handle.direction, w)
+
+
 # -- the layered worklist against the from-scratch iteration ----------------------
 
 
@@ -353,7 +379,7 @@ def test_cfg_word_fixpoint_matches_from_scratch_oracle():
 
 def test_iteration_cap_counts_layers():
     # the smallest cap that lets a fixpoint finish is the layer count it
-    # returns; one less stops it
+    # returns; one less stops it, and so does a negative cap
     rng = random.Random(93)
     n1 = rand_nfa(rng, max_states=8, density=0.3)
     n2 = rand_nfa(rng, max_states=8, density=0.3)
@@ -365,8 +391,9 @@ def test_iteration_cap_counts_layers():
     for run, layers in ((run_nfa, 6), (run_cfg, 9)):
         assert run(DEFAULT_ITER_CAP)[1] == layers
         assert run(layers)[1] == layers
-        with pytest.raises(KleeneDivergence, match="no fixpoint"):
-            run(layers - 1)
+        for cap in (layers - 1, -1):
+            with pytest.raises(KleeneDivergence, match="no fixpoint"):
+                run(cap)
 
 
 def test_witnesses_fail_and_are_as_short_as_naive():
@@ -378,10 +405,10 @@ def test_witnesses_fail_and_are_as_short_as_naive():
         shortest = naive_inclusion(n1, n2)
         verdicts = [
             fa_inc_antichain(n1, n2, "forward"),
-            fa_inc_word(n1, state_handle(n2, "left"), n2.member),
-            fa_inc_word(n1, state_handle(n2, "right"), n2.member),
-            fa_inc_word(n1, nerode_handle(n2, "left"), n2.member),
-            fa_inc_word(n1, sim_handle(n2, "left"), n2.member),
+            fa_inc_word(n1, state_handle(n2, "left")),
+            fa_inc_word(n1, state_handle(n2, "right")),
+            fa_inc_word(n1, nerode_handle(n2, "left")),
+            fa_inc_word(n1, sim_handle(n2, "left")),
         ]
         for verdict in verdicts:
             assert verdict.included == shortest.included
@@ -393,7 +420,7 @@ def test_witnesses_fail_and_are_as_short_as_naive():
     assert checked > 100
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     syms2=st.integers(1, 3),
@@ -404,30 +431,36 @@ def test_antichain_and_word_checks_agree_with_naive(seed, syms2, direction):
     n1 = rand_nfa(rng, max_states=6, n_syms=3)
     n2 = rand_nfa(rng, max_states=6, n_syms=syms2)
     shortest = naive_inclusion(n1, n2)
-    for verdict in (
-        fa_inc_antichain(n1, n2),
-        fa_inc_word(n1, state_handle(n2, direction), n2.member),
-    ):
+    verdicts = [fa_inc_antichain(n1, n2)] + [
+        fa_inc_word(n1, make(n2, direction))
+        for make in (state_handle, nerode_handle, sim_handle)
+    ]
+    for verdict in verdicts:
         assert verdict.included == shortest.included
         if not verdict.included:
             assert n1.member(verdict.witness) and not n2.member(verdict.witness)
             assert len(verdict.witness) == len(shortest.witness)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cfg_antichain_agrees_with_oracle(seed):
     rng = random.Random(seed)
     g = rand_cnf(rng, max_vars=4)
     n = rand_nfa(rng, max_states=4)
-    verdict = cfg_inc_antichain(g, n)
-    assert verdict.included == cfg_in_regular_oracle(g, n.determinize()).included
-    if not verdict.included:
-        assert verdict.witness in g.words_up_to(len(verdict.witness))
-        assert not n.member(verdict.witness)
+    expected = cfg_in_regular_oracle(g, n.determinize()).included
+    for verdict in (
+        cfg_inc_antichain(g, n),
+        cfg_inc_word(g, myhill_handle(n)),
+        cfg_inc_word(g, ctx_handle(n)),
+    ):
+        assert verdict.included == expected
+        if not verdict.included:
+            assert verdict.witness in g.words_up_to(len(verdict.witness))
+            assert not n.member(verdict.witness)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), counter=st.integers(0, 2))
 def test_nfa_in_ocn_agrees_with_trace_oracle(seed, counter):
     rng = random.Random(seed)

@@ -23,7 +23,7 @@ from wqlang.automata import DeterminizationCap, bits
 from wqlang.quasiorder import residual_inclusion_matrix
 from wqlang.residual import isomorphic_to_canonical
 
-from conftest import A, B, C, make_fig62, rand_nfa, set_of
+from conftest import A, B, C, examples, make_fig62, rand_nfa, set_of
 
 
 def _below(key, keys):
@@ -236,7 +236,7 @@ def _dr_condition_by_definition(n):
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(n=st.integers(0, 2**32 - 1).map(lambda seed: rand_nfa(random.Random(seed), max_states=6)))
 @example(n=Nfa(3, [(0, A, 1), (1, B, 0), (2, A, 0)], [0], [1]))  # state 2 is unreachable
 @example(n=Nfa(2, [], [0], [0, 1]))  # no transitions, an empty alphabet
@@ -336,7 +336,7 @@ def test_walk_is_bounded_by_the_subset_budget(monkeypatch):
     assert equivalence_counterexample(res(n), n) is None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     pairs=st.lists(
@@ -357,7 +357,7 @@ def test_right_inclusion_agrees_with_naive(seed, pairs):
             assert included(key, union) == expected.included
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_constructions_agree_on_generated_nfas(seed):
     # the learner decides composites by rows, not by the pair walk, so it

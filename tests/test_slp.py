@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from wqlang import Slp, decompress, repair_compress
 from wqlang.slpsearch.slp import DecompressionCap, rule_id
 
-from conftest import chain_slp, repair_oracle
+from conftest import chain_slp, examples, repair_oracle
 
 A, B = ord("a"), ord("b")
 
@@ -29,7 +29,7 @@ def test_repair_rejects_tiny_input():
 
 
 @given(st.binary(min_size=2, max_size=400))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_repair_roundtrip(text):
     assert decompress(repair_compress(text)) == text
 
@@ -96,7 +96,7 @@ CHUNKS = st.lists(
 
 
 @given(st.one_of(RUNS, CHUNKS).filter(lambda text: len(text) >= 2))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_repair_matches_oracle_on_run_heavy_text(text):
     assert repair_compress(text).rules == repair_oracle(text).rules
 
