@@ -52,7 +52,12 @@ INPUT_ERROR = 3
 
 def _iter_cap() -> int:
     value = os.environ.get("TOOL_ITER_CAP")
-    cap = int(value) if value else inclusion.DEFAULT_ITER_CAP
+    if not value:
+        return inclusion.DEFAULT_ITER_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(f"TOOL_ITER_CAP must be a nonnegative integer, got {value!r}") from None
     if cap < 0:
         raise ValueError(f"TOOL_ITER_CAP must be nonnegative, got {cap}")
     return cap

@@ -1,6 +1,12 @@
-"""Antichain and Kleene-iteration machinery shared by the inclusion
-algorithms: minors of key sets under a decidable quasiorder, and a
-generic least-fixpoint driver with an abstract-equality stopping test."""
+"""The antichain shared by the inclusion fixpoints: ``Antichain`` keeps a
+minor of key sets under a decidable quasiorder, and ``subset``, the order
+of int masks by inclusion, is the order it runs inline.
+
+``kleene`` (with its ``KleeneResult``) and ``ac_below`` drive no fixpoint
+of the package: every inclusion check runs ``inclusion._layers``. They
+stay only because the benchmark tracer patches them by name, until
+ROADMAP item 5 moves its patch sites and deletes them.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from typing import Any, Callable, Iterable
 
 __all__ = [
     "Antichain",
+    "subset",
     "ac_below",
     "kleene",
     "KleeneResult",
@@ -18,13 +25,19 @@ __all__ = [
 Leq = Callable[[Any, Any], bool]
 
 
+def subset(a: int, b: int) -> bool:
+    """Inclusion of int masks: every bit set in ``a`` is set in ``b``."""
+    return a & b == a
+
+
 class Antichain:
     """A minor of everything ever inserted, under the quasiorder ``leq``.
 
     Inserting a key dominated by a present one is a no-op; inserting a key
     that dominates present ones evicts them. Ties between equivalent keys
     keep the first inserted, which makes fixpoints deterministic. Each key
-    may carry a representative word; comparisons ignore it.
+    may carry a representative word; comparisons ignore it. Under the order
+    ``subset`` the comparisons run inline, one ``&`` per entry.
     """
 
     __slots__ = ("leq", "_entries")
@@ -36,11 +49,24 @@ class Antichain:
             self.insert(key, word)
 
     def insert(self, key: Any, word: bytes | None = None) -> bool:
+        entries = self._entries
+        if self.leq is subset:
+            # one scan: the entries are pairwise incomparable, so none after
+            # the first one above the key lies below it, and none before it
+            # is above the key
+            for k, _ in entries:
+                common = k & key
+                if common == k:
+                    return False
+                if common == key:
+                    entries[:] = [e for e in entries if e[0] & key != key]
+                    break
+            entries.append((key, word))
+            return True
         leq = self.leq
-        for k, _ in self._entries:
+        for k, _ in entries:
             if leq(k, key):
                 return False
-        entries = self._entries
         for i, (k, _) in enumerate(entries):
             if leq(key, k):
                 entries[i:] = [e for e in entries[i + 1 :] if not leq(key, e[0])]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
-from .fixpoint import Antichain, KleeneDivergence
+from .fixpoint import Antichain, KleeneDivergence, subset
 
 # Not called here: bound because the benchmark tracer patches
 # ``inclusion.kleene`` and ``inclusion.ac_below`` by name
@@ -105,8 +105,9 @@ def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
 
 def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """State-set quasiorder: pre-sets of the finals (left) or post-sets of
-    the initials (right), compared by inclusion. A pre-set accepts when it
-    meets the initials, a post-set when it meets the finals."""
+    the initials (right), compared by inclusion. The order is
+    ``fixpoint.subset``, which ``Antichain`` runs inline. A pre-set accepts
+    when it meets the initials, a post-set when it meets the finals."""
     if direction not in ("left", "right"):
         raise ValueError(f"bad direction {direction!r}")
     forward = direction == "right"
@@ -114,7 +115,7 @@ def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     return QuasiorderHandle(
         direction=direction,
         key_of=lambda w: n2.run(w, forward),
-        leq=lambda a, b: a & b == a,
+        leq=subset,
         accepts=lambda key: key & target != 0,
         extend=lambda key, sym: n2.step(key, sym, forward),
     )
@@ -180,12 +181,15 @@ def _layers(count, handle, base, grow, check, max_iter):
     """Least fixpoint of a system of antichain equations, one antichain of
     (key, word) entries per component, by a layered semi-naive worklist.
 
-    Layer 0 offers the ``base`` (component, key, word) entries; each later
-    layer offers ``grow(frontier, vec)``, the extensions of just the
-    entries the previous layer accepted. An entry evicted after it was
-    accepted is still extended, so the key of every word of layer n is
-    dominated by an entry accepted in layer n or before. A key already
-    offered to a component is skipped: the antichain holds a key below it.
+    Layer 0 offers the ``base`` entries; each later layer offers
+    ``grow(frontier, vec)``, the extensions of just the (component, key,
+    word) entries the previous layer accepted. An offer is (component,
+    key, head, tail), standing for the word ``head + tail``, which is built
+    only for a key not yet offered to its component. An entry evicted
+    after it was accepted is still extended, so the key of every word of
+    layer n is dominated by an entry accepted in layer n or before. A key
+    already offered to a component is skipped: the antichain holds a key
+    below it.
 
     After each layer the run stops at the accepted entries of components
     in the ``check`` mask whose key the handle does not accept, and
@@ -204,9 +208,10 @@ def _layers(count, handle, base, grow, check, max_iter):
     accepts = handle.accepts
     while True:
         frontier = []
-        for v, key, word in offers:
+        for v, key, head, tail in offers:
             if key not in seen[v]:
                 seen[v].add(key)
+                word = head + tail
                 if vec[v].insert(key, word):
                     frontier.append((v, key, word))
         failing = [w for v, k, w in frontier if check >> v & 1 and not accepts(k)]
@@ -241,21 +246,26 @@ def word_fixpoint(
     base_mask, check = n1.final_mask, n1.initial_mask
     if not left:
         base_mask, check = check, base_mask
-    # preds[q2]: the moves (q, sym) that extend a word at q2 into one at q
-    preds: list[list[tuple[int, int, bytes]]] = [[] for _ in range(n1.state_count)]
+    # preds[q2]: per symbol, the states q whose move on it extends a word
+    # at q2 into one at q
+    preds: list[list[tuple[int, bytes, list[int]]]] = [[] for _ in range(n1.state_count)]
     tables = n1._bwd if left else n1._fwd
     for sym in sorted(tables):
+        s = bytes([sym])
         for q2, qs in enumerate(tables[sym]):
-            for q in bits(qs):
-                preds[q2].append((q, sym, bytes([sym])))
+            if qs:
+                preds[q2].append((sym, s, list(bits(qs))))
     extend = functools.cache(handle.extend)
 
     def grow(frontier, _vec):
         for q2, key, word in frontier:
-            for q, sym, s in preds[q2]:
-                yield q, extend(key, sym), s + word if left else word + s
+            for sym, s, qs in preds[q2]:
+                k = extend(key, sym)
+                head, tail = (s, word) if left else (word, s)
+                for q in qs:
+                    yield q, k, head, tail
 
-    base = [(q, handle.key_of(b""), b"") for q in bits(base_mask)]
+    base = [(q, handle.key_of(b""), b"", b"") for q in bits(base_mask)]
     return _layers(n1.state_count, handle, base, grow, check if stop else 0, max_iter)
 
 
@@ -326,7 +336,7 @@ def cfg_word_fixpoint(
     words = [(0, b"")] if g.axiom_nullable else []
     for v in range(g.variable_count):
         words += [(v, bytes([t])) for t in sorted(g.terminal_rules.get(v, ()))]
-    base = [(v, handle.key_of(w), w) for v, w in words]
+    base = [(v, handle.key_of(w), w, b"") for v, w in words]
     # uses[y]: (x, z, y_first) for each rule x -> y z (y_first) or x -> z y
     uses: list[list[tuple[int, int, bool]]] = [[] for _ in range(g.variable_count)]
     for x in range(g.variable_count):
@@ -343,9 +353,9 @@ def cfg_word_fixpoint(
             for x, z, y_first in uses[y]:
                 for k2, w2 in snapshot[z]:
                     if y_first:
-                        yield x, compose(k1, k2), w1 + w2
+                        yield x, compose(k1, k2), w1, w2
                     else:
-                        yield x, compose(k2, k1), w2 + w1
+                        yield x, compose(k2, k1), w2, w1
 
     return _layers(g.variable_count, handle, base, grow, 1 if stop else 0, max_iter)
 

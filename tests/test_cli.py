@@ -215,6 +215,11 @@ def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch,
     monkeypatch.setenv("TOOL_ITER_CAP", "-1")
     assert main(["include", flavor, str(left), str(right), *algo_flag]) == 2
     assert "TOOL_ITER_CAP must be nonnegative" in _one_line_error(capsys)
+    monkeypatch.setenv("TOOL_ITER_CAP", "abc")
+    assert main(["include", flavor, str(left), str(right), *algo_flag]) == 2
+    assert _one_line_error(capsys) == (
+        "error: TOOL_ITER_CAP must be a nonnegative integer, got 'abc'\n"
+    )
     monkeypatch.delenv("TOOL_ITER_CAP")
     assert main(["include", flavor, str(left), str(right), *algo_flag]) == 0
     assert capsys.readouterr().out == "INCLUDED\n"

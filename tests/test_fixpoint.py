@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wqlang import Antichain, ac_below, kleene
+from wqlang import Antichain, ac_below, fixpoint, kleene
 from wqlang.fixpoint import KleeneDivergence
 
-from conftest import word_step_oracle
+from conftest import examples, word_step_oracle
 
 subset = lambda a, b: a <= b
 
@@ -59,6 +59,17 @@ def test_insert_evicts_dominated():
     ac.insert(frozenset({1, 2}), b"big")
     assert ac.insert(frozenset({1}), b"small")
     assert ac.keys() == [frozenset({1})]
+
+
+@settings(max_examples=examples(200))
+@given(st.lists(st.integers(0, 63), max_size=40))
+def test_inline_subset_order_matches_the_same_order_as_a_lambda(masks):
+    inline = Antichain(fixpoint.subset)
+    plain = Antichain(lambda a, b: a & b == a)
+    for i, key in enumerate(masks):
+        word = i.to_bytes(2, "big")
+        assert inline.insert(key, word) == plain.insert(key, word)
+        assert list(inline) == list(plain)
 
 
 def test_ac_below_vacuous_and_reflexive():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -364,6 +365,25 @@ def test_word_fixpoint_matches_from_scratch_oracle():
             assert_same_fixpoint(
                 word_fixpoint(n1, handle), word_fixpoint_oracle(n1, handle), handle
             )
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+@pytest.mark.parametrize("stop", [False, True])
+@settings(max_examples=examples(40), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_inline_subset_order_changes_no_fixpoint(direction, stop, seed):
+    # state_handle's order is fixpoint.subset, which Antichain runs inline;
+    # the same order as a plain function must give the same run
+    rng = random.Random(seed)
+    density = rng.choice((0.2, 0.3, 0.45))
+    n1 = rand_nfa(rng, max_states=8, density=density)
+    n2 = rand_nfa(rng, max_states=8, density=density)
+    handle = state_handle(n2, direction)
+    plain = dataclasses.replace(handle, leq=lambda a, b: a & b == a)
+    vec, layers, witness = word_fixpoint(n1, handle, stop=stop)
+    vec_p, layers_p, witness_p = word_fixpoint(n1, plain, stop=stop)
+    assert [list(ac) for ac in vec] == [list(ac) for ac in vec_p]
+    assert (layers, witness) == (layers_p, witness_p)
 
 
 def test_cfg_word_fixpoint_matches_from_scratch_oracle():
