@@ -80,7 +80,8 @@ class Nfa:
     ``alphabet``) and the bitmasks ``initial_mask``/``final_mask``.
     ``with_initial``, ``with_final`` and ``reverse`` share their source's
     tables and check only the new masks; ``reverse`` swaps the successor
-    and predecessor tables. The predecessor tables and the views
+    and predecessor tables, and is how forward-only ``step`` and ``run``
+    reach predecessors. The predecessor tables and the views
     ``transitions`` (``(state, symbol)`` to a frozenset of successors) and
     ``_triples`` are built on first use and shared by every automaton over
     the same tables; ``initial``/``final`` are frozensets of the masks.
@@ -159,22 +160,6 @@ class Nfa:
     # -- views built on first use -----------------------------------------
 
     @property
-    def _bwd(self) -> dict[int, tuple[int, ...]]:
-        """Predecessor tables: ``_bwd[sym][q]`` is the mask of the states
-        that reach q on sym."""
-        bwd = self._views.get("bwd")
-        if bwd is None:
-            bwd = {}
-            for sym, row in self._fwd.items():
-                pre = [0] * self.state_count
-                for p, succ in enumerate(row):
-                    for q in bits(succ):
-                        pre[q] |= 1 << p
-                bwd[sym] = tuple(pre)
-            self._views["bwd"] = bwd
-        return bwd
-
-    @property
     def transitions(self) -> Mapping[tuple[int, int], frozenset[int]]:
         view = self._views.get("transitions")
         if view is None:
@@ -230,12 +215,12 @@ class Nfa:
 
     # -- basic operations ----------------------------------------------
 
-    def step(self, s: int, sym: int, forward: bool = True) -> int:
-        """One-symbol successor (or predecessor) set of the bitmask ``s``.
+    def step(self, s: int, sym: int) -> int:
+        """One-symbol successor set of the bitmask ``s``.
 
         A symbol outside the alphabet simply yields the empty set.
         """
-        table = (self._fwd if forward else self._bwd).get(sym)
+        table = self._fwd.get(sym)
         if table is None:
             return 0
         out = 0
@@ -245,24 +230,32 @@ class Nfa:
             s ^= low
         return out
 
-    def run(self, word: bytes, forward: bool = True) -> int:
-        """Forward: post_word of the initial set. Backward: pre_word of the
-        final set. The empty word returns the initial (resp. final) mask."""
-        if forward:
-            s = self.initial_mask
-            for sym in word:
-                s = self.step(s, sym, True)
-            return s
-        s = self.final_mask
-        for sym in reversed(word):
-            s = self.step(s, sym, False)
+    def run(self, word: bytes) -> int:
+        """post_word of the initial set; the empty word returns the initial
+        mask. The pre_word of the final set is ``reverse().run(word[::-1])``."""
+        s = self.initial_mask
+        for sym in word:
+            s = self.step(s, sym)
         return s
 
     def member(self, word: bytes) -> bool:
-        return bool(self.run(word, True) & self.final_mask)
+        return bool(self.run(word) & self.final_mask)
 
     def reverse(self) -> "Nfa":
-        out = Nfa._of_tables(self.state_count, self._bwd, self.final_mask, self.initial_mask)
+        """The reversed automaton: initials and finals swap, and its
+        successor tables are this one's predecessor tables (``bwd[sym][q]``
+        is the mask of the states that reach q on sym)."""
+        bwd = self._views.get("bwd")
+        if bwd is None:
+            bwd = {}
+            for sym, row in self._fwd.items():
+                pre = [0] * self.state_count
+                for p, succ in enumerate(row):
+                    for q in bits(succ):
+                        pre[q] |= 1 << p
+                bwd[sym] = tuple(pre)
+            self._views["bwd"] = bwd
+        out = Nfa._of_tables(self.state_count, bwd, self.final_mask, self.initial_mask)
         out._views["bwd"] = self._fwd
         return out
 
@@ -330,7 +323,7 @@ class Nfa:
                 if m & self.final_mask:
                     yield word
                 for sym in syms:
-                    t = self.step(m, sym, True)
+                    t = self.step(m, sym)
                     if t:
                         nxt.append((word + bytes([sym]), t))
             frontier = nxt
@@ -422,61 +415,35 @@ class Dfa(Nfa):
 
     def minimize(self) -> "Dfa":
         """Unique minimal complete DFA of the language, canonically numbered
-        by breadth-first discovery so equal languages give equal objects."""
+        by breadth-first discovery so equal languages give equal objects:
+        ``determinize`` of the quotient by Moore refinement over every state
+        of the completed DFA, which drops the unreachable classes."""
         syms = sorted(self.alphabet)
         d = self.complete(syms)
         rows = [d._succ[sym] for sym in syms]
-        start = d.initial_state
-        # restrict to reachable states
-        seen = [False] * d.state_count
-        seen[start] = True
-        reach = [start]
-        i = 0
-        while i < len(reach):
-            p = reach[i]
-            for row in rows:
-                q = row[p]
-                if not seen[q]:
-                    seen[q] = True
-                    reach.append(q)
-            i += 1
         # Moore partition refinement: each round refines the classes, so a
         # round that keeps their number is stable
         cls = [d.final_mask >> p & 1 for p in range(d.state_count)]
-        count = len({cls[p] for p in reach})
+        count = len(set(cls))
         while True:
             renum: dict[tuple, int] = {}
-            new_cls = cls[:]
-            for p in reach:
-                sig = (cls[p], *[cls[row[p]] for row in rows])
-                new_cls[p] = renum.setdefault(sig, len(renum))
-            cls = new_cls
+            cls = [
+                renum.setdefault((c, *[cls[row[p]] for row in rows]), len(renum))
+                for p, c in enumerate(cls)
+            ]
             if len(renum) == count:
                 break
             count = len(renum)
-        # canonical numbering: BFS over classes from the initial one
+        # classes are numbered by first member, so rep lists them in order
         rep: dict[int, int] = {}
-        for p in reach:
-            rep.setdefault(cls[p], p)
-        order = [cls[start]]
-        number = {order[0]: 0}
-        out: list[list[int]] = [[] for _ in syms]
-        i = 0
-        while i < len(order):
-            p = rep[order[i]]
-            for row, out_row in zip(rows, out):
-                tc = cls[row[p]]
-                j = number.get(tc)
-                if j is None:
-                    j = number[tc] = len(order)
-                    order.append(tc)
-                out_row.append(j)
-            i += 1
-        final = 0
-        for j, c in enumerate(order):
-            if d.final_mask >> rep[c] & 1:
-                final |= 1 << j
-        return Dfa._of_succ(len(order), {sym: tuple(row) for sym, row in zip(syms, out)}, 0, final)
+        for p, c in enumerate(cls):
+            rep.setdefault(c, p)
+        final = mask_of(c for c, p in rep.items() if d.final_mask >> p & 1)
+        fwd = {sym: tuple(1 << cls[row[p]] for p in rep.values()) for sym, row in zip(syms, rows)}
+        quotient = Nfa._of_tables(count, fwd, 1 << cls[d.initial_state], final)
+        out = quotient.determinize(syms)
+        out.source_subsets = None
+        return out
 
 
 def _product_search(a: Dfa, b: Dfa, syms: list[int], bad) -> bytes | None:

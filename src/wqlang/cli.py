@@ -10,10 +10,9 @@ target automaton file.
 Exit codes: 0 success, 1 a requested --fail-on-miss inclusion does not
 hold, 2 usage error (including a search pattern that matches the empty
 string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
-``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions, or
-``--engine dfa`` on a pattern with no DFA fast path), 3 malformed input
-file or a computation stopped by its cap (fixpoint layers, learner
-queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
+``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions), 3
+malformed input file or a computation stopped by its cap (fixpoint layers,
+learner queries, decompressed size, ``MAX_DFA_STATES`` subset-construction
 states). ``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on
 fixpoint layers (each extends the entries the one before added; a witness
 found within the cap is still reported) of ``include nfa`` (every
@@ -150,20 +149,19 @@ def _cmd_include_ocn(args) -> int:
     return _verdict_output(args, verdict, {"algo": "word-macro"})
 
 
-def _pattern_automaton(pattern: str, engine: str) -> Nfa:
+def _pattern_automaton(pattern: str) -> Nfa:
+    """The search automaton of a pattern: the DFA fast path when the
+    pattern is homogeneous, the compiled NFA otherwise."""
     ast = parse_regex(pattern)
-    kind = None if engine == "nfa" else homogeneous_kind(ast)
+    kind = homogeneous_kind(ast)
     if kind is not None:
         return homogeneous_dfa(ast, kind)
-    nfa = compile_regex(ast)  # rejects empty matches on every engine
-    if engine == "dfa":
-        raise ValueError("pattern is not homogeneous; no DFA fast path")
-    return nfa
+    return compile_regex(ast)
 
 
 def _cmd_search(args) -> int:
     slp = load_slp(_read(args.file))
-    nfa = _pattern_automaton(args.expression, args.engine)
+    nfa = _pattern_automaton(args.expression)
     if NEWLINE in nfa.alphabet:
         print("error: pattern must not match the newline byte", file=sys.stderr)
         return USAGE_ERROR
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("-e", "--expression", required=True)
     search.add_argument("file")
     search.add_argument("--report", action="store_true")
-    search.add_argument("--engine", default="auto", choices=["auto", "nfa", "dfa"])
     search.add_argument("--stats", action="store_true")
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=_cmd_search)

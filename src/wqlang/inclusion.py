@@ -17,6 +17,10 @@ on grammars (layers are derivation heights) it need not be:
 - ``cfg_inc_word`` runs ``cfg_word_fixpoint`` under any two-sided handle
   (Myhill, state-pair).
 
+Direction is decided only by reversal: a left handle on n2 is the right
+handle on its reverse read on reversed words, and a left ``word_fixpoint``
+runs on the reverse of n1, prepending where a right run appends.
+
 The named checks are instances of these two: ``fa_inc_antichain`` under
 the left state-set order, ``fa_inc_gfp`` under the right one (reporting
 the verdict only), ``cfg_inc_antichain`` under the state-pair order and
@@ -26,7 +30,7 @@ the verdict only), ``cfg_inc_antichain`` under the state-pair order and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
@@ -84,15 +88,19 @@ class QuasiorderHandle:
 # -- handle factories -------------------------------------------------------
 
 
+def _oriented(n: Nfa, direction: str) -> Nfa:
+    """The automaton a handle of that direction reads words on, forward."""
+    if direction == "left":
+        return n.reverse()
+    if direction == "right":
+        return n
+    raise ValueError(f"bad direction {direction!r}")
+
+
 def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """Residual-inclusion quasiorder of L(n2), decided through the minimal
     DFA of the language (left side works on the reversed language)."""
-    if direction == "left":
-        m = n2.reverse().determinize().minimize()
-    elif direction == "right":
-        m = n2.determinize().minimize()
-    else:
-        raise ValueError(f"bad direction {direction!r}")
+    m = _oriented(n2, direction).determinize().minimize()
     final = m.final_mask
     return QuasiorderHandle(
         direction=direction,
@@ -105,34 +113,26 @@ def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
 
 def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """State-set quasiorder: pre-sets of the finals (left) or post-sets of
-    the initials (right), compared by inclusion. The order is
-    ``fixpoint.subset``, which ``Antichain`` runs inline. A pre-set accepts
-    when it meets the initials, a post-set when it meets the finals."""
-    if direction not in ("left", "right"):
-        raise ValueError(f"bad direction {direction!r}")
-    forward = direction == "right"
-    target = n2.final_mask if forward else n2.initial_mask
+    the initials (right), compared by inclusion; a pre-set is a post-set of
+    the reverse. The order is ``fixpoint.subset``, which ``Antichain`` runs
+    inline. A pre-set accepts when it meets the initials, a post-set when
+    it meets the finals."""
+    m = _oriented(n2, direction)
+    final = m.final_mask
     return QuasiorderHandle(
         direction=direction,
-        key_of=lambda w: n2.run(w, forward),
+        key_of=lambda w: m.run(w[::-1] if direction == "left" else w),
         leq=subset,
-        accepts=lambda key: key & target != 0,
-        extend=lambda key, sym: n2.step(key, sym, forward),
+        accepts=lambda key: key & final != 0,
+        extend=m.step,
     )
 
 
 def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """Simulation-lifted state-set quasiorder; coarser than plain inclusion
     but still consistent with L(n2)."""
-    sim = qo.max_simulation(n2, direction)
-    base = state_handle(n2, direction)
-    return QuasiorderHandle(
-        direction=direction,
-        key_of=base.key_of,
-        leq=lambda a, b: qo.sim_leq(a, b, sim),
-        accepts=base.accepts,
-        extend=base.extend,
-    )
+    sim = qo.max_simulation(_oriented(n2, direction))
+    return replace(state_handle(n2, direction), leq=lambda a, b: qo.sim_leq(a, b, sim))
 
 
 def myhill_handle(n: Nfa) -> QuasiorderHandle:
@@ -231,42 +231,39 @@ def word_fixpoint(
     """Least fixpoint of the word-antichain equations of ``n1`` under the
     given quasiorder; one antichain of (key, word) entries per state.
 
-    Left handles prepend from the empty word at the final states, right
-    handles append from the empty word at the initials; layer n holds the
+    Right handles append along n1 and left ones prepend along its reverse,
+    from the empty word at that automaton's initials; layer n holds the
     words of length n. With ``stop`` the run ends at the first layer with
-    an entry at a check state (initials for left handles, finals for right
-    ones) whose key the handle does not accept. Under a consistent handle
-    every key below a rejected one is rejected too, so that witness is a
-    shortest word of L(n1) outside the handle's language. Returns the
-    vector, the layer count and the witness (None if nothing is rejected).
+    an entry at a final state of that automaton whose key the handle does
+    not accept. Under a consistent handle every key below a rejected one
+    is rejected too, so that witness is a shortest word of L(n1) outside
+    the handle's language. Returns the vector, the layer count and the
+    witness (None if nothing is rejected).
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
         raise ValueError("word_fixpoint needs a directed quasiorder handle")
-    base_mask, check = n1.final_mask, n1.initial_mask
-    if not left:
-        base_mask, check = check, base_mask
-    # preds[q2]: per symbol, the states q whose move on it extends a word
-    # at q2 into one at q
-    preds: list[list[tuple[int, bytes, list[int]]]] = [[] for _ in range(n1.state_count)]
-    tables = n1._bwd if left else n1._fwd
-    for sym in sorted(tables):
+    a = n1.reverse() if left else n1
+    # moves[q2]: per symbol, the states q that ``a`` moves to from q2 on it,
+    # each extending a word at q2 into one at q
+    moves: list[list[tuple[int, bytes, list[int]]]] = [[] for _ in range(a.state_count)]
+    for sym, table in a._fwd.items():
         s = bytes([sym])
-        for q2, qs in enumerate(tables[sym]):
+        for q2, qs in enumerate(table):
             if qs:
-                preds[q2].append((sym, s, list(bits(qs))))
+                moves[q2].append((sym, s, list(bits(qs))))
     extend = functools.cache(handle.extend)
 
     def grow(frontier, _vec):
         for q2, key, word in frontier:
-            for sym, s, qs in preds[q2]:
+            for sym, s, qs in moves[q2]:
                 k = extend(key, sym)
                 head, tail = (s, word) if left else (word, s)
                 for q in qs:
                     yield q, k, head, tail
 
-    base = [(q, handle.key_of(b""), b"", b"") for q in bits(base_mask)]
-    return _layers(n1.state_count, handle, base, grow, check if stop else 0, max_iter)
+    base = [(q, handle.key_of(b""), b"", b"") for q in bits(a.initial_mask)]
+    return _layers(a.state_count, handle, base, grow, a.final_mask if stop else 0, max_iter)
 
 
 def fa_inc_word(

@@ -31,18 +31,15 @@ __all__ = [
 ]
 
 
-def max_simulation(n: Nfa, direction: str = "right") -> tuple[int, ...]:
+def max_simulation(n: Nfa) -> tuple[int, ...]:
     """Coarsest relation such that related states agree on finality and
     every labeled move of the smaller state is matched by the larger, as a
     bit matrix: ``rows[p]`` holds the mask of states q that simulate p.
 
-    The left variant is the same computation on the reverse automaton, so
-    it relates states by left-language inclusion instead of right.
+    A simulated state's right language is included in its simulator's.
+    The left simulation, which does the same for left languages, is
+    ``max_simulation(n.reverse())``.
     """
-    if direction == "left":
-        return max_simulation(n.reverse(), "right")
-    if direction != "right":
-        raise ValueError(f"bad direction {direction!r}")
     count = n.state_count
     full = (1 << count) - 1
     # condition (i): a final state is only simulated by final states
@@ -82,16 +79,16 @@ def residual_inclusion_matrix(min_dfa: Dfa) -> tuple[int, ...]:
 
 
 def empty_states_mask(d: Dfa) -> int:
-    """States of a DFA whose right language is empty."""
-    alive = d.final_mask
-    changed = True
-    while changed:
-        changed = False
-        for row in d._fwd.values():
-            for p, targets in enumerate(row):
-                if targets & alive and not alive >> p & 1:
-                    alive |= 1 << p
-                    changed = True
+    """States of a DFA whose right language is empty: those the finals do
+    not reach in the reverse automaton."""
+    r = d.reverse()
+    alive = frontier = r.initial_mask
+    while frontier:
+        reached = 0
+        for sym in r.alphabet:
+            reached |= r.step(frontier, sym)
+        frontier = reached & ~alive
+        alive |= frontier
     return ((1 << d.state_count) - 1) & ~alive
 
 

@@ -56,6 +56,7 @@ from .automata import DeterminizationCap, Dfa, Nfa, bits, equivalence_counterexa
 # Not called here: bound because the benchmark tracer patches
 # ``residual.naive_inclusion`` by name (tests/test_bench_hooks.py).
 from .automata import naive_inclusion  # noqa: F401
+from .fixpoint import subset
 from .quasiorder import residual_inclusion_matrix
 
 __all__ = [
@@ -104,7 +105,7 @@ def right_inclusion(n: Nfa) -> Callable[[int, int], bool]:
             cap = automata.MAX_DFA_STATES
             if len(succ) == cap:
                 raise DeterminizationCap(f"determinization needs more than {cap} states")
-            out = succ[mask] = tuple(step(mask, sym, True) for sym in syms)
+            out = succ[mask] = tuple(step(mask, sym) for sym in syms)
         return out
 
     def included(key: int, union: int) -> bool:
@@ -177,15 +178,11 @@ def _state_set_H(n: Nfa, keys: Sequence[int], leq: Callable, composite: Callable
         keys,
         leq,
         composite,
-        lambda key, sym: n.step(key, sym, True),
+        n.step,
         n.initial_mask,
         lambda key: bool(key & final),
         sorted(n.alphabet),
     )
-
-
-def _subset(a: int, b: int) -> bool:
-    return a & b == a
 
 
 def res(n: Nfa, direction: str = "right") -> Nfa:
@@ -200,7 +197,7 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         raise ValueError(f"bad direction {direction!r}")
     included = right_inclusion(n)
     return _state_set_H(
-        n, principals(n), _subset, lambda key, below: is_composite(included, key, below)
+        n, principals(n), subset, lambda key, below: is_composite(included, key, below)
     )
 
 
@@ -232,7 +229,7 @@ def denis_residualize(n: Nfa) -> Nfa:
     reachable post-sets that are not the union of the smaller ones (state-set
     coverability instead of language equivalence)."""
     return _state_set_H(
-        n, principals(n), _subset, lambda key, below: reduce(or_, below, 0) == key
+        n, principals(n), subset, lambda key, below: reduce(or_, below, 0) == key
     )
 
 

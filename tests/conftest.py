@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from wqlang import CnfGrammar, Nfa, Ocn, Slp
+from wqlang import CnfGrammar, Dfa, Nfa, Ocn, Slp
 from wqlang.automata import bits
 from wqlang.fixpoint import Antichain, ac_below, kleene
 from wqlang.slpsearch.slp import rule_id
@@ -189,6 +189,17 @@ def rand_nfa(rng: random.Random, max_states: int = 5, n_syms: int = 2, density: 
     return Nfa(count, triples, initial, final)
 
 
+def rand_dfa(rng: random.Random, max_states: int = 6, n_syms: int = 2, density: float = 0.7) -> Dfa:
+    """A random DFA: each transition is present with probability
+    ``density`` (so the DFA may be partial) and the initial state is drawn
+    at random, so some states may be unreachable."""
+    count = rng.randint(1, max_states)
+    syms = [A, B, C][:n_syms]
+    moves = [(p, sym, rng.randrange(count)) for p in range(count) for sym in syms if rng.random() < density]
+    final = [q for q in range(count) if rng.random() < 0.4]
+    return Dfa(count, moves, [rng.randrange(count)], final)
+
+
 def rand_cnf(rng: random.Random, max_vars: int = 4, n_syms: int = 2) -> CnfGrammar:
     count = rng.randint(1, max_vars)
     syms = [A, B, C][:n_syms]
@@ -274,6 +285,9 @@ def word_step_oracle(n1: Nfa, handle):
     antichain is rebuilt from the previous iterate, every key inserted."""
     left = handle.direction == "left"
     base_mask = n1.final_mask if left else n1.initial_mask
+    # a word at q extends a word at each q2 that q moves to in n1 (left) or
+    # in its reverse (right)
+    moves = n1 if left else n1.reverse()
 
     def step(vec):
         out = []
@@ -283,7 +297,7 @@ def word_step_oracle(n1: Nfa, handle):
                 ac.insert(handle.key_of(b""), b"")
             for sym in sorted(n1.alphabet):
                 s = bytes([sym])
-                for q2 in bits(n1.step(1 << q, sym, left)):
+                for q2 in bits(moves.step(1 << q, sym)):
                     for key, word in vec[q2]:
                         ac.insert(handle.extend(key, sym), s + word if left else word + s)
             out.append(ac)
@@ -342,7 +356,7 @@ def factor_scanner(nfa: Nfa):
         for byte in data:
             nxt = table.get((state, byte))
             if nxt is None:
-                nxt = table[(state, byte)] = nfa.step(state, byte, True) | start
+                nxt = table[(state, byte)] = nfa.step(state, byte) | start
             state = nxt
             if state & nfa.final_mask:
                 return True

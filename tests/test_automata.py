@@ -1,25 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqlang import Dfa, Nfa, compile_regex, equivalence_counterexample, naive_inclusion, parse_regex
 from wqlang.automata import bits, mask_of
 
-from conftest import A, B, C, make_fig31, rand_nfa, set_of
+from conftest import A, B, C, examples, make_fig31, rand_dfa, rand_nfa, set_of
 
 
 def test_step_fig41(fig41):
-    assert set_of(fig41.step(mask_of([0]), B, forward=True)) == {1}
-    assert set_of(fig41.step(mask_of([0]), A, forward=True)) == {0}
+    assert set_of(fig41.step(mask_of([0]), B)) == {1}
+    assert set_of(fig41.step(mask_of([0]), A)) == {0}
 
 
 def test_step_empty_set(fig41):
-    assert fig41.step(0, A, forward=True) == 0
-    assert fig41.step(0, B, forward=False) == 0
+    assert fig41.step(0, A) == 0
+    assert fig41.reverse().step(0, B) == 0
 
 
 def test_step_symbol_outside_alphabet(fig41):
-    assert fig41.step(mask_of([0, 1]), C, forward=True) == 0
+    assert fig41.step(mask_of([0, 1]), C) == 0
 
 
 def test_step_agrees_with_transition_table():
@@ -31,18 +32,18 @@ def test_step_agrees_with_transition_table():
                 expected = set()
                 for p in bits(s):
                     expected |= n.transitions.get((p, sym), frozenset())
-                assert set_of(n.step(s, sym, True)) == expected
+                assert set_of(n.step(s, sym)) == expected
 
 
 def test_run_backward_fig42(fig42_n2):
     # pre_ab(F) = {q1}, i.e. state 0
-    assert set_of(fig42_n2.run(b"ab", forward=False)) == {0}
-    assert set_of(fig42_n2.run(b"ac", forward=False)) == {0, 1}
+    assert set_of(fig42_n2.reverse().run(b"ab"[::-1])) == {0}
+    assert set_of(fig42_n2.reverse().run(b"ac"[::-1])) == {0, 1}
 
 
 def test_run_empty_word(fig42_n1):
-    assert fig42_n1.run(b"", True) == fig42_n1.initial_mask
-    assert fig42_n1.run(b"", False) == fig42_n1.final_mask
+    assert fig42_n1.run(b"") == fig42_n1.initial_mask
+    assert fig42_n1.reverse().run(b"") == fig42_n1.final_mask
 
 
 def test_run_is_fold_of_step():
@@ -53,8 +54,8 @@ def test_run_is_fold_of_step():
             w = bytes(rng.choice([A, B]) for _ in range(rng.randint(0, 4)))
             s = n.initial_mask
             for sym in w:
-                s = n.step(s, sym, True)
-            assert n.run(w, True) == s
+                s = n.step(s, sym)
+            assert n.run(w) == s
 
 
 def test_run_concatenation_composes():
@@ -64,10 +65,10 @@ def test_run_concatenation_composes():
         for _ in range(10):
             u = bytes(rng.choice([A, B]) for _ in range(rng.randint(0, 4)))
             v = bytes(rng.choice([A, B]) for _ in range(rng.randint(0, 4)))
-            via = n.run(u + v, True)
-            stepwise = n.run(u, True)
+            via = n.run(u + v)
+            stepwise = n.run(u)
             for sym in v:
-                stepwise = n.step(stepwise, sym, True)
+                stepwise = n.step(stepwise, sym)
             assert via == stepwise
 
 
@@ -173,6 +174,67 @@ def test_minimize_minimal_input_same_size():
     assert m.minimize().state_count == m.state_count
 
 
+def _bfs_minimize(dfa: Dfa) -> Dfa:
+    """Reference minimization: Moore refinement over the reachable states,
+    then a breadth-first renumbering of the classes, by state, then by
+    ascending symbol."""
+    syms = sorted(dfa.alphabet)
+    d = dfa.complete(syms)
+    rows = [d._succ[sym] for sym in syms]
+    start = d.initial_state
+    reach = [start]
+    for p in reach:
+        reach += [q for q in dict.fromkeys(row[p] for row in rows) if q not in reach]
+    cls = [d.final_mask >> p & 1 for p in range(d.state_count)]
+    count = len({cls[p] for p in reach})
+    while True:
+        renum: dict[tuple, int] = {}
+        new_cls = cls[:]
+        for p in reach:
+            new_cls[p] = renum.setdefault((cls[p], *[cls[row[p]] for row in rows]), len(renum))
+        cls = new_cls
+        if len(renum) == count:
+            break
+        count = len(renum)
+    rep: dict[int, int] = {}
+    for p in reach:
+        rep.setdefault(cls[p], p)
+    order = [cls[start]]
+    triples = []
+    for i, c in enumerate(order):
+        for sym, row in zip(syms, rows):
+            tc = cls[row[rep[c]]]
+            if tc not in order:
+                order.append(tc)
+            triples.append((i, sym, order.index(tc)))
+    final = [j for j, c in enumerate(order) if d.final_mask >> rep[c] & 1]
+    return Dfa(len(order), triples, [0], final)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_syms=st.integers(1, 3),
+    density=st.sampled_from((0.4, 0.7, 1.0)),
+)
+def test_minimize_matches_the_breadth_first_reference(seed, n_syms, density):
+    rng = random.Random(seed)
+    d = rand_dfa(rng, max_states=7, n_syms=n_syms, density=density)
+    # the same DFA with a disjoint copy of itself that nothing reaches
+    k = d.state_count
+    padded = Dfa(
+        2 * k,
+        [*d._triples, *[(p + k, sym, q + k) for p, sym, q in d._triples]],
+        d.initial,
+        [*d.final, *[q + k for q in d.final]],
+    )
+    m = d.minimize()
+    assert m.source_subsets is None
+    _assert_same(m, _bfs_minimize(d))
+    _assert_same(padded.minimize(), m)
+    _assert_same(_bfs_minimize(padded), m)
+
+
 def test_naive_inclusion_fig42(fig42_n1, fig42_n2):
     verdict = naive_inclusion(fig42_n1, fig42_n2)
     assert not verdict.included
@@ -249,8 +311,8 @@ def _assert_same(derived: Nfa, reference: Nfa) -> None:
     syms = sorted(derived.alphabet) + [255]
     for p in range(derived.state_count):
         for sym in syms:
-            for forward in (True, False):
-                assert derived.step(1 << p, sym, forward) == reference.step(1 << p, sym, forward)
+            assert derived.step(1 << p, sym) == reference.step(1 << p, sym)
+            assert derived.reverse().step(1 << p, sym) == reference.reverse().step(1 << p, sym)
             if isinstance(derived, Dfa):
                 assert derived.dnext(p, sym) == reference.dnext(p, sym)
 
@@ -262,7 +324,7 @@ def _subset_construction(n: Nfa, syms: list[int]) -> Dfa:
     triples = []
     for m in order:
         for sym in syms:
-            t = n.step(m, sym, True)
+            t = n.step(m, sym)
             if t not in index:
                 index[t] = len(order)
                 order.append(t)

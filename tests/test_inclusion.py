@@ -495,3 +495,45 @@ def test_nfa_in_ocn_agrees_with_trace_oracle(seed, counter):
     if not verdict.included:
         assert n.member(verdict.witness)
         assert not ocn_trace_oracle(o, start, verdict.witness)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_syms=st.integers(1, 3))
+def test_left_handles_are_right_handles_of_the_reverse(seed, n_syms):
+    # a left handle on n2 reads reversed words through the right handle on
+    # n2's reverse: same keys, same verdicts, same extensions
+    rng = random.Random(seed)
+    n2 = rand_nfa(rng, max_states=6, n_syms=n_syms)
+    words = [rand_word(rng, 5, n_syms) for _ in range(10)]
+    for make in (state_handle, nerode_handle, sim_handle):
+        left, right = make(n2, "left"), make(n2.reverse(), "right")
+        for w in words:
+            key = left.key_of(w)
+            assert key == right.key_of(w[::-1])
+            assert left.accepts(key) == right.accepts(key) == n2.member(w)
+            for sym in (A, B, C):
+                assert left.extend(key, sym) == right.extend(key, sym)
+            for v in words:
+                assert left.leq(key, left.key_of(v)) == right.leq(key, right.key_of(v[::-1]))
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stop=st.booleans())
+def test_left_word_fixpoint_is_the_right_run_on_the_reverse(seed, stop):
+    # the left run on n1 holds the right run's entries on n1's reverse,
+    # words reversed; only the least witness of a layer may differ, since
+    # the two runs order their words from opposite ends
+    rng = random.Random(seed)
+    n1 = rand_nfa(rng, max_states=6, n_syms=3)
+    n2 = rand_nfa(rng, max_states=5, n_syms=3)
+    for make in (state_handle, nerode_handle, sim_handle):
+        vec, layers, witness = word_fixpoint(n1, make(n2, "left"), stop=stop)
+        r_vec, r_layers, r_witness = word_fixpoint(
+            n1.reverse(), make(n2.reverse(), "right"), stop=stop
+        )
+        assert [[(k, w[::-1]) for k, w in ac] for ac in vec] == [list(ac) for ac in r_vec]
+        assert layers == r_layers
+        assert (witness is None) == (r_witness is None)
+        if witness is not None:
+            assert len(witness) == len(r_witness)
+            assert n1.member(witness) and not n2.member(witness)

@@ -1,11 +1,14 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, state_handle
 from wqlang.quasiorder import (
     ctx_compose,
     ctx_identity,
     ctx_key,
     ctx_leq,
+    empty_states_mask,
     macro_leq,
     macro_step,
     max_simulation,
@@ -14,7 +17,7 @@ from wqlang.quasiorder import (
     sim_leq,
 )
 
-from conftest import A, B, C, ocn_trace_oracle, rand_nfa, rand_word, set_of
+from conftest import A, B, C, examples, ocn_trace_oracle, rand_dfa, rand_nfa, rand_word, set_of
 
 
 def min_dfa(n):
@@ -37,11 +40,11 @@ def test_state_key_monotone():
         words = [rand_word(rng, 3) for _ in range(8)]
         for u in words:
             for v in words:
-                ku, kv = n.run(u, True), n.run(v, True)
+                ku, kv = n.run(u), n.run(v)
                 if ku & kv == ku:
                     for sym in (A, B):
-                        ku2 = n.step(ku, sym, True)
-                        kv2 = n.step(kv, sym, True)
+                        ku2 = n.step(ku, sym)
+                        kv2 = n.step(kv, sym)
                         assert ku2 & kv2 == ku2
 
 
@@ -49,7 +52,7 @@ def test_simulation_contains_identity_and_respects_finality():
     rng = random.Random(21)
     for _ in range(30):
         n = rand_nfa(rng, max_states=4)
-        sim = max_simulation(n, "right")
+        sim = max_simulation(n)
         for p in range(n.state_count):
             assert sim[p] >> p & 1
             for q in range(n.state_count):
@@ -63,7 +66,7 @@ def test_simulation_implies_right_language_inclusion():
     rng = random.Random(22)
     for _ in range(25):
         n = rand_nfa(rng, max_states=4)
-        sim = max_simulation(n, "right")
+        sim = max_simulation(n)
         for p in range(n.state_count):
             for q in range(n.state_count):
                 if sim[p] >> q & 1:
@@ -73,15 +76,15 @@ def test_simulation_implies_right_language_inclusion():
 
 
 def test_sim_leq_fig42(fig42_n2):
-    sim = max_simulation(fig42_n2, "left")
-    pre = lambda w: fig42_n2.run(w, False)
+    sim = max_simulation(fig42_n2.reverse())
+    pre = lambda w: fig42_n2.reverse().run(w[::-1])
     # pre_c = {q2} is simulated below pre_a = {q3}; pre_b = {q4} is not
     assert sim_leq(pre(b"c"), pre(b"a"), sim)
     assert not sim_leq(pre(b"b"), pre(b"a"), sim)
 
 
 def test_sim_leq_reflexive_on_subsets(fig42_n2):
-    sim = max_simulation(fig42_n2, "right")
+    sim = max_simulation(fig42_n2)
     rng = random.Random(23)
     for _ in range(40):
         u = rng.getrandbits(fig42_n2.state_count)
@@ -94,12 +97,12 @@ def test_quasiorder_containment_chain():
     rng = random.Random(24)
     for _ in range(15):
         n = rand_nfa(rng, max_states=5)
-        sim = max_simulation(n, "right")
+        sim = max_simulation(n)
         nerode = nerode_handle(n, "right")
         words = [rand_word(rng, 4) for _ in range(10)]
         for u in words:
             for v in words:
-                ku, kv = n.run(u, True), n.run(v, True)
+                ku, kv = n.run(u), n.run(v)
                 if ku & kv == ku:
                     assert sim_leq(ku, kv, sim)
                 if sim_leq(ku, kv, sim):
@@ -201,7 +204,7 @@ def test_nerode_is_coarsest():
         words = [rand_word(rng, 3) for _ in range(8)]
         for u in words:
             for v in words:
-                ku, kv = n.run(u, True), n.run(v, True)
+                ku, kv = n.run(u), n.run(v)
                 if ku & kv == ku:
                     assert handle_leq(nerode, u, v)
 
@@ -212,7 +215,7 @@ def test_language_consistency_of_all_quasiorders():
         n = rand_nfa(rng, max_states=4)
         nerode_r, nerode_l = nerode_handle(n, "right"), nerode_handle(n, "left")
         myhill = myhill_handle(n)
-        sim_r = max_simulation(n, "right")
+        sim_r = max_simulation(n)
         words = [rand_word(rng, 4) for _ in range(12)]
         for u in words:
             for v in words:
@@ -220,8 +223,8 @@ def test_language_consistency_of_all_quasiorders():
                     assert not handle_leq(nerode_r, u, v)
                     assert not handle_leq(nerode_l, u, v)
                     assert not handle_leq(myhill, u, v)
-                    assert not sim_leq(n.run(u, True), n.run(v, True), sim_r)
-                    ku, kv = n.run(u, True), n.run(v, True)
+                    assert not sim_leq(n.run(u), n.run(v), sim_r)
+                    ku, kv = n.run(u), n.run(v)
                     assert ku & kv != ku
 
 
@@ -277,3 +280,15 @@ def test_residual_inclusion_matrix_is_language_inclusion():
                 for q in range(m.state_count):
                     included = naive_inclusion(m.with_initial([p]), m.with_initial([q]))
                     assert bool(rows[p] >> q & 1) == included.included
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.4, 0.7, 1.0)))
+def test_empty_states_are_those_that_accept_no_word(seed, density):
+    rng = random.Random(seed)
+    d = rand_dfa(rng, max_states=7, n_syms=2, density=density)
+    dead = empty_states_mask(d)
+    for p in range(d.state_count):
+        # a nonempty right language has a word shorter than the state count
+        accepts_none = next(d.with_initial([p]).accepted_words(d.state_count), None) is None
+        assert (dead >> p & 1 == 1) == accepts_none
