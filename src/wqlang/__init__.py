@@ -6,98 +6,78 @@ regular, regular in one-counter traces), regular-expression search with
 line counting on grammar-compressed text, and residual-automata
 constructions including canonicalization, double reversal and active
 learning.
+
+Importing the package loads none of them: each name below is imported from
+its defining module on first access (PEP 562), so a program that uses one
+family loads only that family's modules.
 """
 
-from .automata import (
-    CnfGrammar,
-    Dfa,
-    Nfa,
-    Ocn,
-    Verdict,
-    cfg_in_regular_oracle,
-    equivalence_counterexample,
-    naive_inclusion,
-)
-from .fixpoint import Antichain, KleeneResult, ac_below, kleene
-from .inclusion import (
-    QuasiorderHandle,
-    cfg_inc_antichain,
-    cfg_inc_word,
-    ctx_handle,
-    fa_inc_antichain,
-    fa_inc_gfp,
-    fa_inc_word,
-    myhill_handle,
-    nerode_handle,
-    nfa_in_ocn,
-    ocn_handle,
-    sim_handle,
-    state_handle,
-)
-from .learn import ObservationState, nl_learn
-from .residual import (
-    canonical,
-    check_dr_condition,
-    denis_residualize,
-    double_reversal_canonical,
-    is_composite,
-    is_rfa,
-    principals,
-    res,
-    right_inclusion,
-)
-from .slpsearch.counting import SearchEngine
-from .slpsearch.regex import (
-    compile_regex,
-    homogeneous_dfa,
-    homogeneous_kind,
-    parse_regex,
-)
-from .slpsearch.slp import Slp, decompress, repair_compress
+from importlib import import_module
 
-__all__ = [
-    "Antichain",
-    "CnfGrammar",
-    "Dfa",
-    "KleeneResult",
-    "Nfa",
-    "ObservationState",
-    "Ocn",
-    "QuasiorderHandle",
-    "SearchEngine",
-    "Slp",
-    "Verdict",
-    "ac_below",
-    "canonical",
-    "cfg_in_regular_oracle",
-    "cfg_inc_antichain",
-    "cfg_inc_word",
-    "check_dr_condition",
-    "compile_regex",
-    "ctx_handle",
-    "decompress",
-    "denis_residualize",
-    "double_reversal_canonical",
-    "equivalence_counterexample",
-    "fa_inc_antichain",
-    "fa_inc_gfp",
-    "fa_inc_word",
-    "homogeneous_dfa",
-    "homogeneous_kind",
-    "is_composite",
-    "is_rfa",
-    "kleene",
-    "myhill_handle",
-    "naive_inclusion",
-    "nerode_handle",
-    "nfa_in_ocn",
-    "nl_learn",
-    "ocn_handle",
-    "parse_regex",
-    "principals",
-    "repair_compress",
-    "res",
-    "right_inclusion",
-    "sim_handle",
-    "state_handle",
-]
+
+def _lazy_exports(namespace: dict, homes: dict[str, tuple[str, ...]]):
+    """``__all__``, ``__getattr__`` and ``__dir__`` for the module whose
+    globals are ``namespace``: each name in ``homes`` (a submodule of the
+    package, relative to it, to names) is looked up in that submodule,
+    imported on first access."""
+    module_name, package = namespace["__name__"], namespace["__package__"]
+    module_of = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        return getattr(import_module(f".{module}", package), name)
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *module_of})
+
+    return sorted(module_of), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "automata": (
+            "CnfGrammar",
+            "Dfa",
+            "Nfa",
+            "Ocn",
+            "Verdict",
+            "cfg_in_regular_oracle",
+            "equivalence_counterexample",
+            "naive_inclusion",
+        ),
+        "fixpoint": ("Antichain", "KleeneResult", "ac_below", "kleene"),
+        "inclusion": (
+            "QuasiorderHandle",
+            "cfg_inc_antichain",
+            "cfg_inc_word",
+            "ctx_handle",
+            "fa_inc_antichain",
+            "fa_inc_gfp",
+            "fa_inc_word",
+            "myhill_handle",
+            "nerode_handle",
+            "nfa_in_ocn",
+            "ocn_handle",
+            "sim_handle",
+            "state_handle",
+        ),
+        "learn": ("ObservationState", "nl_learn"),
+        "residual": (
+            "canonical",
+            "check_dr_condition",
+            "denis_residualize",
+            "double_reversal_canonical",
+            "is_composite",
+            "is_rfa",
+            "principals",
+            "res",
+            "right_inclusion",
+        ),
+        "slpsearch.counting": ("SearchEngine",),
+        "slpsearch.regex": ("compile_regex", "homogeneous_dfa", "homogeneous_kind", "parse_regex"),
+        "slpsearch.slp": ("Slp", "decompress", "repair_compress"),
+    }
+)

@@ -17,7 +17,13 @@ states). ``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on
 fixpoint layers (each extends the entries the one before added; a witness
 found within the cap is still reported) of ``include nfa`` (every
 ``--algo``, ``gfp`` included), ``include cfg`` and ``include ocn``; any
-other value is a usage error.
+other value is a usage error, and so is a negative ``decompress --cap``.
+
+Start-up loads only the file formats; each subcommand imports its own
+algorithm family when it runs. ``compress`` and ``decompress`` load the SLP
+module alone, ``search`` adds the regex compiler and the counting engine,
+``include`` the automata and the inclusion checkers, and the residual
+constructions and ``learn`` the automata and the residual core.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import inclusion, residual
-from .automata import DeterminizationCap, Nfa, Verdict, equivalence_counterexample
+from . import _lazy_exports
 from .formats import (
     FormatError,
     dump_nfa,
@@ -39,20 +45,34 @@ from .formats import (
     parse_nfa,
     parse_ocn,
 )
-from .fixpoint import KleeneDivergence
-from .learn import LearnerDiverged, nl_learn
-from .slpsearch.counting import NEWLINE, SearchEngine
-from .slpsearch.regex import compile_regex, homogeneous_dfa, homogeneous_kind, parse_regex
-from .slpsearch.slp import DecompressionCap, decompress, repair_compress
+
+if TYPE_CHECKING:
+    from .automata import Nfa, Verdict
 
 USAGE_ERROR = 2
 INPUT_ERROR = 3
 
+# Functions that other code reads off this module (the benchmark's tracer
+# wraps them here). Each resolves to its defining module's current binding
+# on access; the handlers below call them through that module, so a wrapper
+# installed there sees each call once.
+_, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "automata": ("equivalence_counterexample",),
+        "learn": ("nl_learn",),
+        "slpsearch.regex": ("compile_regex", "homogeneous_dfa"),
+        "slpsearch.slp": ("decompress", "repair_compress"),
+    },
+)
+
 
 def _iter_cap() -> int:
+    from .inclusion import DEFAULT_ITER_CAP
+
     value = os.environ.get("TOOL_ITER_CAP")
     if not value:
-        return inclusion.DEFAULT_ITER_CAP
+        return DEFAULT_ITER_CAP
     try:
         cap = int(value)
     except ValueError:
@@ -112,37 +132,45 @@ def _verdict_output(args, verdict: Verdict, stats: dict | None) -> int:
 
 
 # One table per include flavor: the --algo choices, in order, and the call
-# each makes with (left, right, cap). The calls look ``inclusion.<fn>`` up at
-# call time, so a wrapper installed on the module sees them.
+# each makes with (the inclusion module, left, right, cap). The handler
+# imports the module when it runs and passes it in, so only ``include``
+# loads the inclusion checkers, and a wrapper installed on the module sees
+# every call.
 NFA_ALGOS = {
-    "word-nerode": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.nerode_handle(n2), cap),
-    "word-state": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.state_handle(n2), cap),
-    "word-sim": lambda n1, n2, cap: inclusion.fa_inc_word(n1, inclusion.sim_handle(n2), cap),
-    "antichain-fwd": lambda n1, n2, cap: inclusion.fa_inc_antichain(n1, n2, "forward", cap),
-    "gfp": lambda n1, n2, cap: inclusion.fa_inc_gfp(n1, n2, cap),
+    "word-nerode": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.nerode_handle(n2), cap),
+    "word-state": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.state_handle(n2), cap),
+    "word-sim": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.sim_handle(n2), cap),
+    "antichain-fwd": lambda inc, n1, n2, cap: inc.fa_inc_antichain(n1, n2, "forward", cap),
+    "gfp": lambda inc, n1, n2, cap: inc.fa_inc_gfp(n1, n2, cap),
 }
 CFG_ALGOS = {
-    "antichain": lambda g, n, cap: inclusion.cfg_inc_antichain(g, n, cap),
-    "word-myhill": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.myhill_handle(n), cap),
-    "word-ctx": lambda g, n, cap: inclusion.cfg_inc_word(g, inclusion.ctx_handle(n), cap),
+    "antichain": lambda inc, g, n, cap: inc.cfg_inc_antichain(g, n, cap),
+    "word-myhill": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.myhill_handle(n), cap),
+    "word-ctx": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.ctx_handle(n), cap),
 }
 
 
 def _cmd_include_nfa(args) -> int:
+    from . import inclusion
+
     left = parse_nfa(_read(args.left))
     right = parse_nfa(_read(args.right))
-    verdict = NFA_ALGOS[args.algo](left, right, _iter_cap())
+    verdict = NFA_ALGOS[args.algo](inclusion, left, right, _iter_cap())
     return _verdict_output(args, verdict, {"algo": args.algo})
 
 
 def _cmd_include_cfg(args) -> int:
+    from . import inclusion
+
     grammar = parse_cnf(_read(args.left))
     right = parse_nfa(_read(args.right))
-    verdict = CFG_ALGOS[args.algo](grammar, right, _iter_cap())
+    verdict = CFG_ALGOS[args.algo](inclusion, grammar, right, _iter_cap())
     return _verdict_output(args, verdict, {"algo": args.algo})
 
 
 def _cmd_include_ocn(args) -> int:
+    from . import inclusion
+
     left = parse_nfa(_read(args.left))
     net = parse_ocn(_read(args.right))
     verdict = inclusion.nfa_in_ocn(left, net, (args.state, args.counter), _iter_cap())
@@ -152,6 +180,8 @@ def _cmd_include_ocn(args) -> int:
 def _pattern_automaton(pattern: str) -> Nfa:
     """The search automaton of a pattern: the DFA fast path when the
     pattern is homogeneous, the compiled NFA otherwise."""
+    from .slpsearch.regex import compile_regex, homogeneous_dfa, homogeneous_kind, parse_regex
+
     ast = parse_regex(pattern)
     kind = homogeneous_kind(ast)
     if kind is not None:
@@ -160,6 +190,8 @@ def _pattern_automaton(pattern: str) -> Nfa:
 
 
 def _cmd_search(args) -> int:
+    from .slpsearch.counting import NEWLINE, SearchEngine
+
     slp = load_slp(_read(args.file))
     nfa = _pattern_automaton(args.expression)
     if NEWLINE in nfa.alphabet:
@@ -192,6 +224,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .slpsearch.slp import repair_compress
+
     text = _read(args.file)
     slp = repair_compress(text)
     data = dump_slp_text(slp) if args.text else dump_slp_binary(slp)
@@ -200,12 +234,18 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    from .slpsearch.slp import decompress
+
+    if args.cap < 0:
+        raise ValueError(f"--cap must be nonnegative, got {args.cap}")
     slp = load_slp(_read(args.file))
     _write_out(decompress(slp, cap=args.cap), args.output)
     return 0
 
 
 def _cmd_construction(args) -> int:
+    from . import residual
+
     nfa = parse_nfa(_read(args.file))
     if args.construction == "residualize":
         out = residual.res(nfa, args.direction)
@@ -218,6 +258,8 @@ def _cmd_construction(args) -> int:
 
 
 def _cmd_check_dr(args) -> int:
+    from . import residual
+
     nfa = parse_nfa(_read(args.file))
     holds = residual.check_dr_condition(nfa)
     _emit(
@@ -229,6 +271,9 @@ def _cmd_check_dr(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    from .automata import equivalence_counterexample
+    from .learn import nl_learn
+
     target = parse_nfa(_read(args.file))
     learned = nl_learn(
         target.member,
@@ -319,19 +364,31 @@ def _common_verdict_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats", action="store_true")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (
+def _input_errors() -> tuple[type[Exception], ...]:
+    """Malformed input and computations stopped by their caps. The classes
+    are imported only once an exception propagates, so a subcommand that
+    succeeds loads no family but its own."""
+    from .automata import DeterminizationCap
+    from .fixpoint import KleeneDivergence
+    from .learn import LearnerDiverged
+    from .slpsearch.slp import DecompressionCap
+
+    return (
         FormatError,
         FileNotFoundError,
         KleeneDivergence,
         LearnerDiverged,
         DeterminizationCap,
         DecompressionCap,
-    ) as exc:
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except ValueError as exc:

@@ -15,9 +15,12 @@ axiom ids. Ids 0..255 are terminals and 256+i is rule i (1-based).
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
-from .automata import CnfGrammar, Nfa, Ocn
 from .slpsearch.slp import Slp
+
+if TYPE_CHECKING:
+    from .automata import CnfGrammar, Nfa, Ocn
 
 __all__ = [
     "FormatError",
@@ -92,6 +95,10 @@ def _lines(data: bytes):
 
 
 def parse_nfa(data: bytes) -> Nfa:
+    # the automaton classes are imported by the parsers that build them, so
+    # the SLP subcommands never load them
+    from .automata import Nfa
+
     count = None
     initial: list[int] = []
     final: list[int] = []
@@ -142,6 +149,8 @@ def _parse_var(token: str, offset: int) -> int:
 
 
 def parse_cnf(data: bytes) -> CnfGrammar:
+    from .automata import CnfGrammar
+
     count = None
     terms: dict[int, set[int]] = {}
     bins: dict[int, set[tuple[int, int]]] = {}
@@ -183,6 +192,8 @@ def dump_cnf(g: CnfGrammar) -> bytes:
 
 
 def parse_ocn(data: bytes) -> Ocn:
+    from .automata import Ocn
+
     count = None
     trans: list[tuple[int, int, int, int]] = []
     for offset, tokens in _lines(data):

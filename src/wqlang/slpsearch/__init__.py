@@ -1,25 +1,24 @@
-"""Regular-expression search on grammar-compressed text."""
+"""Regular-expression search on grammar-compressed text.
 
-from .counting import SearchEngine
-from .regex import (
-    EmptyMatchError,
-    RegexSyntaxError,
-    compile_regex,
-    homogeneous_dfa,
-    homogeneous_kind,
-    parse_regex,
+Each name below is imported from its defining module on first access, so
+loading an SLP (``slp``) loads neither the regex compiler nor the counting
+engine.
+"""
+
+from .. import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "counting": ("SearchEngine",),
+        "regex": (
+            "EmptyMatchError",
+            "RegexSyntaxError",
+            "compile_regex",
+            "homogeneous_dfa",
+            "homogeneous_kind",
+            "parse_regex",
+        ),
+        "slp": ("Slp", "decompress", "repair_compress"),
+    },
 )
-from .slp import Slp, decompress, repair_compress
-
-__all__ = [
-    "EmptyMatchError",
-    "RegexSyntaxError",
-    "SearchEngine",
-    "Slp",
-    "compile_regex",
-    "decompress",
-    "homogeneous_dfa",
-    "homogeneous_kind",
-    "parse_regex",
-    "repair_compress",
-]

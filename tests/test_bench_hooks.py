@@ -7,9 +7,11 @@ import random
 import sys
 from pathlib import Path
 
+import wqlang.cli as cli
 import wqlang.inclusion as inclusion
+from wqlang.formats import dump_nfa
 
-from conftest import rand_nfa
+from conftest import make_fig42_n2, rand_nfa
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -47,3 +49,30 @@ def test_tracer_sees_the_antichain_kernels_of_an_inclusion_check():
     assert tracer.spans["inclusion.fa_inc_antichain"].calls == 1
     assert tracer.spans["fixpoint.antichain_insert"].calls > 0
     assert tracer.spans["automata.step"].calls > 0
+
+
+def test_tracer_counts_each_cli_call_once(tmp_path):
+    # the CLI calls these through their defining modules, which the tracer
+    # wraps as well as the CLI's own names: a call counted twice, or not at
+    # all, would skew the traced per-layer numbers
+    text, slp, nfa = (tmp_path / name for name in ("log.txt", "log.slp", "n2.nfa"))
+    text.write_bytes(b"INFO ok\nERROR disk\n" * 8)
+    nfa.write_bytes(dump_nfa(make_fig42_n2()))
+    out = str(tmp_path / "out")
+    # uninstall leaves on ``cli`` the names it restored, which the module
+    # would otherwise resolve on access; drop them, so a CLI call through
+    # one of them would be counted twice here
+    for name in ("repair_compress", "decompress", "compile_regex", "homogeneous_dfa", "nl_learn"):
+        vars(cli).pop(name, None)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        assert cli.main(["compress", str(text), "-o", str(slp)]) == 0
+        assert cli.main(["decompress", str(slp), "-o", out]) == 0
+        assert cli.main(["search", "-e", "E.*k", str(slp)]) == 0
+        assert cli.main(["learn", str(nfa), "-o", out]) == 0
+    finally:
+        tracer.uninstall()
+    for name in ("slp.repair_compress", "slp.decompress", "regex.compile", "learn.nl_learn"):
+        assert tracer.spans[name].calls == 1, name

@@ -243,14 +243,18 @@ def test_caps_exit_with_input_error(files, tmp_path, capsys, monkeypatch):
     main(["compress", str(src), "-o", str(slp)])
     assert main(["decompress", str(slp), "--cap", "3"]) == 3
     assert "cap is 3" in _one_line_error(capsys)
+    # a negative cap would refuse every file: it is refused as a usage error
+    assert main(["decompress", str(slp), "--cap", "-1"]) == 2
+    assert _one_line_error(capsys) == "error: --cap must be nonnegative, got -1\n"
 
-    from wqlang import cli
+    from wqlang import learn
     from wqlang.learn import LearnerDiverged
 
     def diverge(*_args, **_kwargs):
         raise LearnerDiverged("no stable hypothesis after 0 queries")
 
-    monkeypatch.setattr(cli, "nl_learn", diverge)
+    # the CLI calls the learner through its defining module
+    monkeypatch.setattr(learn, "nl_learn", diverge)
     assert main(["learn", files["n2"]]) == 3
     assert "no stable hypothesis" in _one_line_error(capsys)
 

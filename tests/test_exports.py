@@ -24,3 +24,14 @@ def test_packages_declare_all():
     # the two package namespaces are what ``from wqlang import *`` reads
     for name in ("wqlang", "wqlang.slpsearch"):
         assert importlib.import_module(name).__all__
+
+
+@pytest.mark.parametrize("name", ["wqlang", "wqlang.slpsearch"])
+def test_star_import_binds_every_name_and_dir_lists_it(name):
+    # the packages resolve their exports on first access, so ``import *``
+    # and ``dir`` must still see every one
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    module = importlib.import_module(name)
+    assert set(module.__all__) <= namespace.keys()
+    assert set(module.__all__) <= set(dir(module))
