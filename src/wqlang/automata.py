@@ -385,14 +385,6 @@ class Dfa(Nfa):
             return None
         return row[p]
 
-    def run_state(self, word: bytes, start: int | None = None) -> int | None:
-        q = self.initial_state if start is None else start
-        for sym in word:
-            q = self.dnext(q, sym)
-            if q is None:
-                return None
-        return q
-
     def complete(self, symbols: Iterable[int] | None = None) -> "Dfa":
         """Total transition function over ``symbols``, adding a sink state
         only when some transition is actually missing."""
@@ -649,6 +641,8 @@ class Ocn:
     __slots__ = ("state_count", "alphabet", "transitions")
 
     def __init__(self, state_count: int, transitions: Iterable[tuple[int, int, int, int]]):
+        if state_count < 0:
+            raise ValueError("state_count must be nonnegative")
         self.state_count = state_count
         self.transitions = frozenset(transitions)
         for p, sym, d, q in self.transitions:

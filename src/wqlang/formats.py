@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .automata import CnfGrammar, Nfa, Ocn
 
 __all__ = [
+    "MAX_FILE_STATES",
     "FormatError",
     "parse_nfa",
     "dump_nfa",
@@ -82,6 +83,18 @@ def _int(token: str, offset: int, what: str) -> int:
         raise FormatError(offset, f"bad {what} {token!r}") from None
 
 
+# the largest ``states N`` an automaton or net file may declare, refused
+# before anything is allocated: an automaton keeps N ints per symbol
+MAX_FILE_STATES = 1 << 16
+
+
+def _state_count(token: str, offset: int) -> int:
+    count = _int(token, offset, "state count")
+    if not 0 <= count <= MAX_FILE_STATES:
+        raise FormatError(offset, f"state count {count} out of range 0..{MAX_FILE_STATES}")
+    return count
+
+
 def _lines(data: bytes):
     offset = 0
     for raw in data.split(b"\n"):
@@ -106,7 +119,7 @@ def parse_nfa(data: bytes) -> Nfa:
     for offset, tokens in _lines(data):
         kind = tokens[0]
         if kind == "states" and len(tokens) == 2:
-            count = _int(tokens[1], offset, "state count")
+            count = _state_count(tokens[1], offset)
         elif kind == "alphabet":
             for t in tokens[1:]:
                 _parse_symbol(t, offset)
@@ -199,7 +212,7 @@ def parse_ocn(data: bytes) -> Ocn:
     for offset, tokens in _lines(data):
         kind = tokens[0]
         if kind == "states" and len(tokens) == 2:
-            count = _int(tokens[1], offset, "state count")
+            count = _state_count(tokens[1], offset)
         elif kind == "trans" and len(tokens) == 5:
             p = _int(tokens[1], offset, "state")
             sym = _parse_symbol(tokens[2], offset)

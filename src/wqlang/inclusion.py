@@ -97,18 +97,27 @@ def _oriented(n: Nfa, direction: str) -> Nfa:
     raise ValueError(f"bad direction {direction!r}")
 
 
-def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
-    """Residual-inclusion quasiorder of L(n2), decided through the minimal
-    DFA of the language (left side works on the reversed language)."""
-    m = _oriented(n2, direction).determinize().minimize()
+def _set_handle(m: Nfa, direction: str, leq) -> QuasiorderHandle:
+    """State-set handle over ``m``, the automaton oriented for the
+    direction: a word's key is the set ``m`` reaches on it, read forward
+    (reversed for a left handle), and accepts when it meets the finals."""
     final = m.final_mask
     return QuasiorderHandle(
         direction=direction,
-        key_of=lambda w: qo.residual_state(m, w[::-1] if direction == "left" else w),
-        leq=qo.residual_order(m),
-        accepts=lambda q: q != qo.DEAD and final >> q & 1 == 1,
-        extend=lambda key, sym: qo.residual_next(m, key, sym),
+        key_of=lambda w: m.run(w[::-1] if direction == "left" else w),
+        leq=leq,
+        accepts=lambda key: key & final != 0,
+        extend=m.step,
     )
+
+
+def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
+    """Residual-inclusion quasiorder of L(n2): the state-set keys of the
+    minimal DFA of the language (of its reverse, on the left), ordered by
+    residual inclusion (``quasiorder.residual_leq``). A key holds one state,
+    or none for a word the DFA cannot read."""
+    m = _oriented(n2, direction).determinize().minimize()
+    return _set_handle(m, direction, qo.residual_leq(m))
 
 
 def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
@@ -117,36 +126,25 @@ def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     the reverse. The order is ``fixpoint.subset``, which ``Antichain`` runs
     inline. A pre-set accepts when it meets the initials, a post-set when
     it meets the finals."""
-    m = _oriented(n2, direction)
-    final = m.final_mask
-    return QuasiorderHandle(
-        direction=direction,
-        key_of=lambda w: m.run(w[::-1] if direction == "left" else w),
-        leq=subset,
-        accepts=lambda key: key & final != 0,
-        extend=m.step,
-    )
+    return _set_handle(_oriented(n2, direction), direction, subset)
 
 
 def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """Simulation-lifted state-set quasiorder; coarser than plain inclusion
     but still consistent with L(n2)."""
-    sim = qo.max_simulation(_oriented(n2, direction))
-    return replace(state_handle(n2, direction), leq=lambda a, b: qo.sim_leq(a, b, sim))
+    m = _oriented(n2, direction)
+    sim = qo.max_simulation(m)
+    return _set_handle(m, direction, lambda a, b: qo.sim_leq(a, b, sim))
 
 
 def myhill_handle(n: Nfa) -> QuasiorderHandle:
-    """Two-sided context quasiorder of L(n), realized as the word's action
-    on the minimal DFA with pointwise residual inclusion."""
+    """Two-sided context quasiorder of L(n): the state-pair keys of the
+    minimal DFA of the language (``ctx_handle``), each row holding at most
+    one state, ordered rowwise by residual inclusion
+    (``quasiorder.residual_leq``)."""
     m = n.determinize().minimize()
-    q0, final = m.initial_state, m.final_mask
-    return QuasiorderHandle(
-        direction="two-sided",
-        key_of=lambda w: qo.myhill_key(m, w),
-        leq=qo.myhill_order(m),
-        accepts=lambda key: key[q0] != qo.DEAD and final >> key[q0] & 1 == 1,
-        compose=qo.myhill_compose,
-    )
+    leq = qo.residual_leq(m)
+    return replace(ctx_handle(m), leq=lambda x, y: all(map(leq, x, y)))
 
 
 def ctx_handle(n: Nfa) -> QuasiorderHandle:

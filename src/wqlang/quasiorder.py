@@ -2,9 +2,10 @@
 
 Every quasiorder here is realized as a map from words to finite keys plus
 a decidable comparison on keys: state sets compared by inclusion,
-simulation-lifted state sets, minimal-DFA residuals (Nerode), DFA state
-transformations (Myhill contexts), state-pair relations, and one-counter
-macro states.
+simulation-lifted state sets, state-pair relations compared rowwise by
+inclusion, and one-counter macro states. Nerode and Myhill are not keys of
+their own: they are the state-set and state-pair keys of the minimal DFA,
+compared by residual inclusion (``residual_leq``; rowwise for Myhill).
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ __all__ = [
     "max_simulation",
     "sim_leq",
     "residual_inclusion_matrix",
-    "residual_state",
-    "residual_next",
-    "residual_order",
-    "myhill_key",
-    "myhill_compose",
-    "myhill_order",
+    "residual_leq",
     "ctx_key",
     "ctx_identity",
     "ctx_compose",
@@ -92,54 +88,15 @@ def empty_states_mask(d: Dfa) -> int:
     return ((1 << d.state_count) - 1) & ~alive
 
 
-# -- residual orders through the minimal DFA (Nerode and Myhill) ----------
-
-
-DEAD = -1  # the state of words the DFA cannot read: the empty residual
-
-
-def residual_state(min_dfa: Dfa, word: bytes, start: int | None = None) -> int:
-    """The minimal-DFA state reached by the word, or DEAD when it falls off."""
-    q = min_dfa.run_state(word, start)
-    return DEAD if q is None else q
-
-
-def residual_next(min_dfa: Dfa, p: int, sym: int) -> int:
-    """One-symbol successor of a state, DEAD staying DEAD."""
-    q = None if p == DEAD else min_dfa.dnext(p, sym)
-    return DEAD if q is None else q
-
-
-def residual_order(min_dfa: Dfa):
-    """Residual-language inclusion between states of the minimal DFA, with
-    DEAD below everything and above exactly the empty-language states."""
+def residual_leq(min_dfa: Dfa):
+    """Residual-language inclusion on the keys of a minimal DFA: state sets
+    of at most one state. A state lies below the keys whose residual
+    includes its own, and below every key when its residual is empty. The
+    empty set, the key of a word the DFA cannot read, has the empty
+    residual: it lies below every key and above the empty-language states."""
     incl = residual_inclusion_matrix(min_dfa)
-    dead = empty_states_mask(min_dfa)
-
-    def leq(p: int, q: int) -> bool:
-        if p == DEAD:
-            return True
-        if q == DEAD:
-            return bool(dead >> p & 1)
-        return bool(incl[p] >> q & 1)
-
-    return leq
-
-
-def myhill_key(min_dfa: Dfa, word: bytes) -> tuple[int, ...]:
-    """The word's action on the minimal DFA: state p maps to the state
-    reached from p by the word, or DEAD when the DFA falls off."""
-    return tuple(residual_state(min_dfa, word, p) for p in range(min_dfa.state_count))
-
-
-def myhill_compose(k1: tuple[int, ...], k2: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(DEAD if p == DEAD else k2[p] for p in k1)
-
-
-def myhill_order(min_dfa: Dfa):
-    """Context inclusion on actions: the residual order, pointwise."""
-    leq = residual_order(min_dfa)
-    return lambda a, b: all(map(leq, a, b))
+    empty = empty_states_mask(min_dfa)
+    return lambda a, b: not a or incl[a.bit_length() - 1] & (b | empty) != 0
 
 
 # -- state-pair contexts (relations q -word-> q') --------------------------
@@ -168,8 +125,10 @@ def ctx_compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for row in x:
         acc = 0
-        for mid in bits(row):
-            acc |= y[mid]
+        while row:
+            low = row & -row
+            acc |= y[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return tuple(out)
 

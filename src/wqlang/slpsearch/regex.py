@@ -114,6 +114,7 @@ _ESCAPES = {
     ord("v"): 0x0B,
     ord("0"): 0x00,
 }
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 class _Parser:
@@ -238,6 +239,8 @@ class _Parser:
         return Lit(b)
 
     def escape(self, start: int) -> int:
+        """The byte of the escape whose backslash is at offset ``start``, the
+        offset its errors carry."""
         if self.peek() is None:
             self.error("dangling escape", start)
         b = self.take()
@@ -246,12 +249,12 @@ class _Parser:
         if b == ord("x"):
             if self.pos + 2 > len(self.data):
                 self.error("truncated \\x escape", start)
-            try:
-                value = int(self.data[self.pos : self.pos + 2], 16)
-            except ValueError:
-                self.error("bad \\x escape", start)
+            digits = self.data[self.pos : self.pos + 2]
+            # int() alone would also take a sign or a space
+            if not all(d in _HEX_DIGITS for d in digits):
+                self.error("bad \\x escape: expected two hex digits", start)
             self.pos += 2
-            return value
+            return int(digits, 16)
         return b  # identity escape for punctuation
 
     def char_class(self, start: int):
@@ -272,7 +275,7 @@ class _Parser:
             first = False
             b = self.take()
             if b == ord("\\"):
-                b = self.escape(start)
+                b = self.escape(self.pos - 1)
             lo = b
             if self.peek() == ord("-") and self.pos + 1 < len(self.data) and self.data[
                 self.pos + 1
@@ -280,7 +283,7 @@ class _Parser:
                 self.take()
                 hi = self.take()
                 if hi == ord("\\"):
-                    hi = self.escape(start)
+                    hi = self.escape(self.pos - 1)
                 if lo > hi:
                     self.error("bad class range", start)
                 # a range sweeping over the newline does not list it explicitly

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from wqlang.cli import build_parser, main
-from wqlang.formats import dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
+from wqlang.formats import MAX_FILE_STATES, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
@@ -321,6 +321,30 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     bad.write_bytes(b"states 1\ntrans 0 zz 0\n")
     assert main(["include", "nfa", str(bad), str(bad)]) == 3
     assert "byte offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", ["nfa", "ocn"])
+@pytest.mark.parametrize("count", [2_000_000_000, -3])
+def test_state_count_outside_the_cap_exits_with_input_error(files, tmp_path, capsys, flavor, count):
+    # refused at the ``states`` line, before an automaton or net is built
+    bad = tmp_path / "bad"
+    rest = b"initial 0\nfinal 0\ntrans 0 'a' 0\n" if flavor == "nfa" else b""
+    bad.write_bytes(b"states %d\n" % count + rest)
+    left = str(bad) if flavor == "nfa" else files["n1"]
+    assert main(["include", flavor, left, str(bad)]) == 3
+    err = _one_line_error(capsys)
+    assert f"state count {count} out of range 0..{MAX_FILE_STATES}" in err
+
+
+@pytest.mark.parametrize("pattern", ["I(\\x-1)?N", "I\\x+9", "I\\x 9", "I[\\x-1]N"])
+def test_search_rejects_a_hex_escape_without_two_hex_digits(tmp_path, capsys, pattern):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"IN\nI\tN\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    assert main(["search", "-e", pattern, str(slp)]) == 2
+    assert "bad \\x escape: expected two hex digits" in _one_line_error(capsys)
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from wqlang import CnfGrammar, Nfa, Ocn
 from wqlang.formats import (
+    MAX_FILE_STATES,
     FormatError,
     dump_cnf,
     dump_nfa,
@@ -86,6 +87,24 @@ def test_ocn_round_trip(counter_ocn):
 def test_ocn_bad_delta():
     with pytest.raises(FormatError):
         parse_ocn(b"states 1\ntrans 0 'a' +2 0\n")
+
+
+@pytest.mark.parametrize("parse", [parse_nfa, parse_ocn])
+@pytest.mark.parametrize("count", [MAX_FILE_STATES + 1, 2_000_000_000, -3])
+def test_state_count_outside_the_cap_is_refused_at_its_line(parse, count):
+    with pytest.raises(FormatError) as err:
+        parse(b"# header\nstates %d\n" % count)
+    assert err.value.offset == 9
+    assert f"state count {count} out of range 0..{MAX_FILE_STATES}" in str(err.value)
+
+
+def test_state_count_at_the_cap_parses():
+    assert parse_ocn(b"states %d\n" % MAX_FILE_STATES).state_count == MAX_FILE_STATES
+
+
+def test_ocn_rejects_a_negative_state_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Ocn(-3, [])
 
 
 def test_slp_binary_round_trip():

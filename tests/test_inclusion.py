@@ -25,7 +25,7 @@ from wqlang import (
     sim_handle,
     state_handle,
 )
-from wqlang.fixpoint import KleeneDivergence, ac_below
+from wqlang.fixpoint import KleeneDivergence, ac_below, subset
 from wqlang.inclusion import DEFAULT_ITER_CAP, cfg_word_fixpoint, word_fixpoint
 from wqlang.quasiorder import ctx_key
 
@@ -313,8 +313,8 @@ def test_ocn_random_agreement():
 
 
 def test_every_handle_accepts_exactly_its_language():
-    # words over a, b, c while the automata read a and b (c is read by no
-    # minimal DFA, whose keys then go DEAD) or a, b, c
+    # words over a, b, c while the automata read a and b (a word with c then
+    # has the empty key in the minimal DFA) or a, b, c
     rng = random.Random(48)
     words = [bytes(w) for k in range(5) for w in itertools.product((A, B, C), repeat=k)]
     for _ in range(25):
@@ -384,6 +384,13 @@ def test_inline_subset_order_changes_no_fixpoint(direction, stop, seed):
     vec_p, layers_p, witness_p = word_fixpoint(n1, plain, stop=stop)
     assert [list(ac) for ac in vec] == [list(ac) for ac in vec_p]
     assert (layers, witness) == (layers_p, witness_p)
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+def test_state_handle_runs_the_inline_subset_order(fig42_n2, direction):
+    # Antichain compares inline only under this very function; any other
+    # order, even an equal one, takes the slower general path
+    assert state_handle(fig42_n2, direction).leq is subset
 
 
 def test_cfg_word_fixpoint_matches_from_scratch_oracle():
@@ -537,3 +544,82 @@ def test_left_word_fixpoint_is_the_right_run_on_the_reverse(seed, stop):
         if witness is not None:
             assert len(witness) == len(r_witness)
             assert n1.member(witness) and not n2.member(witness)
+
+
+# -- words the minimal DFA cannot read ------------------------------------------
+
+# Languages over a and b, as DFAs, against left sides that also read c. Each
+# names the sides with a word over a and b whose residual (its context set,
+# two-sided) is empty, so that the minimal DFA has an empty state there.
+UNREAD_CASES = {
+    "a(a+b)*": (Nfa(2, [(0, A, 1), (1, A, 1), (1, B, 1)], [0], [1]), {"right"}),
+    "(a+b)*a": (Nfa(2, [(0, A, 1), (0, B, 0), (1, A, 1), (1, B, 0)], [0], [1]), {"left"}),
+    "(a+b)*": (Nfa(1, [(0, A, 0), (0, B, 0)], [0], [0]), set()),
+    "ab": (Nfa(3, [(0, A, 1), (1, B, 2)], [0], [2]), {"left", "right", "two-sided"}),
+    "empty": (Nfa(1, [(0, A, 0), (0, B, 0)], [0], []), {"left", "right", "two-sided"}),
+}
+AB_WORDS = [bytes(w) for k in range(4) for w in itertools.product((A, B), repeat=k)]
+ABC_WORDS = [bytes(w) for k in range(4) for w in itertools.product((A, B, C), repeat=k)]
+UNREAD_WORDS = [w for w in ABC_WORDS if C in w]
+
+
+def contexts(dfa: Nfa) -> list[bytes]:
+    """Words over a and b shorter than the state count of a DFA: enough to
+    reach each of its states, and to accept from each one that accepts."""
+    return [w for w in AB_WORDS if len(w) < dfa.state_count]
+
+
+def assert_unread_key_is_the_empty_one(handle, empty_words):
+    """The key of a word with c lies below every key, and is equivalent both
+    ways to the key of each word whose residual is empty."""
+    keys = [handle.key_of(w) for w in ABC_WORDS]
+    for w in UNREAD_WORDS:
+        k = handle.key_of(w)
+        assert all(handle.leq(k, other) for other in keys), w
+        for u in empty_words:
+            assert handle.leq(k, handle.key_of(u)) and handle.leq(handle.key_of(u), k), (w, u)
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+@pytest.mark.parametrize("name", UNREAD_CASES)
+def test_nerode_key_of_an_unread_word_is_the_empty_residual(name, direction):
+    n2, empty_sides = UNREAD_CASES[name]
+    short = contexts(n2)
+    empty = [
+        u
+        for u in AB_WORDS
+        if not any(n2.member(u + s if direction == "right" else s + u) for s in short)
+    ]
+    assert bool(empty) == (direction in empty_sides)
+    assert_unread_key_is_the_empty_one(nerode_handle(n2, direction), empty)
+
+
+@pytest.mark.parametrize("name", UNREAD_CASES)
+def test_myhill_key_of_an_unread_word_is_the_empty_context(name):
+    n2, empty_sides = UNREAD_CASES[name]
+    short = contexts(n2)
+    empty = [u for u in AB_WORDS if not any(n2.member(x + u + y) for x in short for y in short)]
+    assert bool(empty) == ("two-sided" in empty_sides)
+    assert_unread_key_is_the_empty_one(myhill_handle(n2), empty)
+
+
+@pytest.mark.parametrize("name", UNREAD_CASES)
+@settings(max_examples=examples(15), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unread_symbols_keep_verdicts_exact(name, seed):
+    n2, _ = UNREAD_CASES[name]
+    rng = random.Random(seed)
+    n1 = rand_nfa(rng, max_states=5, n_syms=3, density=0.3)
+    shortest = naive_inclusion(n1, n2)
+    for direction in ("left", "right"):
+        verdict = fa_inc_word(n1, nerode_handle(n2, direction))
+        assert verdict.included == shortest.included
+        if not verdict.included:
+            assert n1.member(verdict.witness) and not n2.member(verdict.witness)
+            assert len(verdict.witness) == len(shortest.witness)
+    g = rand_cnf(rng, max_vars=4, n_syms=3)
+    verdict = cfg_inc_word(g, myhill_handle(n2))
+    assert verdict.included == cfg_in_regular_oracle(g, n2.determinize()).included
+    if not verdict.included:
+        assert verdict.witness in g.words_up_to(len(verdict.witness))
+        assert not n2.member(verdict.witness)

@@ -58,6 +58,18 @@ def test_parse_escapes():
     assert parse_regex("\\.").byte == ord(".")
 
 
+@pytest.mark.parametrize(
+    "pattern, offset",
+    [("\\x-1", 0), ("\\x+9", 0), ("\\x 9", 0), ("ab\\x-f", 2), ("[\\x-1]", 1), ("[a-\\x+9]", 3)],
+)
+def test_hex_escape_needs_two_hex_digits(pattern, offset):
+    # int(..., 16) alone would read a sign or a space as part of the number
+    with pytest.raises(RegexSyntaxError) as err:
+        parse_regex(pattern)
+    assert err.value.offset == offset
+    assert "two hex digits" in str(err.value)
+
+
 def test_dot_excludes_newline():
     ast = parse_regex(".")
     assert 0x0A not in ast.bytes_ and len(ast.bytes_) == 255
