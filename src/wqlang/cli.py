@@ -12,14 +12,15 @@ hold, 2 usage error (including a search pattern that matches the empty
 string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions), 3
 malformed input file (including an automaton or net file that declares
-more than ``MAX_FILE_STATES`` states) or a computation stopped by its cap
-(fixpoint layers, learner queries, decompressed size, ``MAX_DFA_STATES``
-subset-construction states). ``TOOL_ITER_CAP``, a nonnegative integer,
-overrides the cap on fixpoint layers (each extends the entries the one
-before added; a witness found within the cap is still reported) of
-``include nfa`` (every ``--algo``, ``gfp`` included), ``include cfg`` and
-``include ocn``; any other value is a usage error, and so is a negative
-``decompress --cap``.
+more than ``MAX_FILE_STATES`` states, and an automaton file whose states
+times distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``) or a
+computation stopped by its cap (fixpoint layers, learner queries,
+decompressed size, ``MAX_DFA_STATES`` subset-construction states).
+``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on fixpoint
+layers (each extends the entries the one before added; a witness found
+within the cap is still reported) of ``include nfa`` (every ``--algo``,
+``gfp`` included), ``include cfg`` and ``include ocn``; any other value is
+a usage error, and so is a negative ``decompress --cap``.
 
 Start-up loads only the file formats; each subcommand imports its own
 algorithm family when it runs. ``compress`` and ``decompress`` load the SLP

@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_FILE_STATES",
+    "MAX_FILE_TABLE_CELLS",
     "FormatError",
     "parse_nfa",
     "dump_nfa",
@@ -86,6 +87,10 @@ def _int(token: str, offset: int, what: str) -> int:
 # the largest ``states N`` an automaton or net file may declare, refused
 # before anything is allocated: an automaton keeps N ints per symbol
 MAX_FILE_STATES = 1 << 16
+# the most cells, declared states times distinct transition symbols, that
+# an automaton file's successor tables may take, refused before they are
+# built: within MAX_FILE_STATES, 256 symbols would take 2^24 cells
+MAX_FILE_TABLE_CELLS = 1 << 22
 
 
 def _state_count(token: str, offset: int) -> int:
@@ -136,6 +141,13 @@ def parse_nfa(data: bytes) -> Nfa:
             raise FormatError(offset, f"bad automaton line {' '.join(tokens)!r}")
     if count is None:
         raise FormatError(0, "missing 'states N' line")
+    symbols = len({sym for _p, sym, _q in triples})
+    if count * symbols > MAX_FILE_TABLE_CELLS:
+        raise FormatError(
+            0,
+            f"{count} states times {symbols} transition symbols exceeds "
+            f"{MAX_FILE_TABLE_CELLS} table cells",
+        )
     try:
         return Nfa(count, triples, initial, final)
     except ValueError as exc:

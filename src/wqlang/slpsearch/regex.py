@@ -9,15 +9,18 @@ a class lists it explicitly, and patterns that can match the empty word
 are rejected by default: line counting needs a nonempty, newline-free
 match language. Groups and postfix operators may nest at most
 ``MAX_REGEX_DEPTH`` deep, so that parsing and compiling never exhaust the
-interpreter stack. Compiling creates at most ``MAX_REGEX_STATES`` states
-and ``MAX_REGEX_TRANSITIONS`` transitions, so that bounded repetitions
-such as ``a{99999}``, ``.{5000}`` or ``(a{1000}){1000}`` are refused
-instead of expanded.
+interpreter stack. Patterns compile to their position automaton, which
+has one initial state and one state per atom, and whose states and
+transitions are all it holds: it may have at most ``MAX_REGEX_STATES``
+states and ``MAX_REGEX_TRANSITIONS`` transitions, so that bounded
+repetitions such as ``a{99999}``, ``.{5000}`` or ``(a{1000}){1000}`` are
+refused instead of expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..automata import Dfa, Nfa, mask_of
 
@@ -45,12 +48,12 @@ NEWLINE = 0x0A
 # groups plus postfix operators enclosing one atom; both the parser and the
 # compiler recurse once or twice per level
 MAX_REGEX_DEPTH = 100
-# states the compiler may allocate, counted before unreachable ones are
-# trimmed; bounded repetition copies its operand, so nesting multiplies
-MAX_REGEX_STATES = 1 << 14
-# transitions the compiler may create; concatenation bridges every exit of
-# the left operand to every entry move of the right, so dense classes and
-# optional copies grow them faster than states
+# states of the compiled automaton, the initial one and one per atom;
+# bounded repetition copies its operand, so nesting multiplies
+MAX_REGEX_STATES = 1 << 13
+# transitions of the compiled automaton; concatenation joins every last
+# atom of the left operand to every first-atom move of the right, so dense
+# classes and optional copies grow them faster than states
 MAX_REGEX_TRANSITIONS = 1 << 17
 
 
@@ -310,27 +313,28 @@ def parse_regex(text: str):
 # -- compilation --------------------------------------------------------------
 
 
-class _Frag:
-    """Epsilon-free fragment: transitions over a private state space, the
-    moves leaving its entry states, and a flag recording whether the
-    fragment accepts the empty word.
+class _Frag(NamedTuple):
+    """Fragment of the position automaton: one state per atom, entered only
+    on that atom's bytes."""
 
-    Entry states are atom sources: no transition enters them and their only
-    moves are their atom's, so each constructor derives ``entry`` from its
-    operands'."""
-
-    __slots__ = ("trans", "starts", "entry", "ends", "eps")
-
-    def __init__(self, trans, starts, entry, ends, eps):
-        self.trans = trans  # list of (p, sym, q)
-        self.starts = starts  # frozenset of entry states
-        self.entry = entry  # list of (sym, q) leaving the entry states
-        self.ends = ends  # frozenset of exit states
-        self.eps = eps
+    trans: list  # (p, sym, q)
+    entry: list  # (sym, q) into the first atoms
+    ends: set  # the last atoms
+    eps: bool  # accepts the empty word
 
 
-def _optional(a: _Frag) -> _Frag:
-    return _Frag(a.trans, a.starts, a.entry, a.ends, True)
+def _atom_bytes(node) -> set[int] | None:
+    """Bytes of a literal, a class or an alternation of them, the nodes
+    that compile to one atom; None for any other node."""
+    out: set[int] = set()
+    for branch in node.branches if isinstance(node, Alt) else (node,):
+        if isinstance(branch, Lit):
+            out.add(branch.byte)
+        elif isinstance(branch, ClassAtom):
+            out |= branch.bytes_
+        else:
+            return None
+    return out
 
 
 class _Builder:
@@ -358,13 +362,11 @@ class _Builder:
         return [(src, sym, q) for src in sources for sym, q in moves]
 
     def atom(self, byte_set) -> _Frag:
-        s, t = self.fresh(), self.fresh()
-        moves = [(b, t) for b in sorted(byte_set)]
-        return _Frag(self.edges([s], moves), {s}, moves, {t}, False)
+        s = self.fresh()
+        return _Frag([], [(b, s) for b in sorted(byte_set)], {s}, False)
 
     def concat(self, a: _Frag, b: _Frag) -> _Frag:
         bridge = self.edges(a.ends, b.entry)
-        starts = set(a.starts) | (set(b.starts) if a.eps else set())
         entry = a.entry + b.entry if a.eps else a.entry
         ends = set(b.ends) | (set(a.ends) if b.eps else set())
         # a fragment is consumed once, so the longer list can grow in place
@@ -373,32 +375,24 @@ class _Builder:
             trans, other = other, trans
         trans += other
         trans += bridge
-        return _Frag(trans, starts, entry, ends, a.eps and b.eps)
+        return _Frag(trans, entry, ends, a.eps and b.eps)
 
     def alt(self, frags) -> _Frag:
-        trans, starts, entry, ends, eps = [], set(), [], set(), False
+        trans, entry, ends, eps = [], [], set(), False
         for f in frags:
             trans += f.trans
-            starts |= f.starts
             entry += f.entry
             ends |= f.ends
             eps = eps or f.eps
-        return _Frag(trans, starts, entry, ends, eps)
-
-    def loop(self, a: _Frag) -> list[tuple[int, int, int]]:
-        return self.edges(a.ends, a.entry)
-
-    def star(self, a: _Frag) -> _Frag:
-        return _Frag(a.trans + self.loop(a), a.starts, a.entry, a.ends, True)
+        return _Frag(trans, entry, ends, eps)
 
     def plus(self, a: _Frag) -> _Frag:
-        return _Frag(a.trans + self.loop(a), a.starts, a.entry, a.ends, a.eps)
+        return a._replace(trans=a.trans + self.edges(a.ends, a.entry))
 
     def build(self, node) -> _Frag:
-        if isinstance(node, Lit):
-            return self.atom({node.byte})
-        if isinstance(node, ClassAtom):
-            return self.atom(node.bytes_)
+        byte_set = _atom_bytes(node)
+        if byte_set is not None:
+            return self.atom(byte_set)
         if isinstance(node, Concat):
             frag = self.build(node.parts[0])
             for part in node.parts[1:]:
@@ -407,22 +401,24 @@ class _Builder:
         if isinstance(node, Alt):
             return self.alt([self.build(b) for b in node.branches])
         if isinstance(node, Star):
-            return self.star(self.build(node.inner))
+            return self.plus(self.build(node.inner))._replace(eps=True)
         if isinstance(node, Plus):
             return self.plus(self.build(node.inner))
         if isinstance(node, Opt):
-            return _optional(self.build(node.inner))
+            return self.build(node.inner)._replace(eps=True)
         if isinstance(node, Repeat):
-            if node.low == 0 and node.high == 0:
-                return _Frag([], set(), [], set(), True)
-            copies = [self.build(node.inner) for _ in range(node.high)]
+            first = self.build(node.inner) if node.high else None
+            if first is None or not first.entry:
+                # x{0}, or an operand that matches only the empty word,
+                # whatever the bound: no copy is built past the first
+                return _Frag([], [], set(), True)
+            copies = [first] + [self.build(node.inner) for _ in range(node.high - 1)]
             low = node.low
-            if copies[0].eps:
+            if first.eps:
                 # x{m,n} with x nullable is (x minus the empty word){0,n}:
                 # nullable copies would each be enterable from every earlier
                 # one, which takes quadratically many transitions
-                for copy in copies:
-                    copy.eps = False
+                copies = [copy._replace(eps=False) for copy in copies]
                 low = 0
             # x{m,n} is m copies followed by (x(x(...)?)?)?, folded from the
             # right, so that each optional copy is entered only from the
@@ -431,74 +427,40 @@ class _Builder:
             for i in reversed(range(node.high)):
                 frag = copies[i] if frag is None else self.concat(copies[i], frag)
                 if i >= low:
-                    frag = _optional(frag)
+                    frag = frag._replace(eps=True)
             return frag
         raise TypeError(f"unknown AST node {node!r}")
 
 
 def compile_regex(ast, allow_empty: bool = False) -> Nfa:
-    """Compile a syntax tree to an epsilon-free NFA for the same language.
+    """Compile a syntax tree to its position automaton, an epsilon-free NFA
+    for the same language: state 0 is the only initial state, and each atom
+    of the pattern has one state, entered only on that atom's bytes.
 
     Rejects patterns that match the empty word unless ``allow_empty``; the
     search pipeline requires nonempty matches. Raises ``RegexSyntaxError``
-    when the construction would need more than ``MAX_REGEX_STATES`` states
-    or ``MAX_REGEX_TRANSITIONS`` transitions.
+    when the automaton would have more than ``MAX_REGEX_STATES`` states or
+    ``MAX_REGEX_TRANSITIONS`` transitions.
     """
     builder = _Builder()
-    frag = builder.build(ast)
-    if frag.eps and not allow_empty:
+    start = _Frag([], [], {builder.fresh()}, False)
+    body = builder.build(ast)
+    # state 0 enters the body's first atoms and is final when it is nullable
+    frag = builder.concat(start, body)
+    if body.eps and not allow_empty:
         raise EmptyMatchError("pattern matches the empty string")
-    # keep only states reachable from an entry or reaching an exit; the
-    # adjacency sets ignore symbols, so parallel moves are held once
-    fwd: dict[int, set[int]] = {}
-    bwd: dict[int, set[int]] = {}
-    for p, _sym, q in frag.trans:
-        fwd.setdefault(p, set()).add(q)
-        bwd.setdefault(q, set()).add(p)
-    reachable = set(frag.starts)
-    stack = list(frag.starts)
-    while stack:
-        p = stack.pop()
-        for q in fwd.get(p, ()):
-            if q not in reachable:
-                reachable.add(q)
-                stack.append(q)
-    useful = set(frag.ends)
-    stack = list(frag.ends)
-    while stack:
-        q = stack.pop()
-        for p in bwd.get(q, ()):
-            if p not in useful:
-                useful.add(p)
-                stack.append(p)
-    keep = sorted(reachable & useful)
-    number = {s: i for i, s in enumerate(keep)}
-    initial = [number[s] for s in frag.starts if s in number]
-    final = [number[s] for s in frag.ends if s in number]
-    # with an empty match, a fresh state that is initial and final and has
-    # the entry moves
-    extra = len(keep) if frag.eps and allow_empty else None
-    count = len(keep) + (extra is not None)
+    count = builder.next_state
     rows: dict[int, list[int]] = {}
     for p, sym, q in frag.trans:
-        i, j = number.get(p), number.get(q)
-        if i is None or j is None:
-            continue
         row = rows.get(sym)
         if row is None:
             row = rows[sym] = [0] * count
-        row[i] |= 1 << j
-    if extra is not None:
-        for row in rows.values():
-            for s in initial:
-                row[extra] |= row[s]
-        initial = [extra]
-        final.append(extra)
+        row[p] |= 1 << q
     return Nfa._of_tables(
         count,
         {sym: tuple(rows[sym]) for sym in sorted(rows)},
-        mask_of(initial),
-        mask_of(final),
+        1,
+        mask_of(frag.ends),
     )
 
 

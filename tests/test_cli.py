@@ -6,7 +6,7 @@ import re
 import pytest
 
 from wqlang.cli import build_parser, main
-from wqlang.formats import MAX_FILE_STATES, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
+from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
@@ -334,6 +334,15 @@ def test_state_count_outside_the_cap_exits_with_input_error(files, tmp_path, cap
     assert main(["include", flavor, left, str(bad)]) == 3
     err = _one_line_error(capsys)
     assert f"state count {count} out of range 0..{MAX_FILE_STATES}" in err
+
+
+def test_table_cells_past_the_cap_exit_with_input_error(files, tmp_path, capsys):
+    # 65,536 states are within MAX_FILE_STATES, but with every byte their
+    # successor tables would hold 2^24 cells
+    bad = tmp_path / "bad.nfa"
+    bad.write_bytes(b"states 65536\n" + b"".join(b"trans 0 %d 0\n" % sym for sym in range(256)))
+    assert main(["include", "nfa", str(bad), files["n1"]]) == 3
+    assert f"exceeds {MAX_FILE_TABLE_CELLS} table cells" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("pattern", ["I(\\x-1)?N", "I\\x+9", "I\\x 9", "I[\\x-1]N"])

@@ -5,6 +5,7 @@ import pytest
 from wqlang import CnfGrammar, Nfa, Ocn
 from wqlang.formats import (
     MAX_FILE_STATES,
+    MAX_FILE_TABLE_CELLS,
     FormatError,
     dump_cnf,
     dump_nfa,
@@ -100,6 +101,29 @@ def test_state_count_outside_the_cap_is_refused_at_its_line(parse, count):
 
 def test_state_count_at_the_cap_parses():
     assert parse_ocn(b"states %d\n" % MAX_FILE_STATES).state_count == MAX_FILE_STATES
+
+
+def _every_byte_file(states: int) -> bytes:
+    """An automaton file with one self-loop on state 0 for each byte."""
+    return b"states %d\n" % states + b"".join(b"trans 0 %d 0\n" % sym for sym in range(256))
+
+
+def test_table_cells_at_the_cap_parse():
+    states = MAX_FILE_TABLE_CELLS // 256
+    n = parse_nfa(_every_byte_file(states))
+    assert n.state_count == states and len(n.alphabet) == 256
+
+
+def test_table_cells_past_the_cap_are_refused_before_the_tables(monkeypatch):
+    def build(*_args):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(Nfa, "__init__", build)
+    states = MAX_FILE_TABLE_CELLS // 256 + 1
+    with pytest.raises(FormatError) as err:
+        parse_nfa(_every_byte_file(states))
+    assert err.value.offset == 0
+    assert f"{states} states times 256 transition symbols exceeds {MAX_FILE_TABLE_CELLS}" in str(err.value)
 
 
 def test_ocn_rejects_a_negative_state_count():

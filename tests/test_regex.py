@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import examples
 from wqlang import compile_regex, equivalence_counterexample, homogeneous_dfa, homogeneous_kind, parse_regex
 from wqlang.slpsearch.regex import (
     Alt,
@@ -18,6 +19,7 @@ from wqlang.slpsearch.regex import (
     Lit,
     MAX_REGEX_STATES,
     MAX_REGEX_TRANSITIONS,
+    Opt,
     Plus,
     RegexSyntaxError,
     Repeat,
@@ -116,16 +118,34 @@ def test_compile_refuses_oversized_repetition(pattern, cap):
 
 
 def test_compile_caps_are_exact():
-    # a{n} allocates two states per copy; [a-p]{n} creates 16 moves per
-    # copy and 16 bridge moves between neighbouring copies
-    copies = MAX_REGEX_STATES // 2
-    assert compile_regex(parse_regex(f"a{{{copies}}}")).state_count == copies + 1
-    with pytest.raises(RegexSyntaxError):
+    # a{n} has the initial state and one state per copy; each copy of the
+    # 32-byte class [A-Za-f] is entered on 32 moves, from the initial state
+    # or from the copy before, so the transition cap binds at 4,096 copies,
+    # well within the state cap
+    copies = MAX_REGEX_STATES - 1
+    assert compile_regex(parse_regex(f"a{{{copies}}}")).state_count == MAX_REGEX_STATES
+    with pytest.raises(RegexSyntaxError, match="states"):
         compile_regex(parse_regex(f"a{{{copies + 1}}}"))
-    copies = (MAX_REGEX_TRANSITIONS + 16) // 32
-    assert compile_regex(parse_regex(f"[a-p]{{{copies}}}")).state_count == copies + 1
-    with pytest.raises(RegexSyntaxError):
-        compile_regex(parse_regex(f"[a-p]{{{copies + 1}}}"))
+    copies = MAX_REGEX_TRANSITIONS // 32
+    nfa = compile_regex(parse_regex(f"[A-Za-f]{{{copies}}}"))
+    assert nfa.state_count == copies + 1
+    assert len(nfa._triples) == MAX_REGEX_TRANSITIONS
+    with pytest.raises(RegexSyntaxError, match="transitions"):
+        compile_regex(parse_regex(f"[A-Za-f]{{{copies + 1}}}"))
+
+
+@pytest.mark.parametrize("pattern", ["(a{0}){99999999}b", "((a{0}){99999}){99999}b", "(a{0}|b{0}c{0}){9999999}b"])
+def test_repeating_an_operand_that_matches_only_the_empty_word_builds_one_copy(pattern):
+    start = time.perf_counter()
+    nfa = compile_regex(parse_regex(pattern))
+    assert time.perf_counter() - start < 1.0
+    b = compile_regex(parse_regex("b"))
+    assert (nfa.state_count, nfa._fwd, nfa.initial_mask, nfa.final_mask) == (
+        b.state_count,
+        b._fwd,
+        b.initial_mask,
+        b.final_mask,
+    )
 
 
 def _repetition_word(rng: random.Random, high: int, head: bytes, pieces, tail: bytes) -> bytes:
@@ -166,7 +186,7 @@ def test_bounded_repetition_grows_linearly(template, head, pieces, tail):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_compile_near_the_transition_cap_stays_small():
-    # .{257} has 65,792 transitions, just under MAX_REGEX_TRANSITIONS; the
+    # .{514} has 131,070 transitions, just under MAX_REGEX_TRANSITIONS; the
     # compiler fills the automaton's mask tables straight from the fragment
     # and holds no other copy of its transitions. The child reports VmHWM,
     # the peak of its own address space: ru_maxrss would also count the
@@ -175,7 +195,7 @@ def test_compile_near_the_transition_cap_stays_small():
     code = (
         "import re\n"
         "from wqlang.slpsearch.regex import compile_regex, parse_regex\n"
-        "n = compile_regex(parse_regex('.{257}'))\n"
+        "n = compile_regex(parse_regex('.{514}'))\n"
         "status = open('/proc/self/status').read()\n"
         "print(n.state_count, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
     )
@@ -188,7 +208,7 @@ def test_compile_near_the_transition_cap_stays_small():
         check=True,
     )
     states, peak_kb = map(int, run.stdout.split())
-    assert states == 258
+    assert states == 515
     assert peak_kb < 50 * 1024, f"peak RSS {peak_kb} kB"
 
 
@@ -196,7 +216,7 @@ def test_nullable_repeated_operand_compiles_like_its_chain():
     # (a?){300}b is built as (a?-minus-empty){0,300}b, the chain of a{0,300}b
     nullable = compile_regex(parse_regex("(a?){300}b"))
     chain = compile_regex(parse_regex("a{0,300}b"))
-    assert nullable.state_count == chain.state_count == 303
+    assert nullable.state_count == chain.state_count == 302
     assert len(nullable._triples) == len(chain._triples) == 601
     for length in range(9):
         for word in itertools.product(b"ab", repeat=length):
@@ -265,6 +285,37 @@ def test_compile_agrees_with_backtracking_matcher():
             assert nfa.member(w) == _backtrack(ast, w), (ast, w)
 
 
+def _closure(nfa, mask: int) -> int:
+    """States reachable from ``mask`` along any word."""
+    while True:
+        wider = mask
+        for sym in nfa.alphabet:
+            wider |= nfa.step(mask, sym)
+        if wider == mask:
+            return mask
+        mask = wider
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_compiled_states_are_all_useful(allow_empty):
+    # the position automaton has nothing to trim: state 0 is its only
+    # initial state, and each atom lies on an accepted word; the repeated
+    # and optional wrappings take the nullable-copy construction
+    rng = random.Random(52)
+    for _ in range(examples(100)):
+        ast = _rand_ast(rng, rng.randint(1, 4))
+        for node in (ast, Repeat(ast, 0, 2), Concat((Opt(ast), Repeat(ast, 1, 3)))):
+            try:
+                nfa = compile_regex(node, allow_empty=allow_empty)
+            except EmptyMatchError:
+                assert not allow_empty
+                continue
+            every = (1 << nfa.state_count) - 1
+            assert nfa.initial_mask == 1, node
+            assert _closure(nfa, nfa.initial_mask) == every, node
+            assert _closure(nfa.reverse(), nfa.final_mask) == every, node
+
+
 def test_homogeneous_kind_examples():
     assert homogeneous_kind(parse_regex("a+bb+a+c+")) == "plus"
     assert homogeneous_kind(parse_regex("a+b*")) is None
@@ -309,3 +360,4 @@ def test_homogeneous_family_equivalence():
         dfa = homogeneous_dfa(ast, got_kind)
         nfa = compile_regex(ast, allow_empty=True)
         assert equivalence_counterexample(dfa, nfa) is None, text
+        assert nfa.state_count == dfa.state_count, text
