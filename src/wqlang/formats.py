@@ -72,7 +72,8 @@ def _parse_symbol(token: str, offset: int, limit: int = 255) -> int:
 def _dump_symbol(value: int) -> str:
     if value in _REVERSE_ESCAPES:
         return f"'\\{_REVERSE_ESCAPES[value]}'"
-    if 0x20 <= value <= 0x7E:
+    # a quoted space would split into two tokens: 0x20 is written in decimal
+    if 0x20 < value <= 0x7E:
         return f"'{chr(value)}'"
     return str(value)
 

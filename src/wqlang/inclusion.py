@@ -25,6 +25,18 @@ The named checks are instances of these two: ``fa_inc_antichain`` under
 the left state-set order, ``fa_inc_gfp`` under the right one (reporting
 the verdict only), ``cfg_inc_antichain`` under the state-pair order and
 ``nfa_in_ocn`` under the one-counter macro order.
+
+The two state-set checks also settle entries by simulation (Abdulla,
+Chen, Holik, Mayr and Vojnar, TACAS 2010). An entry at a state q of n1
+whose key holds a state of n2 that simulates q can only grow into words
+of L2, so ``word_fixpoint`` inserts it but does not extend it. The order
+stays the state-set order, so the fixpoint is still the paper's. The run
+is exact: a key above a settled key is settled, so no settled entry
+blocks an unsettled one; a rejected entry is never settled, since a
+simulator of a final state is final. Each layer therefore accepts the
+same unsettled entries as the unpruned run, and the same shortest, then
+least, witness surfaces at the same layer. ``fa_inc_word`` under
+``state_handle`` (``--algo word-state``) is the unpruned order.
 """
 
 from __future__ import annotations
@@ -131,10 +143,18 @@ def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
 
 def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     """Simulation-lifted state-set quasiorder; coarser than plain inclusion
-    but still consistent with L(n2)."""
+    but still consistent with L(n2). A key is simulation-closed: the set of
+    states its word reaches (``state_handle``'s key) and every state they
+    simulate (``quasiorder.sim_closure``). On closed keys the lifted order
+    is inclusion, ``fixpoint.subset``, which ``Antichain`` runs inline."""
     m = _oriented(n2, direction)
-    sim = qo.max_simulation(m)
-    return _set_handle(m, direction, lambda a, b: qo.sim_leq(a, b, sim))
+    close = qo.sim_closure(m)
+    plain = _set_handle(m, direction, subset)
+    return replace(
+        plain,
+        key_of=lambda w: close(plain.key_of(w)),
+        extend=lambda key, sym: close(m.step(key, sym)),
+    )
 
 
 def myhill_handle(n: Nfa) -> QuasiorderHandle:
@@ -224,7 +244,11 @@ def _layers(count, handle, base, grow, check, max_iter):
 
 
 def word_fixpoint(
-    n1: Nfa, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP, stop: bool = False
+    n1: Nfa,
+    handle: QuasiorderHandle,
+    max_iter: int = DEFAULT_ITER_CAP,
+    stop: bool = False,
+    key_automaton: Nfa | None = None,
 ):
     """Least fixpoint of the word-antichain equations of ``n1`` under the
     given quasiorder; one antichain of (key, word) entries per state.
@@ -237,6 +261,21 @@ def word_fixpoint(
     is rejected too, so that witness is a shortest word of L(n1) outside
     the handle's language. Returns the vector, the layer count and the
     witness (None if nothing is rejected).
+
+    ``key_automaton`` is given when the handle's keys are state sets of
+    that automaton, read forward (``_set_handle``): a key steps by its
+    ``step`` and is accepted when it meets its finals. The run then skips
+    the extensions of settled entries (Abdulla, Chen, Holik, Mayr and
+    Vojnar, TACAS 2010): an entry at state q of n1's oriented automaton is
+    settled when its key holds a state that simulates q
+    (``quasiorder.cross_simulation``), so every word it extends to at a
+    final state has a key that meets the finals. Settled entries are still
+    inserted. A key holding a settled one is settled, so no settled entry
+    blocks an unsettled one, and a rejected entry is never settled, because
+    a simulator of a final state is final: each layer accepts the same
+    unsettled entries, with the same words, as the unpruned run, and the
+    witness is the same. The simulation is computed on the first
+    extension, so a run that ends at layer 0 does not pay for it.
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
@@ -251,8 +290,14 @@ def word_fixpoint(
             if qs:
                 moves[q2].append((sym, s, list(bits(qs))))
     extend = functools.cache(handle.extend)
+    up = None
 
     def grow(frontier, _vec):
+        nonlocal up
+        if key_automaton is not None:
+            if up is None:
+                up = qo.cross_simulation(a, key_automaton)
+            frontier = [e for e in frontier if not e[1] & up[e[0]]]
         for q2, key, word in frontier:
             for sym, s, qs in moves[q2]:
                 k = extend(key, sym)
@@ -279,14 +324,19 @@ def fa_inc_word(
 def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
-    """Antichain inclusion check of L(n1) in L(n2): ``fa_inc_word`` under
+    """Antichain inclusion check of L(n1) in L(n2): ``word_fixpoint`` under
     the pre-sets of n2's finals ordered by inclusion (``state_handle``),
     which stops at the first set at an initial state of n1 that misses
-    n2's initials. ``variant`` names the algorithm and must be "forward",
-    the only one."""
+    n2's initials, and which skips the extensions of settled entries: a
+    pre-set at a state q of n1 holding a state of n2 whose left language
+    includes that of q (a left simulation of n1 by n2) can only grow into
+    words of L(n2). Verdict and witness are those of the unpruned
+    ``fa_inc_word`` under the same handle (``--algo word-state``).
+    ``variant`` names the algorithm and must be "forward", the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
-    return fa_inc_word(n1, state_handle(n2, "left"), max_iter)
+    _, _, witness = word_fixpoint(n1, state_handle(n2, "left"), max_iter, True, n2.reverse())
+    return Verdict(witness is None, witness)
 
 
 def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
@@ -300,10 +350,14 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     keeps under the right state-set order (``state_handle``). Inclusion
     holds iff the empty word lies in every component at n1's final states,
     that is iff every minimal set there meets l2's finals: the verdict of
-    ``fa_inc_word`` under that handle. This is exact on a nondeterministic
-    l2, which is never determinized. No witness is reported.
+    ``fa_inc_word`` under that handle. A post-set at q that holds a state
+    of l2 simulating q already contains the residual of q, so the run
+    skips its extensions (``word_fixpoint``'s ``key_automaton``), which
+    leaves the verdict unchanged. This is exact on a nondeterministic l2,
+    which is never determinized. No witness is reported.
     """
-    return Verdict(fa_inc_word(n1, state_handle(l2, "right"), max_iter).included)
+    _, _, witness = word_fixpoint(n1, state_handle(l2, "right"), max_iter, True, l2)
+    return Verdict(witness is None)
 
 
 # -- grammar algorithms -------------------------------------------------------

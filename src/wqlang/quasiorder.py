@@ -2,19 +2,31 @@
 
 Every quasiorder here is realized as a map from words to finite keys plus
 a decidable comparison on keys: state sets compared by inclusion,
-simulation-lifted state sets, state-pair relations compared rowwise by
-inclusion, and one-counter macro states. Nerode and Myhill are not keys of
-their own: they are the state-set and state-pair keys of the minimal DFA,
-compared by residual inclusion (``residual_leq``; rowwise for Myhill).
+simulation-closed state sets (``sim_closure``) compared by inclusion,
+state-pair relations compared rowwise by inclusion, and one-counter macro
+states. Nerode and Myhill are not keys of their own: they are the
+state-set and state-pair keys of the minimal DFA, compared by residual
+inclusion (``residual_leq``; rowwise for Myhill).
+
+One refinement computes every simulation: ``cross_simulation(a, m)``,
+the states of ``m`` that simulate each state of ``a``. It settles the
+state-set inclusion checks (``inclusion.word_fixpoint``): an entry at a
+state of n1 whose key holds a simulator of that state only grows into
+words of n2's language. ``max_simulation`` is the cross simulation of an
+automaton by itself, and ``residual_inclusion_matrix`` is that of a
+complete DFA.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .automata import Dfa, Nfa, Ocn, bits
 
 __all__ = [
+    "cross_simulation",
     "max_simulation",
-    "sim_leq",
+    "sim_closure",
     "residual_inclusion_matrix",
     "residual_leq",
     "ctx_key",
@@ -27,43 +39,92 @@ __all__ = [
 ]
 
 
+def cross_simulation(a: Nfa, m: Nfa) -> tuple[int, ...]:
+    """The maximal simulation of the states of ``a`` by those of ``m``, as
+    one mask per state of ``a``: ``up[q]`` holds the states of ``m`` that
+    simulate q. A state of ``m`` simulates q when it is final if q is, and
+    every move q -s-> q2 of ``a`` is matched by a move on s to a state that
+    simulates q2. The right language of q is then included in that of
+    every state of ``up[q]``.
+
+    Starting from the finality condition, each move q -s-> q2 refines
+    ``up[q] &= pre_s(up[q2])``, with ``pre_s`` read from ``m.reverse()``'s
+    tables, until nothing changes; only the predecessors of a state whose
+    mask shrank are refined again.
+    """
+    full = (1 << m.state_count) - 1
+    a_final = a.final_mask
+    up = [m.final_mask if a_final >> q & 1 else full for q in range(a.state_count)]
+    m_pre = m.reverse()
+    # preds[q2]: for each symbol s, the mask of the states q of ``a`` with a
+    # move q -s-> q2
+    preds: list[list[tuple[int, int]]] = [[] for _ in up]
+    for sym, table in a.reverse()._fwd.items():
+        for q2, qs in enumerate(table):
+            if qs:
+                preds[q2].append((sym, qs))
+    # pre_s of a mask, memoized: many states share a mask, all of them the
+    # full or the final mask at the start
+    pres: dict[tuple[int, int], int] = {}
+    work = list(range(a.state_count - 1, -1, -1))
+    queued = (1 << a.state_count) - 1
+    while work:
+        q2 = work.pop()
+        queued ^= 1 << q2
+        target = up[q2]
+        for sym, qs in preds[q2]:
+            pre = pres.get((sym, target))
+            if pre is None:
+                pre = pres[sym, target] = m_pre.step(target, sym)
+            while qs:
+                low = qs & -qs
+                q = low.bit_length() - 1
+                qs ^= low
+                row = up[q]
+                if row & pre != row:
+                    up[q] = row & pre
+                    if not queued & low:
+                        queued |= low
+                        work.append(q)
+    return tuple(up)
+
+
 def max_simulation(n: Nfa) -> tuple[int, ...]:
-    """Coarsest relation such that related states agree on finality and
-    every labeled move of the smaller state is matched by the larger, as a
-    bit matrix: ``rows[p]`` holds the mask of states q that simulate p.
+    """Coarsest relation such that every labeled move of the smaller state
+    is matched by the larger, and the larger is final if the smaller is,
+    as a bit matrix: ``rows[p]`` holds the mask of states q that simulate
+    p. It is ``cross_simulation(n, n)``.
 
     A simulated state's right language is included in its simulator's.
     The left simulation, which does the same for left languages, is
     ``max_simulation(n.reverse())``.
     """
-    count = n.state_count
-    full = (1 << count) - 1
-    # condition (i): a final state is only simulated by final states
-    rows = [n.final_mask if n.final_mask >> p & 1 else full for p in range(count)]
-    # moves[p]: each move p -a-> p2 with a's successor table; q simulates p
-    # only if table[q] meets rows[p2] for every one of them
-    tables = [n._fwd[sym] for sym in sorted(n._fwd)]
-    moves = [[(p2, t) for t in tables for p2 in bits(t[p])] for p in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(count):
-            for q in list(bits(rows[p])):
-                for p2, table in moves[p]:
-                    if not rows[p2] & table[q]:
-                        rows[p] &= ~(1 << q)
-                        changed = True
-                        break
-    return tuple(rows)
+    return cross_simulation(n, n)
 
 
-def sim_leq(u_key: int, v_key: int, rows: tuple[int, ...]) -> bool:
-    """Universal-existential lift of a simulation, given by its rows, to
-    state sets."""
-    for x in bits(u_key):
-        if not (rows[x] & v_key):
-            return False
-    return True
+def sim_closure(n: Nfa) -> Callable[[int], int]:
+    """The map from a state set of ``n`` to the set of states its members
+    simulate (``max_simulation``). A set lies below another in the
+    simulation-lifted order (each of its states is simulated by one of the
+    other's) iff its closure is included in the other's closure, and the
+    closure of a one-symbol step is the closure of the step of the closure.
+    A closure meets the finals iff the set does, since only a final state
+    simulates a final one."""
+    # below[q]: the states q simulates
+    below = [0] * n.state_count
+    for p, row in enumerate(max_simulation(n)):
+        for q in bits(row):
+            below[q] |= 1 << p
+
+    def close(key: int) -> int:
+        out = 0
+        while key:
+            low = key & -key
+            out |= below[low.bit_length() - 1]
+            key ^= low
+        return out
+
+    return close
 
 
 def residual_inclusion_matrix(min_dfa: Dfa) -> tuple[int, ...]:

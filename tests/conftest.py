@@ -189,6 +189,17 @@ def rand_nfa(rng: random.Random, max_states: int = 5, n_syms: int = 2, density: 
     return Nfa(count, triples, initial, final)
 
 
+def nfa_union(a: Nfa, b: Nfa) -> Nfa:
+    """Disjoint union: ``b``'s states are shifted past ``a``'s."""
+    shift = a.state_count
+    return Nfa(
+        a.state_count + b.state_count,
+        [*a._triples, *((p + shift, s, q + shift) for p, s, q in b._triples)],
+        [*a.initial, *(q + shift for q in b.initial)],
+        [*a.final, *(q + shift for q in b.final)],
+    )
+
+
 def rand_dfa(rng: random.Random, max_states: int = 6, n_syms: int = 2, density: float = 0.7) -> Dfa:
     """A random DFA: each transition is present with probability
     ``density`` (so the DFA may be partial) and the initial state is drawn

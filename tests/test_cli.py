@@ -10,7 +10,7 @@ from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
-from conftest import A, B, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
+from conftest import A, B, C, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
 
 
 @pytest.fixture
@@ -199,15 +199,25 @@ def _include_algos() -> list[tuple[str, str]]:
 )
 def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch, tmp_path, flavor, algo):
     # included inputs whose fixpoints need a second layer, so that no check
-    # stops early at a witness: n1 in itself; {a, b}^n for n >= 2, whose
-    # axiom derives only through binary rules, in (a|b)*; (ab)* in the
-    # counter net
+    # stops early at a witness: {aba, aca} in itself, on a right side that
+    # splits after the first a, so that no state simulates one of the left
+    # side's and no entry is settled (a self-inclusion is settled at once);
+    # {a, b}^n for n >= 2, whose axiom derives only through binary rules,
+    # in (a|b)*; (ab)* in the counter net
     monkeypatch.setenv("TOOL_ITER_CAP", "1")
+    (tmp_path / "abaaca.nfa").write_bytes(
+        dump_nfa(Nfa(4, [(0, A, 1), (1, B, 2), (1, C, 2), (2, A, 3)], [0], [3]))
+    )
+    (tmp_path / "abaaca_split.nfa").write_bytes(
+        dump_nfa(
+            Nfa(6, [(0, A, 1), (0, A, 2), (1, B, 3), (2, C, 4), (3, A, 5), (4, A, 5)], [0], [5])
+        )
+    )
     (tmp_path / "two.cnf").write_bytes(dump_cnf(CnfGrammar(2, {1: {A, B}}, {0: {(1, 0), (1, 1)}})))
     (tmp_path / "all.nfa").write_bytes(dump_nfa(Nfa(1, [(0, A, 0), (0, B, 0)], [0], [0])))
     (tmp_path / "abstar.nfa").write_bytes(dump_nfa(Nfa(2, [(0, A, 1), (1, B, 0)], [0], [0])))
     left, right = {
-        "nfa": (files["n1"], files["n1"]),
+        "nfa": (tmp_path / "abaaca.nfa", tmp_path / "abaaca_split.nfa"),
         "cfg": (tmp_path / "two.cnf", tmp_path / "all.nfa"),
         "ocn": (tmp_path / "abstar.nfa", files["ocn"]),
     }[flavor]

@@ -31,6 +31,16 @@ def test_nfa_round_trip():
         assert parse_nfa(dump_nfa(n)) == n
 
 
+def test_every_byte_round_trips():
+    # one transition per byte through the automaton and the net formats:
+    # quoted printables, escapes and decimals, the space byte among them
+    n = Nfa(2, [(0, sym, 1) for sym in range(256)], [0], [1])
+    assert parse_nfa(dump_nfa(n)) == n
+    assert b"trans 0 32 1\n" in dump_nfa(n)
+    o = Ocn(2, [(0, sym, sym % 3 - 1, 1) for sym in range(256)])
+    assert parse_ocn(dump_ocn(o)) == o
+
+
 def test_nfa_parse_quoted_and_decimal():
     data = b"states 2\ninitial 0\nfinal 1\ntrans 0 'a' 1\ntrans 0 98 1\ntrans 1 '\\n' 1\n"
     n = parse_nfa(data)

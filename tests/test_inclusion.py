@@ -27,7 +27,7 @@ from wqlang import (
 )
 from wqlang.fixpoint import KleeneDivergence, ac_below, subset
 from wqlang.inclusion import DEFAULT_ITER_CAP, cfg_word_fixpoint, word_fixpoint
-from wqlang.quasiorder import ctx_key
+from wqlang.quasiorder import cross_simulation, ctx_key
 
 from conftest import (
     A,
@@ -35,6 +35,7 @@ from conftest import (
     C,
     cfg_word_fixpoint_oracle,
     examples,
+    nfa_union,
     ocn_trace_oracle,
     rand_cnf,
     rand_nfa,
@@ -384,6 +385,53 @@ def test_inline_subset_order_changes_no_fixpoint(direction, stop, seed):
     vec_p, layers_p, witness_p = word_fixpoint(n1, plain, stop=stop)
     assert [list(ac) for ac in vec] == [list(ac) for ac in vec_p]
     assert (layers, witness) == (layers_p, witness_p)
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), union=st.booleans(), stop=st.booleans())
+def test_settled_entries_change_no_verdict_witness_or_layer(direction, seed, union, stop):
+    # skipping the extensions of settled entries keeps every unsettled
+    # entry with its word, so the verdict, the witness and the layer it
+    # surfaces at are the unpruned run's; a union right side settles often
+    rng = random.Random(seed)
+    density = rng.choice((0.2, 0.3, 0.45))
+    n1 = rand_nfa(rng, max_states=7, n_syms=3, density=density)
+    n2 = rand_nfa(rng, max_states=7, n_syms=rng.randint(1, 3), density=density)
+    if union:
+        n2 = nfa_union(n1, n2)
+    a, m = (n1.reverse(), n2.reverse()) if direction == "left" else (n1, n2)
+    up = cross_simulation(a, m)
+    handle = state_handle(n2, direction)
+    vec, layers, witness = word_fixpoint(n1, handle, stop=stop, key_automaton=m)
+    vec_u, layers_u, witness_u = word_fixpoint(n1, handle, stop=stop)
+    assert witness == witness_u
+    assert layers == layers_u if witness is not None else layers <= layers_u
+    unsettled = lambda v: [[(k, w) for k, w in ac if not k & up[q]] for q, ac in enumerate(v)]
+    assert unsettled(vec) == unsettled(vec_u)
+    # the named checks run settled: the same verdict (and witness, on the
+    # left) as the unpruned check under their handle
+    expected = fa_inc_word(n1, handle)
+    if direction == "left":
+        assert fa_inc_antichain(n1, n2) == expected
+    else:
+        assert fa_inc_gfp(n1, n2) == Verdict(expected.included)
+
+
+def test_self_inclusion_finishes_within_one_grown_layer():
+    # every entry of layer 0 sits at a state its key holds, which simulates
+    # itself: all are settled, and the first grown layer is empty
+    rng = random.Random(49)
+    unpruned_needs_more = 0
+    for _ in range(40):
+        n = rand_nfa(rng, max_states=8, n_syms=3, density=0.4)
+        assert fa_inc_antichain(n, n, "forward", 1).included
+        assert fa_inc_gfp(n, n, 1).included
+        try:
+            fa_inc_word(n, state_handle(n, "left"), 1)
+        except KleeneDivergence:
+            unpruned_needs_more += 1
+    assert unpruned_needs_more > 10
 
 
 @pytest.mark.parametrize("direction", ["left", "right"])

@@ -2,8 +2,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, state_handle
+from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, sim_handle, state_handle
+from wqlang.automata import bits
 from wqlang.quasiorder import (
+    cross_simulation,
     ctx_compose,
     ctx_identity,
     ctx_key,
@@ -14,10 +16,10 @@ from wqlang.quasiorder import (
     max_simulation,
     ocn_macro,
     residual_inclusion_matrix,
-    sim_leq,
+    sim_closure,
 )
 
-from conftest import A, B, C, examples, ocn_trace_oracle, rand_dfa, rand_nfa, rand_word, set_of
+from conftest import A, B, C, examples, nfa_union, ocn_trace_oracle, rand_dfa, rand_nfa, rand_word, set_of
 
 
 def min_dfa(n):
@@ -75,21 +77,53 @@ def test_simulation_implies_right_language_inclusion():
                     ).included
 
 
+def lifted_leq(u_key: int, v_key: int, rows: tuple[int, ...]) -> bool:
+    """Universal-existential lift of a simulation, given by its rows, to
+    state sets: every state of ``u_key`` is simulated by one of ``v_key``."""
+    return all(rows[x] & v_key for x in bits(u_key))
+
+
 def test_sim_leq_fig42(fig42_n2):
-    sim = max_simulation(fig42_n2.reverse())
-    pre = lambda w: fig42_n2.reverse().run(w[::-1])
+    sim = sim_handle(fig42_n2, "left")
     # pre_c = {q2} is simulated below pre_a = {q3}; pre_b = {q4} is not
-    assert sim_leq(pre(b"c"), pre(b"a"), sim)
-    assert not sim_leq(pre(b"b"), pre(b"a"), sim)
+    assert handle_leq(sim, b"c", b"a")
+    assert not handle_leq(sim, b"b", b"a")
 
 
 def test_sim_leq_reflexive_on_subsets(fig42_n2):
-    sim = max_simulation(fig42_n2)
+    close = sim_closure(fig42_n2)
     rng = random.Random(23)
     for _ in range(40):
         u = rng.getrandbits(fig42_n2.state_count)
         extra = rng.getrandbits(fig42_n2.state_count)
-        assert sim_leq(u, u | extra, sim)
+        assert close(u) & close(u | extra) == close(u)
+
+
+def test_sim_closure_inclusion_is_the_lifted_simulation():
+    rng = random.Random(25)
+    for _ in range(60):
+        n = rand_nfa(rng, max_states=6, density=0.3)
+        rows, close = max_simulation(n), sim_closure(n)
+        sets = [rng.getrandbits(n.state_count) for _ in range(12)]
+        for u in sets:
+            cu = close(u)
+            assert cu & u == u and close(cu) == cu
+            assert bool(cu & n.final_mask) == bool(u & n.final_mask)
+            for sym in (A, B):
+                assert close(n.step(cu, sym)) == close(n.step(u, sym))
+            for v in sets:
+                assert (cu & close(v) == cu) == lifted_leq(u, v, rows)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), syms=st.integers(1, 3))
+def test_cross_simulation_is_the_block_of_the_joint_simulation(seed, syms):
+    rng = random.Random(seed)
+    a = rand_nfa(rng, max_states=6, n_syms=syms, density=0.3)
+    m = rand_nfa(rng, max_states=6, n_syms=rng.randint(1, 3), density=0.3)
+    joint = max_simulation(nfa_union(a, m))
+    shift = a.state_count
+    assert cross_simulation(a, m) == tuple(row >> shift for row in joint[:shift])
 
 
 def test_quasiorder_containment_chain():
@@ -97,15 +131,15 @@ def test_quasiorder_containment_chain():
     rng = random.Random(24)
     for _ in range(15):
         n = rand_nfa(rng, max_states=5)
-        sim = max_simulation(n)
+        sim = sim_handle(n, "right")
         nerode = nerode_handle(n, "right")
         words = [rand_word(rng, 4) for _ in range(10)]
         for u in words:
             for v in words:
                 ku, kv = n.run(u), n.run(v)
                 if ku & kv == ku:
-                    assert sim_leq(ku, kv, sim)
-                if sim_leq(ku, kv, sim):
+                    assert handle_leq(sim, u, v)
+                if handle_leq(sim, u, v):
                     assert handle_leq(nerode, u, v)
 
 
@@ -215,7 +249,7 @@ def test_language_consistency_of_all_quasiorders():
         n = rand_nfa(rng, max_states=4)
         nerode_r, nerode_l = nerode_handle(n, "right"), nerode_handle(n, "left")
         myhill = myhill_handle(n)
-        sim_r = max_simulation(n)
+        sim_r = sim_handle(n, "right")
         words = [rand_word(rng, 4) for _ in range(12)]
         for u in words:
             for v in words:
@@ -223,7 +257,7 @@ def test_language_consistency_of_all_quasiorders():
                     assert not handle_leq(nerode_r, u, v)
                     assert not handle_leq(nerode_l, u, v)
                     assert not handle_leq(myhill, u, v)
-                    assert not sim_leq(n.run(u), n.run(v), sim_r)
+                    assert not handle_leq(sim_r, u, v)
                     ku, kv = n.run(u), n.run(v)
                     assert ku & kv != ku
 
