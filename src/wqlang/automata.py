@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "Nfa",
@@ -232,10 +232,22 @@ class Nfa:
 
     def run(self, word: bytes) -> int:
         """post_word of the initial set; the empty word returns the initial
-        mask. The pre_word of the final set is ``reverse().run(word[::-1])``."""
+        mask. The pre_word of the final set is ``reverse().run(word[::-1])``.
+        Steps the successor tables inline and stops at the empty set."""
         s = self.initial_mask
+        fwd = self._fwd
         for sym in word:
-            s = self.step(s, sym)
+            if not s:
+                break
+            table = fwd.get(sym)
+            if table is None:
+                return 0
+            t = 0
+            while s:
+                low = s & -s
+                t |= table[low.bit_length() - 1]
+                s ^= low
+            s = t
         return s
 
     def member(self, word: bytes) -> bool:
@@ -438,27 +450,68 @@ class Dfa(Nfa):
         return out
 
 
-def _product_search(a: Dfa, b: Dfa, syms: list[int], bad) -> bytes | None:
-    """Shortest word (lex-least among them) whose product state (p, q)
-    satisfies ``bad(p, q)``; both DFAs must be complete over ``syms``."""
-    moves = [(sym, a._succ[sym], b._succ[sym]) for sym in syms]
-    start = (a.initial_state, b.initial_state)
+def subset_successors(
+    n: Nfa, syms: list[int], memo: dict[int, tuple[int, ...]] | None = None
+) -> Callable[[int], tuple[int, ...]]:
+    """``successors(mask)``: the masks ``n`` steps ``mask`` to, one per
+    symbol of ``syms``, computed the first time a mask is asked for and
+    kept in ``memo`` (which may come filled). Raises ``DeterminizationCap``
+    when ``memo`` would hold more than ``MAX_DFA_STATES`` masks, the bound
+    of a subset construction."""
+    tables = [n._fwd.get(sym, ()) for sym in syms]
+    if memo is None:
+        memo = {}
+
+    def successors(mask: int) -> tuple[int, ...]:
+        out = memo.get(mask)
+        if out is None:
+            if len(memo) == MAX_DFA_STATES:
+                raise DeterminizationCap(
+                    f"determinization needs more than {MAX_DFA_STATES} states"
+                )
+            row = []
+            for table in tables:
+                t = 0
+                if table:
+                    s = mask
+                    while s:
+                        low = s & -s
+                        t |= table[low.bit_length() - 1]
+                        s ^= low
+                row.append(t)
+            out = memo[mask] = tuple(row)
+        return out
+
+    return successors
+
+
+def _product_search(a: Nfa, b: Nfa, bad: Callable[[int, int], Any]) -> bytes | None:
+    """Shortest word (lex-least among them) after which the state sets
+    ``ma`` of ``a`` and ``mb`` of ``b`` satisfy ``bad(ma, mb)``.
+
+    A breadth-first walk over the product of both subset constructions, in
+    ascending symbol order over the joint alphabet, that each side builds
+    on the fly: a side steps a mask the first time the walk extends a pair
+    holding it, and the walk stops at the first bad pair. A side's masks
+    are the states of its complete DFA, so the word is the one the product
+    of the two determinized automata gives; each side stops with
+    ``DeterminizationCap`` past ``MAX_DFA_STATES`` stepped masks.
+    """
+    syms = sorted(a.alphabet | b.alphabet)
+    succ_a, succ_b = subset_successors(a, syms), subset_successors(b, syms)
+    start = (a.initial_mask, b.initial_mask)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        pair = queue[i]
-        i += 1
-        pa, pb = pair
-        if bad(pa, pb):
+    for pair in queue:
+        ma, mb = pair
+        if bad(ma, mb):
             out = bytearray()
             node = pair
             while parent[node] is not None:
                 node, sym = parent[node]
                 out.append(sym)
             return bytes(reversed(out))
-        for sym, ra, rb in moves:
-            nxt = (ra[pa], rb[pb])
+        for sym, nxt in zip(syms, zip(succ_a(ma), succ_b(mb))):
             if nxt not in parent:
                 parent[nxt] = (pair, sym)
                 queue.append(nxt)
@@ -466,16 +519,18 @@ def _product_search(a: Dfa, b: Dfa, syms: list[int], bad) -> bytes | None:
 
 
 def naive_inclusion(a: Nfa, b: Nfa) -> Verdict:
-    """Textbook inclusion check through determinization and complement;
-    used as the ground-truth oracle for every antichain algorithm.
+    """Textbook inclusion check through the subset construction and
+    complement; used as the ground-truth oracle for every antichain
+    algorithm.
 
-    Returns a shortest word of L(a) - L(b) as witness when not included.
+    It walks the product of both subset constructions on the fly
+    (``_product_search``) rather than determinizing either side in full, so
+    it stops at the first word of L(a) - L(b), and ``DeterminizationCap``
+    fires only on the masks actually explored. Returns a shortest word of
+    L(a) - L(b), lex-least among them, as witness when not included.
     """
-    syms = sorted(a.alphabet | b.alphabet)
-    da = a.determinize(syms)
-    db = b.determinize(syms)
-    fa, fb = da.final_mask, db.final_mask
-    w = _product_search(da, db, syms, lambda p, q: fa >> p & 1 and not fb >> q & 1)
+    fa, fb = a.final_mask, b.final_mask
+    w = _product_search(a, b, lambda ma, mb: ma & fa and not mb & fb)
     if w is None:
         return Verdict(True)
     return Verdict(False, w)
@@ -483,12 +538,10 @@ def naive_inclusion(a: Nfa, b: Nfa) -> Verdict:
 
 def equivalence_counterexample(a: Nfa, b: Nfa) -> bytes | None:
     """None when L(a) = L(b); otherwise a shortest word in the symmetric
-    difference (lex-least among the shortest)."""
-    syms = sorted(a.alphabet | b.alphabet)
-    da = a.determinize(syms)
-    db = b.determinize(syms)
-    fa, fb = da.final_mask, db.final_mask
-    return _product_search(da, db, syms, lambda p, q: (fa >> p & 1) != (fb >> q & 1))
+    difference (lex-least among the shortest), by the same on-the-fly
+    product walk as ``naive_inclusion``."""
+    fa, fb = a.final_mask, b.final_mask
+    return _product_search(a, b, lambda ma, mb: bool(ma & fa) != bool(mb & fb))
 
 
 class CnfGrammar:

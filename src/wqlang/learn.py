@@ -40,6 +40,16 @@ class ObservationState:
     suffixes it covers and ``row`` fills in only the bits of suffixes added
     since; the membership answers asked for, and their order, are those of
     rebuilding the row on every call.
+
+    ``closedness_defect`` resumes its scan of the one-letter extensions of
+    P at the extension where it last stopped, for as long as S has not
+    grown. This is exact because a P-word added since (P, too, only grows by
+    appending) only enlarges the set of P-rows and the join of the P-rows
+    below each row: an extension found to match a P-row, or to be the join
+    of the P-rows below it, stays so, and the new P-words' extensions come
+    after every earlier one. The skipped extensions' rows are cached over
+    the same S, so the teacher is asked the same words in the same order as
+    by a scan from the start.
     """
 
     def __init__(self, teacher: Callable[[bytes], bool], alphabet: Iterable[int]):
@@ -49,6 +59,13 @@ class ObservationState:
         self.suffixes: list[bytes] = [b""]
         self._member: dict[bytes, bool] = {}
         self._rows: dict[bytes, tuple[int, int]] = {}
+        # closedness scan state over the S of ``len(suffixes) == _scan_width``:
+        # the distinct rows of the first ``_rowed`` P-words, and the
+        # (P-word, letter) index to resume at
+        self._scan_width = 0
+        self._p_rows: set[int] = set()
+        self._rowed = 0
+        self._resume = (0, 0)
 
     def member(self, word: bytes) -> bool:
         cached = self._member.get(word)
@@ -98,13 +115,35 @@ class ObservationState:
 
     def closedness_defect(self) -> bytes | None:
         """A one-letter extension of P whose principal is prime but matches
-        no P-row, scanned in insertion/byte order."""
-        p_rows = {self.row(p) for p in self.prefixes}
-        for u in self.prefixes:
-            for a in self.alphabet:
-                ua = u + bytes([a])
-                if self.row(ua) not in p_rows and self.is_prime(ua):
+        no P-row, scanned in insertion/byte order: its row is not a P-row
+        and not the join of the P-rows below it."""
+        prefixes, alphabet, row = self.prefixes, self.alphabet, self.row
+        if self._scan_width != len(self.suffixes):
+            self._scan_width = len(self.suffixes)
+            self._p_rows = set()
+            self._rowed = 0
+            self._resume = (0, 0)
+        p_rows = self._p_rows
+        for p in prefixes[self._rowed :]:
+            p_rows.add(row(p))
+        self._rowed = len(prefixes)
+        first, start = self._resume
+        for i in range(first, len(prefixes)):
+            u = prefixes[i]
+            for j in range(start, len(alphabet)):
+                ua = u + bytes([alphabet[j]])
+                target = row(ua)
+                if target in p_rows:
+                    continue
+                join = 0
+                for r in p_rows:
+                    if r & target == r:
+                        join |= r
+                if join != target:
+                    self._resume = (i, j)
                     return ua
+            start = 0
+        self._resume = (len(prefixes), 0)
         return None
 
     def consistency_defect(self) -> bytes | None:
@@ -135,10 +174,21 @@ class ObservationState:
         firsts: dict[int, bytes] = {}
         for p in self.prefixes:
             firsts.setdefault(self.row(p), p)
+        # the first argument is a representative, the second one too or an
+        # extension of one: rows are read once, then from this dict
+        rows = {u: r for r, u in firsts.items()}
+
+        def leq(u: bytes, v: bytes) -> bool:
+            a = rows[u]
+            b = rows.get(v)
+            if b is None:
+                b = rows[v] = self.row(v)
+            return a & b == a
+
         return residual.build_H(
             list(firsts.values()),
-            self.row_leq,
-            lambda u, below: self.row(u) == reduce(or_, map(self.row, below), 0),
+            leq,
+            lambda u, below: rows[u] == reduce(or_, map(rows.__getitem__, below), 0),
             lambda u, a: u + bytes([a]),
             b"",
             self.member,

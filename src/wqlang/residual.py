@@ -32,7 +32,12 @@ calls: the successor masks of every mask met so far (bounded by
 proved safe. A pair is safe when no pair reachable from it has K meeting
 the finals and U missing them; a successful call proves this for every
 pair it explored, since each of their successors was either explored too
-or already safe.
+or already safe. ``res`` builds the subset construction for its keys
+anyway, so it seeds the successor memo with that construction's successor
+masks, and the walk steps only the unions that are not principals.
+
+Under state-set inclusion (``fixpoint.subset``), ``build_H`` compares the
+keys inline, one ``&`` per pair, as ``Antichain.insert`` does.
 
 Kameda and Weiner's co-subset test (IEEE Trans. Computers, 1970) would
 decide the same inclusion by the subsets of the reversed automaton: K's
@@ -50,8 +55,7 @@ from functools import reduce
 from operator import or_
 from typing import Any, Callable, Iterator, Sequence
 
-from . import automata
-from .automata import DeterminizationCap, Dfa, Nfa, bits, equivalence_counterexample
+from .automata import Dfa, Nfa, bits, equivalence_counterexample, subset_successors
 
 # Not called here: bound because the benchmark tracer patches
 # ``residual.naive_inclusion`` by name (tests/test_bench_hooks.py).
@@ -81,7 +85,7 @@ def principals(n: Nfa) -> tuple[int, ...]:
     return n.determinize().source_subsets
 
 
-def right_inclusion(n: Nfa) -> Callable[[int, int], bool]:
+def right_inclusion(n: Nfa, subsets: Dfa | None = None) -> Callable[[int, int], bool]:
     """A callable ``included(key, union)`` deciding L(key) ⊆ L(union) for
     state sets (bitmasks) of ``n``, by a depth-first walk over the pairs of
     masks that one word reaches from both. A pair is bad when its first
@@ -90,23 +94,20 @@ def right_inclusion(n: Nfa) -> Callable[[int, int], bool]:
 
     The callable memoizes, across calls, each mask's successors per symbol
     and the set of pairs from which no bad pair is reachable (every pair
-    explored by a call that returned True). Raises ``DeterminizationCap``
-    when the successor memo would hold more than ``MAX_DFA_STATES`` masks.
+    explored by a call that returned True). ``subsets``, when given, is
+    ``n.determinize()``: its successor arrays fill the memo for every
+    principal up front. Raises ``DeterminizationCap`` when the successor
+    memo would hold more than ``MAX_DFA_STATES`` masks.
     """
     syms = sorted(n.alphabet)
     final = n.final_mask
-    step = n.step
-    succ: dict[int, tuple[int, ...]] = {}
+    memo = None
+    if subsets is not None:
+        masks = subsets.source_subsets
+        rows = [subsets._succ[sym] for sym in syms]
+        memo = {m: tuple(masks[row[i]] for row in rows) for i, m in enumerate(masks)}
+    successors = subset_successors(n, syms, memo)
     safe: set[tuple[int, int]] = set()
-
-    def successors(mask: int) -> tuple[int, ...]:
-        out = succ.get(mask)
-        if out is None:
-            cap = automata.MAX_DFA_STATES
-            if len(succ) == cap:
-                raise DeterminizationCap(f"determinization needs more than {cap} states")
-            out = succ[mask] = tuple(step(mask, sym) for sym in syms)
-        return out
 
     def included(key: int, union: int) -> bool:
         start = (key, union)
@@ -157,17 +158,36 @@ def build_H(
     to the language), and an a-transition from u's principal reaches every
     prime principal below the principal of u·a.
     """
+    # under subset the keys are compared inline, as in Antichain.insert: b
+    # is strictly below k iff b & k == b != k
+    inline = leq is subset
     primes = [
-        k for k in keys if not composite(k, [b for b in keys if leq(b, k) and not leq(k, b)])
+        k
+        for k in keys
+        if not composite(
+            k, [b for b in keys if (b & k == b != k if inline else leq(b, k) and not leq(k, b))]
+        )
     ]
-    initial = [i for i, k in enumerate(primes) if leq(k, key_eps)]
-    final = [i for i, k in enumerate(primes) if final_of(k)]
-    triples = []
+
+    def below(ext) -> int:
+        """The mask of the primes below ``ext``."""
+        out = 0
+        for j, v in enumerate(primes):
+            if v & ext == v if inline else leq(v, ext):
+                out |= 1 << j
+        return out
+
+    initial = below(key_eps)
+    final = 0
+    for i, k in enumerate(primes):
+        if final_of(k):
+            final |= 1 << i
+    rows = {sym: [0] * len(primes) for sym in sorted(symbols)}
     for i, u in enumerate(primes):
         for sym in symbols:
-            ext = extend(u, sym)
-            triples += [(i, sym, j) for j, v in enumerate(primes) if leq(v, ext)]
-    return Nfa(len(primes), triples, initial, final)
+            rows[sym][i] = below(extend(u, sym))
+    fwd = {sym: tuple(row) for sym, row in rows.items() if any(row)}
+    return Nfa._of_tables(len(primes), fwd, initial, final)
 
 
 def _state_set_H(n: Nfa, keys: Sequence[int], leq: Callable, composite: Callable) -> Nfa:
@@ -195,9 +215,10 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         return res(n.reverse()).reverse()
     if direction != "right":
         raise ValueError(f"bad direction {direction!r}")
-    included = right_inclusion(n)
+    d = n.determinize()
+    included = right_inclusion(n, d)
     return _state_set_H(
-        n, principals(n), subset, lambda key, below: is_composite(included, key, below)
+        n, d.source_subsets, subset, lambda key, below: is_composite(included, key, below)
     )
 
 
@@ -253,15 +274,20 @@ def check_dr_condition(n: Nfa) -> bool:
     incl = residual_inclusion_matrix(mc)
     # breadth-first numbering: each subset's class is set before it is read
     cls = [mc.initial_state] * d.state_count
+    moves = [(d._succ[sym], mc._succ[sym]) for sym in d.alphabet]
     for s in range(d.state_count):
-        for sym in d.alphabet:
-            cls[d.dnext(s, sym)] = mc.dnext(cls[s], sym)
-    pairs = list(zip(d.source_subsets, cls))
-    up = [0] * n.state_count
-    for subset, p in pairs:
-        for q in bits(subset):
-            up[q] |= incl[p]
-    return all(subset >> q & 1 for subset, p in pairs for q, u in enumerate(up) if u >> p & 1)
+        for row, min_row in moves:
+            cls[row[s]] = min_row[cls[s]]
+    # need[p]: the states of every subset whose residual's row of incl holds
+    # p, gathered per class; each subset of class p must hold all of them
+    held = [0] * mc.state_count
+    for subset, p in zip(d.source_subsets, cls):
+        held[p] |= subset
+    need = [0] * mc.state_count
+    for p2, states in enumerate(held):
+        for p in bits(incl[p2]):
+            need[p] |= states
+    return all(subset & need[p] == need[p] for subset, p in zip(d.source_subsets, cls))
 
 
 def _residual_labels(n: Nfa, min_dfa: Dfa) -> Iterator[int | None]:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import wqlang.automata as automata
 from wqlang import Dfa, Nfa, compile_regex, equivalence_counterexample, naive_inclusion, parse_regex
-from wqlang.automata import bits, mask_of
+from wqlang.automata import DeterminizationCap, Verdict, bits, mask_of
 
 from conftest import A, B, C, examples, make_fig31, rand_dfa, rand_nfa, set_of
 
@@ -418,3 +419,81 @@ def test_compiled_nfas_match_the_validating_constructor(pattern):
     nfa = compile_regex(parse_regex(pattern), allow_empty=True)
     _assert_same(nfa, _rebuilt(nfa))
     _assert_same(nfa.reverse(), _rebuilt(nfa).reverse())
+
+
+# -- the on-the-fly product walk against the determinized product -------------
+
+
+def _dfa_product_search(a: Nfa, b: Nfa, bad) -> bytes | None:
+    """Reference route: determinize both sides over the joint alphabet, then
+    search the product of the two DFAs breadth-first, in ascending symbol
+    order; ``bad`` reads whether each side's DFA state is final."""
+    syms = sorted(a.alphabet | b.alphabet)
+    da, db = a.determinize(syms), b.determinize(syms)
+    start = (da.initial_state, db.initial_state)
+    parent = {start: None}
+    queue = [start]
+    for pair in queue:
+        p, q = pair
+        if bad(da.final_mask >> p & 1, db.final_mask >> q & 1):
+            word = bytearray()
+            while parent[pair] is not None:
+                pair, sym = parent[pair]
+                word.append(sym)
+            return bytes(reversed(word))
+        for sym in syms:
+            nxt = (da.dnext(p, sym), db.dnext(q, sym))
+            if nxt not in parent:
+                parent[nxt] = (pair, sym)
+                queue.append(nxt)
+    return None
+
+
+@st.composite
+def _small_nfas(draw) -> Nfa:
+    """Up to 5 states over a drawn subset of {a, b, c}, so that two draws
+    may have disjoint alphabets, no states or no final state."""
+    count = draw(st.integers(0, 5))
+    syms = sorted(draw(st.sets(st.sampled_from([A, B, C]))))
+    if not count:
+        return Nfa(0, [], [], [])
+    state = st.integers(0, count - 1)
+    triples = draw(st.lists(st.tuples(state, st.sampled_from(syms), state), max_size=14)) if syms else []
+    return Nfa(count, triples, draw(st.sets(state, max_size=3)), draw(st.sets(state, max_size=3)))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(a=_small_nfas(), b=_small_nfas())
+@example(a=Nfa(0, [], [], []), b=Nfa(0, [], [], []))
+@example(a=Nfa(0, [], [], []), b=Nfa(1, [(0, A, 0)], [0], [0]))
+@example(a=Nfa(1, [(0, A, 0)], [0], [0]), b=Nfa(1, [(0, B, 0)], [0], [0]))  # disjoint alphabets
+@example(a=Nfa(2, [(0, A, 1)], [0], []), b=Nfa(1, [(0, B, 0)], [0], []))  # both languages empty
+def test_product_walk_matches_the_determinized_product(a, b):
+    witness = _dfa_product_search(a, b, lambda fa, fb: fa and not fb)
+    assert naive_inclusion(a, b) == Verdict(witness is None, witness)
+    assert equivalence_counterexample(a, b) == _dfa_product_search(a, b, lambda fa, fb: fa != fb)
+
+
+def _kth_letter_from_the_end_is_a(k: int) -> Nfa:
+    """(a|b)*a(a|b){k-1}: its subset construction has 2^k sets."""
+    chain = [(q, sym, q + 1) for q in range(1, k) for sym in (A, B)]
+    return Nfa(k + 1, [(0, A, 0), (0, B, 0), (0, A, 1), *chain], [0], [k])
+
+
+def test_product_walk_keeps_the_cap_on_the_masks_it_steps(monkeypatch):
+    n = _kth_letter_from_the_end_is_a(4)
+    assert n.determinize().state_count == 16
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 15)
+    with pytest.raises(DeterminizationCap):
+        n.determinize()
+    # an equivalent pair walks every mask of both sides
+    with pytest.raises(DeterminizationCap, match="more than 15 states"):
+        equivalence_counterexample(n, n)
+    with pytest.raises(DeterminizationCap, match="more than 15 states"):
+        naive_inclusion(n, n)
+    # a difference within one letter stops the walk long before that
+    assert equivalence_counterexample(n, Nfa(1, [(0, B, 0)], [0], [0])) == b""
+    b_then_n = Nfa(6, [(5, B, 4), *n._triples], [0, 5], [4])
+    assert naive_inclusion(b_then_n, n).witness == b"b"
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 16)
+    assert equivalence_counterexample(n, n) is None

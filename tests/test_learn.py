@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqlang import Nfa, canonical, equivalence_counterexample, nl_learn, residual
 from wqlang.learn import LearnerDiverged, ObservationState
 from wqlang.residual import isomorphic_to_canonical
 
-from conftest import A, B, rand_nfa
+from conftest import A, B, examples, rand_nfa
 
 
 def make_teacher(target: Nfa):
@@ -167,3 +169,83 @@ def test_learn_empty_language():
     )
     assert learned.state_count == 0
     assert equivalence_counterexample(learned, target) is None
+
+
+# -- the resumed closedness scan ----------------------------------------------
+
+
+def _closedness_from_scratch(obs: ObservationState) -> bytes | None:
+    """Reference scan: every extension of every P-word, from the first."""
+    p_rows = {obs.row(p) for p in obs.prefixes}
+    for u in obs.prefixes:
+        for a in obs.alphabet:
+            ua = u + bytes([a])
+            if obs.row(ua) not in p_rows and obs.is_prime(ua):
+                return ua
+    return None
+
+
+def test_resumed_scan_matches_a_full_scan_inside_the_learner(monkeypatch):
+    checked = []
+
+    def checking(add):
+        def add_and_check(obs, word):
+            add(obs, word)
+            assert obs.closedness_defect() == _closedness_from_scratch(obs)
+            checked.append(word)
+
+        return add_and_check
+
+    for name in ("add_prefix", "add_suffix"):
+        monkeypatch.setattr(ObservationState, name, checking(getattr(ObservationState, name)))
+    rng = random.Random(82)
+    for _ in range(40):
+        target = rand_nfa(rng, max_states=6, n_syms=2)
+        learned = nl_learn(target.member, lambda c: equivalence_counterexample(c, target), [A, B])
+        assert equivalence_counterexample(learned, target) is None
+    assert len(checked) > 100, len(checked)
+
+
+_words = st.binary(max_size=4).map(lambda w: bytes(A + x % 2 for x in w))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.tuples(st.booleans(), _words), max_size=12),
+)
+def test_resumed_scan_matches_a_full_scan_after_any_additions(seed, steps):
+    # P and S grow in any order, not only as the learner grows them
+    target = rand_nfa(random.Random(seed), max_states=5, n_syms=2)
+    obs = ObservationState(target.member, [A, B])
+    assert obs.closedness_defect() == _closedness_from_scratch(obs)
+    for is_prefix, word in steps:
+        (obs.add_prefix if is_prefix else obs.add_suffix)(word)
+        assert obs.closedness_defect() == _closedness_from_scratch(obs)
+        # asked twice without a change, the scan stops at the same defect
+        assert obs.closedness_defect() == _closedness_from_scratch(obs)
+
+
+def _tv_nfa(rng: random.Random, n: int, density: float) -> Nfa:
+    """A Tabakov–Vardi random NFA over {a, b}: round(density * n)
+    transitions per symbol, initial state 0, half the states final."""
+    triples = [
+        (cell // n, sym, cell % n)
+        for sym in (A, B)
+        for cell in rng.sample(range(n * n), max(1, round(density * n)))
+    ]
+    return Nfa(n, triples, [0], rng.sample(range(n), max(1, n // 2)))
+
+
+def test_teacher_is_asked_the_same_words_in_the_same_order():
+    # digest of the call logs of the learner that rescanned every extension
+    # of P on every closedness check
+    rng = random.Random(22)
+    digest = hashlib.sha256()
+    for i in range(24):
+        target = _tv_nfa(rng, 6 + i % 4, (1.5, 2.0, 2.5)[i % 3])
+        teacher, calls = make_teacher(target)
+        learned = nl_learn(teacher, lambda c: equivalence_counterexample(c, target), [A, B])
+        assert equivalence_counterexample(learned, target) is None
+        digest.update(b"|".join(calls) + b"\n")
+    assert digest.hexdigest()[:16] == "9395797befb060ef"

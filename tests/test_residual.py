@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,8 +22,9 @@ from wqlang import (
     right_inclusion,
 )
 from wqlang.automata import DeterminizationCap, bits
+from wqlang.fixpoint import subset
 from wqlang.quasiorder import residual_inclusion_matrix
-from wqlang.residual import isomorphic_to_canonical
+from wqlang.residual import build_H, isomorphic_to_canonical
 
 from conftest import A, B, C, examples, make_fig62, rand_nfa, set_of
 
@@ -369,3 +372,44 @@ def test_constructions_agree_on_generated_nfas(seed):
     learned = nl_learn(n.member, lambda h: equivalence_counterexample(h, n), [A, B])
     assert isomorphic_to_canonical(learned, c)
     assert equivalence_counterexample(res(n), n) is None
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_build_H_compares_subset_keys_inline_without_changing_the_automaton(seed):
+    # build_H runs fixpoint.subset inline; any other callable, even one
+    # deciding the same order, takes the generic route
+    n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
+    included = right_inclusion(n)
+    keys, final = principals(n), n.final_mask
+    for construction, composite in (
+        (res, lambda key, below: is_composite(included, key, below)),
+        (denis_residualize, lambda key, below: reduce(or_, below, 0) == key),
+    ):
+        generic = build_H(
+            keys,
+            lambda a, b: subset(a, b),
+            composite,
+            n.step,
+            n.initial_mask,
+            lambda key: bool(key & final),
+            sorted(n.alphabet),
+        )
+        inline = construction(n)
+        assert inline == generic and type(inline) is type(generic) is Nfa
+        # the tables build_H fills match the validating constructor's
+        rebuilt = Nfa(inline.state_count, inline._triples, inline.initial, inline.final)
+        assert inline == rebuilt and inline.alphabet == rebuilt.alphabet
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=8),
+)
+def test_right_inclusion_seeded_by_the_subset_construction_agrees(seed, pairs):
+    n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
+    full = (1 << n.state_count) - 1
+    seeded, fresh = right_inclusion(n, n.determinize()), right_inclusion(n)
+    for k, u in pairs:
+        assert seeded(k & full, u & full) == fresh(k & full, u & full)
