@@ -22,7 +22,8 @@ within the cap is still reported) of ``include nfa`` (every ``--algo``,
 ``gfp`` included), ``include cfg`` and ``include ocn``; any other value is
 a usage error, and so is a negative ``decompress --cap``.
 
-Start-up loads only the file formats; each subcommand imports its own
+Start-up loads only the file formats and builds only the argument parser
+of the subcommand the command line names; each subcommand imports its own
 algorithm family when it runs. ``compress`` and ``decompress`` load the SLP
 module alone, ``search`` adds the regex compiler and the counting engine,
 ``include`` the automata and the inclusion checkers, and the residual
@@ -287,14 +288,8 @@ def _cmd_learn(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wqlang",
-        description="Language inclusion, compressed search and residual automata.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    include = sub.add_parser("include", help="decide a language inclusion")
+def _add_include(sub, name: str) -> None:
+    include = sub.add_parser(name, help="decide a language inclusion")
     inc_sub = include.add_subparsers(dest="flavor", required=True)
     inc_nfa = inc_sub.add_parser("nfa")
     inc_nfa.add_argument("left")
@@ -318,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_verdict_flags(inc_ocn)
     inc_ocn.set_defaults(func=_cmd_include_ocn)
 
-    search = sub.add_parser("search", help="count matching lines in an SLP file")
+
+def _add_search(sub, name: str) -> None:
+    search = sub.add_parser(name, help="count matching lines in an SLP file")
     search.add_argument("-e", "--expression", required=True)
     search.add_argument("file")
     search.add_argument("--report", action="store_true")
@@ -326,38 +323,77 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=_cmd_search)
 
-    compress = sub.add_parser("compress", help="compress a file into an SLP")
+
+def _add_compress(sub, name: str) -> None:
+    compress = sub.add_parser(name, help="compress a file into an SLP")
     compress.add_argument("file")
     compress.add_argument("-o", "--output")
     compress.add_argument("--text", action="store_true", help="text SLP format")
     compress.set_defaults(func=_cmd_compress)
 
-    decompress_p = sub.add_parser("decompress", help="expand an SLP file")
+
+def _add_decompress(sub, name: str) -> None:
+    decompress_p = sub.add_parser(name, help="expand an SLP file")
     decompress_p.add_argument("file")
     decompress_p.add_argument("-o", "--output")
     decompress_p.add_argument("--cap", type=int, default=1 << 26)
     decompress_p.set_defaults(func=_cmd_decompress)
 
-    for name in ("residualize", "canonical", "double-reversal"):
-        c = sub.add_parser(name, help=f"{name} an automaton")
-        c.add_argument("file")
-        c.add_argument("-o", "--output")
-        if name != "double-reversal":
-            c.add_argument("--direction", default="right", choices=["right", "left"])
-        c.set_defaults(func=_cmd_construction, construction=name)
 
-    check = sub.add_parser(
-        "check-dr", help="does residualization give the canonical automaton?"
-    )
+def _add_construction(sub, name: str) -> None:
+    c = sub.add_parser(name, help=f"{name} an automaton")
+    c.add_argument("file")
+    c.add_argument("-o", "--output")
+    if name != "double-reversal":
+        c.add_argument("--direction", default="right", choices=["right", "left"])
+    c.set_defaults(func=_cmd_construction, construction=name)
+
+
+def _add_check_dr(sub, name: str) -> None:
+    check = sub.add_parser(name, help="does residualization give the canonical automaton?")
     check.add_argument("file")
     check.add_argument("--json", action="store_true")
     check.add_argument("--stats", action="store_true")
     check.set_defaults(func=_cmd_check_dr)
 
-    learn = sub.add_parser("learn", help="learn the canonical RFA of a target")
+
+def _add_learn(sub, name: str) -> None:
+    learn = sub.add_parser(name, help="learn the canonical RFA of a target")
     learn.add_argument("file")
     learn.add_argument("-o", "--output")
     learn.set_defaults(func=_cmd_learn)
+
+
+# Each subcommand, in the order the help lists them, with the function that
+# adds its parser.
+SUBCOMMANDS = {
+    "include": _add_include,
+    "search": _add_search,
+    "compress": _add_compress,
+    "decompress": _add_decompress,
+    "residualize": _add_construction,
+    "canonical": _add_construction,
+    "double-reversal": _add_construction,
+    "check-dr": _add_check_dr,
+    "learn": _add_learn,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given one of the ``SUBCOMMANDS``, only that
+    subcommand's parser is built; it prints what the full parser prints for
+    a command line that starts with that subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="wqlang",
+        description="Language inclusion, compressed search and residual automata.",
+    )
+    # the usage line lists every subcommand; the full parser lists its own
+    # choices, since a metavar would also rename the action in its errors
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub, name)
     return parser
 
 
@@ -387,8 +423,9 @@ def _input_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except _input_errors() as exc:

@@ -6,9 +6,7 @@ import heapq
 import re
 import sys
 from array import array
-from collections import Counter, defaultdict
-from functools import partial
-from typing import Callable, Sequence
+from collections import Counter
 
 from .slp import Slp, rule_id
 
@@ -22,30 +20,36 @@ _TWIN = re.compile(rb"(.)\1", re.DOTALL)  # leftmost pairs inside runs
 _LONG_RUN = re.compile(rb"(.)\1\1+", re.DOTALL)
 
 
-def _initial_pairs(text: bytes) -> tuple[array, array, dict[int, int]]:
-    """The positions of the byte pairs of ``text``, with the pairs coded as
-    ``a * 256 + b``, and the exact counts of (c, c) pairs. Inside a run only
-    the first position is listed."""
+def _initial_pairs(text: bytes) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The positions of the byte pairs of ``text`` grouped by pair key, in
+    text order, and the exact counts of (c, c) pairs. Inside a run only the
+    first position is listed."""
     n = len(text)
-    # the pairs at even and at odd positions, read as big-endian 16-bit words
-    even = array("H", text[: n // 2 * 2])
-    odd = array("H", text[1 : 1 + (n - 1) // 2 * 2])
-    if sys.byteorder == "little":
-        even.byteswap()
-        odd.byteswap()
-    codes = array("H", bytes(2 * (n - 1)))
-    codes[0::2], codes[1::2] = even, odd
-    born, kept = array("i"), array("H")
+    # the key a << 32 | b of each pair, read as a little-endian 64-bit word
+    raw = bytearray(8 * (n - 1))
+    raw[0::8] = text[1:]
+    raw[4::8] = text[:-1]
+    codes = array("q", raw)
+    if sys.byteorder == "big":
+        codes.byteswap()
+    born, keys = array("i"), array("q")
     at = 0
     for run in _LONG_RUN.finditer(text):
         s, e = run.start(), run.end() - 1
         born.extend(range(at, s + 1))
-        kept += codes[at : s + 1]
+        keys += codes[at : s + 1]
         at = e
     born.extend(range(at, n - 1))
-    kept += codes[at:]
+    keys += codes[at:]
+    groups: dict[int, list[int]] = {}
+    for pos, key in zip(born, keys):
+        positions = groups.get(key)
+        if positions is None:
+            groups[key] = [pos]
+        else:
+            positions.append(pos)
     exact = {c << _SHIFT | c: count for (c,), count in Counter(_TWIN.findall(text)).items()}
-    return born, kept, exact
+    return groups, exact
 
 
 class RePair:
@@ -57,10 +61,13 @@ class RePair:
       so a position never returns to a pair it has left. Occurrence lists
       are therefore checked lazily, and every occurrence of a pair is born
       in one pass (the initial scan, or the round that makes its fresher
-      symbol), in text order. A pair seen fewer than twice after that pass
+      symbol), in text order. A round collects the positions of its new
+      pairs in one table, and a pair seen fewer than twice after that pass
       can never be chosen and is not tracked at all.
-    - Counts of existing pairs only fall, so a heap entry whose count is
-      out of date is requeued with the current count when popped.
+    - Counts of existing pairs only fall, so a round lowers the count of
+      each pair it takes an occurrence from in place, and drops the pair
+      once it falls below two. A heap entry whose count is out of date is
+      requeued with the current count when popped.
     - A run of equal symbols only shrinks at its ends, or is replaced whole
       by a round on its own pair, so ``(c, c)`` lists only run starts. A
       run's length and other end are kept at both ends (``run_len``,
@@ -81,31 +88,25 @@ class RePair:
         self.run_len = array("i", bytes(self.sym.itemsize * (n + 1)))
         self.run_end = array("i", self.run_len)
         self.counts: dict[int, int] = {}
-        self.occ: dict[int, array] = {}
-        self.heap: list[tuple[int, int]] = []
-        self.enroll(*_initial_pairs(text), lambda code: (code >> 8) << _SHIFT | code & 0xFF)
-
-    def enroll(
-        self,
-        born: Sequence[int],
-        keys: Sequence[int],
-        exact: dict[int, int],
-        widen: Callable[[int], int] | None = None,
-    ) -> None:
-        """Track the pairs ``keys[t]`` born at positions ``born[t]`` (in text
-        order) that occur twice; ``exact`` holds the run-corrected counts of
-        (c, c) pairs, whose runs are listed at their first position only.
-        ``widen`` maps ``keys`` to pair keys if they are coded otherwise."""
-        groups: defaultdict[int, array] = defaultdict(partial(array, "i"))
-        for code, pos in zip(keys, born):
-            groups[code].append(pos)
-        for code, positions in groups.items():
-            key = code if widen is None else widen(code)
+        self.occ: dict[int, list[int]] = {}
+        groups, exact = _initial_pairs(text)
+        for key, positions in groups.items():
             count = exact.get(key, len(positions))
             if count >= 2:
                 self.counts[key] = count
                 self.occ[key] = positions
-                heapq.heappush(self.heap, (-count, key))
+        self.heap = [(-count, key) for key, count in self.counts.items()]
+        heapq.heapify(self.heap)
+
+    def lose(self, key: int) -> None:
+        """Count one lost occurrence of the older pair ``key``, which is no
+        longer tracked once seen fewer than twice."""
+        count = self.counts.get(key)
+        if count is not None:
+            if count > 2:
+                self.counts[key] = count - 1
+            else:
+                del self.counts[key], self.occ[key]
 
     def measure(self, p: int, step: array) -> None:
         """Record the length and both ends of the run that has ``p`` at one
@@ -133,24 +134,21 @@ class RePair:
             fresh = rule_id(len(rules))
             rules.append((a, b))
             del counts[key]
-            # positions holding a new pair, with its key; a run of fresh is
-            # listed at its first position only
-            born = array("i")
-            keys = array("q")
-            dropped = array("q")  # one key per lost occurrence of an older pair
+            # the positions of each new pair, in text order; a run of fresh
+            # is listed at its first position only
+            new: dict[int, list[int]] = {}
             if a == b:
                 # run starts that moved were appended out of text order
-                twins = self.replace_runs(sorted(occ.pop(key)), a, fresh, born, keys, dropped)
+                twins = self.replace_runs(sorted(occ.pop(key)), a, fresh, new)
             else:
-                twins = self.replace_pairs(occ.pop(key), a, b, fresh, born, keys, dropped)
-            for lost, count in Counter(dropped).items():
-                current = counts.get(lost)
-                if current is not None:
-                    if current - count >= 2:
-                        counts[lost] = current - count
-                    else:
-                        del counts[lost], occ[lost]
-            self.enroll(born, keys, {fresh << _SHIFT | fresh: twins})
+                twins = self.replace_pairs(occ.pop(key), a, b, fresh, new)
+            twin = fresh << _SHIFT | fresh
+            for pair, positions in new.items():
+                count = twins if pair == twin else len(positions)
+                if count >= 2:
+                    counts[pair] = count
+                    occ[pair] = positions
+                    heapq.heappush(heap, (-count, pair))
         sym, nxt = self.sym, self.nxt
         axiom = []
         i = 0
@@ -159,12 +157,12 @@ class RePair:
             i = nxt[i]
         return Slp([*rules, tuple(axiom)])
 
-    def replace_runs(self, positions, c, fresh, born, keys, dropped) -> int:
+    def replace_runs(self, positions, c, fresh, new) -> int:
         """Replace every run of ``c`` pairwise from its left end, leaving its
         last ``c`` when the length is odd; return the count of
         ``(fresh, fresh)``. ``positions`` holds the run starts, in text
         order, and stale entries."""
-        sym, nxt, prv = self.sym, self.nxt, self.prv
+        sym, nxt, prv, lose = self.sym, self.nxt, self.prv, self.lose
         twin = fresh << _SHIFT | fresh
         twins = 0
         for s in positions:
@@ -172,9 +170,8 @@ class RePair:
             if sym[s] != c or sym[q] != c:
                 continue
             x = sym[prv[s]]
-            dropped.append(x << _SHIFT | c)
-            born.append(prv[s])
-            keys.append(x << _SHIFT | fresh)
+            lose(x << _SHIFT | c)
+            new.setdefault(x << _SHIFT | fresh, []).append(prv[s])
             # pair up (p, q) while another whole pair follows at r
             p, r, half = s, nxt[q], 1
             while sym[r] == c and sym[nxt[r]] == c:
@@ -191,22 +188,20 @@ class RePair:
             prv[r] = p
             y = sym[r]
             if y != c:
-                dropped.append(c << _SHIFT | y)  # lost with q
+                lose(c << _SHIFT | y)  # lost with q
             # else r is the odd last c and keeps its pair
             if half >= 2:
-                born.append(s)
-                keys.append(twin)
+                new.setdefault(twin, []).append(s)
                 twins += half // 2
                 self.run_end[s], self.run_end[p] = p, s
                 self.run_len[s] = self.run_len[p] = half
-            born.append(p)
-            keys.append(fresh << _SHIFT | y)
+            new.setdefault(fresh << _SHIFT | y, []).append(p)
         return twins
 
-    def replace_pairs(self, positions, a, b, fresh, born, keys, dropped) -> int:
+    def replace_pairs(self, positions, a, b, fresh, new) -> int:
         """Replace every occurrence of ``(a, b)``, ``a != b``, left to right;
         return the count of ``(fresh, fresh)``."""
-        sym, nxt, prv = self.sym, self.nxt, self.prv
+        sym, nxt, prv, lose = self.sym, self.nxt, self.prv, self.lose
         run_len, run_end = self.run_len, self.run_end
         twin = fresh << _SHIFT | fresh
         twins = 0
@@ -223,8 +218,7 @@ class RePair:
                 if span % 2 == 0:
                     twins += 1
                 if span == 2:
-                    born.append(h)
-                    keys.append(twin)
+                    new.setdefault(twin, []).append(h)
             else:
                 span = 1
                 if x == a:
@@ -233,14 +227,13 @@ class RePair:
                         self.measure(i, prv)
                     length, s = run_len[i], run_end[i]
                     if length % 2 == 0:
-                        dropped.append(a << _SHIFT | a)
+                        lose(a << _SHIFT | a)
                     if length > 2:
                         run_end[s], run_end[h] = h, s
                         run_len[s] = run_len[h] = length - 1
                 else:
-                    dropped.append(x << _SHIFT | a)
-                born.append(h)
-                keys.append(x << _SHIFT | fresh)
+                    lose(x << _SHIFT | a)
+                new.setdefault(x << _SHIFT | fresh, []).append(h)
             y = sym[k]
             if y == b:
                 # the run of b starting at j now starts at k
@@ -248,7 +241,7 @@ class RePair:
                     self.measure(j, nxt)
                 length, e = run_len[j], run_end[j]
                 if length % 2 == 0:
-                    dropped.append(b << _SHIFT | b)
+                    lose(b << _SHIFT | b)
                 if length > 2:
                     run_end[k], run_end[e] = e, k
                     run_len[k] = run_len[e] = length - 1
@@ -256,11 +249,10 @@ class RePair:
                     if starts is not None:
                         starts.append(k)
             else:
-                dropped.append(b << _SHIFT | y)
+                lose(b << _SHIFT | y)
             if y != a or sym[nxt[k]] != b:
                 # the next replacement is not at k, so i's pair is final
-                born.append(i)
-                keys.append(fresh << _SHIFT | y)
+                new.setdefault(fresh << _SHIFT | y, []).append(i)
             sym[i] = fresh
             sym[j] = _NONE
             nxt[i] = k

@@ -19,33 +19,28 @@ def rule_id(index: int) -> int:
     return TERMINALS + 1 + index
 
 
-def id_to_rule(sym: int) -> int:
-    """0-based rule index of a wire id, or -1 for a terminal."""
-    return sym - TERMINALS - 1 if sym > TERMINALS else -1
-
-
 class Slp:
     """A grammar with exactly one derivation: the compressed text."""
 
     __slots__ = ("rules",)
 
     def __init__(self, rules: Iterable[Sequence[int]]):
-        self.rules: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rules)
+        self.rules: tuple[tuple[int, ...], ...] = tuple(map(tuple, rules))
         if not self.rules:
             raise ValueError("an SLP needs at least an axiom rule")
+        last = len(self.rules) - 1
         for i, rule in enumerate(self.rules):
-            is_axiom = i == len(self.rules) - 1
             if len(rule) < 2:
                 raise ValueError(f"rule {i + 1} has arity {len(rule)} < 2")
-            if not is_axiom and len(rule) != 2:
+            if i != last and len(rule) != 2:
                 raise ValueError(f"non-axiom rule {i + 1} must be binary")
+            undefined = TERMINALS + 1 + i  # the wire id of rule i + 1 itself
             for sym in rule:
                 if sym == TERMINALS or sym < 0:
                     raise ValueError(f"invalid symbol id {sym}")
-                r = id_to_rule(sym)
-                if r >= i:
+                if sym >= undefined:
                     raise ValueError(
-                        f"rule {i + 1} references rule {r + 1}, which is not earlier"
+                        f"rule {i + 1} references rule {sym - TERMINALS}, which is not earlier"
                     )
 
     @property
@@ -59,12 +54,13 @@ class Slp:
     def symbol_lengths(self) -> list[int]:
         """Expansion length of each rule, bottom-up."""
         lens: list[int] = []
-        for rule in self.rules:
-            total = 0
-            for sym in rule:
-                r = id_to_rule(sym)
-                total += 1 if r < 0 else lens[r]
-            lens.append(total)
+        append = lens.append
+        for a, b in self.rules[:-1]:
+            append(
+                (lens[a - TERMINALS - 1] if a > TERMINALS else 1)
+                + (lens[b - TERMINALS - 1] if b > TERMINALS else 1)
+            )
+        append(sum(lens[sym - TERMINALS - 1] if sym > TERMINALS else 1 for sym in self.axiom))
         return lens
 
     def __eq__(self, other: object) -> bool:
@@ -103,12 +99,13 @@ class Expander:
     def append(self, symbols: Sequence[int]) -> None:
         out, rules, lengths, starts = self.out, self.rules, self.lengths, self._starts
         stack = list(reversed(symbols))
+        pop, push = stack.pop, stack.append
         while stack:
-            sym = stack.pop()
-            r = sym - TERMINALS - 1
-            if r < 0:
+            sym = pop()
+            if sym < TERMINALS:
                 out.append(sym)
                 continue
+            r = sym - TERMINALS - 1
             start = starts[r]
             if start >= 0:
                 out += out[start : start + lengths[r]]
@@ -116,7 +113,9 @@ class Expander:
                 # the rule's subtree is popped before anything below it on
                 # the stack, so later uses find its expansion complete
                 starts[r] = len(out)
-                stack.extend(reversed(rules[r]))
+                a, b = rules[r]
+                push(b)
+                push(a)
 
 
 def decompress(p: Slp, cap: int = 1 << 26) -> bytes:
@@ -145,11 +144,15 @@ def repair_compress(text: bytes) -> Slp:
 
     This is Larsson and Moffat's RePair ("Off-line dictionary-based
     compression", DCC 1999 / Proc. IEEE 2000): the sequence is a doubly
-    linked list over the original positions, each pair keeps an exact count
-    and a list of its occurrences, and a heap keyed on (count, pair) picks
-    the next pair. A round touches only the chosen pair's occurrences and
-    their neighbours, so an n-byte text takes O(n log n) time and O(n)
-    memory, against O(n) per round for rescanning the sequence.
+    linked list over the original positions, each pair seen twice keeps an
+    exact count and a list of its occurrences, and a heap keyed on (count,
+    pair) picks the next pair. A round touches only the chosen pair's
+    occurrences and their neighbours: it lowers the count of each older
+    pair that loses an occurrence in place, dropping the pair once it falls
+    below two, and gathers the positions of the pairs it creates in one
+    table, of which it keeps those seen twice. An n-byte text takes
+    O(n log n) time and O(n) memory, against O(n) per round for rescanning
+    the sequence.
     """
     if len(text) < 2:
         raise ValueError("need at least two bytes to compress")

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from wqlang.cli import build_parser, main
+from wqlang.cli import SUBCOMMANDS, build_parser, main
 from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
@@ -176,15 +176,15 @@ def _one_line_error(capsys) -> str:
     return err
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def _include_algos() -> list[tuple[str, str]]:
     """Every ``--algo`` choice of ``include nfa`` and ``include cfg``, as
     the parser declares them."""
-
-    def subcommands(parser: argparse.ArgumentParser) -> dict:
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return action.choices
-
-    flavors = subcommands(subcommands(build_parser())["include"])
+    flavors = _subcommands(_subcommands(build_parser())["include"])
     return [
         (flavor, algo)
         for flavor in ("nfa", "cfg")
@@ -428,3 +428,42 @@ def test_search_counts_wide_bounded_repetition(tmp_path, capsys):
     assert expected == sum(1 for line in lines if re.search(pattern.encode(), line))
     assert 0 < expected < len(lines)
     assert capsys.readouterr().out.strip() == str(expected)
+
+
+# command lines that end in help or a usage error at every parser level
+PARSE_EXITS = [
+    [],
+    ["--help"],
+    ["bogus"],
+    ["--json", "compress"],
+    ["include", "nfa", "--help"],
+    ["include", "ocn"],
+    ["include", "xyz"],
+    ["include", "cfg", "l", "r", "--algo", "bogus"],
+    ["compress", "f", "extra"],
+    ["decompress", "f", "--cap", "x"],
+    ["search", "f"],
+    ["canonical", "f", "--direction", "up"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    *([name] for name in SUBCOMMANDS),
+]
+
+
+def _parse_exit(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "none")
+def test_cli_prints_what_the_full_parser_prints(capsys, argv):
+    full = _parse_exit(build_parser().parse_args, argv, capsys)
+    assert full[0] == (0 if "--help" in argv else 2)
+    assert _parse_exit(main, argv, capsys) == full
+
+
+def test_a_named_subcommand_builds_only_its_parser():
+    assert list(_subcommands(build_parser())) == list(SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        assert list(_subcommands(build_parser(name))) == [name]

@@ -76,6 +76,66 @@ def test_slp_validation():
         Slp([(A, B), (B, A, A), (257, 258)])  # non-axiom rule with arity 3
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ([], "an SLP needs at least an axiom rule"),
+        ([(A,)], "rule 1 has arity 1 < 2"),
+        ([(A, B), (A,)], "rule 2 has arity 1 < 2"),
+        ([(A, B), (B, A, A), (257, 258)], "non-axiom rule 2 must be binary"),
+        ([(256, A)], "invalid symbol id 256"),
+        ([(A, -1)], "invalid symbol id -1"),
+        ([(258, A), (A, B)], "rule 1 references rule 2, which is not earlier"),
+        ([(A, B), (257, 258)], "rule 2 references rule 2, which is not earlier"),
+        ([(A, B), (257, 257), (A, 260)], "rule 3 references rule 4, which is not earlier"),
+    ],
+)
+def test_slp_validation_messages(rules, message):
+    with pytest.raises(ValueError) as error:
+        Slp(rules)
+    assert str(error.value) == message
+
+
+def naive_expansion(p: Slp) -> bytes:
+    """Each rule's expansion in full, bottom-up."""
+    texts: list[bytes] = []
+    for rule in p.rules:
+        texts.append(b"".join(bytes([sym]) if sym < 256 else texts[sym - 257] for sym in rule))
+    return texts[-1]
+
+
+@st.composite
+def valid_slps(draw) -> Slp:
+    """Up to 12 binary rules over earlier rules and any bytes, then an
+    axiom of arity 3 to 8."""
+    rules: list[tuple[int, int]] = []
+
+    def symbol():
+        rule = st.integers(rule_id(0), rule_id(len(rules) - 1))
+        return draw(st.one_of(st.integers(0, 255), rule) if rules else st.integers(0, 255))
+
+    for _ in range(draw(st.integers(0, 12))):
+        rules.append((symbol(), symbol()))
+    axiom = [symbol() for _ in range(draw(st.integers(3, 8)))]
+    return Slp([*rules, axiom])
+
+
+@given(valid_slps())
+@settings(max_examples=examples(150), deadline=None)
+def test_decompress_matches_naive_expansion(p):
+    text = decompress(p)
+    assert text == naive_expansion(p)
+    assert p.symbol_lengths()[-1] == len(text)
+
+
+def test_decompress_chain_matches_naive_expansion():
+    rng = random.Random(23)
+    p = chain_slp(bytes(rng.choice(b"ab\n") for _ in range(2000)))
+    text = decompress(p)
+    assert text == naive_expansion(p)
+    assert p.symbol_lengths()[-1] == len(text) == 2000
+
+
 def test_compression_actually_compresses():
     text = b"This is a contrived experiment.\n" * 1024
     slp = repair_compress(text)
@@ -99,6 +159,43 @@ CHUNKS = st.lists(
 @settings(max_examples=examples(300), deadline=None)
 def test_repair_matches_oracle_on_run_heavy_text(text):
     assert repair_compress(text).rules == repair_oracle(text).rules
+
+
+SMALL_ALPHABET = st.sampled_from([b"ab\n", b"ab\nc"]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=2, max_size=300).map(bytes)
+)
+LOG_LINES = st.lists(
+    st.tuples(
+        st.sampled_from([b"INFO", b"WARN", b"ERROR"]),
+        st.sampled_from([b"GET /api", b"POST /api/v2", b"ok"]),
+        st.integers(min_value=0, max_value=999),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda lines: b"".join(b"%s %s took=%dms\n" % line for line in lines))
+
+
+@given(st.one_of(SMALL_ALPHABET, LOG_LINES))
+@settings(max_examples=examples(200), deadline=None)
+def test_repair_matches_oracle_on_small_alphabets_and_log_lines(text):
+    assert repair_compress(text).rules == repair_oracle(text).rules
+
+
+@pytest.mark.parametrize(
+    "text, rules",
+    [
+        # replacing (a, b) takes both occurrences of (b, x), which drops
+        # below two while its rival (X1, x) is counted twice and, were
+        # (b, x) still counted, would lose the tie to it
+        (b"abxabx", ((A, B), (rule_id(0), ord("x")), (rule_id(1), rule_id(1)))),
+        # replacing (a, b) at 2 shortens the run bbbb to bbb, which drops
+        # (b, b) below two before its run start moves from 3 to 4
+        (b"ababbbb", ((A, B), (rule_id(0), rule_id(0), B, B, B))),
+    ],
+    ids=["pair-dropped-as-its-rival-appears", "run-start-moves-into-dropped-pair"],
+)
+def test_repair_pinned_rounds(text, rules):
+    assert repair_compress(text).rules == repair_oracle(text).rules == rules
 
 
 @pytest.mark.parametrize(
