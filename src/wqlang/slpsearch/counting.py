@@ -9,8 +9,11 @@ closes the line, counting it when its context is ``MATCHED``, and starts
 the next one. Each (symbol, entry context) is evaluated once, to its exit
 context and the number of matching lines it closes, so the work is
 proportional to the distinct pairs the walk meets, never to the text
-length times the automaton size. Matching lines are reported by a second
-walk through the same memo that expands only rules containing a newline.
+length times the automaton size. Contexts are interned: each distinct one
+gets a dense id, and a (symbol, context) pair is the single int key
+``sym + id * width``, with ``width`` above every symbol id, so no lookup
+builds a tuple. Matching lines are reported by a second walk through the
+same memo that expands only rules containing a newline.
 This is the standard technique of computing over an SLP by memoizing per
 rule and context (Lohrey, "Algorithmics on SLP-compressed strings: a
 survey", 2012; Navarro, "Regular expression searching on compressed
@@ -58,10 +61,14 @@ class SearchEngine:
     reached final state stays reached, and only ``match_exists`` is defined.
 
     The walk runs on construction. Contexts are state masks with the
-    initial states added, or ``MATCHED``. ``evaluate`` memoizes each
-    (symbol, entry context), terminals and rules in one table, as (exit
-    context, closed matching lines); ``match_exists``, ``line_count`` and
-    ``report`` read their answers from the walk and that table.
+    initial states added, or ``MATCHED``. Each distinct context gets a
+    dense id the first time it appears (``MATCHED`` is id 0) and is keyed
+    by its base, ``id * width``, where ``width`` exceeds every symbol id.
+    A (symbol, context) pair is then the single int ``sym + base``, and the
+    memo maps it to (exit base, closed matching lines), terminals and rules
+    in one table. The public ``evaluate`` takes and returns raw contexts;
+    ``match_exists``, ``line_count`` and ``report`` read their answers from
+    the walk and the memo.
     """
 
     def __init__(self, slp: Slp, nfa: Nfa):
@@ -72,8 +79,12 @@ class SearchEngine:
         )
         # a newline closes the line only when the automaton cannot read it
         self._lines = NEWLINE not in nfa.alphabet
-        self._start = self._context(0)
-        self._memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self._width = TERMINALS + 1 + len(slp.rules)  # above every symbol id
+        self._bases: dict[int, int] = {}  # context -> base
+        self._contexts: list[int] = []  # id -> context
+        self._intern(MATCHED)  # base 0
+        self._start = self._intern(self._context(0))
+        self._memo: dict[int, tuple[int, int]] = {}
         self._exit, self._closed = self._walk(slp.axiom, self._start)
 
     # -- the walk ------------------------------------------------------------
@@ -84,62 +95,97 @@ class SearchEngine:
         reached |= self.nfa.initial_mask
         return MATCHED if reached & self.nfa.final_mask else reached
 
-    def _leaf(self, sym: int, ctx: int) -> tuple[int, int]:
+    def _intern(self, ctx: int) -> int:
+        """Base of ``ctx``, giving it the next id on first sight."""
+        base = self._bases.get(ctx)
+        if base is None:
+            base = self._bases[ctx] = len(self._contexts) * self._width
+            self._contexts.append(ctx)
+        return base
+
+    def _leaf(self, sym: int, base: int) -> tuple[int, int]:
         """Exit of a step that needs no descent: a terminal, or any symbol
-        entered in ``MATCHED`` when newlines are ordinary symbols."""
+        entered in ``MATCHED`` (base 0) when newlines are ordinary symbols."""
         if sym == NEWLINE and self._lines:
-            return self._start, int(ctx == MATCHED)
-        if ctx == MATCHED:
-            return MATCHED, 0
+            return self._start, int(not base)
+        if not base:
+            return 0, 0
+        ctx = self._contexts[base // self._width]
         self.stats.inner_iters += ctx.bit_count()
-        return self._context(self.nfa.step(ctx, sym)), 0
+        return self._intern(self._context(self.nfa.step(ctx, sym))), 0
 
     def evaluate(self, sym: int, ctx: int) -> tuple[int, int]:
         """Exit context and number of closed matching lines of ``sym``'s
-        expansion entered in ``ctx``, memoized. A rule is its left child,
-        then its right child from the left child's exit; pending rules wait
-        on an explicit stack, so grammar depth is not bounded by the
-        interpreter's recursion limit. ``sym`` must be a byte or a binary
-        rule's id; the axiom and unknown ids raise ``ValueError``."""
-        memo, rules, lines = self._memo, self.slp.rules, self._lines
-        if not (0 <= sym < TERMINALS or TERMINALS < sym < TERMINALS + len(rules)):
+        expansion entered in ``ctx``, memoized. ``sym`` must be a byte or a
+        binary rule's id; the axiom and unknown ids raise ``ValueError``."""
+        if not (0 <= sym < TERMINALS or TERMINALS < sym < TERMINALS + len(self.slp.rules)):
             raise ValueError(f"symbol id {sym} is neither a byte nor a binary rule")
-        # (rule, entry context, closed lines of its left child, or -1 while
-        # the left child is still being evaluated)
+        base = self._intern(ctx)
+        hit = self._memo.get(sym + base)
+        out, closed = hit if hit is not None else self._evaluate(sym, base)
+        return self._contexts[out // self._width], closed
+
+    def _evaluate(self, sym: int, base: int) -> tuple[int, int]:
+        """``evaluate`` on bases, for a pair not yet in the memo. A rule is
+        its left child, then its right child from the left child's exit;
+        a child already in the memo is read from it, and a rule whose
+        children are both there is stored at once. Rules waiting on a child
+        wait on an explicit stack, so grammar depth is not bounded by the
+        interpreter's recursion limit."""
+        memo, rules, lines, leaf = self._memo, self.slp.rules, self._lines, self._leaf
+        stats = self.stats
+        # (rule key, closed lines of its left child or -1 while the left
+        # child is evaluated, right child)
         pending: list[tuple[int, int, int]] = []
         while True:
-            hit = memo.get((sym, ctx))
-            if hit is None:
-                if sym > TERMINALS and (lines or ctx != MATCHED):
-                    self.stats.compose_steps += 1
-                    pending.append((sym, ctx, -1))
-                    sym = rules[sym - TERMINALS - 1][0]
+            # (sym, base) is not in the memo
+            if sym > TERMINALS and (lines or base):
+                stats.compose_steps += 1
+                a, b = rules[sym - TERMINALS - 1]
+                hit = memo.get(a + base)
+                if hit is None:
+                    pending.append((sym + base, -1, b))
+                    sym = a
                     continue
-                hit = memo[sym, ctx] = self._leaf(sym, ctx)
-            out, closed = hit
-            while pending:
-                parent, entry, left = pending.pop()
-                if left < 0:
-                    pending.append((parent, entry, closed))
-                    sym, ctx = rules[parent - TERMINALS - 1][1], out
-                    break
+                mid, left = hit
+                hit = memo.get(b + mid)
+                if hit is None:
+                    pending.append((sym + base, left, b))
+                    sym, base = b, mid
+                    continue
+                out, closed = hit
                 closed += left
-                memo[parent, entry] = (out, closed)
+                memo[sym + base] = (out, closed)
+            else:
+                out, closed = memo[sym + base] = leaf(sym, base)
+            while pending:
+                key, left, b = pending.pop()
+                if left < 0:
+                    # the left child just finished; now the right one
+                    hit = memo.get(b + out)
+                    if hit is None:
+                        pending.append((key, closed, b))
+                        sym, base = b, out
+                        break
+                    left = closed
+                    out, closed = hit
+                closed += left
+                memo[key] = (out, closed)
             else:
                 return out, closed
 
-    def _walk(self, symbols: Sequence[int], ctx: int) -> tuple[int, int]:
-        """``evaluate`` of the concatenation of ``symbols``."""
+    def _walk(self, symbols: Sequence[int], base: int) -> tuple[int, int]:
+        """``_evaluate`` of the concatenation of ``symbols``."""
         self.stats.compose_steps += len(symbols) - 1
-        memo, evaluate = self._memo, self.evaluate
+        memo, evaluate = self._memo, self._evaluate
         closed = 0
         for sym in symbols:
-            hit = memo.get((sym, ctx))
+            hit = memo.get(sym + base)
             if hit is None:
-                hit = evaluate(sym, ctx)
-            ctx = hit[0]
+                hit = evaluate(sym, base)
+            base = hit[0]
             closed += hit[1]
-        return ctx, closed
+        return base, closed
 
     def _newlines(self) -> list[bool]:
         """Whether each binary rule's expansion contains a newline, bottom-up."""
@@ -154,11 +200,11 @@ class SearchEngine:
     # -- results -----------------------------------------------------------
 
     def match_exists(self) -> bool:
-        return self._exit == MATCHED or self._closed > 0
+        return not self._exit or self._closed > 0
 
     def line_count(self) -> int:
         _require_line_automaton(self.nfa)
-        return self._closed + (self._exit == MATCHED)
+        return self._closed + (not self._exit)
 
     def report(self) -> Iterator[tuple[int, bytes]]:
         """Matching lines in order as (line number, line bytes), lazily.
@@ -167,13 +213,15 @@ class SearchEngine:
         newline; the others stay segments of their line, whose context
         says whether it matches. Matching lines are expanded by one
         ``Expander``, so a rule is walked once however many lines use it
-        and deep rules need no recursion."""
-        _require_line_automaton(self.nfa)
+        and deep rules need no recursion. A walk that closed no matching
+        line reports nothing without either."""
+        if not self.line_count():
+            return iter(())
         return self._matching_lines()
 
     def _matching_lines(self) -> Iterator[tuple[int, bytes]]:
         newline = self._newlines()
-        rules, memo, evaluate = self.slp.rules, self._memo, self.evaluate
+        rules, memo = self.slp.rules, self._memo
         expander = Expander(self.slp)
         segments: list[int] = []
 
@@ -182,27 +230,31 @@ class SearchEngine:
             expander.append(segments)
             return bytes(expander.out[start:])
 
-        line_no, ctx = 1, self._start
-        stack = list(reversed(self.slp.axiom))
-        while stack:
-            sym = stack.pop()
-            r = sym - TERMINALS - 1
-            if r >= 0 and newline[r]:
-                a, b = rules[r]
-                stack.append(b)
-                stack.append(a)
-            elif sym == NEWLINE:
-                if ctx == MATCHED:
-                    yield line_no, text()
-                segments.clear()
-                line_no += 1
-                ctx = self._start
-            else:
-                segments.append(sym)
-                if ctx != MATCHED:
-                    hit = memo.get((sym, ctx))
-                    ctx = (hit if hit is not None else evaluate(sym, ctx))[0]
-        if ctx == MATCHED:
+        line_no, base = 1, self._start
+        stack: list[int] = []  # right children of expanded newline rules
+        for sym in self.slp.axiom:
+            while True:
+                r = sym - TERMINALS - 1
+                if r >= 0 and newline[r]:
+                    sym, b = rules[r]
+                    stack.append(b)
+                    continue
+                if sym == NEWLINE:
+                    if not base:
+                        yield line_no, text()
+                    segments.clear()
+                    line_no += 1
+                    base = self._start
+                else:
+                    segments.append(sym)
+                    if base:
+                        # the constructor walk stored this pair: it entered
+                        # every rule expanded here in the same context
+                        base = memo[sym + base][0]
+                if not stack:
+                    break
+                sym = stack.pop()
+        if not base:
             yield line_no, text()
 
 

@@ -163,6 +163,10 @@ class _Parser:
                 break
             parts.append(self.postfix())
         if not parts:
+            if not self.data:
+                self.error("empty pattern")
+            if self.data[self.pos - 1 : self.pos + 1] == b"()":
+                self.error("empty group", self.pos - 1)
             self.error("empty alternation branch")
         if len(parts) == 1:
             return parts[0]

@@ -366,6 +366,54 @@ def test_search_rejects_a_hex_escape_without_two_hex_digits(tmp_path, capsys, pa
     assert "bad \\x escape: expected two hex digits" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("", "offset 0: empty pattern"),
+        ("()", "offset 0: empty group"),
+        ("a|", "offset 2: empty alternation branch"),
+    ],
+)
+def test_search_names_the_empty_part_of_a_pattern(tmp_path, capsys, pattern, message):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"ab\n")
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    assert main(["search", "-e", pattern, str(slp)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, pattern, out, stats",
+    [
+        (
+            b"ab\nxab\nyy\n",
+            "ab",
+            ["2", "1:ab", "2:xab"],
+            "rules=3 automaton_states=3 compose_steps=7 inner_iters=5",
+        ),
+        # the walk meets four state masks besides MATCHED
+        (
+            b"abab\nbaab\naabba\nbbab\nab\nbaba\n",
+            "(a|b)*ab[ab]",
+            ["3", "1:abab", "3:aabba", "6:baba"],
+            "rules=5 automaton_states=5 compose_steps=25 inner_iters=18",
+        ),
+    ],
+)
+def test_search_stats_counters_are_pinned(tmp_path, capsys, text, pattern, out, stats):
+    src = tmp_path / "c.txt"
+    src.write_bytes(text)
+    slp = tmp_path / "c.slp"
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    assert main(["search", "-e", pattern, str(slp), "--report", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == out
+    assert captured.err == stats + "\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["search", "-e", "a", str(tmp_path / "nope.slp")]) == 3
 

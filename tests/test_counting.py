@@ -12,7 +12,8 @@ from wqlang import (
     repair_compress,
 )
 from wqlang.slpsearch.regex import EmptyMatchError
-from wqlang.slpsearch.counting import MATCHED
+import wqlang.slpsearch.counting as counting
+from wqlang.slpsearch.counting import MATCHED, NEWLINE
 from wqlang.slpsearch.slp import Slp, rule_id
 
 from conftest import (
@@ -49,6 +50,17 @@ def test_report_matching_line():
 def test_report_empty_when_no_match():
     slp = repair_compress(b"ab\na\nqq\n")
     assert list(SearchEngine(slp, pat("ba")).report()) == []
+
+
+def test_zero_count_report_expands_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a report with no matching line expanded text")
+
+    monkeypatch.setattr(counting, "Expander", refuse)
+    monkeypatch.setattr(SearchEngine, "_newlines", refuse)
+    engine = SearchEngine(repair_compress(b"ab\na\nqq\n"), pat("ba"))
+    assert engine.line_count() == 0
+    assert list(engine.report()) == []
 
 
 def test_counting_info_sound_at_every_symbol():
@@ -234,6 +246,55 @@ def test_search_matches_scan_oracle(nfa, text):
     assert engine.line_count() == count_lines_oracle(data, nfa)
     assert list(engine.report()) == matching_lines_oracle(data, nfa)
     assert engine.match_exists() == factor_scanner(nfa)(data)
+
+
+def _fold(nfa: Nfa, word: bytes, ctx: int) -> tuple[int, int]:
+    """Exit context and closed matching lines of ``word`` entered in ``ctx``,
+    byte by byte, with successors read from the transition view."""
+
+    def context(reached: int) -> int:
+        reached |= nfa.initial_mask
+        return MATCHED if reached & nfa.final_mask else reached
+
+    start, closed = context(0), 0
+    for byte in word:
+        if byte == NEWLINE:
+            closed += ctx == MATCHED
+            ctx = start
+        elif ctx != MATCHED:
+            reached = 0
+            for q in range(nfa.state_count):
+                if ctx >> q & 1:
+                    for r in nfa.transitions.get((q, byte), ()):
+                        reached |= 1 << r
+            ctx = context(reached)
+    return ctx, closed
+
+
+@given(patterns(), st.text(alphabet="ab\n", min_size=2, max_size=120), st.data())
+@settings(max_examples=examples(100), deadline=None)
+def test_evaluate_agrees_with_a_byte_fold_from_any_context(nfa, text, data):
+    # masks the walk never met included: evaluate interns each on first sight
+    slp = repair_compress(text.encode())
+    engine = SearchEngine(slp, nfa)
+    contexts = data.draw(
+        st.lists(
+            st.one_of(st.just(MATCHED), st.integers(0, (1 << nfa.state_count) - 1)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    first = {}
+    for index in range(slp.rule_count - 1):
+        word = decompress(Slp(slp.rules[: index + 1]))
+        for ctx in contexts:
+            first[index, ctx] = engine.evaluate(rule_id(index), ctx)
+            assert first[index, ctx] == _fold(nfa, word, ctx)
+    # a second pass meets only known contexts and memoized pairs
+    stats = (engine.stats.compose_steps, engine.stats.inner_iters)
+    for (index, ctx), result in first.items():
+        assert engine.evaluate(rule_id(index), ctx) == result
+    assert (engine.stats.compose_steps, engine.stats.inner_iters) == stats
 
 
 def test_report_line_under_deep_rule():

@@ -54,6 +54,25 @@ def test_parse_errors():
             parse_regex(bad)
 
 
+@pytest.mark.parametrize(
+    "pattern, offset, message",
+    [
+        ("", 0, "empty pattern"),
+        ("()", 0, "empty group"),
+        ("a()*b", 1, "empty group"),
+        ("a|", 2, "empty alternation branch"),
+        ("|a", 0, "empty alternation branch"),
+        ("(|a)", 1, "empty alternation branch"),
+        ("(a|)", 3, "empty alternation branch"),
+    ],
+)
+def test_parse_errors_name_the_empty_part(pattern, offset, message):
+    with pytest.raises(RegexSyntaxError) as err:
+        parse_regex(pattern)
+    assert str(err.value) == f"offset {offset}: {message}"
+    assert err.value.offset == offset
+
+
 def test_parse_escapes():
     assert parse_regex("\\n").byte == 0x0A
     assert parse_regex("\\x41").byte == 0x41
