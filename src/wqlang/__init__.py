@@ -50,21 +50,23 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ),
         "fixpoint": ("Antichain", "KleeneResult", "ac_below", "kleene"),
         "inclusion": (
-            "QuasiorderHandle",
             "cfg_inc_antichain",
             "cfg_inc_word",
-            "ctx_handle",
             "fa_inc_antichain",
             "fa_inc_gfp",
             "fa_inc_word",
+            "nfa_in_ocn",
+        ),
+        "learn": ("ObservationState", "nl_learn"),
+        "quasiorder": (
+            "QuasiorderHandle",
+            "ctx_handle",
             "myhill_handle",
             "nerode_handle",
-            "nfa_in_ocn",
             "ocn_handle",
             "sim_handle",
             "state_handle",
         ),
-        "learn": ("ObservationState", "nl_learn"),
         "residual": (
             "canonical",
             "check_dr_condition",

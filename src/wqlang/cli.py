@@ -139,18 +139,18 @@ def _verdict_output(args, verdict: Verdict, stats: dict | None) -> int:
 # each makes with (the inclusion module, left, right, cap). The handler
 # imports the module when it runs and passes it in, so only ``include``
 # loads the inclusion checkers, and a wrapper installed on the module sees
-# every call.
+# every call. The handles come from ``inc.qo``, the quasiorder module.
 NFA_ALGOS = {
-    "word-nerode": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.nerode_handle(n2), cap),
-    "word-state": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.state_handle(n2), cap),
-    "word-sim": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.sim_handle(n2), cap),
+    "word-nerode": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.qo.nerode_handle(n2), cap),
+    "word-state": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.qo.state_handle(n2), cap),
+    "word-sim": lambda inc, n1, n2, cap: inc.fa_inc_word(n1, inc.qo.sim_handle(n2), cap),
     "antichain-fwd": lambda inc, n1, n2, cap: inc.fa_inc_antichain(n1, n2, "forward", cap),
     "gfp": lambda inc, n1, n2, cap: inc.fa_inc_gfp(n1, n2, cap),
 }
 CFG_ALGOS = {
     "antichain": lambda inc, g, n, cap: inc.cfg_inc_antichain(g, n, cap),
-    "word-myhill": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.myhill_handle(n), cap),
-    "word-ctx": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.ctx_handle(n), cap),
+    "word-myhill": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.qo.myhill_handle(n), cap),
+    "word-ctx": lambda inc, g, n, cap: inc.cfg_inc_word(g, inc.qo.ctx_handle(n), cap),
 }
 
 

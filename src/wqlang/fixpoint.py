@@ -5,7 +5,7 @@ of int masks by inclusion, is the order it runs inline.
 ``kleene`` (with its ``KleeneResult``) and ``ac_below`` drive no fixpoint
 of the package: every inclusion check runs ``inclusion._layers``. They
 stay only because the benchmark tracer patches them by name, until
-ROADMAP item 5 moves its patch sites and deletes them.
+ROADMAP item 2 moves its patch sites and deletes them.
 """
 
 from __future__ import annotations

@@ -2,15 +2,16 @@
 
 Two cores do all the word-based work: ``word_fixpoint`` for automata and
 ``cfg_word_fixpoint`` for CNF grammars, each the least fixpoint of the
-antichain equations under a quasiorder handle, computed by one layered
-worklist that extends only the entries the previous layer added (the
-forward antichain algorithm of De Wulf, Doyen, Henzinger and Raskin, and
-its grammar form after Holik and Meyer). A handle is consistent with the
-language L2 it checks against: every principal lies wholly inside L2 or
-wholly outside it, so membership in L2 is read off a key by the handle's
-``accepts``. A check stops at the first layer where an accepted entry's
-key is rejected; on automata that witness is a shortest counterexample,
-on grammars (layers are derivation heights) it need not be:
+antichain equations under a quasiorder handle (``quasiorder`` defines the
+handles), computed by one layered worklist that extends only the entries
+the previous layer added (the forward antichain algorithm of De Wulf,
+Doyen, Henzinger and Raskin, and its grammar form after Holik and Meyer).
+A handle is consistent with the language L2 it checks against: every
+principal lies wholly inside L2 or wholly outside it, so membership in L2
+is read off a key by the handle's ``accepts``. A check stops at the first
+layer where an accepted entry's key is rejected; on automata that witness
+is a shortest counterexample, on grammars (layers are derivation heights)
+it need not be:
 
 - ``fa_inc_word`` runs ``word_fixpoint`` under any directed handle
   (Nerode, state-set, simulation, one-counter macro states);
@@ -42,11 +43,9 @@ least, witness surfaces at the same layer. ``fa_inc_word`` under
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import Any, Callable
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
-from .fixpoint import Antichain, KleeneDivergence, subset
+from .fixpoint import Antichain, KleeneDivergence
 
 # Not called here: bound because the benchmark tracer patches
 # ``inclusion.kleene`` and ``inclusion.ac_below`` by name
@@ -55,13 +54,6 @@ from .fixpoint import ac_below, kleene  # noqa: F401
 from . import quasiorder as qo
 
 __all__ = [
-    "QuasiorderHandle",
-    "nerode_handle",
-    "state_handle",
-    "sim_handle",
-    "myhill_handle",
-    "ctx_handle",
-    "ocn_handle",
     "word_fixpoint",
     "fa_inc_word",
     "fa_inc_antichain",
@@ -73,123 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_ITER_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class QuasiorderHandle:
-    """A decidable quasiorder on words packaged for the fixpoint engines.
-
-    ``key_of`` maps a word to its finite key and ``leq`` compares keys.
-    The quasiorder is consistent with one language, so ``accepts`` tells
-    from a key whether its words belong to that language. Directed handles
-    supply ``extend``, the key of the one-symbol extension on the working
-    side: prepended for left handles, appended for right ones. Two-sided
-    handles supply ``compose``, the key of a concatenation. Keys must be
-    hashable: the fixpoints memoize ``extend`` and ``compose`` on them and
-    skip a key already offered to the same antichain.
-    """
-
-    direction: str  # 'left' | 'right' | 'two-sided'
-    key_of: Callable[[bytes], Any]
-    leq: Callable[[Any, Any], bool]
-    accepts: Callable[[Any], bool]
-    extend: Callable[[Any, int], Any] | None = None
-    compose: Callable[[Any, Any], Any] | None = None
-
-
-# -- handle factories -------------------------------------------------------
-
-
-def _oriented(n: Nfa, direction: str) -> Nfa:
-    """The automaton a handle of that direction reads words on, forward."""
-    if direction == "left":
-        return n.reverse()
-    if direction == "right":
-        return n
-    raise ValueError(f"bad direction {direction!r}")
-
-
-def _set_handle(m: Nfa, direction: str, leq) -> QuasiorderHandle:
-    """State-set handle over ``m``, the automaton oriented for the
-    direction: a word's key is the set ``m`` reaches on it, read forward
-    (reversed for a left handle), and accepts when it meets the finals."""
-    final = m.final_mask
-    return QuasiorderHandle(
-        direction=direction,
-        key_of=lambda w: m.run(w[::-1] if direction == "left" else w),
-        leq=leq,
-        accepts=lambda key: key & final != 0,
-        extend=m.step,
-    )
-
-
-def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
-    """Residual-inclusion quasiorder of L(n2): the state-set keys of the
-    minimal DFA of the language (of its reverse, on the left), ordered by
-    residual inclusion (``quasiorder.residual_leq``). A key holds one state,
-    or none for a word the DFA cannot read."""
-    m = _oriented(n2, direction).determinize().minimize()
-    return _set_handle(m, direction, qo.residual_leq(m))
-
-
-def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
-    """State-set quasiorder: pre-sets of the finals (left) or post-sets of
-    the initials (right), compared by inclusion; a pre-set is a post-set of
-    the reverse. The order is ``fixpoint.subset``, which ``Antichain`` runs
-    inline. A pre-set accepts when it meets the initials, a post-set when
-    it meets the finals."""
-    return _set_handle(_oriented(n2, direction), direction, subset)
-
-
-def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
-    """Simulation-lifted state-set quasiorder; coarser than plain inclusion
-    but still consistent with L(n2). A key is simulation-closed: the set of
-    states its word reaches (``state_handle``'s key) and every state they
-    simulate (``quasiorder.sim_closure``). On closed keys the lifted order
-    is inclusion, ``fixpoint.subset``, which ``Antichain`` runs inline."""
-    m = _oriented(n2, direction)
-    close = qo.sim_closure(m)
-    plain = _set_handle(m, direction, subset)
-    return replace(
-        plain,
-        key_of=lambda w: close(plain.key_of(w)),
-        extend=lambda key, sym: close(m.step(key, sym)),
-    )
-
-
-def myhill_handle(n: Nfa) -> QuasiorderHandle:
-    """Two-sided context quasiorder of L(n): the state-pair keys of the
-    minimal DFA of the language (``ctx_handle``), each row holding at most
-    one state, ordered rowwise by residual inclusion
-    (``quasiorder.residual_leq``)."""
-    m = n.determinize().minimize()
-    leq = qo.residual_leq(m)
-    return replace(ctx_handle(m), leq=lambda x, y: all(map(leq, x, y)))
-
-
-def ctx_handle(n: Nfa) -> QuasiorderHandle:
-    """Two-sided state-pair quasiorder: the relation a word induces between
-    states of n, compared by inclusion."""
-    initials, final = list(bits(n.initial_mask)), n.final_mask
-    return QuasiorderHandle(
-        direction="two-sided",
-        key_of=lambda w: qo.ctx_key(n, w),
-        leq=qo.ctx_leq,
-        accepts=lambda rel: any(rel[p] & final for p in initials),
-        compose=qo.ctx_compose,
-    )
-
-
-def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
-    """Right quasiorder on macro states of a one-counter net; a word is a
-    trace iff its macro state reaches some state."""
-    return QuasiorderHandle(
-        direction="right",
-        key_of=lambda w: qo.ocn_macro(o, start, w),
-        leq=qo.macro_leq,
-        accepts=lambda m: any(e is not None for e in m),
-        extend=lambda key, sym: qo.macro_step(o, key, sym),
-    )
 
 
 # -- word-based algorithm ----------------------------------------------------
@@ -245,7 +120,7 @@ def _layers(count, handle, base, grow, check, max_iter):
 
 def word_fixpoint(
     n1: Nfa,
-    handle: QuasiorderHandle,
+    handle: qo.QuasiorderHandle,
     max_iter: int = DEFAULT_ITER_CAP,
     stop: bool = False,
     key_automaton: Nfa | None = None,
@@ -263,11 +138,11 @@ def word_fixpoint(
     witness (None if nothing is rejected).
 
     ``key_automaton`` is given when the handle's keys are state sets of
-    that automaton, read forward (``_set_handle``): a key steps by its
-    ``step`` and is accepted when it meets its finals. The run then skips
-    the extensions of settled entries (Abdulla, Chen, Holik, Mayr and
-    Vojnar, TACAS 2010): an entry at state q of n1's oriented automaton is
-    settled when its key holds a state that simulates q
+    that automaton, read forward (``quasiorder.state_handle``): a key
+    steps by its ``step`` and is accepted when it meets its finals. The run
+    then skips the extensions of settled entries (Abdulla, Chen, Holik,
+    Mayr and Vojnar, TACAS 2010): an entry at state q of n1's oriented
+    automaton is settled when its key holds a state that simulates q
     (``quasiorder.cross_simulation``), so every word it extends to at a
     final state has a key that meets the finals. Settled entries are still
     inserted. A key holding a settled one is settled, so no settled entry
@@ -310,7 +185,7 @@ def word_fixpoint(
 
 
 def fa_inc_word(
-    n1: Nfa, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
+    n1: Nfa, handle: qo.QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """Word-based inclusion check: L(n1) <= L2, where ``handle`` is a
     directed L2-consistent well-quasiorder. ``word_fixpoint`` under that
@@ -335,7 +210,7 @@ def fa_inc_antichain(
     ``variant`` names the algorithm and must be "forward", the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
-    _, _, witness = word_fixpoint(n1, state_handle(n2, "left"), max_iter, True, n2.reverse())
+    _, _, witness = word_fixpoint(n1, qo.state_handle(n2, "left"), max_iter, True, n2.reverse())
     return Verdict(witness is None, witness)
 
 
@@ -356,7 +231,7 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     leaves the verdict unchanged. This is exact on a nondeterministic l2,
     which is never determinized. No witness is reported.
     """
-    _, _, witness = word_fixpoint(n1, state_handle(l2, "right"), max_iter, True, l2)
+    _, _, witness = word_fixpoint(n1, qo.state_handle(l2, "right"), max_iter, True, l2)
     return Verdict(witness is None)
 
 
@@ -364,7 +239,7 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
 
 
 def cfg_word_fixpoint(
-    g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP, stop: bool = False
+    g: CnfGrammar, handle: qo.QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP, stop: bool = False
 ):
     """Least fixpoint of the word-antichain equations of a CNF grammar under
     a two-sided quasiorder; one antichain per variable. Keys of
@@ -410,7 +285,7 @@ def cfg_word_fixpoint(
 
 
 def cfg_inc_word(
-    g: CnfGrammar, handle: QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
+    g: CnfGrammar, handle: qo.QuasiorderHandle, max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
     """Word-based inclusion check L(g) <= L2 for a CNF grammar and a
     two-sided L2-consistent well-quasiorder: ``cfg_word_fixpoint`` under
@@ -427,7 +302,7 @@ def cfg_inc_antichain(
     """State-based antichain inclusion check of L(g) in L(n): ``cfg_inc_word``
     under the state-pair order (``ctx_handle``), which stops at the first
     relation of the axiom that connects no initial to a final state."""
-    return cfg_inc_word(g, ctx_handle(n), max_iter)
+    return cfg_inc_word(g, qo.ctx_handle(n), max_iter)
 
 
 # -- one-counter nets ---------------------------------------------------------
@@ -439,4 +314,4 @@ def nfa_in_ocn(
     """Inclusion of L(n) in the trace set of the one-counter net from the
     given start configuration: ``fa_inc_word`` under the macro-state
     quasiorder (``ocn_handle``), capped at ``max_iter`` layers."""
-    return fa_inc_word(n, ocn_handle(o, start), max_iter)
+    return fa_inc_word(n, qo.ocn_handle(o, start), max_iter)

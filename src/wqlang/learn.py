@@ -5,9 +5,10 @@ words and approximates the residual-inclusion quasiorder of the target
 language by comparing residuals restricted to S. When the approximation is
 closed and consistent over P it builds the prime-principal automaton and
 asks the equivalence oracle; counterexample suffixes refine S. The
-hypothesis is the ``residual.build_H`` core under the restricted order:
-``build_H`` picks the primes, the learner supplies only its composite test
-(a row that is the join of the rows ``build_H`` passes as below it).
+hypothesis is the ``residual.build_H`` core under a row handle on words
+(``quasiorder.QuasiorderHandle``), the restricted order: ``build_H`` picks
+the primes, the learner supplies the handle and its composite test (a row
+that is the join of the rows ``build_H`` passes as below it).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Iterable
 
 from . import residual
 from .automata import Nfa
+from .quasiorder import QuasiorderHandle
 
 __all__ = ["ObservationState", "nl_learn", "LearnerDiverged"]
 
@@ -167,31 +169,25 @@ class ObservationState:
 
     def build_automaton(self) -> Nfa:
         """Prime-principal automaton over the current P and S: ``build_H``
-        over the first P-word of each distinct row, with row containment as
-        the order and appending a letter as the extension. A row is
+        over the first P-word of each distinct row, under the row handle: a
+        word is its own key, ordered by row containment (``row_leq``),
+        accepted by membership and extended by appending a letter. A row is
         composite when it is the OR of the rows ``build_H`` lists below it;
         every P-row has a representative, so this is ``not is_prime``."""
         firsts: dict[int, bytes] = {}
         for p in self.prefixes:
             firsts.setdefault(self.row(p), p)
-        # the first argument is a representative, the second one too or an
-        # extension of one: rows are read once, then from this dict
-        rows = {u: r for r, u in firsts.items()}
-
-        def leq(u: bytes, v: bytes) -> bool:
-            a = rows[u]
-            b = rows.get(v)
-            if b is None:
-                b = rows[v] = self.row(v)
-            return a & b == a
-
+        handle = QuasiorderHandle(
+            direction="right",
+            key_of=lambda w: w,
+            leq=self.row_leq,
+            accepts=self.member,
+            extend=lambda u, a: u + bytes([a]),
+        )
         return residual.build_H(
+            handle,
             list(firsts.values()),
-            leq,
-            lambda u, below: rows[u] == reduce(or_, map(rows.__getitem__, below), 0),
-            lambda u, a: u + bytes([a]),
-            b"",
-            self.member,
+            lambda u, below: self.row(u) == reduce(or_, map(self.row, below), 0),
             self.alphabet,
         )
 

@@ -15,15 +15,29 @@ state of n1 whose key holds a simulator of that state only grows into
 words of n2's language. ``max_simulation`` is the cross simulation of an
 automaton by itself, and ``residual_inclusion_matrix`` is that of a
 complete DFA.
+
+A ``QuasiorderHandle`` packages one of these orders for the algorithms,
+and the ``*_handle`` factories build them: the same right handle decides
+inclusion (``inclusion.fa_inc_word``) and builds the automaton over its
+prime principals (``residual.build_H``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from .automata import Dfa, Nfa, Ocn, bits
+from .fixpoint import subset
 
 __all__ = [
+    "QuasiorderHandle",
+    "nerode_handle",
+    "state_handle",
+    "sim_handle",
+    "myhill_handle",
+    "ctx_handle",
+    "ocn_handle",
     "cross_simulation",
     "max_simulation",
     "sim_closure",
@@ -240,3 +254,120 @@ def macro_leq(m1: MacroState, m2: MacroState) -> bool:
         if b is None or a > b:
             return False
     return True
+
+
+# -- handles ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuasiorderHandle:
+    """A decidable quasiorder on words packaged for the inclusion
+    fixpoints and the prime-principal construction.
+
+    ``key_of`` maps a word to its finite key and ``leq`` compares keys.
+    The quasiorder is consistent with one language, so ``accepts`` tells
+    from a key whether its words belong to that language. Directed handles
+    supply ``extend``, the key of the one-symbol extension on the working
+    side: prepended for left handles, appended for right ones. Two-sided
+    handles supply ``compose``, the key of a concatenation. Keys must be
+    hashable: the fixpoints memoize ``extend`` and ``compose`` on them and
+    skip a key already offered to the same antichain.
+    """
+
+    direction: str  # 'left' | 'right' | 'two-sided'
+    key_of: Callable[[bytes], Any]
+    leq: Callable[[Any, Any], bool]
+    accepts: Callable[[Any], bool]
+    extend: Callable[[Any, int], Any] | None = None
+    compose: Callable[[Any, Any], Any] | None = None
+
+
+def _oriented(n: Nfa, direction: str) -> Nfa:
+    """The automaton a handle of that direction reads words on, forward."""
+    if direction == "left":
+        return n.reverse()
+    if direction == "right":
+        return n
+    raise ValueError(f"bad direction {direction!r}")
+
+
+def _set_handle(m: Nfa, direction: str, leq) -> QuasiorderHandle:
+    """State-set handle over ``m``, the automaton oriented for the
+    direction: a word's key is the set ``m`` reaches on it, read forward
+    (reversed for a left handle), and accepts when it meets the finals."""
+    final = m.final_mask
+    return QuasiorderHandle(
+        direction=direction,
+        key_of=lambda w: m.run(w[::-1] if direction == "left" else w),
+        leq=leq,
+        accepts=lambda key: key & final != 0,
+        extend=m.step,
+    )
+
+
+def nerode_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
+    """Residual-inclusion quasiorder of L(n2): the state-set keys of the
+    minimal DFA of the language (of its reverse, on the left), ordered by
+    residual inclusion (``residual_leq``). A key holds one state, or none
+    for a word the DFA cannot read."""
+    m = _oriented(n2, direction).determinize().minimize()
+    return _set_handle(m, direction, residual_leq(m))
+
+
+def state_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
+    """State-set quasiorder: pre-sets of the finals (left) or post-sets of
+    the initials (right), compared by inclusion; a pre-set is a post-set of
+    the reverse. The order is ``fixpoint.subset``, which ``Antichain`` runs
+    inline. A pre-set accepts when it meets the initials, a post-set when
+    it meets the finals."""
+    return _set_handle(_oriented(n2, direction), direction, subset)
+
+
+def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
+    """Simulation-lifted state-set quasiorder; coarser than plain inclusion
+    but still consistent with L(n2). A key is simulation-closed: the set of
+    states its word reaches (``state_handle``'s key) and every state they
+    simulate (``sim_closure``). On closed keys the lifted order is
+    inclusion, ``fixpoint.subset``, which ``Antichain`` runs inline."""
+    m = _oriented(n2, direction)
+    close = sim_closure(m)
+    plain = _set_handle(m, direction, subset)
+    return replace(
+        plain,
+        key_of=lambda w: close(plain.key_of(w)),
+        extend=lambda key, sym: close(m.step(key, sym)),
+    )
+
+
+def myhill_handle(n: Nfa) -> QuasiorderHandle:
+    """Two-sided context quasiorder of L(n): the state-pair keys of the
+    minimal DFA of the language (``ctx_handle``), each row holding at most
+    one state, ordered rowwise by residual inclusion (``residual_leq``)."""
+    m = n.determinize().minimize()
+    leq = residual_leq(m)
+    return replace(ctx_handle(m), leq=lambda x, y: all(map(leq, x, y)))
+
+
+def ctx_handle(n: Nfa) -> QuasiorderHandle:
+    """Two-sided state-pair quasiorder: the relation a word induces between
+    states of n, compared by inclusion."""
+    initials, final = list(bits(n.initial_mask)), n.final_mask
+    return QuasiorderHandle(
+        direction="two-sided",
+        key_of=lambda w: ctx_key(n, w),
+        leq=ctx_leq,
+        accepts=lambda rel: any(rel[p] & final for p in initials),
+        compose=ctx_compose,
+    )
+
+
+def ocn_handle(o: Ocn, start: tuple[int, int]) -> QuasiorderHandle:
+    """Right quasiorder on macro states of a one-counter net; a word is a
+    trace iff its macro state reaches some state."""
+    return QuasiorderHandle(
+        direction="right",
+        key_of=lambda w: ocn_macro(o, start, w),
+        leq=macro_leq,
+        accepts=lambda m: any(e is not None for e in m),
+        extend=lambda key, sym: macro_step(o, key, sym),
+    )

@@ -1,27 +1,29 @@
 """Residual-automata constructions driven by quasiorders.
 
 One core builds every residual automaton: ``build_H``, the automaton over
-the prime principals of a consistent right quasiorder. It takes all
-principals, lists the ones strictly below each, and picks the primes
-itself; the constructions differ only in the keys they pass, the order
-they compare them by and the composite test they supply:
+the prime principals of a consistent right quasiorder, given as a
+``quasiorder.QuasiorderHandle`` like the ones that decide inclusion. It
+takes all principals, lists the ones strictly below each, and picks the
+primes itself; the constructions differ only in the handle, the keys they
+pass and the composite test they supply:
 
-- ``res``: reachable post-sets of the automaton under state-set
-  inclusion, composite when the union of the smaller ones has the same
-  language (``is_composite``);
-- ``denis_residualize``: the same post-sets and order, composite when the
+- ``res``: reachable post-sets of the automaton under its right state-set
+  handle (inclusion), composite when the union of the smaller ones has the
+  same language (``is_composite``);
+- ``denis_residualize``: the same post-sets and handle, composite when the
   smaller ones cover them (the classic, weaker test);
-- ``canonical``: the one-state sets of the minimal DFA under residual
-  inclusion, composite by ``is_composite`` on the minimal DFA;
+- ``canonical``: the one-state sets of the minimal DFA under its right
+  Nerode handle (residual inclusion), composite by ``is_composite`` on the
+  minimal DFA;
 - the learner's hypothesis (``learn.ObservationState.build_automaton``):
-  representative words under row containment, composite when the row is
-  the join of the rows below it.
+  representative words under a row handle (row containment), composite
+  when the row is the join of the rows below it.
 
-The first three share the state-set helper ``_state_set_H``. Direction is
-decided only in ``res`` and ``canonical``: left is the reverse of the
-construction on the reverse. Also here: principal enumeration, the
-double-reversal route to the canonical RFA, and the closedness condition,
-sufficient but not necessary for plain residualization to be canonical.
+Direction is decided only in ``res`` and ``canonical``: left is the
+reverse of the construction on the reverse. Also here: principal
+enumeration, the double-reversal route to the canonical RFA, and the
+closedness condition, sufficient but not necessary for plain
+residualization to be canonical.
 
 The composite test is a language inclusion L(K) ⊆ L(U) between two state
 sets of one automaton, and ``res`` and ``canonical`` ask it once per key.
@@ -36,8 +38,9 @@ or already safe. ``res`` builds the subset construction for its keys
 anyway, so it seeds the successor memo with that construction's successor
 masks, and the walk steps only the unions that are not principals.
 
-Under state-set inclusion (``fixpoint.subset``), ``build_H`` compares the
-keys inline, one ``&`` per pair, as ``Antichain.insert`` does.
+Under state-set inclusion (``fixpoint.subset``, which ``state_handle``
+passes itself), ``build_H`` compares the keys inline, one ``&`` per pair,
+as ``Antichain.insert`` does.
 
 Kameda and Weiner's co-subset test (IEEE Trans. Computers, 1970) would
 decide the same inclusion by the subsets of the reversed automaton: K's
@@ -61,6 +64,7 @@ from .automata import Dfa, Nfa, bits, equivalence_counterexample, subset_success
 # ``residual.naive_inclusion`` by name (tests/test_bench_hooks.py).
 from .automata import naive_inclusion  # noqa: F401
 from .fixpoint import subset
+from .quasiorder import QuasiorderHandle, _set_handle, residual_leq, state_handle
 from .quasiorder import residual_inclusion_matrix
 
 __all__ = [
@@ -140,24 +144,22 @@ def is_composite(included: Callable[[int, int], bool], key: int, below: Sequence
 
 
 def build_H(
+    handle: QuasiorderHandle,
     keys: Sequence[Any],
-    leq: Callable[[Any, Any], bool],
     composite: Callable[[Any, list], bool],
-    extend: Callable[[Any, int], Any],
-    key_eps: Any,
-    final_of: Callable[[Any], bool],
-    symbols,
+    symbols: Sequence[int],
 ) -> Nfa:
-    """Automaton over the prime principals of a consistent right
-    quasiorder, one state per prime key, in the order of ``keys``.
+    """Automaton over the prime principals of the right quasiorder
+    ``handle``, one state per prime key, in the order of ``keys``.
 
     ``keys`` holds every principal once; a key is dropped when
     ``composite(key, below)`` holds, ``below`` listing the keys strictly
-    below it. Initial principals are those below the principal of the
-    empty word, final ones those ``final_of`` accepts (their words belong
-    to the language), and an a-transition from u's principal reaches every
-    prime principal below the principal of u·a.
+    below it under ``handle.leq``. Initial principals are those below the
+    principal of the empty word, final ones those the handle accepts (their
+    words belong to its language), and an a-transition from u's principal
+    reaches every prime principal below that of u·a, ``handle.extend(u, a)``.
     """
+    leq, extend = handle.leq, handle.extend
     # under subset the keys are compared inline, as in Antichain.insert: b
     # is strictly below k iff b & k == b != k
     inline = leq is subset
@@ -177,10 +179,10 @@ def build_H(
                 out |= 1 << j
         return out
 
-    initial = below(key_eps)
+    initial = below(handle.key_of(b""))
     final = 0
     for i, k in enumerate(primes):
-        if final_of(k):
+        if handle.accepts(k):
             final |= 1 << i
     rows = {sym: [0] * len(primes) for sym in sorted(symbols)}
     for i, u in enumerate(primes):
@@ -188,21 +190,6 @@ def build_H(
             rows[sym][i] = below(extend(u, sym))
     fwd = {sym: tuple(row) for sym, row in rows.items() if any(row)}
     return Nfa._of_tables(len(primes), fwd, initial, final)
-
-
-def _state_set_H(n: Nfa, keys: Sequence[int], leq: Callable, composite: Callable) -> Nfa:
-    """``build_H`` over state sets of ``n``: a key extends by the post-set
-    step and is final when it meets the finals."""
-    final = n.final_mask
-    return build_H(
-        keys,
-        leq,
-        composite,
-        n.step,
-        n.initial_mask,
-        lambda key: bool(key & final),
-        sorted(n.alphabet),
-    )
 
 
 def res(n: Nfa, direction: str = "right") -> Nfa:
@@ -217,40 +204,44 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         raise ValueError(f"bad direction {direction!r}")
     d = n.determinize()
     included = right_inclusion(n, d)
-    return _state_set_H(
-        n, d.source_subsets, subset, lambda key, below: is_composite(included, key, below)
+    return build_H(
+        state_handle(n, "right"),
+        d.source_subsets,
+        lambda key, below: is_composite(included, key, below),
+        sorted(n.alphabet),
     )
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
-    """The canonical residual automaton of the language: the state-set
-    construction on the minimal DFA over its one-state keys, ordered by
-    residual inclusion, which saturates the transitions; a residual is
-    composite when the smaller ones make it up (``is_composite``). The left
-    variant is the reverse of the canonical automaton of the reversed
-    language."""
+    """The canonical residual automaton of the language: ``build_H`` over
+    the one-state keys of the minimal DFA under its right Nerode handle (the
+    one ``quasiorder.nerode_handle(lang, "right")`` builds), whose residual
+    inclusion saturates the transitions; a residual is composite when the
+    smaller ones make it up (``is_composite``). The left variant is the
+    reverse of the canonical automaton of the reversed language."""
     if direction == "left":
         return canonical(lang.reverse()).reverse()
     if direction != "right":
         raise ValueError(f"bad direction {direction!r}")
     m = lang.determinize().minimize()
-    incl = residual_inclusion_matrix(m)
     included = right_inclusion(m)
-    return _state_set_H(
-        m,
+    return build_H(
+        _set_handle(m, "right", residual_leq(m)),
         [1 << p for p in range(m.state_count)],
-        # every key, and every step of one on the complete DFA, is one state
-        lambda a, b: bool(incl[a.bit_length() - 1] & b),
         lambda key, below: is_composite(included, key, below),
+        sorted(m.alphabet),
     )
 
 
 def denis_residualize(n: Nfa) -> Nfa:
-    """Classic residualization: ``res``'s keys and order, keeping the
+    """Classic residualization: ``res``'s keys and handle, keeping the
     reachable post-sets that are not the union of the smaller ones (state-set
     coverability instead of language equivalence)."""
-    return _state_set_H(
-        n, principals(n), subset, lambda key, below: reduce(or_, below, 0) == key
+    return build_H(
+        state_handle(n, "right"),
+        principals(n),
+        lambda key, below: reduce(or_, below, 0) == key,
+        sorted(n.alphabet),
     )
 
 

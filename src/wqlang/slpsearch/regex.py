@@ -165,6 +165,8 @@ class _Parser:
         if not parts:
             if not self.data:
                 self.error("empty pattern")
+            if self.peek() == ord(")") and not self.depth:
+                self.error("unexpected ')'")
             if self.data[self.pos - 1 : self.pos + 1] == b"()":
                 self.error("empty group", self.pos - 1)
             self.error("empty alternation branch")

@@ -372,6 +372,9 @@ def test_search_rejects_a_hex_escape_without_two_hex_digits(tmp_path, capsys, pa
         ("", "offset 0: empty pattern"),
         ("()", "offset 0: empty group"),
         ("a|", "offset 2: empty alternation branch"),
+        (")", "offset 0: unexpected ')'"),
+        ("a|)", "offset 2: unexpected ')'"),
+        ("(a|)", "offset 3: empty alternation branch"),
     ],
 )
 def test_search_names_the_empty_part_of_a_pattern(tmp_path, capsys, pattern, message):

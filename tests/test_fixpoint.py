@@ -127,7 +127,8 @@ def test_kleene_cap_raises():
 def test_word_antichain_iterates_nondecreasing(fig42_n1, fig42_n2):
     # the union-with-base step keeps per-state antichains growing in the
     # antichain order
-    from wqlang.inclusion import state_handle, word_fixpoint
+    from wqlang.inclusion import word_fixpoint
+    from wqlang.quasiorder import state_handle
 
     handle = state_handle(fig42_n2, "left")
     vec, _, _ = word_fixpoint(fig42_n1, handle)

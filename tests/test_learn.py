@@ -106,9 +106,9 @@ def test_below_join_agrees_with_is_prime(monkeypatch):
     calls = []
     real_build_H = residual.build_H
 
-    def spy(keys, leq, composite, *rest):
-        calls.append((keys, leq, composite))
-        return real_build_H(keys, leq, composite, *rest)
+    def spy(handle, keys, composite, symbols):
+        calls.append((keys, handle.leq, composite))
+        return real_build_H(handle, keys, composite, symbols)
 
     monkeypatch.setattr(residual, "build_H", spy)
     seen = {True: 0, False: 0}

@@ -326,3 +326,21 @@ def test_empty_states_are_those_that_accept_no_word(seed, density):
         # a nonempty right language has a word shorter than the state count
         accepts_none = next(d.with_initial([p]).accepted_words(d.state_count), None) is None
         assert (dead >> p & 1 == 1) == accepts_none
+
+
+def test_right_nerode_order_on_one_state_keys_is_residual_inclusion():
+    # canonical builds its automaton under this order on the one-state keys
+    # of the same minimal DFA; it must be plain residual inclusion there,
+    # the empty-residual state included
+    rng = random.Random(91)
+    with_empty = 0
+    for _ in range(60):
+        n = rand_nfa(rng, max_states=5, n_syms=rng.choice([1, 2, 3]))
+        m = min_dfa(n)
+        with_empty += empty_states_mask(m) != 0
+        leq = nerode_handle(n, "right").leq
+        for p in range(m.state_count):
+            for q in range(m.state_count):
+                included = naive_inclusion(m.with_initial([p]), m.with_initial([q]))
+                assert bool(leq(1 << p, 1 << q)) == included.included
+    assert with_empty >= 10

@@ -64,6 +64,10 @@ def test_parse_errors():
         ("|a", 0, "empty alternation branch"),
         ("(|a)", 1, "empty alternation branch"),
         ("(a|)", 3, "empty alternation branch"),
+        (")", 0, "unexpected ')'"),
+        ("a)", 1, "unexpected ')'"),
+        ("a|)", 2, "unexpected ')'"),
+        ("(a))", 3, "unexpected ')'"),
     ],
 )
 def test_parse_errors_name_the_empty_part(pattern, offset, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import reduce
 from operator import or_
@@ -23,7 +24,7 @@ from wqlang import (
 )
 from wqlang.automata import DeterminizationCap, bits
 from wqlang.fixpoint import subset
-from wqlang.quasiorder import residual_inclusion_matrix
+from wqlang.quasiorder import residual_inclusion_matrix, state_handle
 from wqlang.residual import build_H, isomorphic_to_canonical
 
 from conftest import A, B, C, examples, make_fig62, rand_nfa, set_of
@@ -381,20 +382,12 @@ def test_build_H_compares_subset_keys_inline_without_changing_the_automaton(seed
     # deciding the same order, takes the generic route
     n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
     included = right_inclusion(n)
-    keys, final = principals(n), n.final_mask
+    handle = dataclasses.replace(state_handle(n, "right"), leq=lambda a, b: subset(a, b))
     for construction, composite in (
         (res, lambda key, below: is_composite(included, key, below)),
         (denis_residualize, lambda key, below: reduce(or_, below, 0) == key),
     ):
-        generic = build_H(
-            keys,
-            lambda a, b: subset(a, b),
-            composite,
-            n.step,
-            n.initial_mask,
-            lambda key: bool(key & final),
-            sorted(n.alphabet),
-        )
+        generic = build_H(handle, principals(n), composite, sorted(n.alphabet))
         inline = construction(n)
         assert inline == generic and type(inline) is type(generic) is Nfa
         # the tables build_H fills match the validating constructor's
