@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Nfa",
@@ -43,8 +42,7 @@ def mask_of(states: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an inclusion check.
 
     ``witness`` is only present when ``included`` is false and the deciding

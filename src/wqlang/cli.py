@@ -33,7 +33,6 @@ constructions and ``learn`` the automata and the residual core.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -105,6 +104,8 @@ def _render_word(word: bytes) -> str:
 
 def _emit(args, human: str, payload: dict) -> None:
     if args.json:
+        import json
+
         base = {"verdict": None, "count": None, "witness": None, "stats": None}
         base.update(payload)
         print(json.dumps(base))

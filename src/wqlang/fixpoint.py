@@ -3,15 +3,15 @@ minor of key sets under a decidable quasiorder, and ``subset``, the order
 of int masks by inclusion, is the order it runs inline.
 
 ``kleene`` (with its ``KleeneResult``) and ``ac_below`` drive no fixpoint
-of the package: every inclusion check runs ``inclusion._layers``. They
-stay only because the benchmark tracer patches them by name, until
-ROADMAP item 2 moves its patch sites and deletes them.
+of the package, only the from-scratch test oracles ``word_fixpoint_oracle``
+and ``cfg_word_fixpoint_oracle`` (``tests/conftest.py``). They stay because
+the benchmark tracer patches them by name, until ROADMAP item 2 moves its
+patch sites, deletes them and moves that driver into the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 __all__ = [
     "Antichain",
@@ -97,8 +97,7 @@ def ac_below(x, y, leq: Leq | None = None) -> bool:
     return all(any(leq(b, a) for b in ys) for a in xs)
 
 
-@dataclass(frozen=True)
-class KleeneResult:
+class KleeneResult(NamedTuple):
     value: Any
     iterations: int  # number of step-function evaluations performed
 

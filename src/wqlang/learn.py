@@ -5,10 +5,9 @@ words and approximates the residual-inclusion quasiorder of the target
 language by comparing residuals restricted to S. When the approximation is
 closed and consistent over P it builds the prime-principal automaton and
 asks the equivalence oracle; counterexample suffixes refine S. The
-hypothesis is the ``residual.build_H`` core under a row handle on words
-(``quasiorder.QuasiorderHandle``), the restricted order: ``build_H`` picks
-the primes, the learner supplies the handle and its composite test (a row
-that is the join of the rows ``build_H`` passes as below it).
+hypothesis is ``residual.build_H`` over the rows themselves, masks ordered
+by inclusion (``fixpoint.subset``, compared inline): ``build_H`` picks the
+primes, and a row is composite when it is the OR of the rows below it.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from typing import Callable, Iterable
 
 from . import residual
 from .automata import Nfa
+from .fixpoint import subset
 from .quasiorder import QuasiorderHandle
 
 __all__ = ["ObservationState", "nl_learn", "LearnerDiverged"]
@@ -169,25 +169,24 @@ class ObservationState:
 
     def build_automaton(self) -> Nfa:
         """Prime-principal automaton over the current P and S: ``build_H``
-        over the first P-word of each distinct row, under the row handle: a
-        word is its own key, ordered by row containment (``row_leq``),
-        accepted by membership and extended by appending a letter. A row is
-        composite when it is the OR of the rows ``build_H`` lists below it;
-        every P-row has a representative, so this is ``not is_prime``."""
+        over the distinct P-rows, ordered by inclusion. A row accepts when its
+        bit of ``suffixes[0] == b""`` is set, extends to the row of its first
+        P-word with the letter appended, and is composite when it is the OR of
+        the rows below it; every P-row is a key, so this is ``not is_prime``."""
         firsts: dict[int, bytes] = {}
         for p in self.prefixes:
             firsts.setdefault(self.row(p), p)
         handle = QuasiorderHandle(
             direction="right",
-            key_of=lambda w: w,
-            leq=self.row_leq,
-            accepts=self.member,
-            extend=lambda u, a: u + bytes([a]),
+            key_of=self.row,
+            leq=subset,
+            accepts=lambda row: row & 1,
+            extend=lambda row, a: self.row(firsts[row] + bytes([a])),
         )
         return residual.build_H(
             handle,
-            list(firsts.values()),
-            lambda u, below: self.row(u) == reduce(or_, map(self.row, below), 0),
+            list(firsts),
+            lambda row, below: row == reduce(or_, below, 0),
             self.alphabet,
         )
 

@@ -12,7 +12,7 @@ One refinement computes every simulation: ``cross_simulation(a, m)``,
 the states of ``m`` that simulate each state of ``a``. It settles the
 state-set inclusion checks (``inclusion.word_fixpoint``): an entry at a
 state of n1 whose key holds a simulator of that state only grows into
-words of n2's language. ``max_simulation`` is the cross simulation of an
+words of n2's language. ``sim_closure`` uses the simulation of an
 automaton by itself, and ``residual_inclusion_matrix`` is that of a
 complete DFA.
 
@@ -24,8 +24,7 @@ prime principals (``residual.build_H``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .automata import Dfa, Nfa, Ocn, bits
 from .fixpoint import subset
@@ -39,7 +38,6 @@ __all__ = [
     "ctx_handle",
     "ocn_handle",
     "cross_simulation",
-    "max_simulation",
     "sim_closure",
     "residual_inclusion_matrix",
     "residual_leq",
@@ -60,6 +58,9 @@ def cross_simulation(a: Nfa, m: Nfa) -> tuple[int, ...]:
     every move q -s-> q2 of ``a`` is matched by a move on s to a state that
     simulates q2. The right language of q is then included in that of
     every state of ``up[q]``.
+
+    ``cross_simulation(n, n)`` is the maximal simulation of ``n``; that of
+    ``n.reverse()`` does the same for left languages.
 
     Starting from the finality condition, each move q -s-> q2 refines
     ``up[q] &= pre_s(up[q2])``, with ``pre_s`` read from ``m.reverse()``'s
@@ -103,22 +104,9 @@ def cross_simulation(a: Nfa, m: Nfa) -> tuple[int, ...]:
     return tuple(up)
 
 
-def max_simulation(n: Nfa) -> tuple[int, ...]:
-    """Coarsest relation such that every labeled move of the smaller state
-    is matched by the larger, and the larger is final if the smaller is,
-    as a bit matrix: ``rows[p]`` holds the mask of states q that simulate
-    p. It is ``cross_simulation(n, n)``.
-
-    A simulated state's right language is included in its simulator's.
-    The left simulation, which does the same for left languages, is
-    ``max_simulation(n.reverse())``.
-    """
-    return cross_simulation(n, n)
-
-
 def sim_closure(n: Nfa) -> Callable[[int], int]:
     """The map from a state set of ``n`` to the set of states its members
-    simulate (``max_simulation``). A set lies below another in the
+    simulate (``cross_simulation(n, n)``). A set lies below another in the
     simulation-lifted order (each of its states is simulated by one of the
     other's) iff its closure is included in the other's closure, and the
     closure of a one-symbol step is the closure of the step of the closure.
@@ -126,7 +114,7 @@ def sim_closure(n: Nfa) -> Callable[[int], int]:
     simulates a final one."""
     # below[q]: the states q simulates
     below = [0] * n.state_count
-    for p, row in enumerate(max_simulation(n)):
+    for p, row in enumerate(cross_simulation(n, n)):
         for q in bits(row):
             below[q] |= 1 << p
 
@@ -146,32 +134,23 @@ def residual_inclusion_matrix(min_dfa: Dfa) -> tuple[int, ...]:
     states: ``rows[p]`` has bit q set iff the language of p is included in
     the language of q. This is the DFA's maximal simulation: a deterministic
     state simulates another exactly when its language includes the other's."""
-    return max_simulation(min_dfa)
-
-
-def empty_states_mask(d: Dfa) -> int:
-    """States of a DFA whose right language is empty: those the finals do
-    not reach in the reverse automaton."""
-    r = d.reverse()
-    alive = frontier = r.initial_mask
-    while frontier:
-        reached = 0
-        for sym in r.alphabet:
-            reached |= r.step(frontier, sym)
-        frontier = reached & ~alive
-        alive |= frontier
-    return ((1 << d.state_count) - 1) & ~alive
+    return cross_simulation(min_dfa, min_dfa)
 
 
 def residual_leq(min_dfa: Dfa):
     """Residual-language inclusion on the keys of a minimal DFA: state sets
     of at most one state. A state lies below the keys whose residual
-    includes its own, and below every key when its residual is empty. The
-    empty set, the key of a word the DFA cannot read, has the empty
-    residual: it lies below every key and above the empty-language states."""
+    includes its own. The empty set, the key of a word the DFA cannot read,
+    has the empty residual: it lies below every key and above the sink (the
+    non-final state whose moves all loop to itself), whose row is full."""
     incl = residual_inclusion_matrix(min_dfa)
-    empty = empty_states_mask(min_dfa)
-    return lambda a, b: not a or incl[a.bit_length() - 1] & (b | empty) != 0
+    final, moves = min_dfa.final_mask, min_dfa._succ.values()
+    empty = 0
+    for p in range(min_dfa.state_count):
+        if not final >> p & 1 and all(row[p] == p for row in moves):
+            empty = 1 << p
+            break
+    return lambda a, b: not a or incl[a.bit_length() - 1] & (b or empty) != 0
 
 
 # -- state-pair contexts (relations q -word-> q') --------------------------
@@ -259,8 +238,7 @@ def macro_leq(m1: MacroState, m2: MacroState) -> bool:
 # -- handles ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiorderHandle:
+class QuasiorderHandle(NamedTuple):
     """A decidable quasiorder on words packaged for the inclusion
     fixpoints and the prime-principal construction.
 
@@ -332,8 +310,7 @@ def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
     m = _oriented(n2, direction)
     close = sim_closure(m)
     plain = _set_handle(m, direction, subset)
-    return replace(
-        plain,
+    return plain._replace(
         key_of=lambda w: close(plain.key_of(w)),
         extend=lambda key, sym: close(m.step(key, sym)),
     )
@@ -345,7 +322,7 @@ def myhill_handle(n: Nfa) -> QuasiorderHandle:
     one state, ordered rowwise by residual inclusion (``residual_leq``)."""
     m = n.determinize().minimize()
     leq = residual_leq(m)
-    return replace(ctx_handle(m), leq=lambda x, y: all(map(leq, x, y)))
+    return ctx_handle(m)._replace(leq=lambda x, y: all(map(leq, x, y)))
 
 
 def ctx_handle(n: Nfa) -> QuasiorderHandle:

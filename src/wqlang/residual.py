@@ -16,8 +16,8 @@ pass and the composite test they supply:
   Nerode handle (residual inclusion), composite by ``is_composite`` on the
   minimal DFA;
 - the learner's hypothesis (``learn.ObservationState.build_automaton``):
-  representative words under a row handle (row containment), composite
-  when the row is the join of the rows below it.
+  its distinct rows under a row handle (row containment), composite when
+  the row is the OR of the rows below it.
 
 Direction is decided only in ``res`` and ``canonical``: left is the
 reverse of the construction on the reverse. Also here: principal
@@ -38,9 +38,9 @@ or already safe. ``res`` builds the subset construction for its keys
 anyway, so it seeds the successor memo with that construction's successor
 masks, and the walk steps only the unions that are not principals.
 
-Under state-set inclusion (``fixpoint.subset``, which ``state_handle``
-passes itself), ``build_H`` compares the keys inline, one ``&`` per pair,
-as ``Antichain.insert`` does.
+Under mask inclusion (``fixpoint.subset``, passed by ``state_handle`` and
+the learner's row handle), ``build_H`` compares the keys inline, one ``&``
+per pair, as ``Antichain.insert`` does.
 
 Kameda and Weiner's co-subset test (IEEE Trans. Computers, 1970) would
 decide the same inclusion by the subsets of the reversed automaton: K's

@@ -1,11 +1,14 @@
 import hashlib
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqlang import Nfa, canonical, equivalence_counterexample, nl_learn, residual
 from wqlang.learn import LearnerDiverged, ObservationState
+from wqlang.quasiorder import QuasiorderHandle
 from wqlang.residual import isomorphic_to_canonical
 
 from conftest import A, B, examples, rand_nfa
@@ -115,10 +118,15 @@ def test_below_join_agrees_with_is_prime(monkeypatch):
 
     def snapshot(obs: ObservationState, hypothesis: Nfa):
         keys, leq, composite = calls[-1]
-        for u in keys:
-            below = [v for v in keys if leq(v, u) and not leq(u, v)]
-            verdict = composite(u, below)
-            assert verdict == (not obs.is_prime(u))
+        # the keys are the P-rows; each stands for its first P-word
+        firsts = {}
+        for p in obs.prefixes:
+            firsts.setdefault(obs.row(p), p)
+        assert keys == list(firsts)
+        for row in keys:
+            below = [r for r in keys if leq(r, row) and not leq(row, r)]
+            verdict = composite(row, below)
+            assert verdict == (not obs.is_prime(firsts[row]))
             seen[verdict] += 1
 
     rng = random.Random(81)
@@ -132,6 +140,43 @@ def test_below_join_agrees_with_is_prime(monkeypatch):
         )
         assert equivalence_counterexample(learned, target) is None
     assert seen[True] >= 10 and seen[False] >= 50
+
+
+def test_row_keys_build_the_hypothesis_of_word_keys_under_row_containment():
+    # build_automaton keys the row masks themselves under fixpoint.subset;
+    # keying the representative words under row_leq must build the same
+    # automaton
+    def word_keyed(obs: ObservationState) -> Nfa:
+        firsts = {}
+        for p in obs.prefixes:
+            firsts.setdefault(obs.row(p), p)
+        handle = QuasiorderHandle(
+            direction="right",
+            key_of=lambda w: w,
+            leq=obs.row_leq,
+            accepts=obs.member,
+            extend=lambda u, a: u + bytes([a]),
+        )
+        composite = lambda u, below: obs.row(u) == reduce(or_, map(obs.row, below), 0)
+        return residual.build_H(handle, list(firsts.values()), composite, obs.alphabet)
+
+    hypotheses = 0
+
+    def snapshot(obs: ObservationState, hypothesis: Nfa):
+        nonlocal hypotheses
+        assert hypothesis == word_keyed(obs)
+        hypotheses += 1
+
+    rng = random.Random(83)
+    for _ in range(30):
+        target = rand_nfa(rng, max_states=6, n_syms=2)
+        nl_learn(
+            target.member,
+            lambda c: equivalence_counterexample(c, target),
+            [A, B],
+            on_hypothesis=snapshot,
+        )
+    assert hypotheses >= 40
 
 
 def test_prefix_and_suffix_closure_maintained():

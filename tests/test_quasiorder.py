@@ -10,12 +10,11 @@ from wqlang.quasiorder import (
     ctx_identity,
     ctx_key,
     ctx_leq,
-    empty_states_mask,
     macro_leq,
     macro_step,
-    max_simulation,
     ocn_macro,
     residual_inclusion_matrix,
+    residual_leq,
     sim_closure,
 )
 
@@ -54,7 +53,7 @@ def test_simulation_contains_identity_and_respects_finality():
     rng = random.Random(21)
     for _ in range(30):
         n = rand_nfa(rng, max_states=4)
-        sim = max_simulation(n)
+        sim = cross_simulation(n, n)
         for p in range(n.state_count):
             assert sim[p] >> p & 1
             for q in range(n.state_count):
@@ -68,7 +67,7 @@ def test_simulation_implies_right_language_inclusion():
     rng = random.Random(22)
     for _ in range(25):
         n = rand_nfa(rng, max_states=4)
-        sim = max_simulation(n)
+        sim = cross_simulation(n, n)
         for p in range(n.state_count):
             for q in range(n.state_count):
                 if sim[p] >> q & 1:
@@ -103,7 +102,7 @@ def test_sim_closure_inclusion_is_the_lifted_simulation():
     rng = random.Random(25)
     for _ in range(60):
         n = rand_nfa(rng, max_states=6, density=0.3)
-        rows, close = max_simulation(n), sim_closure(n)
+        rows, close = cross_simulation(n, n), sim_closure(n)
         sets = [rng.getrandbits(n.state_count) for _ in range(12)]
         for u in sets:
             cu = close(u)
@@ -121,7 +120,8 @@ def test_cross_simulation_is_the_block_of_the_joint_simulation(seed, syms):
     rng = random.Random(seed)
     a = rand_nfa(rng, max_states=6, n_syms=syms, density=0.3)
     m = rand_nfa(rng, max_states=6, n_syms=rng.randint(1, 3), density=0.3)
-    joint = max_simulation(nfa_union(a, m))
+    union = nfa_union(a, m)
+    joint = cross_simulation(union, union)
     shift = a.state_count
     assert cross_simulation(a, m) == tuple(row >> shift for row in joint[:shift])
 
@@ -316,16 +316,20 @@ def test_residual_inclusion_matrix_is_language_inclusion():
                     assert bool(rows[p] >> q & 1) == included.included
 
 
+def _accepts_no_word(m, p) -> bool:
+    # a nonempty right language has a word shorter than the state count
+    return next(m.with_initial([p]).accepted_words(m.state_count), None) is None
+
+
 @settings(max_examples=examples(100), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.4, 0.7, 1.0)))
 def test_empty_states_are_those_that_accept_no_word(seed, density):
+    # the empty key lies above exactly the states whose residual is empty
     rng = random.Random(seed)
-    d = rand_dfa(rng, max_states=7, n_syms=2, density=density)
-    dead = empty_states_mask(d)
-    for p in range(d.state_count):
-        # a nonempty right language has a word shorter than the state count
-        accepts_none = next(d.with_initial([p]).accepted_words(d.state_count), None) is None
-        assert (dead >> p & 1 == 1) == accepts_none
+    m = min_dfa(rand_dfa(rng, max_states=7, n_syms=2, density=density))
+    leq = residual_leq(m)
+    for p in range(m.state_count):
+        assert leq(1 << p, 0) == _accepts_no_word(m, p)
 
 
 def test_right_nerode_order_on_one_state_keys_is_residual_inclusion():
@@ -337,7 +341,7 @@ def test_right_nerode_order_on_one_state_keys_is_residual_inclusion():
     for _ in range(60):
         n = rand_nfa(rng, max_states=5, n_syms=rng.choice([1, 2, 3]))
         m = min_dfa(n)
-        with_empty += empty_states_mask(m) != 0
+        with_empty += any(_accepts_no_word(m, p) for p in range(m.state_count))
         leq = nerode_handle(n, "right").leq
         for p in range(m.state_count):
             for q in range(m.state_count):

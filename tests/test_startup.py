@@ -1,8 +1,8 @@
-"""Each CLI subcommand loads only its own algorithm family. Every case runs
-``wqlang.cli.main`` in a fresh interpreter and reads what it left in
-``sys.modules``; importing the package alone loads no submodule."""
+"""Each CLI subcommand loads only its own algorithm family, and no
+standard-library module it does not use. Every case runs ``wqlang.cli.main``
+in a fresh interpreter and reads what it left in ``sys.modules``; importing
+the package alone loads no submodule."""
 
-import json
 import os
 import subprocess
 import sys
@@ -19,16 +19,21 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 TEXT = b"INFO ok\nERROR disk\nINFO ok\n" * 4
 
 
-def _loaded(code: str) -> set[str]:
-    """The ``wqlang`` modules loaded after running ``code`` in a fresh
-    interpreter."""
+def _modules(code: str) -> set[str]:
+    """The modules loaded after running ``code`` in a fresh interpreter."""
     path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    return {m for m in json.loads(out.splitlines()[-1]) if m.startswith("wqlang")}
+    return set(out.splitlines()[-1].split())
+
+
+def _loaded(code: str) -> set[str]:
+    """The ``wqlang`` modules loaded after running ``code`` in a fresh
+    interpreter."""
+    return {m for m in _modules(code) if m.startswith("wqlang")}
 
 
 @pytest.fixture
@@ -72,6 +77,23 @@ def test_subcommand_loads_only_its_family(files, argv, absent):
     loaded = _loaded(f"from wqlang.cli import main\nassert main({argv!r}) == 0")
     assert loaded & {f"wqlang.{m}" for m in absent} == set()
     assert "wqlang.cli" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["include", "nfa", "{n1}", "{n2}"],
+        ["canonical", "{n2}", "-o", "{out}"],
+        ["learn", "{n2}", "-o", "{out}"],
+    ],
+    ids=["include-nfa", "canonical", "learn"],
+)
+def test_subcommand_loads_no_dataclasses_inspect_or_json(files, argv):
+    # the records these commands build are named tuples, and ``json`` is
+    # imported only to print a ``--json`` result
+    argv = [arg.format(**files) for arg in argv]
+    loaded = _modules(f"from wqlang.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
 
 
 def test_importing_the_package_loads_no_submodule():
