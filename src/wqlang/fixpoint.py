@@ -6,7 +6,7 @@ of int masks by inclusion, is the order it runs inline.
 of the package, only the from-scratch test oracles ``word_fixpoint_oracle``
 and ``cfg_word_fixpoint_oracle`` (``tests/conftest.py``). They stay because
 the benchmark tracer patches them by name, until ROADMAP item 2 moves its
-patch sites, deletes them and moves that driver into the tests.
+patch sites, deletes them and moves their loop into the tests.
 """
 
 from __future__ import annotations
