@@ -17,10 +17,9 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING
 
-from .slpsearch.slp import Slp
-
 if TYPE_CHECKING:
     from .automata import CnfGrammar, Nfa, Ocn
+    from .slpsearch.slp import Slp
 
 __all__ = [
     "MAX_FILE_STATES",
@@ -114,8 +113,9 @@ def _lines(data: bytes):
 
 
 def parse_nfa(data: bytes) -> Nfa:
-    # the automaton classes are imported by the parsers that build them, so
-    # the SLP subcommands never load them
+    # each class is imported by the parsers that build it, so the SLP
+    # subcommands never load the automata and the automaton subcommands
+    # never load the SLP
     from .automata import Nfa
 
     count = None
@@ -274,6 +274,8 @@ def parse_slp_text(data: bytes) -> Slp:
         raise FormatError(0, "missing axiom line")
     if len(rules) != count - 1:
         raise FormatError(0, f"expected {count - 1} binary rules, got {len(rules)}")
+    from .slpsearch.slp import Slp
+
     try:
         return Slp([*rules, axiom])
     except ValueError as exc:
@@ -315,6 +317,8 @@ def parse_slp_binary(data: bytes) -> Slp:
         rules.append(struct.unpack_from("<II", data, pos))
         pos += 8
     axiom = struct.unpack_from(f"<{arity}I", data, pos)
+    from .slpsearch.slp import Slp
+
     try:
         return Slp([*rules, axiom])
     except ValueError as exc:

@@ -36,7 +36,8 @@ the finals and U missing them; a successful call proves this for every
 pair it explored, since each of their successors was either explored too
 or already safe. ``res`` builds the subset construction for its keys
 anyway, so it seeds the successor memo with that construction's successor
-masks, and the walk steps only the unions that are not principals.
+masks, and the walk steps only the unions that are not principals; its
+handle's ``extend`` reads the same arrays, so ``build_H`` steps nothing.
 
 Under mask inclusion (``fixpoint.subset``, passed by ``state_handle`` and
 the learner's row handle), ``build_H`` compares the keys inline, one ``&``
@@ -204,9 +205,13 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         raise ValueError(f"bad direction {direction!r}")
     d = n.determinize()
     included = right_inclusion(n, d)
+    # every key is a state of d, so the handle reads a key's successors off
+    # d's successor arrays instead of stepping it
+    masks, succ = d.source_subsets, d._succ
+    index = {m: i for i, m in enumerate(masks)}
     return build_H(
-        state_handle(n, "right"),
-        d.source_subsets,
+        state_handle(n, "right")._replace(extend=lambda key, sym: masks[succ[sym][index[key]]]),
+        masks,
         lambda key, below: is_composite(included, key, below),
         sorted(n.alphabet),
     )

@@ -18,11 +18,13 @@ This is the standard technique of computing over an SLP by memoizing per
 rule and context (Lohrey, "Algorithmics on SLP-compressed strings: a
 survey", 2012; Navarro, "Regular expression searching on compressed
 text", J. Discrete Algorithms 2003).
+
+The engine's counters, ``SearchStats``, are a plain slotted class, so
+importing the module loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..automata import Nfa
@@ -36,7 +38,6 @@ MATCHED = -1
 """The context of a line that already contains a match."""
 
 
-@dataclass
 class SearchStats:
     """Instrumentation for the complexity checks. ``compose_steps`` counts
     memo misses on rules, each the evaluation of a rule from an entry
@@ -45,10 +46,13 @@ class SearchStats:
     counts the state bits that terminal steps visit, at most ``s`` per
     distinct (byte, context) pair."""
 
-    compose_steps: int = 0
-    inner_iters: int = 0
-    automaton_states: int = 0
-    rules: int = 0
+    __slots__ = ("compose_steps", "inner_iters", "automaton_states", "rules")
+
+    def __init__(self, automaton_states: int, rules: int):
+        self.compose_steps = 0
+        self.inner_iters = 0
+        self.automaton_states = automaton_states
+        self.rules = rules
 
 
 class SearchEngine:

@@ -15,11 +15,15 @@ transitions are all it holds: it may have at most ``MAX_REGEX_STATES``
 states and ``MAX_REGEX_TRANSITIONS`` transitions, so that bounded
 repetitions such as ``a{99999}``, ``.{5000}`` or ``(a{1000}){1000}`` are
 refused instead of expanded.
+
+Syntax-tree nodes are named tuples, so importing the module loads no
+``dataclasses``. Like any tuples, nodes of two types with equal fields
+compare equal (``Star(Lit(97)) == Plus(Lit(97))``); the compiler and the
+shape tests tell nodes apart by type, never by equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..automata import Dfa, Nfa, mask_of
@@ -67,43 +71,35 @@ class EmptyMatchError(ValueError):
     """The pattern can match the empty string."""
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     byte: int
 
 
-@dataclass(frozen=True)
-class ClassAtom:
+class ClassAtom(NamedTuple):
     bytes_: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(NamedTuple):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(NamedTuple):
     branches: tuple
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     inner: object
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(NamedTuple):
     inner: object
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):
     inner: object
 
 
-@dataclass(frozen=True)
-class Repeat:
+class Repeat(NamedTuple):
     inner: object
     low: int
     high: int

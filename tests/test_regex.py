@@ -251,6 +251,19 @@ def test_compile_allow_empty_accepts_epsilon():
     assert nfa.member(b"") and nfa.member(b"aaa") and not nfa.member(b"b")
 
 
+def test_postfix_nodes_with_equal_fields_compile_apart():
+    # the nodes are named tuples, so these three compare equal as tuples;
+    # the compiler must tell them apart by type
+    nodes = [Star(Lit(A)), Plus(Lit(A)), Opt(Lit(A))]
+    assert nodes[0] == nodes[1] == nodes[2]
+    star, plus, opt = (compile_regex(node, allow_empty=True) for node in nodes)
+    assert [(n.member(b""), n.member(b"aa")) for n in (star, plus, opt)] == [
+        (True, True),
+        (False, True),
+        (True, False),
+    ]
+
+
 def _backtrack(node, word: bytes) -> bool:
     """Matcher straight off the syntax tree, used as compile oracle."""
     return any(n == len(word) for n in _ends(node, word, 0))

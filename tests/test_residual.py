@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wqlang.automata as automata
+import wqlang.residual as residual
 from wqlang import (
     Nfa,
     canonical,
@@ -23,6 +24,7 @@ from wqlang import (
 )
 from wqlang.automata import DeterminizationCap, bits
 from wqlang.fixpoint import subset
+from wqlang.formats import dump_nfa
 from wqlang.quasiorder import residual_inclusion_matrix, state_handle
 from wqlang.residual import build_H, isomorphic_to_canonical
 
@@ -339,6 +341,43 @@ def test_walk_is_bounded_by_the_subset_budget(monkeypatch):
         res(n)
     monkeypatch.setattr(automata, "MAX_DFA_STATES", 6)
     assert equivalence_counterexample(res(n), n) is None
+
+
+def test_res_reads_prime_successors_off_its_subset_construction(monkeypatch):
+    # res hands build_H the state handle with an extend that reads the
+    # successor arrays of n.determinize(): the same bytes as stepping each
+    # prime with Nfa.step, and no step call from build_H
+    step, build = Nfa.step, residual.build_H
+    open_frames, steps = [0], [0]  # build_H calls running, Nfa.step calls in them
+
+    def spy_step(self, s, sym):
+        steps[0] += open_frames[0] > 0
+        return step(self, s, sym)
+
+    def spy_build_H(*args):
+        open_frames[0] += 1
+        try:
+            return build(*args)
+        finally:
+            open_frames[0] -= 1
+
+    monkeypatch.setattr(Nfa, "step", spy_step)
+    monkeypatch.setattr(residual, "build_H", spy_build_H)
+    for seed in range(examples(60)):
+        n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
+        before = steps[0]
+        out = res(n)
+        assert steps[0] == before
+        d = n.determinize()
+        included = right_inclusion(n, d)
+        stepped = residual.build_H(
+            state_handle(n, "right"),
+            d.source_subsets,
+            lambda key, below: is_composite(included, key, below),
+            sorted(n.alphabet),
+        )
+        assert dump_nfa(out) == dump_nfa(stepped)
+    assert steps[0]  # the spy does see build_H's steps on the stepped route
 
 
 @settings(max_examples=examples(60), deadline=None)

@@ -66,9 +66,9 @@ ALGORITHMS = {
     [
         (["compress", "{text}", "-o", "{out}"], ALGORITHMS),
         (["decompress", "{slp}", "-o", "{out}"], ALGORITHMS),
-        (["include", "nfa", "{n1}", "{n2}"], {"slpsearch.regex", "slpsearch.counting", "slpsearch._repair", "residual", "learn"}),
+        (["include", "nfa", "{n1}", "{n2}"], {"slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "slpsearch._repair", "residual", "learn"}),
         (["search", "-e", "ERROR", "{slp}"], {"inclusion", "residual", "learn", "slpsearch._repair"}),
-        (["canonical", "{n2}", "-o", "{out}"], {"slpsearch.regex", "slpsearch.counting", "inclusion"}),
+        (["canonical", "{n2}", "-o", "{out}"], {"slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "inclusion"}),
     ],
     ids=["compress", "decompress", "include-nfa", "search", "canonical"],
 )
@@ -85,14 +85,23 @@ def test_subcommand_loads_only_its_family(files, argv, absent):
         ["include", "nfa", "{n1}", "{n2}"],
         ["canonical", "{n2}", "-o", "{out}"],
         ["learn", "{n2}", "-o", "{out}"],
+        ["search", "-e", "ERROR", "{slp}"],
+        ["search", "-e", "ERROR", "{slp}", "--report", "--stats"],
+        ["compress", "{text}", "-o", "{out}"],
+        ["decompress", "{slp}", "-o", "{out}"],
     ],
-    ids=["include-nfa", "canonical", "learn"],
+    ids=["include-nfa", "canonical", "learn", "search", "search-report-stats", "compress", "decompress"],
 )
 def test_subcommand_loads_no_dataclasses_inspect_or_json(files, argv):
-    # the records these commands build are named tuples, and ``json`` is
-    # imported only to print a ``--json`` result
+    # the records these commands build are named tuples or slotted classes,
+    # and ``json`` is imported only to print a ``--json`` result
     argv = [arg.format(**files) for arg in argv]
     loaded = _modules(f"from wqlang.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
+
+
+def test_search_modules_load_no_dataclasses_inspect_or_json():
+    loaded = _modules("import wqlang.slpsearch.regex, wqlang.slpsearch.counting")
     assert loaded & {"dataclasses", "inspect", "json"} == set()
 
 
