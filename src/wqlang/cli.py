@@ -13,9 +13,11 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions), 3
 malformed input file (including an automaton or net file that declares
 more than ``MAX_FILE_STATES`` states, and an automaton file whose states
-times distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``) or a
-computation stopped by its cap (fixpoint layers, learner queries,
-decompressed size, ``MAX_DFA_STATES`` subset-construction states).
+times distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``), a
+path that cannot be opened as an input or as ``-o`` (missing, a directory,
+not permitted: any ``OSError``) or a computation stopped by its cap
+(fixpoint layers, learner queries, decompressed size, ``MAX_DFA_STATES``
+subset-construction states).
 ``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on fixpoint
 layers (each extends the entries the one before added; a witness found
 within the cap is still reported) of ``include nfa`` (every ``--algo``,
@@ -405,9 +407,10 @@ def _common_verdict_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _input_errors() -> tuple[type[Exception], ...]:
-    """Malformed input and computations stopped by their caps. The classes
-    are imported only once an exception propagates, so a subcommand that
-    succeeds loads no family but its own."""
+    """Malformed input, paths that cannot be opened (``OSError``) and
+    computations stopped by their caps. The classes are imported only once
+    an exception propagates, so a subcommand that succeeds loads no family
+    but its own."""
     from .automata import DeterminizationCap
     from .fixpoint import KleeneDivergence
     from .learn import LearnerDiverged
@@ -415,7 +418,7 @@ def _input_errors() -> tuple[type[Exception], ...]:
 
     return (
         FormatError,
-        FileNotFoundError,
+        OSError,
         KleeneDivergence,
         LearnerDiverged,
         DeterminizationCap,

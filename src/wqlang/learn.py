@@ -41,17 +41,8 @@ class ObservationState:
     grows by appending (``add_suffix``), so a cached row stays right on the
     suffixes it covers and ``row`` fills in only the bits of suffixes added
     since; the membership answers asked for, and their order, are those of
-    rebuilding the row on every call.
-
-    ``closedness_defect`` resumes its scan of the one-letter extensions of
-    P at the extension where it last stopped, for as long as S has not
-    grown. This is exact because a P-word added since (P, too, only grows by
-    appending) only enlarges the set of P-rows and the join of the P-rows
-    below each row: an extension found to match a P-row, or to be the join
-    of the P-rows below it, stays so, and the new P-words' extensions come
-    after every earlier one. The skipped extensions' rows are cached over
-    the same S, so the teacher is asked the same words in the same order as
-    by a scan from the start.
+    rebuilding the row on every call, and a closedness scan from the start
+    asks only for the rows' new bits.
     """
 
     def __init__(self, teacher: Callable[[bytes], bool], alphabet: Iterable[int]):
@@ -61,13 +52,6 @@ class ObservationState:
         self.suffixes: list[bytes] = [b""]
         self._member: dict[bytes, bool] = {}
         self._rows: dict[bytes, tuple[int, int]] = {}
-        # closedness scan state over the S of ``len(suffixes) == _scan_width``:
-        # the distinct rows of the first ``_rowed`` P-words, and the
-        # (P-word, letter) index to resume at
-        self._scan_width = 0
-        self._p_rows: set[int] = set()
-        self._rowed = 0
-        self._resume = (0, 0)
 
     def member(self, word: bytes) -> bool:
         cached = self._member.get(word)
@@ -119,21 +103,11 @@ class ObservationState:
         """A one-letter extension of P whose principal is prime but matches
         no P-row, scanned in insertion/byte order: its row is not a P-row
         and not the join of the P-rows below it."""
-        prefixes, alphabet, row = self.prefixes, self.alphabet, self.row
-        if self._scan_width != len(self.suffixes):
-            self._scan_width = len(self.suffixes)
-            self._p_rows = set()
-            self._rowed = 0
-            self._resume = (0, 0)
-        p_rows = self._p_rows
-        for p in prefixes[self._rowed :]:
-            p_rows.add(row(p))
-        self._rowed = len(prefixes)
-        first, start = self._resume
-        for i in range(first, len(prefixes)):
-            u = prefixes[i]
-            for j in range(start, len(alphabet)):
-                ua = u + bytes([alphabet[j]])
+        row = self.row
+        p_rows = {row(p) for p in self.prefixes}
+        for u in self.prefixes:
+            for a in self.alphabet:
+                ua = u + bytes([a])
                 target = row(ua)
                 if target in p_rows:
                     continue
@@ -142,10 +116,7 @@ class ObservationState:
                     if r & target == r:
                         join |= r
                 if join != target:
-                    self._resume = (i, j)
                     return ua
-            start = 0
-        self._resume = (len(prefixes), 0)
         return None
 
     def consistency_defect(self) -> bytes | None:

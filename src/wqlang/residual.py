@@ -25,19 +25,21 @@ enumeration, the double-reversal route to the canonical RFA, and the
 closedness condition, sufficient but not necessary for plain
 residualization to be canonical.
 
+``principals``, ``res`` and ``denis_residualize`` read one lazy subset
+construction (``automata.subset_successors``): a breadth-first walk over
+it lists the keys in the order of ``determinize().source_subsets``, and
+their handle's ``extend`` reads it, so ``build_H`` steps nothing.
+
 The composite test is a language inclusion L(K) ⊆ L(U) between two state
 sets of one automaton, and ``res`` and ``canonical`` ask it once per key.
 ``right_inclusion`` answers all of an automaton's questions with one
 forward walk over pairs (K-mask, U-mask) that shares two memos between
-calls: the successor masks of every mask met so far (bounded by
-``MAX_DFA_STATES``, like a subset construction) and the pairs already
-proved safe. A pair is safe when no pair reachable from it has K meeting
-the finals and U missing them; a successful call proves this for every
-pair it explored, since each of their successors was either explored too
-or already safe. ``res`` builds the subset construction for its keys
-anyway, so it seeds the successor memo with that construction's successor
-masks, and the walk steps only the unions that are not principals; its
-handle's ``extend`` reads the same arrays, so ``build_H`` steps nothing.
+calls: the lazy subset construction (bounded by ``MAX_DFA_STATES``; for
+``res``, the one its keys were walked on, so the walk steps only the
+unions that are not principals) and the pairs already proved safe. A pair
+is safe when no pair reachable from it has K meeting the finals and U
+missing them; a successful call proves this for every pair it explored,
+since each of their successors was either explored too or already safe.
 
 Under mask inclusion (``fixpoint.subset``, passed by ``state_handle`` and
 the learner's row handle), ``build_H`` compares the keys inline, one ``&``
@@ -55,7 +57,7 @@ about a millisecond.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Any, Callable, Iterator, Sequence
 
@@ -84,34 +86,46 @@ __all__ = [
 ]
 
 
+def _subset_walk(n: Nfa) -> tuple[Callable, QuasiorderHandle, tuple[int, ...]]:
+    """``n``'s lazy subset construction over its sorted alphabet, its right
+    state handle reading ``extend`` off it, and the masks a breadth-first
+    walk over it meets from the initials."""
+    syms = sorted(n.alphabet)
+    successors = subset_successors(n, syms)
+    column = {sym: i for i, sym in enumerate(syms)}
+    handle = state_handle(n, "right")._replace(extend=lambda key, sym: successors(key)[column[sym]])
+    keys, seen = [n.initial_mask], {n.initial_mask}
+    for mask in keys:
+        for succ in successors(mask):
+            if succ not in seen:
+                seen.add(succ)
+                keys.append(succ)
+    return successors, handle, tuple(keys)
+
+
 def principals(n: Nfa) -> tuple[int, ...]:
     """All distinct reachable post-sets of the initials, in breadth-first
-    discovery order: the subsets of the subset construction."""
-    return n.determinize().source_subsets
+    discovery order: ``determinize().source_subsets``, walked lazily."""
+    return _subset_walk(n)[2]
 
 
-def right_inclusion(n: Nfa, subsets: Dfa | None = None) -> Callable[[int, int], bool]:
+def right_inclusion(
+    n: Nfa, subsets: Callable[[int], tuple[int, ...]] | None = None
+) -> Callable[[int, int], bool]:
     """A callable ``included(key, union)`` deciding L(key) ⊆ L(union) for
     state sets (bitmasks) of ``n``, by a depth-first walk over the pairs of
     masks that one word reaches from both. A pair is bad when its first
     mask meets the finals and its second does not; a pair whose first mask
     is a subset of its second is never extended, since no bad pair follows.
 
-    The callable memoizes, across calls, each mask's successors per symbol
-    and the set of pairs from which no bad pair is reachable (every pair
-    explored by a call that returned True). ``subsets``, when given, is
-    ``n.determinize()``: its successor arrays fill the memo for every
-    principal up front. Raises ``DeterminizationCap`` when the successor
-    memo would hold more than ``MAX_DFA_STATES`` masks.
+    The callable memoizes, across calls, the set of pairs from which no bad
+    pair is reachable (every pair explored by a call that returned True),
+    and each mask's successors per symbol in ``subsets``: ``n``'s lazy subset
+    construction over its sorted alphabet, a new one when not given. Raises
+    ``DeterminizationCap`` past ``MAX_DFA_STATES`` masks.
     """
-    syms = sorted(n.alphabet)
     final = n.final_mask
-    memo = None
-    if subsets is not None:
-        masks = subsets.source_subsets
-        rows = [subsets._succ[sym] for sym in syms]
-        memo = {m: tuple(masks[row[i]] for row in rows) for i, m in enumerate(masks)}
-    successors = subset_successors(n, syms, memo)
+    successors = subsets or subset_successors(n, sorted(n.alphabet))
     safe: set[tuple[int, int]] = set()
 
     def included(key: int, union: int) -> bool:
@@ -203,18 +217,9 @@ def res(n: Nfa, direction: str = "right") -> Nfa:
         return res(n.reverse()).reverse()
     if direction != "right":
         raise ValueError(f"bad direction {direction!r}")
-    d = n.determinize()
-    included = right_inclusion(n, d)
-    # every key is a state of d, so the handle reads a key's successors off
-    # d's successor arrays instead of stepping it
-    masks, succ = d.source_subsets, d._succ
-    index = {m: i for i, m in enumerate(masks)}
-    return build_H(
-        state_handle(n, "right")._replace(extend=lambda key, sym: masks[succ[sym][index[key]]]),
-        masks,
-        lambda key, below: is_composite(included, key, below),
-        sorted(n.alphabet),
-    )
+    subsets, handle, keys = _subset_walk(n)
+    included = right_inclusion(n, subsets)
+    return build_H(handle, keys, partial(is_composite, included), sorted(n.alphabet))
 
 
 def canonical(lang: Nfa, direction: str = "right") -> Nfa:
@@ -242,12 +247,9 @@ def denis_residualize(n: Nfa) -> Nfa:
     """Classic residualization: ``res``'s keys and handle, keeping the
     reachable post-sets that are not the union of the smaller ones (state-set
     coverability instead of language equivalence)."""
-    return build_H(
-        state_handle(n, "right"),
-        principals(n),
-        lambda key, below: reduce(or_, below, 0) == key,
-        sorted(n.alphabet),
-    )
+    _, handle, keys = _subset_walk(n)
+    covered = lambda key, below: reduce(or_, below, 0) == key
+    return build_H(handle, keys, covered, sorted(n.alphabet))
 
 
 def double_reversal_canonical(n: Nfa) -> Nfa:

@@ -421,6 +421,27 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["search", "-e", "a", str(tmp_path / "nope.slp")]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["include", "nfa", "{dir}", "{n1}"],
+        ["decompress", "{dir}"],
+        ["compress", "{dir}"],
+        ["canonical", "{n2}", "-o", "{dir}"],
+        ["compress", "{n1}", "-o", "{dir}"],
+    ],
+    ids=["include-nfa-input", "decompress-input", "compress-input", "canonical-output", "compress-output"],
+)
+def test_directory_path_exits_with_input_error(files, tmp_path, capsys, argv):
+    # a directory as an input or as -o is an input error, not a traceback
+    # (nor exit 1, the --fail-on-miss code)
+    argv = [arg.format(dir=tmp_path, **files) for arg in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["include", "nfa"])

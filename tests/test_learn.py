@@ -216,11 +216,12 @@ def test_learn_empty_language():
     assert equivalence_counterexample(learned, target) is None
 
 
-# -- the resumed closedness scan ----------------------------------------------
+# -- the closedness scan against the is_prime reference -----------------------
 
 
 def _closedness_from_scratch(obs: ObservationState) -> bytes | None:
-    """Reference scan: every extension of every P-word, from the first."""
+    """Reference scan: the first extension of a P-word, in P order, whose
+    row is no P-row and is prime (``ObservationState.is_prime``)."""
     p_rows = {obs.row(p) for p in obs.prefixes}
     for u in obs.prefixes:
         for a in obs.alphabet:
@@ -230,7 +231,7 @@ def _closedness_from_scratch(obs: ObservationState) -> bytes | None:
     return None
 
 
-def test_resumed_scan_matches_a_full_scan_inside_the_learner(monkeypatch):
+def test_closedness_defect_agrees_with_the_is_prime_scan_inside_the_learner(monkeypatch):
     checked = []
 
     def checking(add):
@@ -259,7 +260,7 @@ _words = st.binary(max_size=4).map(lambda w: bytes(A + x % 2 for x in w))
     seed=st.integers(0, 2**32 - 1),
     steps=st.lists(st.tuples(st.booleans(), _words), max_size=12),
 )
-def test_resumed_scan_matches_a_full_scan_after_any_additions(seed, steps):
+def test_closedness_defect_agrees_with_the_is_prime_scan_after_any_additions(seed, steps):
     # P and S grow in any order, not only as the learner grows them
     target = rand_nfa(random.Random(seed), max_states=5, n_syms=2)
     obs = ObservationState(target.member, [A, B])
@@ -267,7 +268,7 @@ def test_resumed_scan_matches_a_full_scan_after_any_additions(seed, steps):
     for is_prefix, word in steps:
         (obs.add_prefix if is_prefix else obs.add_suffix)(word)
         assert obs.closedness_defect() == _closedness_from_scratch(obs)
-        # asked twice without a change, the scan stops at the same defect
+        # asked twice without a change, the scan finds the same defect
         assert obs.closedness_defect() == _closedness_from_scratch(obs)
 
 

@@ -344,9 +344,10 @@ def test_walk_is_bounded_by_the_subset_budget(monkeypatch):
 
 
 def test_res_reads_prime_successors_off_its_subset_construction(monkeypatch):
-    # res hands build_H the state handle with an extend that reads the
-    # successor arrays of n.determinize(): the same bytes as stepping each
-    # prime with Nfa.step, and no step call from build_H
+    # res and denis_residualize hand build_H the state handle with an extend
+    # that reads the lazy subset construction their keys were walked on: the
+    # same bytes as stepping each prime with Nfa.step, and no step call from
+    # build_H
     step, build = Nfa.step, residual.build_H
     open_frames, steps = [0], [0]  # build_H calls running, Nfa.step calls in them
 
@@ -365,18 +366,18 @@ def test_res_reads_prime_successors_off_its_subset_construction(monkeypatch):
     monkeypatch.setattr(residual, "build_H", spy_build_H)
     for seed in range(examples(60)):
         n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
-        before = steps[0]
-        out = res(n)
-        assert steps[0] == before
-        d = n.determinize()
-        included = right_inclusion(n, d)
-        stepped = residual.build_H(
-            state_handle(n, "right"),
-            d.source_subsets,
-            lambda key, below: is_composite(included, key, below),
-            sorted(n.alphabet),
-        )
-        assert dump_nfa(out) == dump_nfa(stepped)
+        included = right_inclusion(n)
+        for construction, composite in (
+            (res, lambda key, below: is_composite(included, key, below)),
+            (denis_residualize, lambda key, below: reduce(or_, below, 0) == key),
+        ):
+            before = steps[0]
+            out = construction(n)
+            assert steps[0] == before
+            stepped = residual.build_H(
+                state_handle(n, "right"), principals(n), composite, sorted(n.alphabet)
+            )
+            assert dump_nfa(out) == dump_nfa(stepped)
     assert steps[0]  # the spy does see build_H's steps on the stepped route
 
 
@@ -443,6 +444,29 @@ def test_build_H_compares_subset_keys_inline_without_changing_the_automaton(seed
 def test_right_inclusion_seeded_by_the_subset_construction_agrees(seed, pairs):
     n = rand_nfa(random.Random(seed), max_states=6, density=0.3)
     full = (1 << n.state_count) - 1
-    seeded, fresh = right_inclusion(n, n.determinize()), right_inclusion(n)
+    walked = []
+
+    def recording(*args):
+        walked.append(automata.subset_successors(*args))
+        return walked[-1]
+
+    # the construction principals walked, as res hands it over
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(residual, "subset_successors", recording)
+        principals(n)
+    seeded, fresh = right_inclusion(n, walked[0]), right_inclusion(n)
     for k, u in pairs:
         assert seeded(k & full, u & full) == fresh(k & full, u & full)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+def test_principals_list_the_subsets_of_determinize_in_its_order(seed, density):
+    # sparse NFAs reach the empty set; it is a principal like any other
+    n = rand_nfa(random.Random(seed), max_states=6, density=density)
+    assert principals(n) == n.determinize().source_subsets
+
+
+def test_principals_include_the_empty_set_when_reached():
+    n = Nfa(2, [(0, A, 1)], [0], [1])
+    assert principals(n) == n.determinize().source_subsets == (0b01, 0b10, 0)

@@ -60,6 +60,10 @@ ALGORITHMS = {
     "slpsearch.counting",
 }
 
+# the residual constructions and the learner load neither the inclusion
+# checkers nor any SLP module
+RESIDUAL_ABSENT = {"inclusion", "slpsearch", "slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "slpsearch._repair"}
+
 
 @pytest.mark.parametrize(
     "argv, absent",
@@ -68,9 +72,11 @@ ALGORITHMS = {
         (["decompress", "{slp}", "-o", "{out}"], ALGORITHMS),
         (["include", "nfa", "{n1}", "{n2}"], {"slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "slpsearch._repair", "residual", "learn"}),
         (["search", "-e", "ERROR", "{slp}"], {"inclusion", "residual", "learn", "slpsearch._repair"}),
-        (["canonical", "{n2}", "-o", "{out}"], {"slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "inclusion"}),
+        (["canonical", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
+        (["residualize", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
+        (["learn", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
     ],
-    ids=["compress", "decompress", "include-nfa", "search", "canonical"],
+    ids=["compress", "decompress", "include-nfa", "search", "canonical", "residualize", "learn"],
 )
 def test_subcommand_loads_only_its_family(files, argv, absent):
     argv = [arg.format(**files) for arg in argv]
