@@ -37,7 +37,11 @@ blocks an unsettled one; a rejected entry is never settled, since a
 simulator of a final state is final. Each layer therefore accepts the
 same unsettled entries as the unpruned run, and the same shortest, then
 least, witness surfaces at the same layer. ``fa_inc_word`` under
-``state_handle`` (``--algo word-state``) is the unpruned order.
+``state_handle`` (``--algo word-state``) is the unpruned order. The
+simulation (``quasiorder.cross_simulation``) is one first-in first-out
+refinement read straight off n2's predecessor tables, and ``word_fixpoint``
+gathers a state's moves only when it first extends an entry there, so a
+check whose layer-0 entries all settle gathers no move of n1.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import functools
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
-from .fixpoint import Antichain, KleeneDivergence
+from .fixpoint import Antichain, KleeneDivergence, subset
 
 # Not called here: bound because the benchmark tracer patches
 # ``inclusion.kleene`` and ``inclusion.ac_below`` by name
@@ -151,19 +155,22 @@ def word_fixpoint(
     unsettled entries, with the same words, as the unpruned run, and the
     witness is the same. The simulation is computed on the first
     extension, so a run that ends at layer 0 does not pay for it.
+
+    The moves of a state are gathered the first time an unsettled entry at
+    it is extended, and the key of the empty word is computed once for all
+    initials. A run whose layer-0 entries all settle, as in checking an
+    automaton against itself or against a union that holds it, builds no
+    moves at all.
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
         raise ValueError("word_fixpoint needs a directed quasiorder handle")
     a = n1.reverse() if left else n1
+    tables = [(sym, bytes((sym,)), table) for sym, table in a._fwd.items()]
     # moves[q2]: per symbol, the states q that ``a`` moves to from q2 on it,
-    # each extending a word at q2 into one at q
-    moves: list[list[tuple[int, bytes, list[int]]]] = [[] for _ in range(a.state_count)]
-    for sym, table in a._fwd.items():
-        s = bytes([sym])
-        for q2, qs in enumerate(table):
-            if qs:
-                moves[q2].append((sym, s, list(bits(qs))))
+    # each extending a word at q2 into one at q; built when an entry at q2
+    # is first extended
+    moves: list[list[tuple[int, bytes, list[int]]] | None] = [None] * a.state_count
     extend = functools.cache(handle.extend)
     up = None
 
@@ -174,13 +181,17 @@ def word_fixpoint(
                 up = qo.cross_simulation(a, key_automaton)
             frontier = [e for e in frontier if not e[1] & up[e[0]]]
         for q2, key, word in frontier:
-            for sym, s, qs in moves[q2]:
+            here = moves[q2]
+            if here is None:
+                here = moves[q2] = [(sym, s, list(bits(t[q2]))) for sym, s, t in tables if t[q2]]
+            for sym, s, qs in here:
                 k = extend(key, sym)
                 head, tail = (s, word) if left else (word, s)
                 for q in qs:
                     yield q, k, head, tail
 
-    base = [(q, handle.key_of(b""), b"", b"") for q in bits(a.initial_mask)]
+    key = handle.key_of(b"")
+    base = [(q, key, b"", b"") for q in bits(a.initial_mask)]
     return _layers(a.state_count, handle, base, grow, a.final_mask if stop else 0, max_iter)
 
 
@@ -205,12 +216,14 @@ def fa_inc_antichain(
     n2's initials, and which skips the extensions of settled entries: a
     pre-set at a state q of n1 holding a state of n2 whose left language
     includes that of q (a left simulation of n1 by n2) can only grow into
-    words of L(n2). Verdict and witness are those of the unpruned
+    words of L(n2). One reversal of n2 serves both the handle and the
+    simulation. Verdict and witness are those of the unpruned
     ``fa_inc_word`` under the same handle (``--algo word-state``).
     ``variant`` names the algorithm and must be "forward", the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
-    _, _, witness = word_fixpoint(n1, qo.state_handle(n2, "left"), max_iter, True, n2.reverse())
+    m = n2.reverse()
+    _, _, witness = word_fixpoint(n1, qo._set_handle(m, "left", subset), max_iter, True, m)
     return Verdict(witness is None, witness)
 
 

@@ -9,12 +9,13 @@ state-set and state-pair keys of the minimal DFA, compared by residual
 inclusion (``residual_leq``; rowwise for Myhill).
 
 One refinement computes every simulation: ``cross_simulation(a, m)``,
-the states of ``m`` that simulate each state of ``a``. It settles the
-state-set inclusion checks (``inclusion.word_fixpoint``): an entry at a
-state of n1 whose key holds a simulator of that state only grows into
-words of n2's language. ``sim_closure`` uses the simulation of an
-automaton by itself, and ``residual_inclusion_matrix`` is that of a
-complete DFA.
+the states of ``m`` that simulate each state of ``a``, shrunk state by
+state in first-in first-out order with pre-images read off ``m``'s
+predecessor tables. It settles the state-set inclusion checks
+(``inclusion.word_fixpoint``): an entry at a state of n1 whose key holds
+a simulator of that state only grows into words of n2's language.
+``sim_closure`` uses the simulation of an automaton by itself, and
+``residual_inclusion_matrix`` is that of a complete DFA.
 
 A ``QuasiorderHandle`` packages one of these orders for the algorithms,
 and the ``*_handle`` factories build them: the same right handle decides
@@ -63,34 +64,44 @@ def cross_simulation(a: Nfa, m: Nfa) -> tuple[int, ...]:
     ``n.reverse()`` does the same for left languages.
 
     Starting from the finality condition, each move q -s-> q2 refines
-    ``up[q] &= pre_s(up[q2])``, with ``pre_s`` read from ``m.reverse()``'s
-    tables, until nothing changes; only the predecessors of a state whose
-    mask shrank are refined again.
+    ``up[q] &= pre_s(up[q2])`` until nothing changes. The states of ``a``
+    wait in one first-in first-out queue, in index order at the start, and
+    a state whose mask shrank is queued again, once, so that its
+    predecessors are refined against the smaller mask. The order changes
+    only the work: the maximal simulation is the greatest fixpoint, and
+    every order reaches it. ``pre_s`` unions the rows of ``m``'s
+    predecessor table for s (``m.reverse()``'s successor table; all zero
+    for a symbol ``m`` lacks), memoized per symbol on the mask.
     """
-    full = (1 << m.state_count) - 1
+    m_count = m.state_count
+    full = (1 << m_count) - 1
     a_final = a.final_mask
     up = [m.final_mask if a_final >> q & 1 else full for q in range(a.state_count)]
-    m_pre = m.reverse()
-    # preds[q2]: for each symbol s, the mask of the states q of ``a`` with a
-    # move q -s-> q2
-    preds: list[list[tuple[int, int]]] = [[] for _ in up]
+    m_bwd = m.reverse()._fwd
+    # preds[q2]: for each symbol s, m's predecessor table of s, the memo of
+    # pre_s (many states share a mask, all of them the full or the final
+    # mask at the start) and the mask of the states q of ``a`` with a move
+    # q -s-> q2
+    preds: list[list[tuple[tuple[int, ...], dict[int, int], int]]] = [[] for _ in up]
     for sym, table in a.reverse()._fwd.items():
+        entry = m_bwd.get(sym) or (0,) * m_count, {}
         for q2, qs in enumerate(table):
             if qs:
-                preds[q2].append((sym, qs))
-    # pre_s of a mask, memoized: many states share a mask, all of them the
-    # full or the final mask at the start
-    pres: dict[tuple[int, int], int] = {}
-    work = list(range(a.state_count - 1, -1, -1))
+                preds[q2].append((*entry, qs))
+    work = list(range(a.state_count))
     queued = (1 << a.state_count) - 1
-    while work:
-        q2 = work.pop()
+    for q2 in work:
         queued ^= 1 << q2
         target = up[q2]
-        for sym, qs in preds[q2]:
-            pre = pres.get((sym, target))
+        for table, pres, qs in preds[q2]:
+            pre = pres.get(target)
             if pre is None:
-                pre = pres[sym, target] = m_pre.step(target, sym)
+                pre, s = 0, target
+                while s:
+                    low = s & -s
+                    pre |= table[low.bit_length() - 1]
+                    s ^= low
+                pres[target] = pre
             while qs:
                 low = qs & -qs
                 q = low.bit_length() - 1

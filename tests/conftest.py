@@ -200,6 +200,19 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
+def tv_nfa(rng: random.Random, n: int, density: float, final_density: float = 0.5) -> Nfa:
+    """A Tabakov-Vardi random NFA over {a, b}: ``n`` states, state 0
+    initial, ``round(density * n)`` distinct transitions per symbol drawn
+    from the ``n * n`` state pairs and ``round(final_density * n)`` final
+    states."""
+    triples = [
+        (cell // n, sym, cell % n)
+        for sym in (A, B)
+        for cell in rng.sample(range(n * n), max(1, round(density * n)))
+    ]
+    return Nfa(n, triples, [0], rng.sample(range(n), max(1, round(final_density * n))))
+
+
 def rand_dfa(rng: random.Random, max_states: int = 6, n_syms: int = 2, density: float = 0.7) -> Dfa:
     """A random DFA: each transition is present with probability
     ``density`` (so the DFA may be partial) and the initial state is drawn
@@ -285,6 +298,34 @@ def ocn_trace_oracle(o: Ocn, start: tuple[int, int], word: bytes) -> bool:
         if not configs:
             return False
     return True
+
+
+def simulation_oracle(a: Nfa, m: Nfa) -> set[tuple[int, int]]:
+    """The maximal simulation of the states of ``a`` by those of ``m`` as a
+    set of pairs (q, p), p simulating q: the greatest fixpoint that starts
+    from every pair where p is final if q is, and drops (q, p) while some
+    move q -s-> q2 of ``a`` has no move p -s-> p2 of ``m`` with (q2, p2)
+    kept. Works on explicit pairs and transition sets only."""
+    moves_a, moves_m = a.transitions, m.transitions
+    rel = {
+        (q, p)
+        for q in range(a.state_count)
+        for p in range(m.state_count)
+        if q not in a.final or p in m.final
+    }
+    changed = True
+    while changed:
+        changed = False
+        for q, p in sorted(rel):
+            if any(
+                not any((q2, p2) in rel for p2 in moves_m.get((p, sym), ()))
+                for (q1, sym), q2s in moves_a.items()
+                if q1 == q
+                for q2 in q2s
+            ):
+                rel.discard((q, p))
+                changed = True
+    return rel
 
 
 def _abs_eq(va, vb) -> bool:

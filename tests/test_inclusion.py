@@ -39,6 +39,7 @@ from conftest import (
     rand_cnf,
     rand_nfa,
     rand_word,
+    tv_nfa,
     word_fixpoint_oracle,
 )
 
@@ -431,6 +432,23 @@ def test_self_inclusion_finishes_within_one_grown_layer():
         except KleeneDivergence:
             unpruned_needs_more += 1
     assert unpruned_needs_more > 10
+
+
+def test_settled_checks_match_the_unpruned_run_on_tabakov_vardi_pairs():
+    # the three kinds of pair at the sizes the benchmark times: independent,
+    # self and A in A + B, 12 to 18 states at densities 1.25 to 2
+    rng = random.Random(29)
+    verdicts = set()
+    for i in range(examples(42)):
+        density = (1.25, 1.5, 2.0)[i % 3]
+        a = tv_nfa(rng, 12 + i % 7, density)
+        b = tv_nfa(rng, 12 + (i + 3) % 7, density)
+        union = nfa_union(a, tv_nfa(rng, 4 + i % 5, density))
+        for n2 in (b, a, union):
+            verdict = fa_inc_antichain(a, n2)
+            assert verdict == fa_inc_word(a, state_handle(n2, "left"))
+            verdicts.add(verdict.included)
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("direction", ["left", "right"])

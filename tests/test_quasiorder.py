@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, sim_handle, state_handle
 from wqlang.automata import bits
@@ -18,7 +18,19 @@ from wqlang.quasiorder import (
     sim_closure,
 )
 
-from conftest import A, B, C, examples, nfa_union, ocn_trace_oracle, rand_dfa, rand_nfa, rand_word, set_of
+from conftest import (
+    A,
+    B,
+    C,
+    examples,
+    nfa_union,
+    ocn_trace_oracle,
+    rand_dfa,
+    rand_nfa,
+    rand_word,
+    set_of,
+    simulation_oracle,
+)
 
 
 def min_dfa(n):
@@ -124,6 +136,42 @@ def test_cross_simulation_is_the_block_of_the_joint_simulation(seed, syms):
     joint = cross_simulation(union, union)
     shift = a.state_count
     assert cross_simulation(a, m) == tuple(row >> shift for row in joint[:shift])
+
+
+def nfa_on(rng: random.Random, states: int, syms: list[int], density: float) -> Nfa:
+    """An NFA of exactly ``states`` states whose moves read only ``syms``."""
+    triples = [
+        (p, sym, q)
+        for p in range(states)
+        for sym in syms
+        for q in range(states)
+        if rng.random() < density
+    ]
+    finals = [q for q in range(states) if rng.random() < 0.4]
+    return Nfa(states, triples, [q for q in range(states) if rng.random() < 0.4], finals)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a_states=st.integers(0, 7),
+    m_states=st.integers(0, 7),
+    a_syms=st.sets(st.sampled_from((A, B, C))),
+    m_syms=st.sets(st.sampled_from((A, B, C))),
+    density=st.sampled_from((0.15, 0.3, 0.5)),
+    same=st.booleans(),
+)
+# ``a`` reads c and ``m`` has no move on it; then each side with no state
+@example(seed=3, a_states=4, m_states=4, a_syms={A, C}, m_syms={A, B}, density=0.5, same=False)
+@example(seed=4, a_states=0, m_states=5, a_syms={A, B}, m_syms={A, B}, density=0.3, same=False)
+@example(seed=5, a_states=5, m_states=0, a_syms={A, B}, m_syms={A, B}, density=0.3, same=False)
+def test_cross_simulation_is_the_maximal_simulation(seed, a_states, m_states, a_syms, m_syms, density, same):
+    rng = random.Random(seed)
+    a = nfa_on(rng, a_states, sorted(a_syms), density)
+    m = a if same else nfa_on(rng, m_states, sorted(m_syms), density)
+    rows = cross_simulation(a, m)
+    assert len(rows) == a.state_count
+    assert {(q, p) for q, row in enumerate(rows) for p in bits(row)} == simulation_oracle(a, m)
 
 
 def test_quasiorder_containment_chain():
