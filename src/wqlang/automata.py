@@ -275,18 +275,17 @@ class Nfa:
     def with_final(self, final: Iterable[int]) -> "Nfa":
         return self._derived(self.initial_mask, self._state_mask(final))
 
-    def determinize(self, symbols: Iterable[int] | None = None) -> "Dfa":
+    def determinize(self) -> "Dfa":
         """Reachable-subset construction.
 
-        The result is complete over ``symbols`` (default: this automaton's
-        alphabet); the empty subset is materialized when reachable. Each
-        output state remembers its originating subset in
+        The result is complete over this automaton's alphabet (``complete``
+        extends it to more symbols); the empty subset is materialized when
+        reachable. Each output state remembers its originating subset in
         ``source_subsets``, which residualization comparisons rely on.
         Raises ``DeterminizationCap`` beyond ``MAX_DFA_STATES`` subsets.
         """
-        syms = sorted(self.alphabet if symbols is None else symbols)
-        _check_symbols(syms)
-        tables = [self._fwd.get(sym, ()) for sym in syms]
+        syms = sorted(self.alphabet)
+        tables = [self._fwd[sym] for sym in syms]
         start = self.initial_mask
         index = {start: 0}
         order = [start]
@@ -296,12 +295,11 @@ class Nfa:
             m = order[i]
             for table, row in zip(tables, rows):
                 t = 0
-                if table:
-                    s = m
-                    while s:
-                        low = s & -s
-                        t |= table[low.bit_length() - 1]
-                        s ^= low
+                s = m
+                while s:
+                    low = s & -s
+                    t |= table[low.bit_length() - 1]
+                    s ^= low
                 j = index.get(t)
                 if j is None:
                     j = len(order)
@@ -443,22 +441,19 @@ class Dfa(Nfa):
         final = mask_of(c for c, p in rep.items() if d.final_mask >> p & 1)
         fwd = {sym: tuple(1 << cls[row[p]] for p in rep.values()) for sym, row in zip(syms, rows)}
         quotient = Nfa._of_tables(count, fwd, 1 << cls[d.initial_state], final)
-        out = quotient.determinize(syms)
+        out = quotient.determinize()
         out.source_subsets = None
         return out
 
 
-def subset_successors(
-    n: Nfa, syms: list[int], memo: dict[int, tuple[int, ...]] | None = None
-) -> Callable[[int], tuple[int, ...]]:
+def subset_successors(n: Nfa, syms: list[int]) -> Callable[[int], tuple[int, ...]]:
     """``successors(mask)``: the masks ``n`` steps ``mask`` to, one per
     symbol of ``syms``, computed the first time a mask is asked for and
-    kept in ``memo`` (which may come filled). Raises ``DeterminizationCap``
-    when ``memo`` would hold more than ``MAX_DFA_STATES`` masks, the bound
-    of a subset construction."""
+    kept in a memo. Raises ``DeterminizationCap`` when the memo would hold
+    more than ``MAX_DFA_STATES`` masks, the bound of a subset
+    construction."""
     tables = [n._fwd.get(sym, ()) for sym in syms]
-    if memo is None:
-        memo = {}
+    memo: dict[int, tuple[int, ...]] = {}
 
     def successors(mask: int) -> tuple[int, ...]:
         out = memo.get(mask)

@@ -12,10 +12,11 @@ hold, 2 usage error (including a search pattern that matches the empty
 string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 ``MAX_REGEX_STATES`` states or ``MAX_REGEX_TRANSITIONS`` transitions), 3
 malformed input file (including an automaton or net file that declares
-more than ``MAX_FILE_STATES`` states, and an automaton file whose states
-times distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``), a
-path that cannot be opened as an input or as ``-o`` (missing, a directory,
-not permitted: any ``OSError``) or a computation stopped by its cap
+more than ``MAX_FILE_STATES`` states, an automaton file whose states times
+distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``, and a file of
+fewer than two bytes given to ``compress``), a path that cannot be opened
+as an input or as ``-o`` (missing, a directory, not permitted: any
+``OSError``) or a computation stopped by its cap
 (fixpoint layers, learner queries, decompressed size, ``MAX_DFA_STATES``
 subset-construction states).
 ``TOOL_ITER_CAP``, a nonnegative integer, overrides the cap on fixpoint
@@ -52,7 +53,7 @@ from .formats import (
 )
 
 if TYPE_CHECKING:
-    from .automata import Nfa, Verdict
+    from .automata import Verdict
 
 USAGE_ERROR = 2
 INPUT_ERROR = 3
@@ -184,23 +185,15 @@ def _cmd_include_ocn(args) -> int:
     return _verdict_output(args, verdict, {"algo": "word-macro"})
 
 
-def _pattern_automaton(pattern: str) -> Nfa:
-    """The search automaton of a pattern: the DFA fast path when the
-    pattern is homogeneous, the compiled NFA otherwise."""
-    from .slpsearch.regex import compile_regex, homogeneous_dfa, homogeneous_kind, parse_regex
-
-    ast = parse_regex(pattern)
-    kind = homogeneous_kind(ast)
-    if kind is not None:
-        return homogeneous_dfa(ast, kind)
-    return compile_regex(ast)
-
-
 def _cmd_search(args) -> int:
+    """Count, and with ``--report`` list, the lines of an SLP file that hold
+    a match of the pattern. Every pattern is searched with its position
+    automaton, ``compile_regex``."""
     from .slpsearch.counting import NEWLINE, SearchEngine
+    from .slpsearch.regex import compile_regex, parse_regex
 
     slp = load_slp(_read(args.file))
-    nfa = _pattern_automaton(args.expression)
+    nfa = compile_regex(parse_regex(args.expression))
     if NEWLINE in nfa.alphabet:
         print("error: pattern must not match the newline byte", file=sys.stderr)
         return USAGE_ERROR
@@ -233,8 +226,11 @@ def _cmd_search(args) -> int:
 def _cmd_compress(args) -> int:
     from .slpsearch.slp import repair_compress
 
-    text = _read(args.file)
-    slp = repair_compress(text)
+    try:
+        slp = repair_compress(_read(args.file))
+    except ValueError as exc:  # fewer than two bytes: the file is at fault
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     data = dump_slp_text(slp) if args.text else dump_slp_binary(slp)
     _write_out(data, args.output)
     return 0

@@ -249,6 +249,13 @@ def dump_ocn(o: Ocn) -> bytes:
     return ("\n".join(out) + "\n").encode("ascii")
 
 
+def _rule_count(count: int, offset: int) -> int:
+    """An SLP header's rule count t, which counts the axiom rule: at least 1."""
+    if count < 1:
+        raise FormatError(offset, f"rule count {count} is below 1")
+    return count
+
+
 def parse_slp_text(data: bytes) -> Slp:
     count = None
     rules: list[tuple[int, ...]] = []
@@ -256,7 +263,7 @@ def parse_slp_text(data: bytes) -> Slp:
     for offset, tokens in _lines(data):
         kind = tokens[0]
         if kind == "rules" and len(tokens) == 2:
-            count = _int(tokens[1], offset, "rule count")
+            count = _rule_count(_int(tokens[1], offset, "rule count"), offset)
         elif kind == "rule" and len(tokens) == 3:
             rules.append(
                 (
@@ -308,8 +315,9 @@ def parse_slp_binary(data: bytes) -> Slp:
     if len(data) < 12:
         raise FormatError(4, "truncated header")
     count, arity = struct.unpack_from("<II", data, 4)
+    _rule_count(count, 4)
     need = 12 + 8 * (count - 1) + 4 * arity
-    if count < 1 or len(data) != need:
+    if len(data) != need:
         raise FormatError(12, f"expected {need} bytes for {count} rules")
     rules: list[tuple[int, ...]] = []
     pos = 12

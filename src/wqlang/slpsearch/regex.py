@@ -14,7 +14,9 @@ has one initial state and one state per atom, and whose states and
 transitions are all it holds: it may have at most ``MAX_REGEX_STATES``
 states and ``MAX_REGEX_TRANSITIONS`` transitions, so that bounded
 repetitions such as ``a{99999}``, ``.{5000}`` or ``(a{1000}){1000}`` are
-refused instead of expanded.
+refused instead of expanded. Every pattern takes that one route: the
+shape test ``homogeneous_kind`` and ``homogeneous_dfa``, an alias of
+``compile_regex``, remain only as names the benchmark looks up.
 
 Syntax-tree nodes are named tuples, so importing the module loads no
 ``dataclasses``. Like any tuples, nodes of two types with equal fields
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..automata import Dfa, Nfa, mask_of
+from ..automata import Nfa, mask_of
 
 __all__ = [
     "MAX_REGEX_DEPTH",
@@ -469,39 +471,25 @@ def compile_regex(ast, allow_empty: bool = False) -> Nfa:
 # -- homogeneous shapes --------------------------------------------------------
 
 
-def _letter_of(node) -> int | None:
-    return node.byte if isinstance(node, Lit) else None
-
-
-def _group_letters(node) -> list[int] | None:
-    """Single letters of an alternation group, or None if not that shape."""
-    if isinstance(node, Lit):
-        return [node.byte]
-    if isinstance(node, ClassAtom):
-        return sorted(node.bytes_)
-    if isinstance(node, Alt):
-        out: list[int] = []
-        for b in node.branches:
-            if not isinstance(b, Lit):
-                return None
-            out.append(b.byte)
-        return sorted(set(out))
-    return None
-
-
 def homogeneous_kind(ast) -> str | None:
     """Classify concatenations whose operators all agree: ``plus`` for
     sequences of letters with optional ``+``, ``alt`` for chains of
-    single-letter alternation groups. Both shapes match only nonempty
-    words, so the fast path never bypasses the empty-match rejection."""
+    single-letter alternation groups, None for anything else.
+
+    Search compiles every pattern with ``compile_regex``, whatever its
+    shape. This name stays only because the benchmark and the golden tests
+    choose their automata by it; ROADMAP item 2 deletes it, with
+    ``homogeneous_dfa``, when the benchmark changes."""
     parts = ast.parts if isinstance(ast, Concat) else (ast,)
     plus_ok = alt_ok = True
     for part in parts:
-        if isinstance(part, Plus) and _letter_of(part.inner) is not None:
+        if isinstance(part, Plus) and isinstance(part.inner, Lit):
             alt_ok = False
         elif isinstance(part, Lit):
             continue
-        elif _group_letters(part) is not None:
+        elif isinstance(part, ClassAtom) or (
+            isinstance(part, Alt) and all(isinstance(b, Lit) for b in part.branches)
+        ):
             plus_ok = False
         else:
             return None
@@ -512,42 +500,9 @@ def homogeneous_kind(ast) -> str | None:
     return None
 
 
-def homogeneous_dfa(ast, kind: str) -> Dfa:
-    """Specialized linear-size DFA for a homogeneous expression.
-
-    plus: a chain with a self-loop after each plussed letter; a plussed
-    letter followed by the same letter hands its repetition to the
-    successor so the chain stays deterministic.
-    alt: a plain chain consuming one group per step.
-    """
-    parts = ast.parts if isinstance(ast, Concat) else (ast,)
-    if kind == "plus":
-        letters = []
-        plused = []
-        for part in parts:
-            if isinstance(part, Plus):
-                letters.append(part.inner.byte)
-                plused.append(True)
-            else:
-                letters.append(part.byte)
-                plused.append(False)
-        for i in range(len(letters) - 1):
-            if plused[i] and letters[i] == letters[i + 1]:
-                plused[i] = False
-                plused[i + 1] = True
-        n = len(letters)
-        triples = []
-        for i, (a, loop) in enumerate(zip(letters, plused), start=1):
-            triples.append((i - 1, a, i))
-            if loop:
-                triples.append((i, a, i))
-        return Dfa(n + 1, triples, [0], [n])
-    if kind == "alt":
-        groups = [_group_letters(part) for part in parts]
-        n = len(groups)
-        triples = []
-        for i, letters in enumerate(groups, start=1):
-            for a in letters:
-                triples.append((i - 1, a, i))
-        return Dfa(n + 1, triples, [0], [n])
-    raise ValueError(f"bad homogeneous kind {kind!r}")
+# ``homogeneous_dfa(ast, kind)`` is ``compile_regex`` itself, ``kind``
+# landing in ``allow_empty``, which no homogeneous shape needs: it matches
+# only nonempty words. The benchmark looks the name up and traces it as one
+# compilation, so it is an alias and not a wrapper, which a traced run would
+# count twice. ROADMAP item 2 deletes it with ``homogeneous_kind``.
+homogeneous_dfa = compile_regex

@@ -358,18 +358,19 @@ def test_derived_nfas_match_the_validating_constructor():
         _assert_same(rev, Nfa(k, [(q, s, p) for p, s, q in triples], n.final, n.initial))
         _assert_same(rev.reverse(), n)
         _assert_same(rev.with_initial(init), _rebuilt(rev).with_initial(init))
-        syms = sorted(n.alphabet | {C})
-        d = n.determinize(syms)
-        reference = _subset_construction(n, syms)
+        d = n.determinize()
+        reference = _subset_construction(n, sorted(n.alphabet))
         _assert_same(d, reference)
         assert d.source_subsets == reference.source_subsets
+        syms = sorted(n.alphabet | {C})
+        _assert_same(d.complete(syms), _completed(reference, syms))
         for bad in ([k], [-1]):
             with pytest.raises(ValueError):
                 n.with_initial(bad)
             with pytest.raises(ValueError):
                 n.with_final(bad)
         with pytest.raises(ValueError):
-            n.determinize([A, 256])
+            n.determinize().complete([A, 256])
 
 
 def test_derived_dfas_match_the_validating_constructor():
@@ -425,11 +426,12 @@ def test_compiled_nfas_match_the_validating_constructor(pattern):
 
 
 def _dfa_product_search(a: Nfa, b: Nfa, bad) -> bytes | None:
-    """Reference route: determinize both sides over the joint alphabet, then
-    search the product of the two DFAs breadth-first, in ascending symbol
-    order; ``bad`` reads whether each side's DFA state is final."""
+    """Reference route: determinize both sides and complete them over the
+    joint alphabet, then search the product of the two DFAs breadth-first,
+    in ascending symbol order; ``bad`` reads whether each side's DFA state
+    is final."""
     syms = sorted(a.alphabet | b.alphabet)
-    da, db = a.determinize(syms), b.determinize(syms)
+    da, db = a.determinize().complete(syms), b.determinize().complete(syms)
     start = (da.initial_state, db.initial_state)
     parent = {start: None}
     queue = [start]

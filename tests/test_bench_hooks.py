@@ -9,6 +9,7 @@ from pathlib import Path
 
 import wqlang.cli as cli
 import wqlang.inclusion as inclusion
+import wqlang.slpsearch.regex as regex
 from wqlang.formats import dump_nfa
 
 from conftest import make_fig42_n2, rand_nfa
@@ -76,3 +77,19 @@ def test_tracer_counts_each_cli_call_once(tmp_path):
         tracer.uninstall()
     for name in ("slp.repair_compress", "slp.decompress", "regex.compile", "learn.nl_learn"):
         assert tracer.spans[name].calls == 1, name
+
+
+def test_tracer_counts_a_homogeneous_pattern_automaton_as_one_compilation():
+    # the benchmark builds homogeneous patterns' automata through this name;
+    # a wrapper around compile_regex would nest a second traced call
+    ast = regex.parse_regex("(a|b)(a|b)b")
+    kind = regex.homogeneous_kind(ast)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        nfa = regex.homogeneous_dfa(ast, kind)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans["regex.compile"].calls == 1
+    assert tracer.counters["regex.nfa_states"] == nfa.state_count == 4

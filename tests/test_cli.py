@@ -109,6 +109,16 @@ def test_compress_decompress_round_trip(tmp_path, capsys):
     assert restored.read_bytes() == text
 
 
+@pytest.mark.parametrize("text", [b"", b"x"])
+def test_compress_refuses_a_file_shorter_than_two_bytes_as_input(tmp_path, capsys, text):
+    src = tmp_path / "in.txt"
+    src.write_bytes(text)
+    out = tmp_path / "out.slp"
+    assert main(["compress", str(src), "-o", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: need at least two bytes to compress\n")
+    assert not out.exists()
+
+
 def test_search_counts_lines(tmp_path, capsys):
     src = tmp_path / "corpus.txt"
     src.write_bytes(b"ab\na\nbab\n")
@@ -132,7 +142,35 @@ def test_search_report_and_json(tmp_path, capsys):
     assert payload["stats"]["rules"] >= 1
 
 
-def test_search_homogeneous_fast_path(tmp_path, capsys):
+# (pattern, stdout of --report --stats, its stderr) on the seeded text of
+# the test below, for homogeneous shapes and others; recorded when the
+# homogeneous shapes were still searched with a linear DFA of their own
+SEARCH_ROUTE_CASES = [
+    (
+        "a+a",
+        "6\n1:baaba\n2:baab\n5:ERROR aabb\n7:abaab\n9:bbbaaab\n11:baab\n",
+        "rules=7 automaton_states=3 compose_steps=43 inner_iters=10\n",
+    ),
+    (
+        "a+ab+b",
+        "1\n5:ERROR aabb\n",
+        "rules=7 automaton_states=5 compose_steps=44 inner_iters=20\n",
+    ),
+    (
+        "(a|b)(a|b)b",
+        "7\n1:baaba\n2:baab\n5:ERROR aabb\n7:abaab\n8:bababba\n9:bbbaaab\n11:baab\n",
+        "rules=7 automaton_states=4 compose_steps=45 inner_iters=16\n",
+    ),
+    (
+        "b+b+",
+        "4\n5:ERROR aabb\n6:bb\n8:bababba\n9:bbbaaab\n",
+        "rules=7 automaton_states=3 compose_steps=46 inner_iters=10\n",
+    ),
+    ("ERROR", "1\n5:ERROR aabb\n", "rules=7 automaton_states=6 compose_steps=39 inner_iters=11\n"),
+]
+
+
+def test_search_prints_the_recorded_bytes_for_every_shape(tmp_path, capsys):
     src = tmp_path / "c.txt"
     src.write_bytes(b"xxabxx\nyy\n")
     slp = tmp_path / "c.slp"
@@ -140,6 +178,25 @@ def test_search_homogeneous_fast_path(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", "-e", "a+b+", str(slp)]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+    rng = random.Random(30)
+    lines = [bytes(rng.choice(b"ab") for _ in range(rng.randint(1, 7))) for _ in range(10)]
+    lines.insert(4, b"ERROR aabb")
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    main(["compress", str(src), "-o", str(slp)])
+    capsys.readouterr()
+    for pattern, report, stats in SEARCH_ROUTE_CASES:
+        assert main(["search", "-e", pattern, str(slp), "--report", "--stats"]) == 0
+        assert capsys.readouterr() == (report, stats), pattern
+        assert main(["search", "-e", pattern, str(slp), "--json", "--stats"]) == 0
+        counters = dict(pair.split("=") for pair in stats.split())
+        payload = {
+            "verdict": None,
+            "count": int(report.split("\n")[0]),
+            "witness": None,
+            "stats": {key: int(value) for key, value in counters.items()},
+        }
+        assert capsys.readouterr() == (json.dumps(payload) + "\n", ""), pattern
 
 
 def test_search_rejects_empty_match(tmp_path, capsys):

@@ -171,6 +171,23 @@ def test_slp_binary_errors():
         parse_slp_binary(good + b"\x00")
 
 
+@pytest.mark.parametrize(
+    "data, offset, count",
+    [
+        (b"axiom 97 98\nrules 0\n", 12, 0),
+        (b"rules -2\naxiom 97 98\n", 0, -2),
+        # magic, t=0, k=2, two axiom ids
+        (b"SLP1" + bytes([0, 0, 0, 0, 2, 0, 0, 0, A, 0, 0, 0, B, 0, 0, 0]), 4, 0),
+    ],
+)
+def test_slp_rule_count_below_one_is_refused_by_name(data, offset, count):
+    # t counts the axiom rule, so a count below 1 declares no SLP at all
+    with pytest.raises(FormatError) as error:
+        load_slp(data)
+    assert str(error.value) == f"byte offset {offset}: rule count {count} is below 1"
+    assert error.value.offset == offset
+
+
 def test_slp_text_round_trip():
     slp = Slp([(A, B), (ord("$"), A), (257, 258), (259, 259, 257)])
     assert parse_slp_text(dump_slp_text(slp)) == slp
