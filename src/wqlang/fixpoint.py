@@ -37,7 +37,8 @@ class Antichain:
     that dominates present ones evicts them. Ties between equivalent keys
     keep the first inserted, which makes fixpoints deterministic. Each key
     may carry a representative word; comparisons ignore it. Under the order
-    ``subset`` the comparisons run inline, one ``&`` per entry.
+    ``subset`` the comparisons run inline, one ``&`` per entry: the order
+    of state sets, of simulation-closed ones and of state-pair relations.
     """
 
     __slots__ = ("leq", "_entries")

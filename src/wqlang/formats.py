@@ -4,8 +4,9 @@ Text formats are line-based: ``states N`` / ``alphabet ...`` / ``initial
 q ...`` / ``final q ...`` / ``trans p <sym> q`` for automata, ``vars N`` /
 ``term Xi <sym>`` / ``bin Xi Xj Xk`` / ``eps`` for grammars in CNF, and
 ``states N`` / ``trans p <sym> <-1|0|+1> q`` for one-counter nets. Symbols
-are decimal byte values or quoted characters like 'a'. Parse errors carry
-the byte offset of the offending line.
+are decimal byte values or quoted characters like 'a'. A header line
+(``states``, ``vars``, ``rules``, ``axiom``) may come only once. Parse
+errors carry the byte offset of the offending line.
 
 The binary SLP format: magic ``SLP1``, little-endian u32 rule count t and
 axiom arity k, then t-1 binary rules of two u32 symbol ids, then the k
@@ -100,16 +101,31 @@ def _state_count(token: str, offset: int) -> int:
     return count
 
 
-def _lines(data: bytes):
-    offset = 0
+def _lines(data: bytes, headers: tuple[str, ...]):
+    """The offset and tokens of each line that is not blank or a comment. A
+    line of a kind in ``headers`` may come once: a second one is refused."""
+    offset, seen = 0, set()
     for raw in data.split(b"\n"):
         try:
             text = raw.decode("ascii").strip()
         except UnicodeDecodeError:
             raise FormatError(offset, "non-ASCII line") from None
         if text and not text.startswith("#"):
-            yield offset, text.split()
+            tokens = text.split()
+            if tokens[0] in seen:
+                raise FormatError(offset, f"repeated {tokens[0]!r} line")
+            if tokens[0] in headers:
+                seen.add(tokens[0])
+            yield offset, tokens
         offset += len(raw) + 1
+
+
+def _build(make, *args, offset: int = 0):
+    """``make(*args)``, its ``ValueError`` reported as a ``FormatError``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(offset, str(exc)) from None
 
 
 def parse_nfa(data: bytes) -> Nfa:
@@ -122,7 +138,7 @@ def parse_nfa(data: bytes) -> Nfa:
     initial: list[int] = []
     final: list[int] = []
     triples: list[tuple[int, int, int]] = []
-    for offset, tokens in _lines(data):
+    for offset, tokens in _lines(data, ("states",)):
         kind = tokens[0]
         if kind == "states" and len(tokens) == 2:
             count = _state_count(tokens[1], offset)
@@ -149,10 +165,7 @@ def parse_nfa(data: bytes) -> Nfa:
             f"{count} states times {symbols} transition symbols exceeds "
             f"{MAX_FILE_TABLE_CELLS} table cells",
         )
-    try:
-        return Nfa(count, triples, initial, final)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from None
+    return _build(Nfa, count, triples, initial, final)
 
 
 def dump_nfa(n: Nfa) -> bytes:
@@ -181,7 +194,7 @@ def parse_cnf(data: bytes) -> CnfGrammar:
     terms: dict[int, set[int]] = {}
     bins: dict[int, set[tuple[int, int]]] = {}
     nullable = False
-    for offset, tokens in _lines(data):
+    for offset, tokens in _lines(data, ("vars",)):
         kind = tokens[0]
         if kind == "vars" and len(tokens) == 2:
             count = _int(tokens[1], offset, "variable count")
@@ -199,10 +212,7 @@ def parse_cnf(data: bytes) -> CnfGrammar:
             raise FormatError(offset, f"bad grammar line {' '.join(tokens)!r}")
     if count is None:
         raise FormatError(0, "missing 'vars N' line")
-    try:
-        return CnfGrammar(count, terms, bins, nullable)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from None
+    return _build(CnfGrammar, count, terms, bins, nullable)
 
 
 def dump_cnf(g: CnfGrammar) -> bytes:
@@ -222,7 +232,7 @@ def parse_ocn(data: bytes) -> Ocn:
 
     count = None
     trans: list[tuple[int, int, int, int]] = []
-    for offset, tokens in _lines(data):
+    for offset, tokens in _lines(data, ("states",)):
         kind = tokens[0]
         if kind == "states" and len(tokens) == 2:
             count = _state_count(tokens[1], offset)
@@ -236,10 +246,7 @@ def parse_ocn(data: bytes) -> Ocn:
             raise FormatError(offset, f"bad net line {' '.join(tokens)!r}")
     if count is None:
         raise FormatError(0, "missing 'states N' line")
-    try:
-        return Ocn(count, trans)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from None
+    return _build(Ocn, count, trans)
 
 
 def dump_ocn(o: Ocn) -> bytes:
@@ -260,7 +267,7 @@ def parse_slp_text(data: bytes) -> Slp:
     count = None
     rules: list[tuple[int, ...]] = []
     axiom: tuple[int, ...] | None = None
-    for offset, tokens in _lines(data):
+    for offset, tokens in _lines(data, ("rules", "axiom")):
         kind = tokens[0]
         if kind == "rules" and len(tokens) == 2:
             count = _rule_count(_int(tokens[1], offset, "rule count"), offset)
@@ -283,10 +290,7 @@ def parse_slp_text(data: bytes) -> Slp:
         raise FormatError(0, f"expected {count - 1} binary rules, got {len(rules)}")
     from .slpsearch.slp import Slp
 
-    try:
-        return Slp([*rules, axiom])
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from None
+    return _build(Slp, [*rules, axiom])
 
 
 def dump_slp_text(p: Slp) -> bytes:
@@ -327,10 +331,7 @@ def parse_slp_binary(data: bytes) -> Slp:
     axiom = struct.unpack_from(f"<{arity}I", data, pos)
     from .slpsearch.slp import Slp
 
-    try:
-        return Slp([*rules, axiom])
-    except ValueError as exc:
-        raise FormatError(12, str(exc)) from None
+    return _build(Slp, [*rules, axiom], offset=12)
 
 
 def load_slp(data: bytes) -> Slp:

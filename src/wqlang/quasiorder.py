@@ -1,12 +1,12 @@
 """The catalog of language-consistent well-quasiorders on words.
 
 Every quasiorder here is realized as a map from words to finite keys plus
-a decidable comparison on keys: state sets compared by inclusion,
-simulation-closed state sets (``sim_closure``) compared by inclusion,
-state-pair relations compared rowwise by inclusion, and one-counter macro
+a decidable comparison on keys: state sets, simulation-closed state sets
+(``sim_closure``) and state-pair relations (sets of pairs, one int with a
+row of bits per state) compared by inclusion, and one-counter macro
 states. Nerode and Myhill are not keys of their own: they are the
 state-set and state-pair keys of the minimal DFA, compared by residual
-inclusion (``residual_leq``; rowwise for Myhill).
+inclusion (``residual_leq``; row by row for Myhill).
 
 One refinement computes every simulation: ``cross_simulation(a, m)``,
 the states of ``m`` that simulate each state of ``a``, shrunk state by
@@ -45,7 +45,6 @@ __all__ = [
     "ctx_key",
     "ctx_identity",
     "ctx_compose",
-    "ctx_leq",
     "ocn_macro",
     "macro_step",
     "macro_leq",
@@ -167,39 +166,33 @@ def residual_leq(min_dfa: Dfa):
 # -- state-pair contexts (relations q -word-> q') --------------------------
 
 
-def ctx_identity(n: Nfa) -> tuple[int, ...]:
-    return tuple(1 << q for q in range(n.state_count))
+def ctx_identity(n: Nfa) -> int:
+    return sum(1 << q * (n.state_count + 1) for q in range(n.state_count))
 
 
-def ctx_of_symbol(n: Nfa, sym: int) -> tuple[int, ...]:
-    # row q: the successor mask of state q
-    return n._fwd.get(sym) or (0,) * n.state_count
-
-
-def ctx_key(n: Nfa, word: bytes) -> tuple[int, ...]:
-    """The relation {(q, q') : q reaches q' reading the word}, stored as one
-    successor mask per state; comparison is rowwise inclusion and
-    concatenation is relation composition."""
-    rel = ctx_identity(n)
+def ctx_key(n: Nfa, word: bytes) -> int:
+    """The relation {(q, q') : q reaches q' reading the word} as one int:
+    for s states, row q, the states q reaches, sits at bits q*s to q*s+s-1.
+    Concatenation is relation composition."""
+    s, rel = n.state_count, ctx_identity(n)
     for sym in word:
-        rel = ctx_compose(rel, ctx_of_symbol(n, sym))
+        table = n._fwd.get(sym, ())
+        rel = ctx_compose(rel, sum(row << q * s for q, row in enumerate(table)), s)
     return rel
 
 
-def ctx_compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in x:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= y[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-def ctx_leq(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    return all(rx & ry == rx for rx, ry in zip(x, y))
+def ctx_compose(x: int, y: int, s: int) -> int:
+    """The relation x then y over s states. For each column j, y's row j
+    lands on every row of x that holds j: ``x >> j & spread`` keeps bit 0
+    of those rows, and multiplying by the row copies it to each of them."""
+    mask = (1 << s) - 1
+    spread = ((1 << s * s) - 1) // (mask or 1)
+    out = 0
+    for j in range(s):
+        row = y >> j * s & mask
+        if row:
+            out |= (x >> j & spread) * row
+    return out
 
 
 # -- one-counter nets: macro states ----------------------------------------
@@ -329,23 +322,27 @@ def sim_handle(n2: Nfa, direction: str = "left") -> QuasiorderHandle:
 
 def myhill_handle(n: Nfa) -> QuasiorderHandle:
     """Two-sided context quasiorder of L(n): the state-pair keys of the
-    minimal DFA of the language (``ctx_handle``), each row holding at most
-    one state, ordered rowwise by residual inclusion (``residual_leq``)."""
+    minimal DFA of the language (``ctx_handle``), each row of the int
+    holding at most one state, ordered row by row by residual inclusion
+    (``residual_leq``) instead of ``ctx_handle``'s plain inclusion."""
     m = n.determinize().minimize()
-    leq = residual_leq(m)
-    return ctx_handle(m)._replace(leq=lambda x, y: all(map(leq, x, y)))
+    leq, s, mask = residual_leq(m), m.state_count, (1 << m.state_count) - 1
+    rows = lambda x, y: all(leq(x >> i & mask, y >> i & mask) for i in range(0, s * s, s))
+    return ctx_handle(m)._replace(leq=rows)
 
 
 def ctx_handle(n: Nfa) -> QuasiorderHandle:
     """Two-sided state-pair quasiorder: the relation a word induces between
-    states of n, compared by inclusion."""
-    initials, final = list(bits(n.initial_mask)), n.final_mask
+    states of n (``ctx_key``), compared by inclusion, ``fixpoint.subset``,
+    which ``Antichain`` runs inline. It accepts a pair (initial, final)."""
+    s = n.state_count
+    pairs = sum(n.final_mask << p * s for p in bits(n.initial_mask))
     return QuasiorderHandle(
         direction="two-sided",
         key_of=lambda w: ctx_key(n, w),
-        leq=ctx_leq,
-        accepts=lambda rel: any(rel[p] & final for p in initials),
-        compose=ctx_compose,
+        leq=subset,
+        accepts=lambda rel: rel & pairs != 0,
+        compose=lambda x, y: ctx_compose(x, y, s),
     )
 
 

@@ -328,6 +328,12 @@ def simulation_oracle(a: Nfa, m: Nfa) -> set[tuple[int, int]]:
     return rel
 
 
+def ctx_pairs_oracle(n: Nfa, word: bytes) -> set[tuple[int, int]]:
+    """The state-pair relation of a word as explicit pairs (q, q2): q2 is
+    one of the states ``n`` reaches reading the word from q alone."""
+    return {(q, q2) for q in range(n.state_count) for q2 in bits(n.with_initial([q]).run(word))}
+
+
 def _abs_eq(va, vb) -> bool:
     return all(ac_below(a, b) and ac_below(b, a) for a, b in zip(va, vb))
 

@@ -12,7 +12,7 @@ import wqlang.inclusion as inclusion
 import wqlang.slpsearch.regex as regex
 from wqlang.formats import dump_nfa
 
-from conftest import make_fig42_n2, rand_nfa
+from conftest import make_ex451_grammar, make_fig42_n2, rand_nfa
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -50,6 +50,24 @@ def test_tracer_sees_the_antichain_kernels_of_an_inclusion_check():
     assert tracer.spans["inclusion.fa_inc_antichain"].calls == 1
     assert tracer.spans["fixpoint.antichain_insert"].calls > 0
     assert tracer.spans["automata.step"].calls > 0
+
+
+def test_tracer_sees_the_relation_kernels_of_a_grammar_check():
+    # the grammar check reaches ctx_key and ctx_compose through the module
+    # object and inserts through Antichain.insert, where the tracer wraps
+    # them; a path around those names would leave these counts at 0
+    rng = random.Random(11)
+    n = rand_nfa(rng, max_states=5, density=0.3)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        inclusion.cfg_inc_antichain(make_ex451_grammar(), n)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans["inclusion.cfg_inc_antichain"].calls == 1
+    for name in ("quasiorder.ctx_compose", "quasiorder.ctx_key", "fixpoint.antichain_insert"):
+        assert tracer.spans[name].calls > 0, name
 
 
 def test_tracer_counts_each_cli_call_once(tmp_path):

@@ -390,6 +390,14 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def test_repeated_header_line_exits_with_input_error(tmp_path, capsys):
+    # the second axiom line would otherwise replace the first: 'cde', exit 0
+    slp = tmp_path / "two.slp"
+    slp.write_bytes(b"rules 1\naxiom 97 98\naxiom 99 100 101\n")
+    assert main(["decompress", str(slp)]) == 3
+    assert capsys.readouterr() == ("", "error: byte offset 20: repeated 'axiom' line\n")
+
+
 @pytest.mark.parametrize("flavor", ["nfa", "ocn"])
 @pytest.mark.parametrize("count", [2_000_000_000, -3])
 def test_state_count_outside_the_cap_exits_with_input_error(files, tmp_path, capsys, flavor, count):

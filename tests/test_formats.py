@@ -188,6 +188,24 @@ def test_slp_rule_count_below_one_is_refused_by_name(data, offset, count):
     assert error.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "parse, data, offset, kind",
+    [
+        (parse_nfa, b"states 5\nstates 2\n", 9, "states"),
+        (parse_ocn, b"states 5\ntrans 0 'a' +1 1\nstates 2\n", 26, "states"),
+        (parse_cnf, b"vars 3\nterm X0 'a'\nvars 1\n", 19, "vars"),
+        (parse_slp_text, b"rules 1\naxiom 97 98\nrules 1\n", 20, "rules"),
+        (parse_slp_text, b"rules 1\naxiom 97 98\naxiom 99 100 101\n", 20, "axiom"),
+    ],
+)
+def test_repeated_header_line_is_refused_at_its_offset(parse, data, offset, kind):
+    # a second header would silently replace the first
+    with pytest.raises(FormatError) as error:
+        parse(data)
+    assert str(error.value) == f"byte offset {offset}: repeated {kind!r} line"
+    assert error.value.offset == offset
+
+
 def test_slp_text_round_trip():
     slp = Slp([(A, B), (ord("$"), A), (257, 258), (259, 259, 257)])
     assert parse_slp_text(dump_slp_text(slp)) == slp

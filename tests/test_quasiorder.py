@@ -2,14 +2,22 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from wqlang import Nfa, myhill_handle, naive_inclusion, nerode_handle, sim_handle, state_handle
+from wqlang import (
+    Nfa,
+    ctx_handle,
+    myhill_handle,
+    naive_inclusion,
+    nerode_handle,
+    sim_handle,
+    state_handle,
+)
 from wqlang.automata import bits
+from wqlang.fixpoint import subset
 from wqlang.quasiorder import (
     cross_simulation,
     ctx_compose,
     ctx_identity,
     ctx_key,
-    ctx_leq,
     macro_leq,
     macro_step,
     ocn_macro,
@@ -22,6 +30,7 @@ from conftest import (
     A,
     B,
     C,
+    ctx_pairs_oracle,
     examples,
     nfa_union,
     ocn_trace_oracle,
@@ -249,9 +258,39 @@ def test_myhill_agrees_with_context_enumeration(fig43):
 
 
 def test_ctx_key_fig43(fig43):
-    # 1-based pairs: ctx(a) = {(1,2),(2,3),(3,3)}
-    assert ctx_key(fig43, b"a") == (1 << 1, 1 << 2, 1 << 2)
-    assert ctx_key(fig43, b"") == ctx_identity(fig43)
+    # 1-based pairs: ctx(a) = {(1,2),(2,3),(3,3)}; row q at bits 3q..3q+2
+    assert ctx_key(fig43, b"a") == 0b100_100_010
+    assert ctx_key(fig43, b"") == ctx_identity(fig43) == 0b100_010_001
+
+
+def key_pairs(key: int, states: int) -> set[tuple[int, int]]:
+    return {divmod(i, states) for i in bits(key)}
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), syms=st.integers(1, 3))
+def test_ctx_key_is_the_pair_relation(seed, syms):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=6, n_syms=syms, density=0.3)
+    s = n.state_count
+    handle = ctx_handle(n)
+    assert handle.leq is subset
+    words = [rand_word(rng, 4, syms) for _ in range(6)]
+    keys = [ctx_key(n, w) for w in words]
+    pairs = [ctx_pairs_oracle(n, w) for w in words]
+    for w, key, rel in zip(words, keys, pairs):
+        assert key_pairs(key, s) == rel
+        assert key >> s * s == 0
+        assert handle.accepts(key) == n.member(w)
+    for ku, pu in zip(keys, pairs):
+        for kv, pv in zip(keys, pairs):
+            assert subset(ku, kv) == (pu <= pv)
+
+
+def test_ctx_key_on_no_states():
+    n = Nfa(0, [], [], [])
+    assert ctx_key(n, b"ab") == ctx_identity(n) == 0
+    assert not ctx_handle(n).accepts(0)
 
 
 def test_ctx_composes():
@@ -260,7 +299,8 @@ def test_ctx_composes():
         n = rand_nfa(rng, max_states=4)
         for _ in range(10):
             u, v = rand_word(rng, 3), rand_word(rng, 3)
-            assert ctx_key(n, u + v) == ctx_compose(ctx_key(n, u), ctx_key(n, v))
+            s = n.state_count
+            assert ctx_key(n, u + v) == ctx_compose(ctx_key(n, u), ctx_key(n, v), s)
 
 
 def test_ctx_monotone_under_context():
@@ -270,11 +310,11 @@ def test_ctx_monotone_under_context():
         words = [rand_word(rng, 3) for _ in range(6)]
         for u in words:
             for v in words:
-                if ctx_leq(ctx_key(n, u), ctx_key(n, v)):
+                if subset(ctx_key(n, u), ctx_key(n, v)):
                     for a, b in ((A, B), (B, A)):
                         big_u = ctx_key(n, bytes([a]) + u + bytes([b]))
                         big_v = ctx_key(n, bytes([a]) + v + bytes([b]))
-                        assert ctx_leq(big_u, big_v)
+                        assert subset(big_u, big_v)
 
 
 def test_nerode_is_coarsest():
