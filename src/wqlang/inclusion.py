@@ -37,16 +37,26 @@ blocks an unsettled one; a rejected entry is never settled, since a
 simulator of a final state is final. Each layer therefore accepts the
 same unsettled entries as the unpruned run, and the same shortest, then
 least, witness surfaces at the same layer. ``fa_inc_word`` under
-``state_handle`` (``--algo word-state``) is the unpruned order. The
-simulation (``quasiorder.cross_simulation``) is one first-in first-out
-refinement read straight off n2's predecessor tables, and ``word_fixpoint``
-gathers a state's moves only when it first extends an entry there, so a
-check whose layer-0 entries all settle gathers no move of n1.
+``state_handle`` (``--algo word-state``) is the unpruned order.
+
+Any simulation of n1 by n2 settles entries this way, and the run first
+tries the cheapest: the identity on state numbers, a simulation when n2
+holds n1's moves and finals state for state (a check of an automaton
+against itself or against a union that holds it). When the identity
+settles every layer-0 entry, nothing grows and the maximal simulation is
+never computed. The identity lies inside the maximal simulation, which
+then settles all those entries too, so the run is the one the maximal
+simulation gives, to the vector, the layer count and the witness.
+Otherwise the maximal simulation (``quasiorder.cross_simulation``, one
+first-in first-out refinement read straight off n2's predecessor tables)
+settles the run. ``word_fixpoint`` gathers a state's moves only when it
+first extends an entry there, so a check whose layer-0 entries all settle
+gathers no move of n1.
 """
 
 from __future__ import annotations
 
-import functools
+from operator import and_
 
 from .automata import CnfGrammar, Nfa, Ocn, Verdict, bits
 from .fixpoint import Antichain, KleeneDivergence, subset
@@ -122,6 +132,24 @@ def _layers(count, handle, base, grow, check, max_iter):
         offers = grow(frontier, vec)
 
 
+def _identity_simulates(a: Nfa, m: Nfa) -> bool:
+    """Whether the identity on state numbers is a simulation of ``a`` by
+    ``m``: each state of ``a`` is a state of ``m``, final there if final in
+    ``a``, and each of its moves is a move of ``m`` from the same state
+    (a table ``m`` shares with ``a`` holds them all). It costs one ``&``
+    per state and symbol, where ``quasiorder.cross_simulation`` refines to
+    a greatest fixpoint.
+    """
+    if a.state_count > m.state_count or a.final_mask & ~m.final_mask:
+        return False
+    m_fwd = m._fwd
+    for sym, table in a._fwd.items():
+        other = m_fwd.get(sym)
+        if other is None or (other is not table and tuple(map(and_, table, other)) != table):
+            return False
+    return True
+
+
 def word_fixpoint(
     n1: Nfa,
     handle: qo.QuasiorderHandle,
@@ -146,15 +174,23 @@ def word_fixpoint(
     steps by its ``step`` and is accepted when it meets its finals. The run
     then skips the extensions of settled entries (Abdulla, Chen, Holik,
     Mayr and Vojnar, TACAS 2010): an entry at state q of n1's oriented
-    automaton is settled when its key holds a state that simulates q
-    (``quasiorder.cross_simulation``), so every word it extends to at a
-    final state has a key that meets the finals. Settled entries are still
-    inserted. A key holding a settled one is settled, so no settled entry
-    blocks an unsettled one, and a rejected entry is never settled, because
-    a simulator of a final state is final: each layer accepts the same
-    unsettled entries, with the same words, as the unpruned run, and the
-    witness is the same. The simulation is computed on the first
-    extension, so a run that ends at layer 0 does not pay for it.
+    automaton is settled when its key holds a state that simulates q, so
+    every word it extends to at a final state has a key that meets the
+    finals. Settled entries are still inserted. A key holding a settled
+    one is settled, so no settled entry blocks an unsettled one, and a
+    rejected entry is never settled, because a simulator of a final state
+    is final: each layer accepts the same unsettled entries, with the same
+    words, as the unpruned run, and the witness is the same.
+
+    The simulation is chosen on the first extension, so a run that ends at
+    layer 0 pays for none. If the identity on state numbers is a
+    simulation (``key_automaton`` has at least as many states, holds the
+    finals and, state for state, the moves of the oriented automaton) and
+    every layer-0 entry's key holds its own state, every entry is settled
+    and nothing grows. The identity lies inside the maximal simulation,
+    which would settle the same entries, so the output is the one the
+    maximal simulation gives. Otherwise the run computes the maximal
+    simulation (``quasiorder.cross_simulation``) and is settled by it.
 
     The moves of a state are gathered the first time an unsettled entry at
     it is extended, and the key of the empty word is computed once for all
@@ -166,26 +202,36 @@ def word_fixpoint(
     if not left and handle.direction != "right":
         raise ValueError("word_fixpoint needs a directed quasiorder handle")
     a = n1.reverse() if left else n1
-    tables = [(sym, bytes((sym,)), table) for sym, table in a._fwd.items()]
+    # per symbol: the symbol as a word, its table and the memo of extend
+    tables = [(sym, bytes((sym,)), table, {}) for sym, table in a._fwd.items()]
     # moves[q2]: per symbol, the states q that ``a`` moves to from q2 on it,
     # each extending a word at q2 into one at q; built when an entry at q2
     # is first extended
-    moves: list[list[tuple[int, bytes, list[int]]] | None] = [None] * a.state_count
-    extend = functools.cache(handle.extend)
+    moves: list[list[tuple[int, bytes, list[int], dict]] | None] = [None] * a.state_count
+    extend = handle.extend
     up = None
 
     def grow(frontier, _vec):
         nonlocal up
         if key_automaton is not None:
             if up is None:
+                # the identity lies inside the maximal simulation: where it
+                # settles every entry, so would that, and nothing grows
+                own = all(k >> q & 1 for q, k, _ in frontier)
+                if own and _identity_simulates(a, key_automaton):
+                    return
                 up = qo.cross_simulation(a, key_automaton)
             frontier = [e for e in frontier if not e[1] & up[e[0]]]
         for q2, key, word in frontier:
             here = moves[q2]
             if here is None:
-                here = moves[q2] = [(sym, s, list(bits(t[q2]))) for sym, s, t in tables if t[q2]]
-            for sym, s, qs in here:
-                k = extend(key, sym)
+                here = moves[q2] = [
+                    (sym, s, list(bits(t[q2])), memo) for sym, s, t, memo in tables if t[q2]
+                ]
+            for sym, s, qs, memo in here:
+                k = memo.get(key)
+                if k is None:
+                    k = memo[key] = extend(key, sym)
                 head, tail = (s, word) if left else (word, s)
                 for q in qs:
                     yield q, k, head, tail
@@ -217,8 +263,11 @@ def fa_inc_antichain(
     pre-set at a state q of n1 holding a state of n2 whose left language
     includes that of q (a left simulation of n1 by n2) can only grow into
     words of L(n2). One reversal of n2 serves both the handle and the
-    simulation. Verdict and witness are those of the unpruned
-    ``fa_inc_word`` under the same handle (``--algo word-state``).
+    simulation. The identity is tried first, and settles a check of n1
+    against itself or against a union that holds it without computing the
+    maximal simulation; either one leaves the same run. Verdict and
+    witness are those of the unpruned ``fa_inc_word`` under the same
+    handle (``--algo word-state``).
     ``variant`` names the algorithm and must be "forward", the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
@@ -241,7 +290,9 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     ``fa_inc_word`` under that handle. A post-set at q that holds a state
     of l2 simulating q already contains the residual of q, so the run
     skips its extensions (``word_fixpoint``'s ``key_automaton``), which
-    leaves the verdict unchanged. This is exact on a nondeterministic l2,
+    leaves the verdict unchanged. The identity, when it is a simulation
+    that settles every initial, saves computing the maximal one and gives
+    the same run. This is exact on a nondeterministic l2,
     which is never determinized. No witness is reported.
     """
     _, _, witness = word_fixpoint(n1, qo.state_handle(l2, "right"), max_iter, True, l2)
@@ -280,7 +331,8 @@ def cfg_word_fixpoint(
         for y, z in sorted(g.binary_rules.get(x, ())):
             uses[y].append((x, z, True))
             uses[z].append((x, y, False))
-    compose = functools.cache(handle.compose)
+    compose = handle.compose
+    memo: dict = {}
 
     def grow(frontier, vec):
         # runs up to its first offer before the layer inserts anything, so
@@ -290,9 +342,13 @@ def cfg_word_fixpoint(
             for x, z, y_first in uses[y]:
                 for k2, w2 in snapshot[z]:
                     if y_first:
-                        yield x, compose(k1, k2), w1, w2
+                        pair, head, tail = (k1, k2), w1, w2
                     else:
-                        yield x, compose(k2, k1), w2, w1
+                        pair, head, tail = (k2, k1), w2, w1
+                    k = memo.get(pair)
+                    if k is None:
+                        k = memo[pair] = compose(*pair)
+                    yield x, k, head, tail
 
     return _layers(g.variable_count, handle, base, grow, 1 if stop else 0, max_iter)
 
