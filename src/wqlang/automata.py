@@ -75,7 +75,8 @@ class Nfa:
     Immutable after construction. It holds ``state_count``, one successor
     table per symbol (``_fwd[sym][p]`` is the mask of the states p reaches
     on sym; only symbols with a transition have a table, and they make up
-    ``alphabet``) and the bitmasks ``initial_mask``/``final_mask``.
+    ``alphabet``) and the bitmasks ``initial_mask``/``final_mask``. These
+    tables are the only transition format; a ``Dfa`` has them too.
     ``with_initial``, ``with_final`` and ``reverse`` share their source's
     tables and check only the new masks; ``reverse`` swaps the successor
     and predecessor tables, and is how forward-only ``step`` and ``run``
@@ -138,9 +139,8 @@ class Nfa:
         return m
 
     def _derived(self, initial_mask: int, final_mask: int) -> "Nfa":
-        """An automaton over this one's tables with new masks: a DFA over
-        the same successor arrays when this is a DFA and one state is
-        initial, a plain NFA otherwise."""
+        """An automaton over this one's tables with new masks: a DFA when
+        this is a DFA and one state is initial, a plain NFA otherwise."""
         one_initial = initial_mask and not initial_mask & (initial_mask - 1)
         deterministic = isinstance(self, Dfa) and one_initial
         out = object.__new__(Dfa if deterministic else Nfa)
@@ -151,7 +151,6 @@ class Nfa:
         out.final_mask = final_mask
         out._views = self._views
         if deterministic:
-            out._succ = self._succ
             out.source_subsets = None
         return out
 
@@ -309,109 +308,71 @@ class Nfa:
                         )
                     index[t] = j
                     order.append(t)
-                row.append(j)
+                row.append(1 << j)
             i += 1
-        final = 0
-        for i, m in enumerate(order):
-            if m & self.final_mask:
-                final |= 1 << i
-        succ = {sym: tuple(row) for sym, row in zip(syms, rows)}
-        return Dfa._of_succ(len(order), succ, 0, final, tuple(order))
-
-    def accepted_words(self, max_len: int) -> Iterator[bytes]:
-        """All accepted words of length <= max_len, in shortlex order.
-
-        Test/oracle helper; walks the subset construction breadth-first.
-        """
-        syms = sorted(self.alphabet)
-        frontier = [(b"", self.initial_mask)]
-        for _ in range(max_len + 1):
-            nxt = []
-            for word, m in frontier:
-                if m & self.final_mask:
-                    yield word
-                for sym in syms:
-                    t = self.step(m, sym)
-                    if t:
-                        nxt.append((word + bytes([sym]), t))
-            frontier = nxt
-            if not frontier:
-                return
+        final = mask_of(i for i, m in enumerate(order) if m & self.final_mask)
+        fwd = {sym: tuple(row) for sym, row in zip(syms, rows)}
+        out = Dfa._of_tables(len(order), fwd, 1, final)
+        out.source_subsets = tuple(order)
+        return out
 
 
 class Dfa(Nfa):
     """Deterministic automaton: one initial state, at most one successor
     per (state, symbol). May be partial; ``complete`` adds a sink.
 
-    Besides the successor mask tables it keeps one successor array per
-    symbol, ``_succ[sym][p]`` being the state p moves to or -1 when the
-    transition is missing. ``with_initial`` with one state and
-    ``with_final`` return a ``Dfa`` that shares both; ``with_initial`` with
-    any other number of states returns a plain ``Nfa``.
+    Its transitions are the ``Nfa`` successor tables, in which each entry
+    ``_fwd[sym][p]`` is ``1 << q`` for the state q that p moves to, or 0
+    when the transition is missing; ``dnext`` reads q back.
+    ``with_initial`` with one state and ``with_final`` return a ``Dfa``
+    over the same tables; ``with_initial`` with any other number of states
+    returns a plain ``Nfa``.
     """
 
-    __slots__ = ("_succ", "source_subsets")
+    __slots__ = ("source_subsets",)
 
     def __init__(self, state_count, transitions, initial, final, source_subsets=None):
         super().__init__(state_count, transitions, initial, final)
         m = self.initial_mask
         if not m or m & (m - 1):
             raise ValueError("a DFA has exactly one initial state")
-        succ = {}
         for sym, row in self._fwd.items():
             for p, targets in enumerate(row):
                 if targets & (targets - 1):
                     raise ValueError(f"nondeterministic on state {p}, symbol {sym}")
-            succ[sym] = tuple(targets.bit_length() - 1 for targets in row)
-        self._succ = succ
         self.source_subsets = source_subsets
-
-    @classmethod
-    def _of_succ(
-        cls,
-        state_count: int,
-        succ: dict[int, tuple[int, ...]],
-        initial_state: int,
-        final_mask: int,
-        source_subsets: tuple[int, ...] | None = None,
-    ) -> "Dfa":
-        """Unchecked constructor over finished successor arrays, by
-        ascending symbol, each with a transition."""
-        fwd = {sym: tuple(0 if q < 0 else 1 << q for q in row) for sym, row in succ.items()}
-        out = cls._of_tables(state_count, fwd, 1 << initial_state, final_mask)
-        out._succ = succ
-        out.source_subsets = source_subsets
-        return out
 
     @property
     def initial_state(self) -> int:
         return self.initial_mask.bit_length() - 1
 
     def dnext(self, p: int, sym: int) -> int | None:
-        row = self._succ.get(sym)
-        if row is None or row[p] < 0:
+        row = self._fwd.get(sym)
+        if row is None or not row[p]:
             return None
-        return row[p]
+        return row[p].bit_length() - 1
 
     def complete(self, symbols: Iterable[int] | None = None) -> "Dfa":
         """Total transition function over ``symbols``, adding a sink state
         only when some transition is actually missing."""
         syms = sorted(self.alphabet if symbols is None else symbols)
-        succ = self._succ
-        if all(sym in succ and min(succ[sym]) >= 0 for sym in syms):
+        fwd = self._fwd
+        if all(sym in fwd and all(fwd[sym]) for sym in syms):
             return self
         _check_symbols(syms)
-        sink = self.state_count
-        missing = (-1,) * sink
+        sink = 1 << self.state_count
+        missing = (0,) * self.state_count
         wanted = set(syms)
-        out = {}
-        for sym in sorted(succ.keys() | wanted):
-            row = succ.get(sym, missing)
+        tables = {}
+        for sym in sorted(fwd.keys() | wanted):
+            row = fwd.get(sym, missing)
             if sym in wanted:
-                out[sym] = tuple(sink if q < 0 else q for q in row) + (sink,)
+                tables[sym] = tuple(t or sink for t in row) + (sink,)
             else:
-                out[sym] = row + (-1,)
-        return Dfa._of_succ(sink + 1, out, self.initial_state, self.final_mask)
+                tables[sym] = row + (0,)
+        out = Dfa._of_tables(self.state_count + 1, tables, self.initial_mask, self.final_mask)
+        out.source_subsets = None
+        return out
 
     def minimize(self) -> "Dfa":
         """Unique minimal complete DFA of the language, canonically numbered
@@ -420,7 +381,8 @@ class Dfa(Nfa):
         of the completed DFA, which drops the unreachable classes."""
         syms = sorted(self.alphabet)
         d = self.complete(syms)
-        rows = [d._succ[sym] for sym in syms]
+        # each state's successor per symbol, as a state number
+        rows = [[t.bit_length() - 1 for t in d._fwd[sym]] for sym in syms]
         # Moore partition refinement: each round refines the classes, so a
         # round that keeps their number is stable
         cls = [d.final_mask >> p & 1 for p in range(d.state_count)]
@@ -592,40 +554,6 @@ class CnfGrammar:
         for ts in self.terminal_rules.values():
             out |= ts
         return frozenset(out)
-
-    def words_up_to(self, max_len: int) -> set[bytes]:
-        """All words of the language up to the given length, by brute-force
-        bottom-up derivation. Test oracle only; exponential in general.
-
-        The axiom's empty alternative participates in compositions, matching
-        the least-fixpoint reading of the equations.
-        """
-        by_len: list[list[set[bytes]]] = [
-            [set() for _ in range(max_len + 1)] for _ in range(self.variable_count)
-        ]
-        if self.axiom_nullable:
-            by_len[0][0].add(b"")
-        for v, ts in self.terminal_rules.items():
-            if max_len >= 1:
-                by_len[v][1] = {bytes([t]) for t in ts}
-        changed = True
-        while changed:
-            changed = False
-            for length in range(0, max_len + 1):
-                for v, ps in self.binary_rules.items():
-                    acc = by_len[v][length]
-                    before = len(acc)
-                    for y, z in ps:
-                        for l1 in range(0, length + 1):
-                            for u in by_len[y][l1]:
-                                for w in by_len[z][length - l1]:
-                                    acc.add(u + w)
-                    if len(acc) != before:
-                        changed = True
-        out: set[bytes] = set()
-        for length in range(0, max_len + 1):
-            out |= by_len[0][length]
-        return out
 
 
 def cfg_in_regular_oracle(g: CnfGrammar, d: Dfa) -> Verdict:

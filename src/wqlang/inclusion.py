@@ -88,15 +88,15 @@ def _layers(count, handle, base, grow, check, max_iter):
     """Least fixpoint of a system of antichain equations, one antichain of
     (key, word) entries per component, by a layered semi-naive worklist.
 
-    Layer 0 offers the ``base`` entries; each later layer offers
-    ``grow(frontier, vec)``, the extensions of just the (component, key,
-    word) entries the previous layer accepted. An offer is (component,
-    key, head, tail), standing for the word ``head + tail``, which is built
-    only for a key not yet offered to its component. An entry evicted
-    after it was accepted is still extended, so the key of every word of
-    layer n is dominated by an entry accepted in layer n or before. A key
-    already offered to a component is skipped: the antichain holds a key
-    below it.
+    Layer 0 offers the ``base`` entries; each later layer offers the
+    iterator ``grow(frontier, vec)``, the extensions of just the
+    (component, key, word) entries the previous layer accepted. An offer
+    is (component, key, head, tail), standing for the word
+    ``head + tail``, which is built only for a key not yet offered to its
+    component. An entry evicted after it was accepted is still extended,
+    so the key of every word of layer n is dominated by an entry accepted
+    in layer n or before. A key already offered to a component is skipped:
+    the antichain holds a key below it.
 
     After each layer the run stops at the accepted entries of components
     in the ``check`` mask whose key the handle does not accept, and
@@ -104,10 +104,13 @@ def _layers(count, handle, base, grow, check, max_iter):
     the empty frontier, where each component is equivalent both ways to
     the least fixpoint's. The keys accepted in one component form a bad
     sequence (none lies above an earlier one, which is still dominated), so
-    under a well-quasiorder the run ends; the cap of ``max_iter`` layers
-    after the base (a negative cap acts as 0) only turns a handle that is
-    not one into ``KleeneDivergence``. Returns the vector, the layer count
-    and the witness, or None.
+    under a well-quasiorder the run ends. ``max_iter`` caps the layers
+    after the base that are offered anything (a negative cap acts as 0),
+    so that a handle that is not one cannot run forever: the run raises
+    ``KleeneDivergence`` when the layer after the cap is offered an
+    entry. A layer past the cap that is offered nothing ends the run as
+    it would uncapped, and counts in the layer count. Returns the vector,
+    the layer count and the witness, or None.
     """
     vec = [Antichain(handle.leq) for _ in range(count)]
     offers, layers = base, 0
@@ -126,10 +129,10 @@ def _layers(count, handle, base, grow, check, max_iter):
             return vec, layers, min(failing, key=lambda w: (len(w), w))
         if not frontier:
             return vec, layers, None
-        if layers >= max_iter:
+        offers = grow(frontier, vec)
+        if layers >= max_iter and next(offers, None) is not None:
             raise KleeneDivergence(f"no fixpoint after {layers} layers")
         layers += 1
-        offers = grow(frontier, vec)
 
 
 def _identity_simulates(a: Nfa, m: Nfa) -> bool:

@@ -154,10 +154,10 @@ def residual_leq(min_dfa: Dfa):
     has the empty residual: it lies below every key and above the sink (the
     non-final state whose moves all loop to itself), whose row is full."""
     incl = residual_inclusion_matrix(min_dfa)
-    final, moves = min_dfa.final_mask, min_dfa._succ.values()
+    final, tables = min_dfa.final_mask, min_dfa._fwd.values()
     empty = 0
     for p in range(min_dfa.state_count):
-        if not final >> p & 1 and all(row[p] == p for row in moves):
+        if not final >> p & 1 and all(row[p] == 1 << p for row in tables):
             empty = 1 << p
             break
     return lambda a, b: not a or incl[a.bit_length() - 1] & (b or empty) != 0

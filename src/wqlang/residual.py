@@ -272,10 +272,10 @@ def check_dr_condition(n: Nfa) -> bool:
     incl = residual_inclusion_matrix(mc)
     # breadth-first numbering: each subset's class is set before it is read
     cls = [mc.initial_state] * d.state_count
-    moves = [(d._succ[sym], mc._succ[sym]) for sym in d.alphabet]
+    tables = [(d._fwd[sym], mc._fwd[sym]) for sym in d.alphabet]
     for s in range(d.state_count):
-        for row, min_row in moves:
-            cls[row[s]] = min_row[cls[s]]
+        for row, min_row in tables:
+            cls[row[s].bit_length() - 1] = min_row[cls[s]].bit_length() - 1
     # need[p]: the states of every subset whose residual's row of incl holds
     # p, gathered per class; each subset of class p must hold all of them
     held = [0] * mc.state_count

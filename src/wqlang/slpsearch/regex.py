@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..automata import Nfa, mask_of
+from ..automata import Nfa
 
 __all__ = [
     "MAX_REGEX_DEPTH",
@@ -453,19 +453,7 @@ def compile_regex(ast, allow_empty: bool = False) -> Nfa:
     frag = builder.concat(start, body)
     if body.eps and not allow_empty:
         raise EmptyMatchError("pattern matches the empty string")
-    count = builder.next_state
-    rows: dict[int, list[int]] = {}
-    for p, sym, q in frag.trans:
-        row = rows.get(sym)
-        if row is None:
-            row = rows[sym] = [0] * count
-        row[p] |= 1 << q
-    return Nfa._of_tables(
-        count,
-        {sym: tuple(rows[sym]) for sym in sorted(rows)},
-        1,
-        mask_of(frag.ends),
-    )
+    return Nfa(builder.next_state, frag.trans, [0], frag.ends)
 
 
 # -- homogeneous shapes --------------------------------------------------------

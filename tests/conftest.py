@@ -300,6 +300,58 @@ def ocn_trace_oracle(o: Ocn, start: tuple[int, int], word: bytes) -> bool:
     return True
 
 
+def accepted_words(n: Nfa, max_len: int):
+    """All words ``n`` accepts of length <= max_len, in shortlex order, by
+    a breadth-first walk of the subset construction."""
+    syms = sorted(n.alphabet)
+    frontier = [(b"", n.initial_mask)]
+    for _ in range(max_len + 1):
+        nxt = []
+        for word, m in frontier:
+            if m & n.final_mask:
+                yield word
+            for sym in syms:
+                t = n.step(m, sym)
+                if t:
+                    nxt.append((word + bytes([sym]), t))
+        frontier = nxt
+        if not frontier:
+            return
+
+
+def words_up_to(g: CnfGrammar, max_len: int) -> set[bytes]:
+    """All words of L(g) up to the given length, by brute-force bottom-up
+    derivation; exponential in general. The axiom's empty alternative
+    participates in compositions, matching the least-fixpoint reading of
+    the equations."""
+    by_len: list[list[set[bytes]]] = [
+        [set() for _ in range(max_len + 1)] for _ in range(g.variable_count)
+    ]
+    if g.axiom_nullable:
+        by_len[0][0].add(b"")
+    for v, ts in g.terminal_rules.items():
+        if max_len >= 1:
+            by_len[v][1] = {bytes([t]) for t in ts}
+    changed = True
+    while changed:
+        changed = False
+        for length in range(0, max_len + 1):
+            for v, ps in g.binary_rules.items():
+                acc = by_len[v][length]
+                before = len(acc)
+                for y, z in ps:
+                    for l1 in range(0, length + 1):
+                        for u in by_len[y][l1]:
+                            for w in by_len[z][length - l1]:
+                                acc.add(u + w)
+                if len(acc) != before:
+                    changed = True
+    out: set[bytes] = set()
+    for length in range(0, max_len + 1):
+        out |= by_len[0][length]
+    return out
+
+
 def simulation_oracle(a: Nfa, m: Nfa) -> set[tuple[int, int]]:
     """The maximal simulation of the states of ``a`` by those of ``m`` as a
     set of pairs (q, p), p simulating q: the greatest fixpoint that starts

@@ -7,7 +7,7 @@ import wqlang.automata as automata
 from wqlang import Dfa, Nfa, compile_regex, equivalence_counterexample, naive_inclusion, parse_regex
 from wqlang.automata import DeterminizationCap, Verdict, bits, mask_of
 
-from conftest import A, B, C, examples, make_fig31, rand_dfa, rand_nfa, set_of
+from conftest import A, B, C, accepted_words, examples, make_fig31, rand_dfa, rand_nfa, set_of
 
 
 def test_step_fig41(fig41):
@@ -88,7 +88,7 @@ def test_member_agrees_with_path_enumeration():
     rng = random.Random(4)
     for _ in range(20):
         n = rand_nfa(rng, max_states=4, n_syms=2)
-        accepted = set(n.accepted_words(5))
+        accepted = set(accepted_words(n, 5))
         for length in range(6):
             for w in _all_words(length):
                 assert n.member(w) == (w in accepted)
@@ -181,7 +181,7 @@ def _bfs_minimize(dfa: Dfa) -> Dfa:
     ascending symbol."""
     syms = sorted(dfa.alphabet)
     d = dfa.complete(syms)
-    rows = [d._succ[sym] for sym in syms]
+    rows = [[d.dnext(p, sym) for p in range(d.state_count)] for sym in syms]
     start = d.initial_state
     reach = [start]
     for p in reach:

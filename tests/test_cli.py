@@ -10,7 +10,7 @@ from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
 from wqlang.automata import MAX_DFA_STATES
 
-from conftest import A, B, C, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62
+from conftest import A, B, C, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62, rand_nfa
 
 
 @pytest.fixture
@@ -292,6 +292,22 @@ def test_iteration_cap_stops_every_include_algorithm(files, capsys, monkeypatch,
     )
     monkeypatch.delenv("TOOL_ITER_CAP")
     assert main(["include", flavor, str(left), str(right), *algo_flag]) == 0
+    assert capsys.readouterr().out == "INCLUDED\n"
+
+
+@pytest.mark.parametrize("algo", ["word-state", "gfp", "antichain-fwd"])
+def test_iteration_cap_lets_a_settled_run_end_on_an_empty_layer(capsys, monkeypatch, tmp_path, algo):
+    # n2 is n1 without final 2: the settled run of antichain-fwd ends one
+    # layer after the unpruned one, on a layer that is offered nothing, so
+    # the cap of 2 that lets word-state finish lets it finish too
+    rng = random.Random(101)
+    n1 = rand_nfa(rng, max_states=7, n_syms=3, density=rng.choice((0.2, 0.3, 0.45)))
+    assert n1.final == {0, 2, 5}
+    (tmp_path / "n1.nfa").write_bytes(dump_nfa(n1))
+    (tmp_path / "n2.nfa").write_bytes(dump_nfa(n1.with_final([0, 5])))
+    monkeypatch.setenv("TOOL_ITER_CAP", "2")
+    left, right = str(tmp_path / "n1.nfa"), str(tmp_path / "n2.nfa")
+    assert main(["include", "nfa", left, right, "--algo", algo]) == 0
     assert capsys.readouterr().out == "INCLUDED\n"
 
 

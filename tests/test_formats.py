@@ -21,7 +21,7 @@ from wqlang.formats import (
 )
 from wqlang.slpsearch.slp import Slp, repair_compress
 
-from conftest import A, B, rand_cnf, rand_nfa
+from conftest import A, B, rand_cnf, rand_nfa, words_up_to
 
 
 def test_nfa_round_trip():
@@ -83,7 +83,7 @@ def test_cnf_round_trip():
 def test_cnf_parse():
     data = b"vars 2\nterm X1 'a'\nterm X0 'b'\nbin X0 X0 X1\nbin X0 X1 X0\n"
     g = parse_cnf(data)
-    assert g.words_up_to(2) == {b"b", b"ab", b"ba"}
+    assert words_up_to(g, 2) == {b"b", b"ab", b"ba"}
 
 
 def test_cnf_bad_variable():

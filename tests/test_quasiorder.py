@@ -30,6 +30,7 @@ from conftest import (
     A,
     B,
     C,
+    accepted_words,
     ctx_pairs_oracle,
     examples,
     nfa_union,
@@ -406,7 +407,7 @@ def test_residual_inclusion_matrix_is_language_inclusion():
 
 def _accepts_no_word(m, p) -> bool:
     # a nonempty right language has a word shorter than the state count
-    return next(m.with_initial([p]).accepted_words(m.state_count), None) is None
+    return next(accepted_words(m.with_initial([p]), m.state_count), None) is None
 
 
 @settings(max_examples=examples(100), deadline=None)

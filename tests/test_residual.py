@@ -28,7 +28,7 @@ from wqlang.formats import dump_nfa
 from wqlang.quasiorder import residual_inclusion_matrix, state_handle
 from wqlang.residual import build_H, isomorphic_to_canonical
 
-from conftest import A, B, C, examples, make_fig62, rand_nfa, set_of
+from conftest import A, B, C, accepted_words, examples, make_fig62, rand_nfa, set_of
 
 
 def _below(key, keys):
@@ -153,7 +153,7 @@ def test_canonical_all_residuals_prime_is_saturated_min_dfa():
 def _has_dead_state(m):
     # a nonempty right language has a word shorter than the state count
     return any(
-        next(m.with_initial([p]).accepted_words(m.state_count), None) is None
+        next(accepted_words(m.with_initial([p]), m.state_count), None) is None
         for p in range(m.state_count)
     )
 
