@@ -39,19 +39,18 @@ same unsettled entries as the unpruned run, and the same shortest, then
 least, witness surfaces at the same layer. ``fa_inc_word`` under
 ``state_handle`` (``--algo word-state``) is the unpruned order.
 
-Any simulation of n1 by n2 settles entries this way, and the run first
-tries the cheapest: the identity on state numbers, a simulation when n2
-holds n1's moves and finals state for state (a check of an automaton
-against itself or against a union that holds it). When the identity
-settles every layer-0 entry, nothing grows and the maximal simulation is
-never computed. The identity lies inside the maximal simulation, which
-then settles all those entries too, so the run is the one the maximal
-simulation gives, to the vector, the layer count and the witness.
-Otherwise the maximal simulation (``quasiorder.cross_simulation``, one
-first-in first-out refinement read straight off n2's predecessor tables)
-settles the run. ``word_fixpoint`` gathers a state's moves only when it
-first extends an entry there, so a check whose layer-0 entries all settle
-gathers no move of n1.
+The two checks first decide the pairs where n2 holds n1 state for
+state: at least as many states, n1's initials and finals among n2's, and
+each move of n1 a move of n2 from the same state (a check of an
+automaton against itself or against a union that holds it). The
+identity on state numbers is then a simulation that settles every entry
+of layer 0, so L(n1) is inside L(n2), and the check answers from the
+forward tables alone, before any reversal or fixpoint. Any other pair
+runs the fixpoint, settled by the maximal simulation
+(``quasiorder.cross_simulation``, one first-in first-out refinement read
+straight off n2's predecessor tables). ``word_fixpoint`` gathers a
+state's moves only when it first extends an entry there, so a check
+whose layer-0 entries all settle gathers no move of n1.
 """
 
 from __future__ import annotations
@@ -135,24 +134,6 @@ def _layers(count, handle, base, grow, check, max_iter):
         layers += 1
 
 
-def _identity_simulates(a: Nfa, m: Nfa) -> bool:
-    """Whether the identity on state numbers is a simulation of ``a`` by
-    ``m``: each state of ``a`` is a state of ``m``, final there if final in
-    ``a``, and each of its moves is a move of ``m`` from the same state
-    (a table ``m`` shares with ``a`` holds them all). It costs one ``&``
-    per state and symbol, where ``quasiorder.cross_simulation`` refines to
-    a greatest fixpoint.
-    """
-    if a.state_count > m.state_count or a.final_mask & ~m.final_mask:
-        return False
-    m_fwd = m._fwd
-    for sym, table in a._fwd.items():
-        other = m_fwd.get(sym)
-        if other is None or (other is not table and tuple(map(and_, table, other)) != table):
-            return False
-    return True
-
-
 def word_fixpoint(
     n1: Nfa,
     handle: qo.QuasiorderHandle,
@@ -185,21 +166,15 @@ def word_fixpoint(
     is final: each layer accepts the same unsettled entries, with the same
     words, as the unpruned run, and the witness is the same.
 
-    The simulation is chosen on the first extension, so a run that ends at
-    layer 0 pays for none. If the identity on state numbers is a
-    simulation (``key_automaton`` has at least as many states, holds the
-    finals and, state for state, the moves of the oriented automaton) and
-    every layer-0 entry's key holds its own state, every entry is settled
-    and nothing grows. The identity lies inside the maximal simulation,
-    which would settle the same entries, so the output is the one the
-    maximal simulation gives. Otherwise the run computes the maximal
-    simulation (``quasiorder.cross_simulation``) and is settled by it.
-
-    The moves of a state are gathered the first time an unsettled entry at
-    it is extended, and the key of the empty word is computed once for all
-    initials. A run whose layer-0 entries all settle, as in checking an
-    automaton against itself or against a union that holds it, builds no
-    moves at all.
+    The settling simulation is the maximal one
+    (``quasiorder.cross_simulation``), computed on the first extension, so
+    a run that ends at layer 0 pays for none. The moves of a state are
+    gathered the first time an unsettled entry at it is extended, and the
+    key of the empty word is computed once for all initials, so a run
+    whose layer-0 entries all settle builds no moves at all.
+    ``fa_inc_antichain`` and ``fa_inc_gfp`` decide the pairs that the
+    identity would settle (n2 holding n1 state for state) before calling
+    this.
     """
     left = handle.direction == "left"
     if not left and handle.direction != "right":
@@ -218,11 +193,6 @@ def word_fixpoint(
         nonlocal up
         if key_automaton is not None:
             if up is None:
-                # the identity lies inside the maximal simulation: where it
-                # settles every entry, so would that, and nothing grows
-                own = all(k >> q & 1 for q, k, _ in frontier)
-                if own and _identity_simulates(a, key_automaton):
-                    return
                 up = qo.cross_simulation(a, key_automaton)
             frontier = [e for e in frontier if not e[1] & up[e[0]]]
         for q2, key, word in frontier:
@@ -256,6 +226,27 @@ def fa_inc_word(
     return Verdict(witness is None, witness)
 
 
+def _sub_automaton(n1: Nfa, n2: Nfa) -> bool:
+    """Whether n2 holds n1 state for state: each state of n1 is a state of
+    n2, initial or final there if it is in n1, and each move of n1 is a
+    move of n2 from the same state (a table n2 shares with n1 holds them
+    all). Then the identity on state numbers simulates n1 by n2, read in
+    either direction, and L(n1) is inside L(n2). It reads only the forward
+    tables, one ``&`` per state and symbol."""
+    if (
+        n1.state_count > n2.state_count
+        or n1.initial_mask & ~n2.initial_mask
+        or n1.final_mask & ~n2.final_mask
+    ):
+        return False
+    fwd = n2._fwd
+    for sym, table in n1._fwd.items():
+        other = fwd.get(sym)
+        if other is None or (other is not table and tuple(map(and_, table, other)) != table):
+            return False
+    return True
+
+
 def fa_inc_antichain(
     n1: Nfa, n2: Nfa, variant: str = "forward", max_iter: int = DEFAULT_ITER_CAP
 ) -> Verdict:
@@ -266,14 +257,16 @@ def fa_inc_antichain(
     pre-set at a state q of n1 holding a state of n2 whose left language
     includes that of q (a left simulation of n1 by n2) can only grow into
     words of L(n2). One reversal of n2 serves both the handle and the
-    simulation. The identity is tried first, and settles a check of n1
-    against itself or against a union that holds it without computing the
-    maximal simulation; either one leaves the same run. Verdict and
-    witness are those of the unpruned ``fa_inc_word`` under the same
-    handle (``--algo word-state``).
+    simulation. A pair where n2 holds n1 state for state (``_sub_automaton``,
+    such as n1 against itself or against a union that holds it) is
+    INCLUDED before any reversal: the identity would settle every layer-0
+    entry of that run. Verdict and witness are those of the unpruned
+    ``fa_inc_word`` under the same handle (``--algo word-state``).
     ``variant`` names the algorithm and must be "forward", the only one."""
     if variant != "forward":
         raise ValueError(f"bad variant {variant!r}")
+    if _sub_automaton(n1, n2):
+        return Verdict(True, None)
     m = n2.reverse()
     _, _, witness = word_fixpoint(n1, qo._set_handle(m, "left", subset), max_iter, True, m)
     return Verdict(witness is None, witness)
@@ -293,11 +286,13 @@ def fa_inc_gfp(n1: Nfa, l2: Nfa, max_iter: int = DEFAULT_ITER_CAP) -> Verdict:
     ``fa_inc_word`` under that handle. A post-set at q that holds a state
     of l2 simulating q already contains the residual of q, so the run
     skips its extensions (``word_fixpoint``'s ``key_automaton``), which
-    leaves the verdict unchanged. The identity, when it is a simulation
-    that settles every initial, saves computing the maximal one and gives
-    the same run. This is exact on a nondeterministic l2,
-    which is never determinized. No witness is reported.
+    leaves the verdict unchanged. A pair where l2 holds n1 state for state
+    (``_sub_automaton``) is INCLUDED without a run. This is exact on a
+    nondeterministic l2, which is never determinized. No witness is
+    reported.
     """
+    if _sub_automaton(n1, l2):
+        return Verdict(True)
     _, _, witness = word_fixpoint(n1, qo.state_handle(l2, "right"), max_iter, True, l2)
     return Verdict(witness is None)
 

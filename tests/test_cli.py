@@ -311,6 +311,21 @@ def test_iteration_cap_lets_a_settled_run_end_on_an_empty_layer(capsys, monkeypa
     assert capsys.readouterr().out == "INCLUDED\n"
 
 
+@pytest.mark.parametrize("algo, code, out", [
+    ("antichain-fwd", 0, "INCLUDED\n"),
+    ("gfp", 0, "INCLUDED\n"),
+    ("word-state", 3, ""),
+])
+def test_iteration_cap_zero_still_includes_an_automaton_in_itself(files, capsys, monkeypatch, algo, code, out):
+    # the settled checks answer before any layer is counted; the unpruned
+    # word-state run needs a first layer, which the cap forbids
+    monkeypatch.setenv("TOOL_ITER_CAP", "0")
+    assert main(["include", "nfa", files["n1"], files["n1"], "--algo", algo]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("" if code == 0 else "error: no fixpoint after 0 layers\n")
+
+
 def test_iteration_cap_reports_a_witness_found_within_it(files, capsys, monkeypatch):
     # the first layer extends the empty word to the words of length 1, and
     # the check stops there at the witness a before the cap counts another

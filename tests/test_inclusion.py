@@ -25,7 +25,7 @@ from wqlang import (
     state_handle,
 )
 from wqlang.fixpoint import Antichain, KleeneDivergence, ac_below, subset
-from wqlang.inclusion import DEFAULT_ITER_CAP, cfg_word_fixpoint, word_fixpoint
+from wqlang.inclusion import DEFAULT_ITER_CAP, _sub_automaton, cfg_word_fixpoint, word_fixpoint
 from wqlang.quasiorder import cross_simulation, ctx_key
 
 from conftest import (
@@ -418,7 +418,7 @@ def test_settled_entries_change_no_verdict_witness_or_layer(direction, seed, uni
     # skipping the extensions of settled entries keeps every unsettled
     # entry with its word, so the verdict, the witness and the layer it
     # surfaces at are the unpruned run's; a union right side settles often
-    # (and by the identity, which skips the maximal simulation)
+    # (and the named checks decide it before any fixpoint)
     rng = random.Random(seed)
     density = rng.choice((0.2, 0.3, 0.45))
     n1 = rand_nfa(rng, max_states=7, n_syms=3, density=density)
@@ -463,12 +463,13 @@ def near_miss(rng, n, edit):
     stop=st.booleans(),
 )
 def test_settled_near_misses_change_no_verdict_witness_or_layer(direction, seed, edit, stop):
-    # one edit away from a pair the identity settles, the maximal
-    # simulation settles the run. Without a witness it may end one layer
-    # late: the last unsettled entries are accepted at the same layer in
-    # both runs, but their extensions may hold settled entries that the
-    # unpruned run blocks with shorter ones, and those are accepted (and
-    # not extended) a layer later; a dropped final of n2 shows it
+    # one edit away from a pair the named checks decide up front, the
+    # maximal simulation settles the run. Without a witness it may end one
+    # layer late: the last unsettled entries are accepted at the same
+    # layer in both runs, but their extensions may hold settled entries
+    # that the unpruned run blocks with shorter ones, and those are
+    # accepted (and not extended) a layer later; a dropped final of n2
+    # shows it
     rng = random.Random(seed)
     density = rng.choice((0.2, 0.3, 0.45))
     n1, n2 = near_miss(rng, rand_nfa(rng, max_states=7, n_syms=3, density=density), edit)
@@ -502,14 +503,12 @@ def superset(rng, n):
 
 
 @pytest.mark.parametrize("shape", ["self", "copy", "union", "superset"])
-def test_identity_settles_sub_automaton_pairs_without_the_simulation(monkeypatch, shape):
+def test_sub_automaton_pairs_are_decided_before_any_reversal(monkeypatch, shape):
     # n2 holds n1 state for state, so the identity is a simulation that
-    # settles every layer-0 entry: the maximal one is never computed
-    def refuse(a, m):
-        raise AssertionError("cross_simulation was called")
-
-    monkeypatch.setattr("wqlang.quasiorder.cross_simulation", refuse)
+    # settles every layer-0 entry: both checks answer from the forward
+    # tables, with no reversal, no fixpoint and no maximal simulation
     rng = random.Random(32)
+    pairs = []
     for i in range(examples(40)):
         if i % 2:
             n1 = rand_nfa(rng, max_states=7, n_syms=3, density=rng.choice((0.2, 0.3, 0.45)))
@@ -521,19 +520,93 @@ def test_identity_settles_sub_automaton_pairs_without_the_simulation(monkeypatch
             "union": lambda: nfa_union(n1, rand_nfa(rng, max_states=5, n_syms=3)),
             "superset": lambda: superset(rng, n1),
         }[shape]()
+        pairs.append((n1, n2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check went past the sub-automaton test")
+
+    monkeypatch.setattr("wqlang.quasiorder.cross_simulation", refuse)
+    monkeypatch.setattr("wqlang.inclusion.word_fixpoint", refuse)
+    monkeypatch.setattr(Nfa, "reverse", refuse)
+    for n1, n2 in pairs:
         assert fa_inc_antichain(n1, n2) == Verdict(True)
         assert fa_inc_gfp(n1, n2) == Verdict(True)
 
 
+@settings(max_examples=examples(200), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(
+        (
+            "random",
+            "superset",
+            "drop-transition",
+            "drop-final",
+            "drop-initial",
+            "new-symbol",
+            "new-state",
+            "with-initial",
+            "with-final",
+            "empty",
+        )
+    ),
+    swap=st.booleans(),
+)
+def test_sub_automaton_is_containment_of_states_moves_initials_and_finals(seed, shape, swap):
+    # the forward-table test against the explicit triples; a with_initial or
+    # with_final derivation shares its source's tables, and an empty
+    # automaton has no state at all
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=6, n_syms=3, density=rng.choice((0.2, 0.3, 0.45)))
+    pick = lambda: [q for q in range(n.state_count) if rng.random() < 0.5]
+    if shape == "random":
+        n1, n2 = n, rand_nfa(rng, max_states=6, n_syms=3, density=rng.choice((0.2, 0.45)))
+    elif shape == "superset":
+        n1, n2 = n, superset(rng, n)
+    elif shape == "with-initial":
+        n1, n2 = n, n.with_initial(pick())
+    elif shape == "with-final":
+        n1, n2 = n, n.with_final(pick())
+    elif shape == "empty":
+        n1, n2 = Nfa(0, [], [], []), n
+    else:
+        n1, n2 = near_miss(rng, n, shape)
+    if swap:
+        n1, n2 = n2, n1
+    oracle = (
+        n1.state_count <= n2.state_count
+        and n1._triples <= n2._triples
+        and n1.initial <= n2.initial
+        and n1.final <= n2.final
+    )
+    assert _sub_automaton(n1, n2) == oracle
+    if oracle:
+        assert naive_inclusion(n1, n2) == Verdict(True)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_sub_automaton_pairs_are_included_under_any_cap(fig42_n1, cap):
+    # decided before any layer is counted; the unpruned run needs one
+    n = fig42_n1
+    assert fa_inc_antichain(n, n, "forward", cap) == Verdict(True)
+    assert fa_inc_gfp(n, n, cap) == Verdict(True)
+    with pytest.raises(KleeneDivergence, match="no fixpoint after 0 layers"):
+        fa_inc_word(n, state_handle(n, "left"), cap)
+
+
 def test_self_inclusion_finishes_within_one_grown_layer():
     # every entry of layer 0 sits at a state its key holds, which simulates
-    # itself: all are settled, and the first grown layer is empty
+    # itself: all are settled, and the first grown layer is empty. The named
+    # checks decide these pairs before any run; the settled runs are called
+    # directly
     rng = random.Random(49)
     unpruned_needs_more = 0
     for _ in range(40):
         n = rand_nfa(rng, max_states=8, n_syms=3, density=0.4)
         assert fa_inc_antichain(n, n, "forward", 1).included
         assert fa_inc_gfp(n, n, 1).included
+        assert word_fixpoint(n, state_handle(n, "left"), 1, True, n.reverse())[2] is None
+        assert word_fixpoint(n, state_handle(n, "right"), 1, True, n)[2] is None
         try:
             fa_inc_word(n, state_handle(n, "left"), 1)
         except KleeneDivergence:
