@@ -41,7 +41,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "automata": (
             "CnfGrammar",
             "Dfa",
-            "Nfa",
             "Ocn",
             "Verdict",
             "cfg_in_regular_oracle",
@@ -58,6 +57,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "nfa_in_ocn",
         ),
         "learn": ("ObservationState", "nl_learn"),
+        "nfa": ("Nfa",),
         "quasiorder": (
             "QuasiorderHandle",
             "ctx_handle",

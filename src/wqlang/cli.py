@@ -25,12 +25,15 @@ within the cap is still reported) of ``include nfa`` (every ``--algo``,
 ``gfp`` included), ``include cfg`` and ``include ocn``; any other value is
 a usage error, and so is a negative ``decompress --cap``.
 
-Start-up loads only the file formats and builds only the argument parser
-of the subcommand the command line names; each subcommand imports its own
-algorithm family when it runs. ``compress`` and ``decompress`` load the SLP
-module alone, ``search`` adds the regex compiler and the counting engine,
-``include`` the automata and the inclusion checkers, and the residual
-constructions and ``learn`` the automata and the residual core.
+Start-up loads only the line syntax of the file formats and builds only
+the argument parser of the subcommand the command line names; each
+subcommand imports its own family's formats and algorithms when it runs.
+``compress`` and ``decompress`` load the SLP module and its formats alone;
+``search`` adds the regex compiler, the counting engine and ``nfa``, but
+not the rest of ``automata``; ``include`` loads the automaton formats, the
+automata and the inclusion checkers, and the residual constructions and
+``learn`` the automaton formats, the automata and the residual core. An
+error exit loads nothing more.
 """
 
 from __future__ import annotations
@@ -40,17 +43,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import _lazy_exports
-from .formats import (
-    FormatError,
-    dump_nfa,
-    dump_slp_binary,
-    dump_slp_text,
-    load_slp,
-    parse_cnf,
-    parse_nfa,
-    parse_ocn,
-)
+from . import _lazy_exports, formats
 
 if TYPE_CHECKING:
     from .automata import Verdict
@@ -59,13 +52,23 @@ USAGE_ERROR = 2
 INPUT_ERROR = 3
 
 # Functions that other code reads off this module (the benchmark's tracer
-# wraps them here). Each resolves to its defining module's current binding
-# on access; the handlers below call them through that module, so a wrapper
-# installed there sees each call once.
+# wraps them here). Each resolves on access to the current binding in its
+# defining module, or in ``formats`` for the readers and writers; the
+# handlers below call them through that module, so a wrapper installed
+# there sees each call once.
 _, __getattr__, __dir__ = _lazy_exports(
     globals(),
     {
         "automata": ("equivalence_counterexample",),
+        "formats": (
+            "dump_nfa",
+            "dump_slp_binary",
+            "dump_slp_text",
+            "load_slp",
+            "parse_cnf",
+            "parse_nfa",
+            "parse_ocn",
+        ),
         "learn": ("nl_learn",),
         "slpsearch.regex": ("compile_regex", "homogeneous_dfa"),
         "slpsearch.slp": ("decompress", "repair_compress"),
@@ -161,8 +164,8 @@ CFG_ALGOS = {
 def _cmd_include_nfa(args) -> int:
     from . import inclusion
 
-    left = parse_nfa(_read(args.left))
-    right = parse_nfa(_read(args.right))
+    left = formats.parse_nfa(_read(args.left))
+    right = formats.parse_nfa(_read(args.right))
     verdict = NFA_ALGOS[args.algo](inclusion, left, right, _iter_cap())
     return _verdict_output(args, verdict, {"algo": args.algo})
 
@@ -170,8 +173,8 @@ def _cmd_include_nfa(args) -> int:
 def _cmd_include_cfg(args) -> int:
     from . import inclusion
 
-    grammar = parse_cnf(_read(args.left))
-    right = parse_nfa(_read(args.right))
+    grammar = formats.parse_cnf(_read(args.left))
+    right = formats.parse_nfa(_read(args.right))
     verdict = CFG_ALGOS[args.algo](inclusion, grammar, right, _iter_cap())
     return _verdict_output(args, verdict, {"algo": args.algo})
 
@@ -179,8 +182,8 @@ def _cmd_include_cfg(args) -> int:
 def _cmd_include_ocn(args) -> int:
     from . import inclusion
 
-    left = parse_nfa(_read(args.left))
-    net = parse_ocn(_read(args.right))
+    left = formats.parse_nfa(_read(args.left))
+    net = formats.parse_ocn(_read(args.right))
     verdict = inclusion.nfa_in_ocn(left, net, (args.state, args.counter), _iter_cap())
     return _verdict_output(args, verdict, {"algo": "word-macro"})
 
@@ -192,7 +195,7 @@ def _cmd_search(args) -> int:
     from .slpsearch.counting import NEWLINE, SearchEngine
     from .slpsearch.regex import compile_regex, parse_regex
 
-    slp = load_slp(_read(args.file))
+    slp = formats.load_slp(_read(args.file))
     nfa = compile_regex(parse_regex(args.expression))
     if NEWLINE in nfa.alphabet:
         print("error: pattern must not match the newline byte", file=sys.stderr)
@@ -231,7 +234,7 @@ def _cmd_compress(args) -> int:
     except ValueError as exc:  # fewer than two bytes: the file is at fault
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    data = dump_slp_text(slp) if args.text else dump_slp_binary(slp)
+    data = formats.dump_slp_text(slp) if args.text else formats.dump_slp_binary(slp)
     _write_out(data, args.output)
     return 0
 
@@ -241,7 +244,7 @@ def _cmd_decompress(args) -> int:
 
     if args.cap < 0:
         raise ValueError(f"--cap must be nonnegative, got {args.cap}")
-    slp = load_slp(_read(args.file))
+    slp = formats.load_slp(_read(args.file))
     _write_out(decompress(slp, cap=args.cap), args.output)
     return 0
 
@@ -249,21 +252,21 @@ def _cmd_decompress(args) -> int:
 def _cmd_construction(args) -> int:
     from . import residual
 
-    nfa = parse_nfa(_read(args.file))
+    nfa = formats.parse_nfa(_read(args.file))
     if args.construction == "residualize":
         out = residual.res(nfa, args.direction)
     elif args.construction == "canonical":
         out = residual.canonical(nfa, args.direction)
     else:  # double-reversal
         out = residual.double_reversal_canonical(nfa)
-    _write_out(dump_nfa(out), args.output)
+    _write_out(formats.dump_nfa(out), args.output)
     return 0
 
 
 def _cmd_check_dr(args) -> int:
     from . import residual
 
-    nfa = parse_nfa(_read(args.file))
+    nfa = formats.parse_nfa(_read(args.file))
     holds = residual.check_dr_condition(nfa)
     _emit(
         args,
@@ -277,13 +280,13 @@ def _cmd_learn(args) -> int:
     from .automata import equivalence_counterexample
     from .learn import nl_learn
 
-    target = parse_nfa(_read(args.file))
+    target = formats.parse_nfa(_read(args.file))
     learned = nl_learn(
         target.member,
         lambda candidate: equivalence_counterexample(candidate, target),
         sorted(target.alphabet),
     )
-    _write_out(dump_nfa(learned), args.output)
+    _write_out(formats.dump_nfa(learned), args.output)
     return 0
 
 
@@ -402,24 +405,27 @@ def _common_verdict_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats", action="store_true")
 
 
+# the exception that a computation stopped by its cap raises, by the
+# module, relative to the package, that defines it
+_CAP_ERRORS = {
+    "fixpoint": "KleeneDivergence",
+    "learn": "LearnerDiverged",
+    "automata": "DeterminizationCap",
+    "slpsearch.slp": "DecompressionCap",
+}
+
+
 def _input_errors() -> tuple[type[Exception], ...]:
     """Malformed input, paths that cannot be opened (``OSError``) and
-    computations stopped by their caps. The classes are imported only once
-    an exception propagates, so a subcommand that succeeds loads no family
-    but its own."""
-    from .automata import DeterminizationCap
-    from .fixpoint import KleeneDivergence
-    from .learn import LearnerDiverged
-    from .slpsearch.slp import DecompressionCap
-
-    return (
-        FormatError,
-        OSError,
-        KleeneDivergence,
-        LearnerDiverged,
-        DeterminizationCap,
-        DecompressionCap,
-    )
+    computations stopped by their caps. A cap class is named only when its
+    module is loaded, since a class that was never imported cannot have
+    been raised, so an error exit loads no family the command did not."""
+    caps = []
+    for module, name in _CAP_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            caps.append(getattr(loaded, name))
+    return (formats.FormatError, OSError, *caps)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,10 +25,12 @@ importing the module loads no ``dataclasses``.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..automata import Nfa
 from .slp import TERMINALS, Expander, Slp
+
+if TYPE_CHECKING:
+    from ..nfa import Nfa
 
 __all__ = ["SearchEngine"]
 

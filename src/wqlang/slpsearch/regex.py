@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..automata import Nfa
+from ..nfa import Nfa
 
 __all__ = [
     "MAX_REGEX_DEPTH",

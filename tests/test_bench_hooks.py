@@ -81,7 +81,20 @@ def test_tracer_counts_each_cli_call_once(tmp_path):
     # uninstall leaves on ``cli`` the names it restored, which the module
     # would otherwise resolve on access; drop them, so a CLI call through
     # one of them would be counted twice here
-    for name in ("repair_compress", "decompress", "compile_regex", "homogeneous_dfa", "nl_learn"):
+    for name in (
+        "repair_compress",
+        "decompress",
+        "compile_regex",
+        "homogeneous_dfa",
+        "nl_learn",
+        "parse_nfa",
+        "parse_cnf",
+        "parse_ocn",
+        "load_slp",
+        "dump_nfa",
+        "dump_slp_binary",
+        "dump_slp_text",
+    ):
         vars(cli).pop(name, None)
     tracer = Tracer()
     try:
@@ -95,6 +108,10 @@ def test_tracer_counts_each_cli_call_once(tmp_path):
         tracer.uninstall()
     for name in ("slp.repair_compress", "slp.decompress", "regex.compile", "learn.nl_learn"):
         assert tracer.spans[name].calls == 1, name
+    # decompress, search and learn read one file each; compress and learn
+    # write one
+    assert tracer.spans["formats.parse"].calls == 3
+    assert tracer.spans["formats.dump"].calls == 2
 
 
 def test_tracer_counts_a_homogeneous_pattern_automaton_as_one_compilation():

@@ -26,10 +26,11 @@ def test_packages_declare_all():
         assert importlib.import_module(name).__all__
 
 
-@pytest.mark.parametrize("name", ["wqlang", "wqlang.slpsearch"])
+@pytest.mark.parametrize("name", ["wqlang", "wqlang.slpsearch", "wqlang.formats", "wqlang.automata"])
 def test_star_import_binds_every_name_and_dir_lists_it(name):
-    # the packages resolve their exports on first access, so ``import *``
-    # and ``dir`` must still see every one
+    # the packages and ``formats`` resolve their exports on first access,
+    # and ``automata`` re-exports ``nfa``'s, so ``import *`` and ``dir``
+    # must still see every one
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     module = importlib.import_module(name)

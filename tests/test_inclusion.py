@@ -414,18 +414,21 @@ def assert_settled_run_is_unpruned(n1, n2, direction, stop, late):
 @pytest.mark.parametrize("direction", ["left", "right"])
 @settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), union=st.booleans(), stop=st.booleans())
+@example(seed=14419, union=False, stop=False)  # on the left: 4 layers against 3
 def test_settled_entries_change_no_verdict_witness_or_layer(direction, seed, union, stop):
     # skipping the extensions of settled entries keeps every unsettled
     # entry with its word, so the verdict, the witness and the layer it
     # surfaces at are the unpruned run's; a union right side settles often
-    # (and the named checks decide it before any fixpoint)
+    # (and the named checks decide it before any fixpoint). Without a
+    # witness the run may end one layer late, for the reason the near-miss
+    # test below gives
     rng = random.Random(seed)
     density = rng.choice((0.2, 0.3, 0.45))
     n1 = rand_nfa(rng, max_states=7, n_syms=3, density=density)
     n2 = rand_nfa(rng, max_states=7, n_syms=rng.randint(1, 3), density=density)
     if union:
         n2 = nfa_union(n1, n2)
-    assert_settled_run_is_unpruned(n1, n2, direction, stop, late=0)
+    assert_settled_run_is_unpruned(n1, n2, direction, stop, late=1)
 
 
 def near_miss(rng, n, edit):

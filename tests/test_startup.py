@@ -1,7 +1,8 @@
-"""Each CLI subcommand loads only its own algorithm family, and no
-standard-library module it does not use. Every case runs ``wqlang.cli.main``
-in a fresh interpreter and reads what it left in ``sys.modules``; importing
-the package alone loads no submodule."""
+"""Each CLI subcommand loads exactly its own family's formats and
+algorithms, also when it exits with an error, and no standard-library
+module it does not use. Every case runs ``wqlang.cli.main`` in a fresh
+interpreter and reads what it left in ``sys.modules``; importing the
+package alone loads no submodule."""
 
 import os
 import subprocess
@@ -10,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from wqlang.formats import dump_nfa, dump_slp_binary
+from wqlang.formats import dump_cnf, dump_nfa, dump_slp_binary
 from wqlang.slpsearch.slp import repair_compress
 
-from conftest import make_fig42_n1, make_fig42_n2
+from conftest import make_ex451_grammar, make_fig42_n1, make_fig42_n2
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TEXT = b"INFO ok\nERROR disk\nINFO ok\n" * 4
@@ -44,45 +45,72 @@ def files(tmp_path):
     for name, nfa in (("n1", make_fig42_n1()), ("n2", make_fig42_n2())):
         paths[name] = tmp_path / f"{name}.nfa"
         paths[name].write_bytes(dump_nfa(nfa))
+    paths["g"] = tmp_path / "g.cnf"
+    paths["g"].write_bytes(dump_cnf(make_ex451_grammar()))
+    paths["junk"] = tmp_path / "junk"
+    paths["junk"].write_bytes(b"junk\n")
     paths["out"] = tmp_path / "out"
     return {k: str(v) for k, v in paths.items()}
 
 
-# every algorithm module but the SLP's own, relative to ``wqlang``
-ALGORITHMS = {
-    "automata",
-    "fixpoint",
-    "quasiorder",
-    "inclusion",
-    "residual",
-    "learn",
-    "slpsearch.regex",
-    "slpsearch.counting",
-}
-
-# the residual constructions and the learner load neither the inclusion
-# checkers nor any SLP module
-RESIDUAL_ABSENT = {"inclusion", "slpsearch", "slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "slpsearch._repair"}
+# the modules, relative to ``wqlang``, that each family's subcommands load
+SLP = {"cli", "formats", "slpsearch", "slpsearch.slp", "slpsearch.slp_formats"}
+SEARCH = SLP | {"nfa", "slpsearch.regex", "slpsearch.counting"}
+AUTOMATA = {"cli", "formats", "automaton_formats", "nfa", "automata", "fixpoint", "quasiorder"}
+INCLUDE = AUTOMATA | {"inclusion"}
+RESIDUAL = AUTOMATA | {"residual"}
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, modules",
     [
-        (["compress", "{text}", "-o", "{out}"], ALGORITHMS),
-        (["decompress", "{slp}", "-o", "{out}"], ALGORITHMS),
-        (["include", "nfa", "{n1}", "{n2}"], {"slpsearch.slp", "slpsearch.regex", "slpsearch.counting", "slpsearch._repair", "residual", "learn"}),
-        (["search", "-e", "ERROR", "{slp}"], {"inclusion", "residual", "learn", "slpsearch._repair"}),
-        (["canonical", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
-        (["residualize", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
-        (["learn", "{n2}", "-o", "{out}"], RESIDUAL_ABSENT),
+        (["compress", "{text}", "-o", "{out}"], SLP | {"slpsearch._repair"}),
+        (["decompress", "{slp}", "-o", "{out}"], SLP),
+        (["include", "nfa", "{n1}", "{n2}"], INCLUDE),
+        (["include", "cfg", "{g}", "{n2}"], INCLUDE),
+        (["search", "-e", "ERROR", "{slp}"], SEARCH),
+        (["canonical", "{n2}", "-o", "{out}"], RESIDUAL),
+        (["residualize", "{n2}", "-o", "{out}"], RESIDUAL),
+        (["double-reversal", "{n2}", "-o", "{out}"], RESIDUAL),
+        (["check-dr", "{n2}"], RESIDUAL),
+        (["learn", "{n2}", "-o", "{out}"], RESIDUAL | {"learn"}),
     ],
-    ids=["compress", "decompress", "include-nfa", "search", "canonical", "residualize", "learn"],
+    ids=[
+        "compress",
+        "decompress",
+        "include-nfa",
+        "include-cfg",
+        "search",
+        "canonical",
+        "residualize",
+        "double-reversal",
+        "check-dr",
+        "learn",
+    ],
 )
-def test_subcommand_loads_only_its_family(files, argv, absent):
+def test_subcommand_loads_only_its_family(files, argv, modules):
+    # ``search`` runs its position automaton through ``nfa`` alone, and no
+    # automaton subcommand loads the SLP formats
     argv = [arg.format(**files) for arg in argv]
     loaded = _loaded(f"from wqlang.cli import main\nassert main({argv!r}) == 0")
-    assert loaded & {f"wqlang.{m}" for m in absent} == set()
-    assert "wqlang.cli" in loaded
+    assert loaded == {"wqlang", *(f"wqlang.{m}" for m in modules)}
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["search", "-e", "(", "{slp}"], 2, SEARCH),
+        (["decompress", "{junk}", "-o", "{out}"], 3, SLP),
+        (["include", "nfa", "{junk}", "{n2}"], 3, INCLUDE),
+    ],
+    ids=["search-usage", "decompress-input", "include-input"],
+)
+def test_error_exit_loads_only_the_failing_family(files, argv, code, modules):
+    # the caps an error exit tests for are those of the modules already
+    # loaded, so printing the error imports no other family
+    argv = [arg.format(**files) for arg in argv]
+    loaded = _loaded(f"from wqlang.cli import main\nassert main({argv!r}) == {code}")
+    assert loaded == {"wqlang", *(f"wqlang.{m}" for m in modules)}
 
 
 @pytest.mark.parametrize(
