@@ -1,16 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqlang.cli import SUBCOMMANDS, build_parser, main
-from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, parse_nfa
-from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex
+from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, dump_slp_text, parse_nfa
+from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex, repair_compress
 from wqlang.automata import MAX_DFA_STATES
 
-from conftest import A, B, C, chain_slp, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62, rand_nfa
+from conftest import A, B, C, chain_slp, examples, count_lines_oracle, make_counter_ocn, make_ex451_grammar, make_fig42_n1, make_fig42_n2, make_fig43, make_fig62, rand_nfa
 
 
 @pytest.fixture
@@ -635,3 +638,99 @@ def test_a_named_subcommand_builds_only_its_parser():
     assert list(_subcommands(build_parser())) == list(SUBCOMMANDS)
     for name in SUBCOMMANDS:
         assert list(_subcommands(build_parser(name))) == [name]
+
+
+# -- the input contract under mutated files ---------------------------------
+
+_FUZZ_TEXT = b"ab ab\nba ab\nab ba\n"
+# each format: a valid file, the header tokens a mutation may insert, and
+# every command line that reads it ({f} is the mutant; {nfa}, {cnf} and
+# {ocn} are valid files of the other formats)
+FUZZ_FORMATS = {
+    "nfa": (
+        dump_nfa(make_fig42_n2()),
+        [b"states ", b"alphabet ", b"initial ", b"final ", b"trans ", b"'a'", b"\n"],
+        [
+            ["include", "nfa", "{f}", "{nfa}"],
+            ["include", "nfa", "{nfa}", "{f}"],
+            ["include", "cfg", "{cnf}", "{f}"],
+            ["include", "ocn", "{f}", "{ocn}"],
+            ["residualize", "{f}"],
+            ["canonical", "{f}"],
+            ["double-reversal", "{f}"],
+            ["check-dr", "{f}"],
+            ["learn", "{f}"],
+        ],
+    ),
+    "cnf": (
+        dump_cnf(make_ex451_grammar()),
+        [b"vars ", b"term ", b"bin ", b"X1 ", b"'a'", b"\n"],
+        [["include", "cfg", "{f}", "{nfa}"]],
+    ),
+    "ocn": (
+        dump_ocn(make_counter_ocn()),
+        [b"states ", b"trans ", b"+1 ", b"-1 ", b"'a'", b"\n"],
+        [["include", "ocn", "{nfa}", "{f}"]],
+    ),
+    "slp-text": (
+        dump_slp_text(repair_compress(_FUZZ_TEXT)),
+        [b"rules ", b"rule ", b"axiom ", b"256 ", b"\n"],
+        [["search", "-e", "ab", "{f}", "--report"], ["decompress", "{f}"]],
+    ),
+    "slp-binary": (
+        dump_slp_binary(repair_compress(_FUZZ_TEXT)),
+        [b"SLP1", b"\x00\x01\x00\x00", b"\xff\xff\xff\xff"],
+        [["search", "-e", "ab", "{f}", "--report"], ["decompress", "{f}"]],
+    ),
+}
+
+
+def _mutants(data: bytes, tokens: list[bytes]):
+    """``data`` with a span deleted, a header token or a byte inserted, a
+    byte overwritten, or its tail cut off."""
+    n = len(data)
+    at = st.integers(min_value=0, max_value=n)
+    return st.one_of(
+        st.tuples(at, st.integers(min_value=1, max_value=8)).map(lambda m: data[: m[0]] + data[m[0] + m[1] :]),
+        st.tuples(at, st.sampled_from(tokens)).map(lambda m: data[: m[0]] + m[1] + data[m[0] :]),
+        st.tuples(at, st.binary(min_size=1, max_size=1)).map(lambda m: data[: m[0]] + m[1] + data[m[0] :]),
+        st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=255)).map(
+            lambda m: data[: m[0]] + bytes([m[1]]) + data[m[0] + 1 :]
+        ),
+        at.map(lambda cut: data[:cut]),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, data in (
+        ("nfa", dump_nfa(make_fig42_n1())),
+        ("cnf", dump_cnf(make_ex451_grammar())),
+        ("ocn", dump_ocn(make_counter_ocn())),
+    ):
+        (folder / name).write_bytes(data)
+    return folder
+
+
+@pytest.mark.parametrize("fmt", list(FUZZ_FORMATS))
+@settings(max_examples=examples(30), deadline=None)
+@given(data=st.data())
+def test_a_mutated_input_file_exits_by_the_contract(fuzz_dir, fmt, data):
+    valid, tokens, command_lines = FUZZ_FORMATS[fmt]
+    mutant = data.draw(_mutants(valid, tokens), label="mutant")
+    path = fuzz_dir / f"mutant.{fmt}"
+    path.write_bytes(mutant)
+    names = {name: str(fuzz_dir / name) for name in ("nfa", "cnf", "ocn")}
+    for line in command_lines:
+        argv = [arg.format(f=path, **names) for arg in line]
+        out = io.TextIOWrapper(io.BytesIO())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        # every command line is well formed, so only the file can be at
+        # fault: an input error, never a usage error (and no line asks for
+        # --fail-on-miss, the only exit 1)
+        assert code in (0, 3), (argv, mutant, code)
+        if code == 3:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, mutant)

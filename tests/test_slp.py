@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -196,6 +197,15 @@ def test_repair_matches_oracle_on_small_alphabets_and_log_lines(text):
 )
 def test_repair_pinned_rounds(text, rules):
     assert repair_compress(text).rules == repair_oracle(text).rules == rules
+
+
+def test_repair_matches_oracle_on_every_short_ab_text():
+    # the 124 texts over ab of length 2 to 6: the end sentinel on both
+    # sides, the shortest list, and runs at either end
+    texts = [bytes(t) for n in range(2, 7) for t in itertools.product(b"ab", repeat=n)]
+    assert len(texts) == 124
+    for text in texts:
+        assert repair_compress(text).rules == repair_oracle(text).rules, text
 
 
 @pytest.mark.parametrize(
