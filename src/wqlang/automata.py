@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from itertools import repeat
+from operator import lshift, or_
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .nfa import Nfa, bits, mask_of
 
@@ -44,6 +46,13 @@ class Verdict(NamedTuple):
 
 
 MAX_DFA_STATES = 1 << 16
+
+# The longest packed row, in bits, that the product walk builds: one int per
+# mask and side holding its successors on every symbol, at |alphabet| times
+# the two sides' state counts. Shifting such a row and building it per state
+# grow with the square of the alphabet, so a longer row (129 states between
+# both sides on two symbols, 33 on eight) is walked per symbol.
+_PACKED_BITS = 256
 
 
 class DeterminizationCap(RuntimeError):
@@ -151,31 +160,35 @@ class Dfa(Nfa):
         return out
 
 
+def _check_cap(memo: dict) -> None:
+    """Raise ``DeterminizationCap`` when a memo of stepped masks is full:
+    the next mask would be number ``MAX_DFA_STATES + 1``."""
+    if len(memo) >= MAX_DFA_STATES:
+        raise DeterminizationCap(f"determinization needs more than {MAX_DFA_STATES} states")
+
+
 def subset_successors(n: Nfa, syms: list[int]) -> Callable[[int], tuple[int, ...]]:
     """``successors(mask)``: the masks ``n`` steps ``mask`` to, one per
     symbol of ``syms``, computed the first time a mask is asked for and
     kept in a memo. Raises ``DeterminizationCap`` when the memo would hold
     more than ``MAX_DFA_STATES`` masks, the bound of a subset
     construction."""
-    tables = [n._fwd.get(sym, ()) for sym in syms]
+    missing = (0,) * n.state_count
+    tables = [n._fwd.get(sym, missing) for sym in syms]
     memo: dict[int, tuple[int, ...]] = {}
 
     def successors(mask: int) -> tuple[int, ...]:
         out = memo.get(mask)
         if out is None:
-            if len(memo) == MAX_DFA_STATES:
-                raise DeterminizationCap(
-                    f"determinization needs more than {MAX_DFA_STATES} states"
-                )
+            _check_cap(memo)
             row = []
             for table in tables:
                 t = 0
-                if table:
-                    s = mask
-                    while s:
-                        low = s & -s
-                        t |= table[low.bit_length() - 1]
-                        s ^= low
+                s = mask
+                while s:
+                    low = s & -s
+                    t |= table[low.bit_length() - 1]
+                    s ^= low
                 row.append(t)
             out = memo[mask] = tuple(row)
         return out
@@ -183,9 +196,32 @@ def subset_successors(n: Nfa, syms: list[int]) -> Callable[[int], tuple[int, ...
     return successors
 
 
-def _product_search(a: Nfa, b: Nfa, bad: Callable[[int, int], Any]) -> bytes | None:
-    """Shortest word (lex-least among them) after which the state sets
-    ``ma`` of ``a`` and ``mb`` of ``b`` satisfy ``bad(ma, mb)``.
+def _union_of(rows: Sequence[int], mask: int) -> int:
+    """The union of ``rows[q]`` over the states q in ``mask``: one subset
+    step when ``rows`` is a successor table."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _packed_rows(n: Nfa, syms: list[int], width: int) -> Sequence[int]:
+    """Per state of ``n``, its successor masks on all of ``syms`` in one
+    int: the mask on the i-th symbol shifted left by ``i * width``."""
+    rows: Sequence[int] = (0,) * n.state_count
+    for i, sym in enumerate(syms):
+        table = n._fwd.get(sym)
+        if table:
+            rows = list(map(or_, rows, map(lshift, table, repeat(i * width)))) if i else table
+    return rows
+
+
+def _product_search(a: Nfa, b: Nfa, symmetric: bool) -> bytes | None:
+    """Shortest word (lex-least among them) after which the state set ``ma``
+    of ``a`` meets ``a``'s finals while the state set ``mb`` of ``b``
+    misses ``b``'s, or, when ``symmetric``, also the other way round.
 
     A breadth-first walk over the product of both subset constructions, in
     ascending symbol order over the joint alphabet, that each side builds
@@ -194,26 +230,89 @@ def _product_search(a: Nfa, b: Nfa, bad: Callable[[int, int], Any]) -> bytes | N
     are the states of its complete DFA, so the word is the one the product
     of the two determinized automata gives; each side stops with
     ``DeterminizationCap`` past ``MAX_DFA_STATES`` stepped masks.
+
+    A pair is the one int ``ma << w | mb``, with ``w`` the state count of
+    ``b``. Each side's memo maps a mask to its successors on every symbol
+    at once, the i-th symbol's pair in bits ``i * width`` up, so that one
+    ``|`` of the two rows and one shift per symbol give the next pairs.
+    A row longer than ``_PACKED_BITS`` would make each shift copy a row
+    that grows with the alphabet, and its per-state rows cost more to build
+    than a short walk takes: such a walk is ``_product_search_by_symbol``.
     """
     syms = sorted(a.alphabet | b.alphabet)
+    w = b.state_count
+    width = a.state_count + w
+    if len(syms) * width > _PACKED_BITS:
+        return _product_search_by_symbol(a, b, syms, symmetric)
+    shifts = [i * width for i in range(len(syms))]
+    full, low = (1 << width) - 1, (1 << w) - 1
+    fa, fb = a.final_mask, b.final_mask
+    # a side's packed rows are built when it first steps a mask
+    rows_a = rows_b = None
+    memo_a: dict[int, int] = {}
+    memo_b: dict[int, int] = {}
+    start = a.initial_mask << w | b.initial_mask
+    parent: dict[int, tuple[int, int] | None] = {start: None}
+    queue = [start]
+    for pair in queue:
+        ma, mb = pair >> w, pair & low
+        if ma & fa:
+            if not mb & fb:
+                return _witness(parent, pair)
+        elif symmetric and mb & fb:
+            return _witness(parent, pair)
+        row_a = memo_a.get(ma)
+        if row_a is None:
+            _check_cap(memo_a)
+            if rows_a is None:
+                rows_a = _packed_rows(a, syms, width)
+            row_a = memo_a[ma] = _union_of(rows_a, ma) << w
+        row_b = memo_b.get(mb)
+        if row_b is None:
+            _check_cap(memo_b)
+            if rows_b is None:
+                rows_b = _packed_rows(b, syms, width)
+            row_b = memo_b[mb] = _union_of(rows_b, mb)
+        row = row_a | row_b
+        for sym, shift in zip(syms, shifts):
+            nxt = row >> shift & full
+            if nxt not in parent:
+                parent[nxt] = (pair, sym)
+                queue.append(nxt)
+    return None
+
+
+def _product_search_by_symbol(a: Nfa, b: Nfa, syms: list[int], symmetric: bool) -> bytes | None:
+    """``_product_search`` past ``_PACKED_BITS``: a pair is the tuple
+    ``(ma, mb)``, which costs less to build and hash than a wide int, and
+    each side steps a mask on one symbol at a time (``subset_successors``)."""
     succ_a, succ_b = subset_successors(a, syms), subset_successors(b, syms)
+    fa, fb = a.final_mask, b.final_mask
     start = (a.initial_mask, b.initial_mask)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = [start]
     for pair in queue:
         ma, mb = pair
-        if bad(ma, mb):
-            out = bytearray()
-            node = pair
-            while parent[node] is not None:
-                node, sym = parent[node]
-                out.append(sym)
-            return bytes(reversed(out))
+        if ma & fa:
+            if not mb & fb:
+                return _witness(parent, pair)
+        elif symmetric and mb & fb:
+            return _witness(parent, pair)
         for sym, nxt in zip(syms, zip(succ_a(ma), succ_b(mb))):
             if nxt not in parent:
                 parent[nxt] = (pair, sym)
                 queue.append(nxt)
     return None
+
+
+def _witness(parent: dict, pair) -> bytes:
+    """The word that leads a product walk from its start pair to ``pair``:
+    the symbols of the ``parent`` links, read backwards."""
+    out = bytearray()
+    while parent[pair] is not None:
+        pair, sym = parent[pair]
+        out.append(sym)
+    return bytes(reversed(out))
 
 
 def naive_inclusion(a: Nfa, b: Nfa) -> Verdict:
@@ -227,8 +326,7 @@ def naive_inclusion(a: Nfa, b: Nfa) -> Verdict:
     fires only on the masks actually explored. Returns a shortest word of
     L(a) - L(b), lex-least among them, as witness when not included.
     """
-    fa, fb = a.final_mask, b.final_mask
-    w = _product_search(a, b, lambda ma, mb: ma & fa and not mb & fb)
+    w = _product_search(a, b, False)
     if w is None:
         return Verdict(True)
     return Verdict(False, w)
@@ -238,8 +336,7 @@ def equivalence_counterexample(a: Nfa, b: Nfa) -> bytes | None:
     """None when L(a) = L(b); otherwise a shortest word in the symmetric
     difference (lex-least among the shortest), by the same on-the-fly
     product walk as ``naive_inclusion``."""
-    fa, fb = a.final_mask, b.final_mask
-    return _product_search(a, b, lambda ma, mb: bool(ma & fa) != bool(mb & fb))
+    return _product_search(a, b, True)
 
 
 class CnfGrammar:

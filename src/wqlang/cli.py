@@ -14,7 +14,8 @@ string, nests deeper than ``MAX_REGEX_DEPTH`` or compiles to more than
 malformed input file (including an automaton or net file that declares
 more than ``MAX_FILE_STATES`` states, an automaton file whose states times
 distinct transition symbols exceed ``MAX_FILE_TABLE_CELLS``, and a file of
-fewer than two bytes given to ``compress``), a path that cannot be opened
+fewer than two bytes, or of more than ``MAX_COMPRESS_BYTES``, given to
+``compress``), a path that cannot be opened
 as an input or as ``-o`` (missing, a directory, not permitted: any
 ``OSError``) or a computation stopped by its cap
 (fixpoint layers, learner queries, decompressed size, ``MAX_DFA_STATES``
@@ -50,6 +51,10 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 INPUT_ERROR = 3
+
+# the compressor holds about 137 bytes of heap per input byte, so a file at
+# this cap needs about 2.3 GB
+MAX_COMPRESS_BYTES = 1 << 24
 
 # Functions that other code reads off this module (the benchmark's tracer
 # wraps them here). Each resolves on access to the current binding in its
@@ -229,8 +234,18 @@ def _cmd_search(args) -> int:
 def _cmd_compress(args) -> int:
     from .slpsearch.slp import repair_compress
 
+    cap = MAX_COMPRESS_BYTES
+    with open(args.file, "rb") as handle:
+        # one byte past the cap tells a file over it from one at it
+        text = handle.read(cap + 1)
+        size = os.fstat(handle.fileno()).st_size
+    if len(text) > cap:
+        # a pipe reports no size
+        shown = size if size > cap else f"more than {cap}"
+        print(f"error: input is {shown} bytes, compress reads at most {cap}", file=sys.stderr)
+        return INPUT_ERROR
     try:
-        slp = repair_compress(_read(args.file))
+        slp = repair_compress(text)
     except ValueError as exc:  # fewer than two bytes: the file is at fault
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

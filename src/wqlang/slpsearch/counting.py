@@ -194,13 +194,13 @@ class SearchEngine:
         return base, closed
 
     def _newlines(self) -> list[bool]:
-        """Whether each binary rule's expansion contains a newline, bottom-up."""
-        has: list[bool] = []
+        """Whether each symbol's expansion contains a newline, indexed by
+        symbol id; rules bottom-up."""
+        has = [False] * (TERMINALS + 1)
+        has[NEWLINE] = True
+        append = has.append
         for a, b in self.slp.rules[:-1]:
-            has.append(
-                (has[a - TERMINALS - 1] if a > TERMINALS else a == NEWLINE)
-                or (has[b - TERMINALS - 1] if b > TERMINALS else b == NEWLINE)
-            )
+            append(has[a] or has[b])
         return has
 
     # -- results -----------------------------------------------------------
@@ -240,9 +240,8 @@ class SearchEngine:
         stack: list[int] = []  # right children of expanded newline rules
         for sym in self.slp.axiom:
             while True:
-                r = sym - TERMINALS - 1
-                if r >= 0 and newline[r]:
-                    sym, b = rules[r]
+                if sym > TERMINALS and newline[sym]:
+                    sym, b = rules[sym - TERMINALS - 1]
                     stack.append(b)
                     continue
                 if sym == NEWLINE:

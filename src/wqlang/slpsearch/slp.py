@@ -53,15 +53,7 @@ class Slp:
 
     def symbol_lengths(self) -> list[int]:
         """Expansion length of each rule, bottom-up."""
-        lens: list[int] = []
-        append = lens.append
-        for a, b in self.rules[:-1]:
-            append(
-                (lens[a - TERMINALS - 1] if a > TERMINALS else 1)
-                + (lens[b - TERMINALS - 1] if b > TERMINALS else 1)
-            )
-        append(sum(lens[sym - TERMINALS - 1] if sym > TERMINALS else 1 for sym in self.axiom))
-        return lens
+        return _lengths_by_id(self)[TERMINALS + 1 :]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Slp):
@@ -75,6 +67,18 @@ class Slp:
         return f"Slp(rules={self.rule_count}, axiom_arity={len(self.axiom)})"
 
 
+def _lengths_by_id(p: Slp) -> list[int]:
+    """Expansion length of every symbol, indexed by symbol id: 1 for each
+    byte (and for the unused id 256), then rule by rule, bottom-up; the
+    last entry is the axiom's, the length of the text."""
+    lens = [1] * (TERMINALS + 1)
+    append = lens.append
+    for a, b in p.rules[:-1]:
+        append(lens[a] + lens[b])
+    append(sum(map(lens.__getitem__, p.axiom)))
+    return lens
+
+
 class DecompressionCap(RuntimeError):
     """The expansion would exceed the configured output limit."""
 
@@ -85,16 +89,17 @@ class Expander:
     The walk keeps an explicit stack, so grammar depth is not bounded by
     the interpreter's recursion limit. The first expansion of a rule
     records where it starts in ``out``; every later use copies those
-    ``lengths[rule]`` bytes. Time and memory are O(output + rules).
+    ``lengths[sym]`` bytes. ``rules``, ``lengths`` and the starts are all
+    indexed by symbol id. Time and memory are O(output + rules).
     """
 
     __slots__ = ("rules", "lengths", "out", "_starts")
 
     def __init__(self, p: Slp):
-        self.rules = p.rules
-        self.lengths = p.symbol_lengths()
+        self.rules = ((),) * (TERMINALS + 1) + p.rules
+        self.lengths = _lengths_by_id(p)
         self.out = bytearray()
-        self._starts = [-1] * p.rule_count
+        self._starts = [-1] * len(self.lengths)
 
     def append(self, symbols: Sequence[int]) -> None:
         out, rules, lengths, starts = self.out, self.rules, self.lengths, self._starts
@@ -105,15 +110,14 @@ class Expander:
             if sym < TERMINALS:
                 out.append(sym)
                 continue
-            r = sym - TERMINALS - 1
-            start = starts[r]
+            start = starts[sym]
             if start >= 0:
-                out += out[start : start + lengths[r]]
+                out += out[start : start + lengths[sym]]
             else:
                 # the rule's subtree is popped before anything below it on
                 # the stack, so later uses find its expansion complete
-                starts[r] = len(out)
-                a, b = rules[r]
+                starts[sym] = len(out)
+                a, b = rules[sym]
                 push(b)
                 push(a)
 

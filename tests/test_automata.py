@@ -464,16 +464,68 @@ def _small_nfas(draw) -> Nfa:
     return Nfa(count, triples, draw(st.sets(state, max_size=3)), draw(st.sets(state, max_size=3)))
 
 
+@st.composite
+def _ring_nfas(draw) -> Nfa:
+    """65 to 90 states on a ring over the first of a drawn set of symbols,
+    so that every state is reachable, plus a few drawn moves: a pair key
+    with such a side spans more than one machine word."""
+    count = draw(st.integers(65, 90))
+    syms = sorted(draw(st.sets(st.sampled_from([A, B, C]), min_size=1)))
+    state = st.integers(0, count - 1)
+    ring = [(q, syms[0], (q + 1) % count) for q in range(count)]
+    extra = draw(st.lists(st.tuples(state, st.sampled_from(syms), state), max_size=6))
+    return Nfa(count, ring + extra, draw(st.sets(state, min_size=1, max_size=2)), draw(st.sets(state, max_size=4)))
+
+
+def _assert_walk_matches_the_determinized_product(a: Nfa, b: Nfa) -> None:
+    """Both walks equal the product of the two DFAs, stepped per symbol and
+    with one packed row per mask, whatever the row's length."""
+    witness = _dfa_product_search(a, b, lambda fa, fb: fa and not fb)
+    difference = _dfa_product_search(a, b, lambda fa, fb: fa != fb)
+    for packed_bits in (-1, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "_PACKED_BITS", packed_bits)
+            assert naive_inclusion(a, b) == Verdict(witness is None, witness)
+            assert equivalence_counterexample(a, b) == difference
+
+
+def _ring(count: int, *moves) -> list[tuple[int, int, int]]:
+    return [(q, A, (q + 1) % count) for q in range(count)] + list(moves)
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(a=_small_nfas(), b=_small_nfas())
 @example(a=Nfa(0, [], [], []), b=Nfa(0, [], [], []))
 @example(a=Nfa(0, [], [], []), b=Nfa(1, [(0, A, 0)], [0], [0]))
 @example(a=Nfa(1, [(0, A, 0)], [0], [0]), b=Nfa(1, [(0, B, 0)], [0], [0]))  # disjoint alphabets
 @example(a=Nfa(2, [(0, A, 1)], [0], []), b=Nfa(1, [(0, B, 0)], [0], []))  # both languages empty
+@example(a=Nfa(0, [], [], []), b=Nfa(70, _ring(70), [0], [69]))  # pair keys past 64 bits
+@example(a=Nfa(70, _ring(70), [0], [69]), b=Nfa(0, [], [], []))
+@example(a=Nfa(70, _ring(70, (69, B, 0)), [0], [0]), b=Nfa(66, _ring(66), [0], [0]))  # only a reads B
 def test_product_walk_matches_the_determinized_product(a, b):
-    witness = _dfa_product_search(a, b, lambda fa, fb: fa and not fb)
-    assert naive_inclusion(a, b) == Verdict(witness is None, witness)
-    assert equivalence_counterexample(a, b) == _dfa_product_search(a, b, lambda fa, fb: fa != fb)
+    _assert_walk_matches_the_determinized_product(a, b)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(a=st.one_of(_ring_nfas(), _small_nfas()), b=st.one_of(_ring_nfas(), _small_nfas()))
+def test_product_walk_matches_the_determinized_product_past_a_machine_word(a, b):
+    _assert_walk_matches_the_determinized_product(a, b)
+
+
+def test_product_walk_packs_a_row_only_up_to_its_bit_bound(monkeypatch):
+    # a row has |alphabet| * (states of a + states of b) bits; the widths
+    # each side's _packed_rows is built at show which route a walk took
+    widths = []
+    packed_rows = automata._packed_rows
+    monkeypatch.setattr(automata, "_packed_rows", lambda n, syms, width: widths.append(width) or packed_rows(n, syms, width))
+    n = _kth_letter_from_the_end_is_a(4)  # 5 states over {a, b}
+    width = automata._PACKED_BITS // 2
+    fits = Nfa(width - 5, [(0, A, 0), (0, B, 0)], [0], [0])  # accepts (a|b)*
+    assert naive_inclusion(n, fits) == Verdict(True)
+    assert widths == [width, width]
+    one_more = Nfa(width - 4, [(0, A, 0), (0, B, 0)], [0], [0])
+    assert naive_inclusion(n, one_more) == Verdict(True)
+    assert widths == [width, width]
 
 
 def _kth_letter_from_the_end_is_a(k: int) -> Nfa:
@@ -499,3 +551,21 @@ def test_product_walk_keeps_the_cap_on_the_masks_it_steps(monkeypatch):
     assert naive_inclusion(b_then_n, n).witness == b"b"
     monkeypatch.setattr(automata, "MAX_DFA_STATES", 16)
     assert equivalence_counterexample(n, n) is None
+
+
+@pytest.mark.parametrize("packed_bits", [-1, 1 << 30], ids=["per-symbol", "packed"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_product_walk_steps_exactly_the_cap_on_each_side(monkeypatch, side, packed_bits):
+    # no pair is bad, so the walk extends every pair: its side of
+    # (a|b)*a(a|b){3} steps all 16 masks, the other side steps one
+    n = _kth_letter_from_the_end_is_a(4)
+    if side == "left":
+        pair = (n, Nfa(1, [(0, A, 0), (0, B, 0)], [0], [0]))  # into (a|b)*
+    else:
+        pair = (Nfa(1, [(0, A, 0), (0, B, 0)], [0], []), n)  # the empty language
+    monkeypatch.setattr(automata, "_PACKED_BITS", packed_bits)
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 16)
+    assert naive_inclusion(*pair) == Verdict(True)
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 15)
+    with pytest.raises(DeterminizationCap, match="more than 15 states"):
+        naive_inclusion(*pair)

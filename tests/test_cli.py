@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wqlang.cli as cli
 from wqlang.cli import SUBCOMMANDS, build_parser, main
 from wqlang.formats import MAX_FILE_STATES, MAX_FILE_TABLE_CELLS, dump_cnf, dump_nfa, dump_ocn, dump_slp_binary, dump_slp_text, parse_nfa
 from wqlang import CnfGrammar, Nfa, Ocn, compile_regex, equivalence_counterexample, parse_regex, repair_compress
@@ -119,6 +120,19 @@ def test_compress_refuses_a_file_shorter_than_two_bytes_as_input(tmp_path, capsy
     out = tmp_path / "out.slp"
     assert main(["compress", str(src), "-o", str(out)]) == 3
     assert capsys.readouterr() == ("", "error: need at least two bytes to compress\n")
+    assert not out.exists()
+
+
+def test_compress_refuses_a_file_past_its_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_COMPRESS_BYTES", 8)
+    src, out = tmp_path / "in.txt", tmp_path / "out.slp"
+    src.write_bytes(b"abababab")
+    assert main(["compress", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    src.write_bytes(b"abababab\n")
+    out.unlink()
+    assert main(["compress", str(src), "-o", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: input is 9 bytes, compress reads at most 8\n")
     assert not out.exists()
 
 

@@ -677,6 +677,19 @@ def test_cfg_word_fixpoint_matches_from_scratch_oracle():
             )
 
 
+def test_cfg_witness_needs_the_entries_evicted_later_in_their_layer():
+    """The grammar fixpoint extends every entry its layer accepted, also one
+    that a smaller key evicted later in that layer. Skipping those keeps
+    the verdict, but here it surfaces b"abb" where the layer's least
+    rejected word is b"aaa", the oracle's witness too."""
+    g = CnfGrammar(3, {2: {A, B}}, {0: {(1, 2), (0, 0)}, 1: {(1, 1), (2, 2)}})
+    moves = [(0, A, 2), (0, B, 0), (1, A, 1), (1, A, 2), (1, B, 1), (1, B, 2), (2, A, 0), (2, B, 2)]
+    n = Nfa(3, moves, [0], [0, 1])
+    _, layers, witness = cfg_word_fixpoint(g, ctx_handle(n), stop=True)
+    assert (layers, witness) == (2, b"aaa")
+    assert cfg_inc_antichain(g, n) == cfg_in_regular_oracle(g, n.determinize()) == Verdict(False, b"aaa")
+
+
 def test_iteration_cap_counts_layers():
     # the smallest cap that lets these fixpoints finish is the layer count
     # they return, as their last layer is offered keys they already hold;
