@@ -19,7 +19,14 @@ def _lazy_exports(namespace: dict, homes: dict[str, tuple[str, ...]]):
     """``__all__``, ``__getattr__`` and ``__dir__`` for the module whose
     globals are ``namespace``: each name in ``homes`` (a submodule of the
     package, relative to it, to names) is looked up in that submodule,
-    imported on first access."""
+    imported on first access.
+
+    ``python -X importtime`` logs only modules loaded by an ``import``
+    statement, not those loaded by ``import_module``: a start-up profile
+    read off it omits every module reached through these exports (the
+    modules they import by statement still appear). Measure start-up by
+    the ``sys.modules`` a run leaves, as ``tests/test_startup.py`` does,
+    and by the ``cli_p50_ms`` of ``bench/run.py``."""
     module_name, package = namespace["__name__"], namespace["__package__"]
     module_of = {name: module for module, names in homes.items() for name in names}
 

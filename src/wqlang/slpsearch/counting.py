@@ -1,7 +1,7 @@
 """Search on grammar-compressed text without decompression.
 
 Compressed search is grammar inclusion on a grammar with exactly one
-derivation, seen from the left: the engine walks the axiom left to right
+derivation, seen from the left: the engine folds the axiom left to right
 and carries one context, the set of automaton states reached in the
 current line. Before each byte the initial states join the context; a
 context that meets the final states becomes ``MATCHED``; and a newline
@@ -12,12 +12,14 @@ proportional to the distinct pairs the walk meets, never to the text
 length times the automaton size. Contexts are interned: each distinct one
 gets a dense id, and a (symbol, context) pair is the single int key
 ``sym + id * width``, with ``width`` above every symbol id, so no lookup
-builds a tuple. Matching lines are reported by a second walk through the
-same memo that expands only rules containing a newline.
-This is the standard technique of computing over an SLP by memoizing per
-rule and context (Lohrey, "Algorithmics on SLP-compressed strings: a
-survey", 2012; Navarro, "Regular expression searching on compressed
-text", J. Discrete Algorithms 2003).
+builds a tuple. One loop does the whole evaluation: it reads memo hits
+inline, descends a missed rule on an explicit stack and steps a terminal
+in place. A second walk through the memo reports matching lines,
+expanding only rules that contain a newline. This is the standard
+technique of computing over an SLP by memoizing per rule and context
+(Lohrey, "Algorithmics on SLP-compressed strings: a survey", 2012;
+Navarro, "Regular expression searching on compressed text", J. Discrete
+Algorithms 2003).
 
 The engine's counters, ``SearchStats``, are a plain slotted class, so
 importing the module loads no ``dataclasses``.
@@ -58,7 +60,7 @@ class SearchStats:
 
 
 class SearchEngine:
-    """Directed left-to-right walk of one SLP's axiom against one automaton.
+    """Directed left-to-right fold of one SLP's axiom against one automaton.
 
     The automaton must be free of epsilon transitions. When it does not read
     the newline byte, newlines delimit lines and matches never cross them;
@@ -66,40 +68,32 @@ class SearchEngine:
     When it reads the newline byte, the newline is an ordinary symbol, a
     reached final state stays reached, and only ``match_exists`` is defined.
 
-    The walk runs on construction. Contexts are state masks with the
-    initial states added, or ``MATCHED``. Each distinct context gets a
-    dense id the first time it appears (``MATCHED`` is id 0) and is keyed
-    by its base, ``id * width``, where ``width`` exceeds every symbol id.
-    A (symbol, context) pair is then the single int ``sym + base``, and the
-    memo maps it to (exit base, closed matching lines), terminals and rules
-    in one table. The public ``evaluate`` takes and returns raw contexts;
-    ``match_exists``, ``line_count`` and ``report`` read their answers from
-    the walk and the memo.
+    The fold of the axiom runs on construction. Contexts are state masks
+    with the initial states added, or ``MATCHED``. Each distinct context
+    gets a dense id the first time it appears (``MATCHED`` is id 0) and is
+    keyed by its base, ``id * width``, where ``width`` exceeds every symbol
+    id. A (symbol, context) pair is then the single int ``sym + base``, and
+    the memo maps it to (exit base, closed matching lines), terminals and
+    rules in one table. ``_fold`` alone evaluates: the constructor folds
+    the axiom, and the public ``evaluate`` (raw contexts in and out) one
+    symbol. The results are read from the fold and the memo.
     """
 
     def __init__(self, slp: Slp, nfa: Nfa):
         self.slp = slp
         self.nfa = nfa
-        self.stats = SearchStats(
-            automaton_states=nfa.state_count, rules=slp.rule_count
-        )
+        self.stats = SearchStats(nfa.state_count, slp.rule_count)
         # a newline closes the line only when the automaton cannot read it
         self._lines = NEWLINE not in nfa.alphabet
         self._width = TERMINALS + 1 + len(slp.rules)  # above every symbol id
-        self._bases: dict[int, int] = {}  # context -> base
-        self._contexts: list[int] = []  # id -> context
-        self._intern(MATCHED)  # base 0
-        self._start = self._intern(self._context(0))
+        self._bases: dict[int, int] = {MATCHED: 0}  # context -> base
+        self._contexts: list[int] = [MATCHED]  # id -> context
+        initial = nfa.initial_mask
+        self._start = self._intern(MATCHED if initial & nfa.final_mask else initial)
         self._memo: dict[int, tuple[int, int]] = {}
-        self._exit, self._closed = self._walk(slp.axiom, self._start)
+        self._exit, self._closed = self._fold(slp.axiom, self._start)
 
     # -- the walk ------------------------------------------------------------
-
-    def _context(self, reached: int) -> int:
-        """Context after reaching ``reached``: the initial states join it,
-        and one that meets the final states is ``MATCHED``."""
-        reached |= self.nfa.initial_mask
-        return MATCHED if reached & self.nfa.final_mask else reached
 
     def _intern(self, ctx: int) -> int:
         """Base of ``ctx``, giving it the next id on first sight."""
@@ -109,89 +103,95 @@ class SearchEngine:
             self._contexts.append(ctx)
         return base
 
-    def _leaf(self, sym: int, base: int) -> tuple[int, int]:
-        """Exit of a step that needs no descent: a terminal, or any symbol
-        entered in ``MATCHED`` (base 0) when newlines are ordinary symbols."""
-        if sym == NEWLINE and self._lines:
-            return self._start, int(not base)
-        if not base:
-            return 0, 0
-        ctx = self._contexts[base // self._width]
-        self.stats.inner_iters += ctx.bit_count()
-        return self._intern(self._context(self.nfa.step(ctx, sym))), 0
-
     def evaluate(self, sym: int, ctx: int) -> tuple[int, int]:
         """Exit context and number of closed matching lines of ``sym``'s
         expansion entered in ``ctx``, memoized. ``sym`` must be a byte or a
         binary rule's id; the axiom and unknown ids raise ``ValueError``."""
         if not (0 <= sym < TERMINALS or TERMINALS < sym < TERMINALS + len(self.slp.rules)):
             raise ValueError(f"symbol id {sym} is neither a byte nor a binary rule")
-        base = self._intern(ctx)
-        hit = self._memo.get(sym + base)
-        out, closed = hit if hit is not None else self._evaluate(sym, base)
+        out, closed = self._fold((sym,), self._intern(ctx))
         return self._contexts[out // self._width], closed
 
-    def _evaluate(self, sym: int, base: int) -> tuple[int, int]:
-        """``evaluate`` on bases, for a pair not yet in the memo. A rule is
-        its left child, then its right child from the left child's exit;
-        a child already in the memo is read from it, and a rule whose
-        children are both there is stored at once. Rules waiting on a child
-        wait on an explicit stack, so grammar depth is not bounded by the
-        interpreter's recursion limit."""
-        memo, rules, lines, leaf = self._memo, self.slp.rules, self._lines, self._leaf
-        stats = self.stats
+    def _fold(self, symbols: Sequence[int], base: int) -> tuple[int, int]:
+        """Exit base and closed matching lines of the concatenation of
+        ``symbols`` entered at ``base``. A pair missing from the memo is a
+        rule's left child, then its right child from the left child's exit,
+        with rules waiting on a child kept on an explicit stack, so grammar
+        depth is not bounded by the interpreter's recursion limit."""
+        memo, rules, lines, start = self._memo, self.slp.rules, self._lines, self._start
+        bases, contexts, width = self._bases, self._contexts, self._width
+        fwd, initial, final = self.nfa._fwd, self.nfa.initial_mask, self.nfa.final_mask
+        steps, iters, total = len(symbols) - 1, 0, 0
         # (rule key, closed lines of its left child or -1 while the left
         # child is evaluated, right child)
         pending: list[tuple[int, int, int]] = []
-        while True:
-            # (sym, base) is not in the memo
-            if sym > TERMINALS and (lines or base):
-                stats.compose_steps += 1
-                a, b = rules[sym - TERMINALS - 1]
-                hit = memo.get(a + base)
-                if hit is None:
-                    pending.append((sym + base, -1, b))
-                    sym = a
-                    continue
-                mid, left = hit
-                hit = memo.get(b + mid)
-                if hit is None:
-                    pending.append((sym + base, left, b))
-                    sym, base = b, mid
-                    continue
-                out, closed = hit
-                closed += left
-                memo[sym + base] = (out, closed)
-            else:
-                out, closed = memo[sym + base] = leaf(sym, base)
-            while pending:
-                key, left, b = pending.pop()
-                if left < 0:
-                    # the left child just finished; now the right one
-                    hit = memo.get(b + out)
-                    if hit is None:
-                        pending.append((key, closed, b))
-                        sym, base = b, out
-                        break
-                    left = closed
-                    out, closed = hit
-                closed += left
-                memo[key] = (out, closed)
-            else:
-                return out, closed
-
-    def _walk(self, symbols: Sequence[int], base: int) -> tuple[int, int]:
-        """``_evaluate`` of the concatenation of ``symbols``."""
-        self.stats.compose_steps += len(symbols) - 1
-        memo, evaluate = self._memo, self._evaluate
-        closed = 0
         for sym in symbols:
             hit = memo.get(sym + base)
-            if hit is None:
-                hit = evaluate(sym, base)
-            base = hit[0]
-            closed += hit[1]
-        return base, closed
+            if hit is not None:
+                base = hit[0]
+                total += hit[1]
+                continue
+            while True:
+                # (sym, base) is not in the memo
+                if sym > TERMINALS and (lines or base):
+                    steps += 1
+                    a, b = rules[sym - TERMINALS - 1]
+                    hit = memo.get(a + base)
+                    if hit is None:
+                        pending.append((sym + base, -1, b))
+                        sym = a
+                        continue
+                    mid, left = hit
+                    hit = memo.get(b + mid)
+                    if hit is None:
+                        pending.append((sym + base, left, b))
+                        sym, base = b, mid
+                        continue
+                    out, closed = hit
+                    closed += left
+                elif sym == NEWLINE and lines:
+                    out, closed = start, 0 if base else 1
+                elif not base:
+                    out = closed = 0
+                else:
+                    # a terminal: step, join the initial states, match finals
+                    ctx = contexts[base // width]
+                    iters += ctx.bit_count()
+                    reached, closed = initial, 0
+                    table = fwd.get(sym)
+                    if table is not None:
+                        while ctx:
+                            low = ctx & -ctx
+                            reached |= table[low.bit_length() - 1]
+                            ctx ^= low
+                    if reached & final:
+                        out = 0
+                    else:
+                        out = bases.get(reached)
+                        if out is None:
+                            out = bases[reached] = len(contexts) * width
+                            contexts.append(reached)
+                memo[sym + base] = (out, closed)
+                while pending:
+                    key, left, b = pending.pop()
+                    if left < 0:
+                        # the left child just finished; now the right one
+                        hit = memo.get(b + out)
+                        if hit is None:
+                            pending.append((key, closed, b))
+                            sym, base = b, out
+                            break
+                        left = closed
+                        out, closed = hit
+                    closed += left
+                    memo[key] = (out, closed)
+                else:
+                    break
+            base = out
+            total += closed
+        self.stats.compose_steps += steps
+        self.stats.inner_iters += iters
+        return base, total
 
     def _newlines(self) -> list[bool]:
         """Whether each symbol's expansion contains a newline, indexed by

@@ -297,6 +297,65 @@ def test_evaluate_agrees_with_a_byte_fold_from_any_context(nfa, text, data):
     assert (engine.stats.compose_steps, engine.stats.inner_iters) == stats
 
 
+@st.composite
+def newline_automata(draw) -> Nfa:
+    """A small NFA over a, b and the newline that reads the newline."""
+    n = draw(st.integers(1, 4))
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(b"ab\n"), st.integers(0, n - 1)))
+    )
+    moves.append((draw(st.integers(0, n - 1)), NEWLINE, draw(st.integers(0, n - 1))))
+    states = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+    return Nfa(n, moves, draw(states), draw(states))
+
+
+@given(
+    st.one_of(patterns(), newline_automata()),
+    st.text(alphabet="ab\n", min_size=2, max_size=120),
+)
+@settings(max_examples=examples(200), deadline=None)
+def test_stats_count_the_memo_entries_the_walk_made(nfa, text):
+    # whatever the walk's shape: one composition per axiom symbol after the
+    # first and per rule pair evaluated by descent (in line mode a rule
+    # entered in MATCHED descends too), and one inner iteration per context
+    # bit of each terminal pair stepped (a newline in line mode steps none)
+    slp = repair_compress(text.encode())
+    engine = SearchEngine(slp, nfa)
+    width, lines, memo = engine._width, NEWLINE not in nfa.alphabet, engine._memo
+    descended = sum(1 for k in memo if k % width > counting.TERMINALS and (lines or k // width))
+    assert engine.stats.compose_steps == len(slp.axiom) - 1 + descended
+    assert engine.stats.inner_iters == sum(
+        engine._contexts[k // width].bit_count()
+        for k in memo
+        if k % width < counting.TERMINALS and k // width and not (lines and k % width == NEWLINE)
+    )
+
+
+def _right_chain_slp(text: bytes) -> Slp:
+    """The right-deep SLP of ``text``: rule 1 is its last two bytes and rule
+    i + 1 is (byte, rule i), so the depth is ``len(text) - 1``."""
+    rules = [(text[-2], text[-1])]
+    rules += [(byte, rule_id(i)) for i, byte in enumerate(reversed(text[:-2]))]
+    return Slp(rules)
+
+
+def test_search_on_200000_deep_right_chain():
+    # every rule's right child is the next rule down, so the walk keeps
+    # nearly 200,000 rules waiting on their right child; matches at the
+    # first byte, in a middle line and at the last bytes
+    rng = random.Random(72)
+    first, last = (bytes(rng.choice(b"xyz") for _ in range(n)) for n in (99_995, 99_996))
+    text = b"ab" + first + b"\nqab\n" + last + b"ab"
+    assert len(text) == 200_000
+    slp = _right_chain_slp(text)
+    assert decompress(slp) == text
+    nfa = pat("ab")
+    engine = SearchEngine(slp, nfa)
+    assert engine.line_count() == count_lines_oracle(text, nfa) == 3
+    assert engine.match_exists() == factor_scanner(nfa)(text)
+    assert list(engine.report()) == matching_lines_oracle(text, nfa)
+
+
 def test_report_line_under_deep_rule():
     # the matching line lies under a 5000-deep rule without a newline
     line = b"xyz" * 1666 + b"ab"
